@@ -5,118 +5,31 @@ dimension (the almost-everywhere rank of the map from parameters to the
 observed joint distribution) of undirected tree models with observed
 and latent nodes, entirely in exact rational arithmetic, plus the
 penalized-likelihood scores built on those dimensions.
+
+The package exports the documented API; the pipeline stages live in
+the submodules ``model``, ``decompose``, ``rank``, ``oracle``, ``iface``
+and ``score``.
 """
 
-from .decompose import (
-    DecompositionLedger,
-    DimensionResult,
-    LatentEdgeCorrection,
-    LatentFreePart,
-    LcComponent,
-    ObservedCutCorrection,
-    RankPolicy,
-    combine,
-    decompose_hlc,
-    effective_dimension,
-    prune_latent_leaves,
-    split_at_observed,
-)
-from .iface import (
-    ModelParseError,
-    format_report,
-    parse_model,
-    report_lines,
-    run,
-    serialize_model,
-)
-from .model import (
-    InvalidModelError,
-    RegularityViolation,
-    RegularizationStep,
-    TreeModel,
-    Variable,
-    check_regular,
-    regularize,
-    require_valid,
-    standard_dimension,
-    validate,
-)
-from .oracle import (
-    DEFAULT_PARAMETER_LIMIT,
-    DEFAULT_STATE_LIMIT,
-    FullParameterPoint,
-    OracleLimitError,
-    joint_observed_distribution,
-    observed_joint_jacobian,
-    oracle_effective_dimension,
-    sample_full_point,
-)
-from .rank import (
-    DEFAULT_NUMERATOR_BOUND,
-    DEFAULT_TRIALS,
-    LcParameterPoint,
-    Rational,
-    RationalMatrix,
-    derive_seed,
-    exact_rank,
-    lc_effective_dimension,
-    lc_jacobian_at,
-    lc_rank_trials,
-    sample_lc_point,
-    sample_simplex_block,
-)
+from .decompose import RankPolicy, effective_dimension
+from .iface import ModelParseError, parse_model, report_lines, run
+from .model import InvalidModelError, TreeModel, Variable
+from .oracle import OracleLimitError, oracle_effective_dimension
 from .score import ScoreInput, bic, bice
 
 __all__ = [
-    "DecompositionLedger",
-    "DimensionResult",
-    "LatentEdgeCorrection",
-    "LatentFreePart",
-    "LcComponent",
-    "ObservedCutCorrection",
+    "TreeModel",
+    "Variable",
     "RankPolicy",
-    "combine",
-    "decompose_hlc",
     "effective_dimension",
-    "prune_latent_leaves",
-    "split_at_observed",
-    "ModelParseError",
-    "format_report",
+    "oracle_effective_dimension",
     "parse_model",
     "report_lines",
     "run",
-    "serialize_model",
-    "InvalidModelError",
-    "RegularityViolation",
-    "RegularizationStep",
-    "TreeModel",
-    "Variable",
-    "check_regular",
-    "regularize",
-    "require_valid",
-    "standard_dimension",
-    "validate",
-    "DEFAULT_PARAMETER_LIMIT",
-    "DEFAULT_STATE_LIMIT",
-    "FullParameterPoint",
-    "OracleLimitError",
-    "joint_observed_distribution",
-    "observed_joint_jacobian",
-    "oracle_effective_dimension",
-    "sample_full_point",
-    "DEFAULT_NUMERATOR_BOUND",
-    "DEFAULT_TRIALS",
-    "LcParameterPoint",
-    "Rational",
-    "RationalMatrix",
-    "derive_seed",
-    "exact_rank",
-    "lc_effective_dimension",
-    "lc_jacobian_at",
-    "lc_rank_trials",
-    "sample_lc_point",
-    "sample_simplex_block",
     "ScoreInput",
     "bic",
     "bice",
+    "InvalidModelError",
+    "ModelParseError",
+    "OracleLimitError",
 ]

@@ -19,7 +19,6 @@ of every component and correction in a :class:`DecompositionLedger`.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .model import (
@@ -30,9 +29,7 @@ from .model import (
     require_valid,
     standard_dimension,
 )
-from .rank import DEFAULT_NUMERATOR_BOUND, DEFAULT_TRIALS, derive_seed, lc_rank_trials
-
-log = logging.getLogger(__name__)
+from .rank import DEFAULT_TRIALS, derive_seed, lc_rank_trials
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,6 @@ class RankPolicy:
 
     trials: int = DEFAULT_TRIALS
     seed: int = 0
-    numerator_bound: int = DEFAULT_NUMERATOR_BOUND
 
 
 @dataclass(frozen=True)
@@ -117,33 +113,20 @@ def prune_latent_leaves(model: TreeModel) -> tuple[TreeModel, tuple[int, ...]]:
     A latent leaf is summed out of the observed joint entirely, so its
     conditional table never moves any observed probability; removing it
     leaves the effective dimension unchanged.  Removal can expose new
-    latent leaves, so passes repeat until a fixpoint.
+    latent leaves, so passes repeat until a fixpoint.  A model without
+    latent leaves is returned as is.
     """
     require_valid(model)
-    variables = {v.id: v for v in model.variables}
-    edges = set(model.edges)
     removed: list[int] = []
-
-    def degree(vid: int) -> int:
-        return sum(1 for a, b in edges if vid in (a, b))
-
     while True:
-        leaves = [
-            vid
-            for vid in sorted(variables)
-            if variables[vid].latent and degree(vid) <= 1
-        ]
+        leaves = {v.id for v in model.latent_variables if model.degree(v.id) <= 1}
         if not leaves:
-            break
-        for vid in leaves:
-            edges = {e for e in edges if vid not in e}
-            del variables[vid]
-            removed.append(vid)
-
-    pruned = TreeModel(
-        tuple(variables[k] for k in sorted(variables)), tuple(sorted(edges))
-    )
-    return pruned, tuple(removed)
+            return model, tuple(removed)
+        model = TreeModel(
+            tuple(v for v in model.variables if v.id not in leaves),
+            tuple(e for e in model.edges if leaves.isdisjoint(e)),
+        )
+        removed.extend(sorted(leaves))
 
 
 def split_at_observed(
@@ -156,7 +139,8 @@ def split_at_observed(
     in different pieces.  In every resulting piece all observed nodes
     are leaves, hence each piece containing a latent node is a latent-
     internal hierarchy.  The correction for a degree-d observed node of
-    cardinality r is (d - 1) * (r - 1).
+    cardinality r is (d - 1) * (r - 1).  A tree that does not split is
+    returned as its own single piece.
     """
     require_valid(model)
     for var in model.latent_variables:
@@ -165,54 +149,42 @@ def split_at_observed(
                 f"latent leaf {var.name!r} present; prune latent leaves first"
             )
 
-    if not model.edges:
-        return (model,), ()
-
-    # Union-find over edges; edges sharing a latent endpoint stay together.
-    parent = list(range(len(model.edges)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    incident: dict[int, list[int]] = {}
-    for idx, (a, b) in enumerate(model.edges):
-        incident.setdefault(a, []).append(idx)
-        incident.setdefault(b, []).append(idx)
-    for var in model.latent_variables:
-        touching = incident.get(var.id, [])
-        for other in touching[1:]:
-            union(touching[0], other)
-
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(model.edges)):
-        groups.setdefault(find(idx), []).append(idx)
-
-    pieces = []
-    for indices in groups.values():
-        edge_subset = [model.edges[i] for i in indices]
-        ids = sorted({v for e in edge_subset for v in e})
-        pieces.append(
-            TreeModel(
-                tuple(model.variable(i) for i in ids), tuple(sorted(edge_subset))
-            )
-        )
-    pieces.sort(key=lambda piece: piece.variables[0].id)
-
     corrections = []
-    for var in sorted(model.observed_variables, key=lambda v: v.id):
+    for var in model.observed_variables:
         d = model.degree(var.id)
         if d >= 2:
             corrections.append(
                 ObservedCutCorrection(var.id, (d - 1) * (var.cardinality - 1))
             )
+
+    # Label every latent node with the lowest id of its connected latent
+    # cluster; an edge belongs to the piece of its latent endpoint, and an
+    # observed-observed edge is a piece of its own.
+    cluster: dict[int, int] = {}
+    for var in model.latent_variables:
+        if var.id in cluster:
+            continue
+        cluster[var.id] = var.id
+        stack = [var.id]
+        while stack:
+            for other in model.neighbors(stack.pop()):
+                if other not in cluster and model.variable(other).latent:
+                    cluster[other] = var.id
+                    stack.append(other)
+    groups: dict[object, list[tuple[int, int]]] = {}
+    for a, b in model.edges:
+        key = cluster.get(a, cluster.get(b, (a, b)))
+        groups.setdefault(key, []).append((a, b))
+    if len(groups) <= 1:
+        return (model,), tuple(corrections)
+
+    # Edges are sorted, so the groups come in the order of their lowest edge.
+    pieces = []
+    for edge_subset in groups.values():
+        ids = sorted({v for e in edge_subset for v in e})
+        pieces.append(
+            TreeModel(tuple(model.variable(i) for i in ids), tuple(edge_subset))
+        )
     return tuple(pieces), tuple(corrections)
 
 
@@ -238,7 +210,7 @@ def decompose_hlc(
     that every intermediate cut stays regular as well.
     """
     require_valid(hlc)
-    latents = sorted(hlc.latent_variables, key=lambda v: v.id)
+    latents = hlc.latent_variables
     if not latents:
         raise ValueError("expected at least one latent node")
     if not _is_latent_internal_hierarchy(hlc):
@@ -345,15 +317,7 @@ def effective_dimension(
     trial_ranks = []
     for index, component in enumerate(ledger.lc_components):
         component_seed = derive_seed(policy.seed, "component", index)
-        ranks = lc_rank_trials(
-            component, policy.trials, component_seed, policy.numerator_bound
-        )
-        if len(set(ranks)) > 1:
-            log.warning(
-                "rank trials disagreed for latent id %s: %s (keeping the max)",
-                component.latent_id,
-                ranks,
-            )
+        ranks = lc_rank_trials(component, policy.trials, component_seed)
         dims.append(max(ranks))
         trial_ranks.append(ranks)
 

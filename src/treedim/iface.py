@@ -13,6 +13,7 @@ exceeded under ``--oracle``, 3 oracle/decomposition mismatch.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -99,7 +100,7 @@ def serialize_model(model: TreeModel) -> str:
     names = {v.id: v.name for v in model.variables}
     lines = [
         f"var {v.name} {v.cardinality} {'observed' if v.observed else 'latent'}"
-        for v in sorted(model.variables, key=lambda v: v.id)
+        for v in model.variables
     ]
     lines.extend(f"edge {names[a]} {names[b]}" for a, b in model.edges)
     return "\n".join(lines) + "\n"
@@ -172,6 +173,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="treedim",
@@ -181,7 +205,9 @@ def _build_parser() -> _Parser:
 
     dims = sub.add_parser("dims", help="compute dimensions of a model file")
     dims.add_argument("model", help="model file path")
-    dims.add_argument("--trials", type=int, default=3, help="random rank trials")
+    dims.add_argument(
+        "--trials", type=_int_at_least(1), default=3, help="random rank trials"
+    )
     dims.add_argument("--seed", type=int, default=0, help="random seed")
     dims.add_argument(
         "--oracle",
@@ -192,10 +218,15 @@ def _build_parser() -> _Parser:
 
     score = sub.add_parser("score", help="penalized-likelihood scores")
     score.add_argument("model", help="model file path")
-    score.add_argument("--loglik", type=float, required=True)
-    score.add_argument("--n", type=int, required=True, help="sample size")
+    score.add_argument("--loglik", type=_finite_float, required=True)
     score.add_argument(
-        "--de", type=int, default=None, help="effective dimension, if already known"
+        "--n", type=_int_at_least(1), required=True, help="sample size"
+    )
+    score.add_argument(
+        "--de",
+        type=_int_at_least(0),
+        default=None,
+        help="effective dimension, if already known",
     )
 
     reg = sub.add_parser("regularize", help="print the regularized model")

@@ -7,13 +7,15 @@ latent-cardinality regularity check, and the regularization transform
 that shrinks an irregular model without changing the set of joint
 distributions it can represent over its observed variables.
 
-Everything here is a pure function of immutable values; transformed
-models are new objects and never alias their inputs.
+Everything here is a pure function of immutable values.  A transform
+that changes nothing returns its input object; one that changes
+something returns a new model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 
@@ -43,25 +45,41 @@ class Variable:
 class TreeModel:
     """An undirected tree of variables.
 
-    Edges are normalized to sorted id pairs in sorted order, so models
-    built from the same structure compare equal regardless of the edge
-    order used at construction time.  Variable ids are stable across
-    transformations: removed ids are retired, never reused.
+    Variables are normalized to ascending id order and edges to sorted id
+    pairs in sorted order, so models built from the same structure compare
+    equal regardless of the order used at construction time.  Variable ids
+    are stable across transformations: removed ids are retired, never
+    reused.  Lookups by id go through an index built on first use.
     """
 
     variables: tuple[Variable, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
+        ordered = sorted(self.variables, key=lambda v: v.id)
+        object.__setattr__(self, "variables", tuple(ordered))
         normalized = sorted((min(a, b), max(a, b)) for a, b in self.edges)
         object.__setattr__(self, "edges", tuple(normalized))
 
+    @cached_property
+    def _by_id(self) -> dict[int, Variable]:
+        # reversed: with a duplicate id (an invalid model) the first one wins
+        return {v.id: v for v in reversed(self.variables)}
+
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        # Edges are sorted (low, high) pairs, so every list fills ascending.
+        out: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            out.setdefault(a, []).append(b)
+            out.setdefault(b, []).append(a)
+        return {vid: tuple(nbrs) for vid, nbrs in out.items()}
+
     def variable(self, var_id: int) -> Variable:
-        for var in self.variables:
-            if var.id == var_id:
-                return var
-        raise KeyError(f"unknown variable id {var_id}")
+        try:
+            return self._by_id[var_id]
+        except KeyError:
+            raise KeyError(f"unknown variable id {var_id}") from None
 
     def by_name(self, name: str) -> Variable:
         for var in self.variables:
@@ -70,13 +88,8 @@ class TreeModel:
         raise KeyError(f"unknown variable name {name!r}")
 
     def neighbors(self, var_id: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == var_id:
-                out.append(b)
-            elif b == var_id:
-                out.append(a)
-        return tuple(sorted(out))
+        """Neighbor ids in ascending order."""
+        return self._adjacency.get(var_id, ())
 
     def degree(self, var_id: int) -> int:
         return len(self.neighbors(var_id))
@@ -178,24 +191,23 @@ def standard_dimension(model: TreeModel, root: Optional[int] = None) -> int:
     ``root`` defaults to the lowest variable id.
     """
     require_valid(model)
-    ids = sorted(v.id for v in model.variables)
     if root is None:
-        root = ids[0]
-    elif root not in set(ids):
+        root = model.variables[0].id
+    elif root not in {v.id for v in model.variables}:
         raise ValueError(f"unknown root id {root}")
-    card = {v.id: v.cardinality for v in model.variables}
 
-    total = card[root] - 1
+    total = model.variable(root).cardinality - 1
     seen = {root}
     stack = [root]
     while stack:
         parent = stack.pop()
+        parent_card = model.variable(parent).cardinality
         for child in model.neighbors(parent):
             if child in seen:
                 continue
             seen.add(child)
             stack.append(child)
-            total += card[parent] * (card[child] - 1)
+            total += parent_card * (model.variable(child).cardinality - 1)
     return total
 
 
@@ -223,9 +235,7 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     """
     require_valid(model)
     violations: list[RegularityViolation] = []
-    for var in sorted(model.variables, key=lambda v: v.id):
-        if var.observed:
-            continue
+    for var in model.latent_variables:
         nbr_ids = model.neighbors(var.id)
         if not nbr_ids:
             continue
@@ -267,62 +277,42 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
       bound has its cardinality reduced to that bound.
 
     The output represents exactly the same set of observed-variable
-    joint distributions as the input and never has more parameters.
+    joint distributions as the input and never has more parameters; a
+    model that needs no rewrite is returned as is.
     """
     require_valid(model)
-    variables = {v.id: v for v in model.variables}
-    edges = set(model.edges)
     log: list[RegularizationStep] = []
-
-    def neighbors_of(vid: int) -> list[int]:
-        out = []
-        for a, b in edges:
-            if a == vid:
-                out.append(b)
-            elif b == vid:
-                out.append(a)
-        return sorted(out)
-
-    changed = True
-    while changed:
-        changed = False
-        for vid in sorted(variables):
-            var = variables[vid]
-            if var.observed:
-                continue
-            nbrs = neighbors_of(vid)
+    while True:
+        for var in model.latent_variables:
+            nbrs = model.neighbors(var.id)
             if not nbrs:
                 continue
-            cards = [variables[x].cardinality for x in nbrs]
+            cards = [model.variable(x).cardinality for x in nbrs]
             if len(nbrs) == 2 and var.cardinality >= min(cards):
-                a, b = nbrs
-                edges.discard((min(vid, a), max(vid, a)))
-                edges.discard((min(vid, b), max(vid, b)))
-                edges.add((min(a, b), max(a, b)))
-                del variables[vid]
-                log.append(
-                    RegularizationStep(
-                        "remove", vid, var.name, joined=(min(a, b), max(a, b))
-                    )
+                model = TreeModel(
+                    tuple(v for v in model.variables if v is not var),
+                    tuple(e for e in model.edges if var.id not in e) + (nbrs,),
                 )
-                changed = True
+                log.append(RegularizationStep("remove", var.id, var.name, joined=nbrs))
                 break
             bound = _neighbor_bound(cards)
             if var.cardinality > bound:
-                variables[vid] = replace(var, cardinality=bound)
+                model = TreeModel(
+                    tuple(
+                        replace(v, cardinality=bound) if v is var else v
+                        for v in model.variables
+                    ),
+                    model.edges,
+                )
                 log.append(
                     RegularizationStep(
                         "reduce",
-                        vid,
+                        var.id,
                         var.name,
                         old_cardinality=var.cardinality,
                         new_cardinality=bound,
                     )
                 )
-                changed = True
                 break
-
-    result = TreeModel(
-        tuple(variables[k] for k in sorted(variables)), tuple(sorted(edges))
-    )
-    return result, tuple(log)
+        else:
+            return model, tuple(log)

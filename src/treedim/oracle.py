@@ -6,8 +6,8 @@ sum-product over the tree, its Jacobian with respect to every free
 parameter is obtained by first-order dual-number evaluation (one
 directional derivative per parameter, each pass exact), and the rank of
 that matrix at random interior points is the effective dimension almost
-surely.  Deliberately not scalable: refuses models beyond configurable
-state and parameter limits.
+surely.  Deliberately not scalable: refuses models beyond fixed state
+and parameter limits.
 """
 
 from __future__ import annotations
@@ -20,16 +20,17 @@ from typing import Sequence
 
 from .model import TreeModel, require_valid, standard_dimension
 from .rank import (
-    DEFAULT_NUMERATOR_BOUND,
     DEFAULT_TRIALS,
     RationalMatrix,
+    _check_interior,
+    _full_block,
     derive_seed,
     exact_rank,
     sample_simplex_block,
 )
 
-DEFAULT_STATE_LIMIT = 4096
-DEFAULT_PARAMETER_LIMIT = 256
+STATE_LIMIT = 4096
+PARAMETER_LIMIT = 256
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -191,7 +192,7 @@ class FullParameterPoint:
 
 
 def _rooting(model: TreeModel):
-    root = min(v.id for v in model.variables)
+    root = model.variables[0].id
     parents: dict[int, int] = {}
     children: dict[int, list[int]] = {v.id: [] for v in model.variables}
     order = [root]
@@ -210,31 +211,18 @@ def _rooting(model: TreeModel):
     return root, parents, children, order
 
 
-def sample_full_point(
-    model: TreeModel,
-    rng: random.Random,
-    numerator_bound: int = DEFAULT_NUMERATOR_BOUND,
-) -> FullParameterPoint:
+def sample_full_point(model: TreeModel, rng: random.Random) -> FullParameterPoint:
     require_valid(model)
     root, parents, _, _ = _rooting(model)
-    root_weights = sample_simplex_block(
-        rng, model.variable(root).cardinality, numerator_bound
-    )
+    root_weights = sample_simplex_block(rng, model.variable(root).cardinality)
     conditionals = []
-    for var in sorted(model.variables, key=lambda v: v.id):
-        if var.id == root:
-            continue
+    for var in model.variables[1:]:
         parent_card = model.variable(parents[var.id]).cardinality
         blocks = tuple(
-            sample_simplex_block(rng, var.cardinality, numerator_bound)
-            for _ in range(parent_card)
+            sample_simplex_block(rng, var.cardinality) for _ in range(parent_card)
         )
         conditionals.append((var.id, blocks))
     return FullParameterPoint(root, root_weights, tuple(conditionals))
-
-
-def _full_block(free: Sequence[Fraction]) -> list:
-    return list(free) + [_ONE - sum(free, _ZERO)]
 
 
 def _dual_block(free: Sequence[Fraction], slot: int) -> list:
@@ -254,7 +242,7 @@ def _check_full_point(model: TreeModel, point: FullParameterPoint) -> None:
     root_card = model.variable(root).cardinality
     if len(point.root_weights) != root_card - 1:
         raise ValueError("root weight count does not match root cardinality")
-    _require_interior(_full_block(point.root_weights))
+    _check_interior(_full_block(point.root_weights), "root weights")
     given = {vid for vid, _ in point.conditionals}
     expected = {v.id for v in model.variables if v.id != root}
     if given != expected:
@@ -271,36 +259,14 @@ def _check_full_point(model: TreeModel, point: FullParameterPoint) -> None:
                 raise ValueError(
                     f"variable {var.name!r}: block size does not match cardinality"
                 )
-            _require_interior(_full_block(block))
+            _check_interior(_full_block(block), f"variable {var.name!r}")
 
 
-def _require_interior(block) -> None:
-    for value in block:
-        if value <= 0:
-            raise ValueError("parameter point lies on a simplex boundary")
-
-
-def _table_factor(model: TreeModel, parent_id: int, var_id: int, blocks) -> Factor:
-    """CPT factor over the sorted pair (parent, child)."""
+def _table_factor(model: TreeModel, parent_id: int, var_id: int, full) -> Factor:
+    """CPT factor over the sorted pair (parent, child), from completed
+    blocks: ``full[parent_state][state]``."""
     p_card = model.variable(parent_id).cardinality
     v_card = model.variable(var_id).cardinality
-    full = [_full_block(block) for block in blocks]
-    if parent_id < var_id:
-        values = [full[ps][vs] for ps in range(p_card) for vs in range(v_card)]
-        return Factor((parent_id, var_id), (p_card, v_card), values)
-    values = [full[ps][vs] for vs in range(v_card) for ps in range(p_card)]
-    return Factor((var_id, parent_id), (v_card, p_card), values)
-
-
-def _dual_table_factor(
-    model: TreeModel, parent_id: int, var_id: int, blocks, block_index: int, slot: int
-) -> Factor:
-    p_card = model.variable(parent_id).cardinality
-    v_card = model.variable(var_id).cardinality
-    full = [
-        _dual_block(block, slot) if ps == block_index else _full_block(block)
-        for ps, block in enumerate(blocks)
-    ]
     if parent_id < var_id:
         values = [full[ps][vs] for ps in range(p_card) for vs in range(v_card)]
         return Factor((parent_id, var_id), (p_card, v_card), values)
@@ -318,7 +284,8 @@ def _base_factors(model: TreeModel, point: FullParameterPoint) -> dict[int, Fact
         )
     }
     for vid, blocks in point.conditionals:
-        factors[vid] = _table_factor(model, parents[vid], vid, blocks)
+        full = [_full_block(block) for block in blocks]
+        factors[vid] = _table_factor(model, parents[vid], vid, full)
     return factors
 
 
@@ -359,9 +326,7 @@ def _parameter_slots(model: TreeModel):
     root_card = model.variable(root).cardinality
     for state in range(root_card - 1):
         slots.append((root, None, state))
-    for var in sorted(model.variables, key=lambda v: v.id):
-        if var.id == root:
-            continue
+    for var in model.variables[1:]:
         parent_card = model.variable(parents[var.id]).cardinality
         for parent_state in range(parent_card):
             for state in range(var.cardinality - 1):
@@ -394,14 +359,10 @@ def observed_joint_jacobian(
                 (root,), (card,), _dual_block(point.root_weights, state)
             )
         else:
-            factors[var_id] = _dual_table_factor(
-                model,
-                parents[var_id],
-                var_id,
-                point.blocks_for(var_id),
-                parent_state,
-                state,
-            )
+            blocks = point.blocks_for(var_id)
+            full = [_full_block(block) for block in blocks]
+            full[parent_state] = _dual_block(blocks[parent_state], state)
+            factors[var_id] = _table_factor(model, parents[var_id], var_id, full)
         values = _collapse(model, factors)
         columns.append([_tangent_of(x) for x in values[:-1]])
 
@@ -414,9 +375,6 @@ def oracle_effective_dimension(
     model: TreeModel,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    numerator_bound: int = DEFAULT_NUMERATOR_BOUND,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-    parameter_limit: int = DEFAULT_PARAMETER_LIMIT,
 ) -> int:
     """Effective dimension by direct Jacobian rank, without decomposition.
 
@@ -429,21 +387,21 @@ def oracle_effective_dimension(
     states = 1
     for var in model.observed_variables:
         states *= var.cardinality
-    if states > state_limit:
+    if states > STATE_LIMIT:
         raise OracleLimitError(
-            f"observed joint has {states} states (limit {state_limit}); "
+            f"observed joint has {states} states (limit {STATE_LIMIT}); "
             "use the decomposition pipeline"
         )
     n_params = standard_dimension(model)
-    if n_params > parameter_limit:
+    if n_params > PARAMETER_LIMIT:
         raise OracleLimitError(
-            f"model has {n_params} parameters (limit {parameter_limit}); "
+            f"model has {n_params} parameters (limit {PARAMETER_LIMIT}); "
             "use the decomposition pipeline"
         )
 
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))
-        point = sample_full_point(model, rng, numerator_bound)
+        point = sample_full_point(model, rng)
         ranks.append(exact_rank(observed_joint_jacobian(model, point)))
     return max(ranks)

@@ -24,9 +24,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 if TYPE_CHECKING:
     from .decompose import LcComponent
 
-Rational = Fraction
-
-DEFAULT_NUMERATOR_BOUND = 2**20
+# Random simplex points draw integer numerators in [1, NUMERATOR_BOUND].
+NUMERATOR_BOUND = 2**20
 DEFAULT_TRIALS = 3
 
 log = logging.getLogger(__name__)
@@ -78,18 +77,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         cols = tuple(zip(*self.entries)) if self.entries else ()
         return RationalMatrix(cols, self.m)
-
-    def scale_row(self, i: int, factor: Fraction) -> "RationalMatrix":
-        rows = list(self.entries)
-        rows[i] = tuple(x * factor for x in rows[i])
-        return RationalMatrix(tuple(rows), self.n_cols)
-
-    def scale_column(self, j: int, factor: Fraction) -> "RationalMatrix":
-        rows = tuple(
-            tuple(x * factor if k == j else x for k, x in enumerate(row))
-            for row in self.entries
-        )
-        return RationalMatrix(rows, self.n_cols)
 
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -171,30 +158,24 @@ class LcParameterPoint:
     conditionals: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-def sample_simplex_block(
-    rng: random.Random, size: int, numerator_bound: int = DEFAULT_NUMERATOR_BOUND
-) -> tuple[Fraction, ...]:
+def sample_simplex_block(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     """Free weights of a random interior point of the (size-1)-simplex.
 
-    Draws ``size`` positive integer numerators up to ``numerator_bound``
+    Draws ``size`` positive integer numerators up to ``NUMERATOR_BOUND``
     and normalizes by their sum; returns all but the last weight.  Every
     weight, including the implied last one, is strictly positive and
     exactly representable.
     """
-    draws = [rng.randint(1, numerator_bound) for _ in range(size)]
+    draws = [rng.randint(1, NUMERATOR_BOUND) for _ in range(size)]
     total = sum(draws)
     return tuple(Fraction(a, total) for a in draws[:-1])
 
 
-def sample_lc_point(
-    component: "LcComponent",
-    rng: random.Random,
-    numerator_bound: int = DEFAULT_NUMERATOR_BOUND,
-) -> LcParameterPoint:
+def sample_lc_point(component: "LcComponent", rng: random.Random) -> LcParameterPoint:
     c = component.latent_cardinality
-    weights = sample_simplex_block(rng, c, numerator_bound)
+    weights = sample_simplex_block(rng, c)
     conditionals = tuple(
-        tuple(sample_simplex_block(rng, card, numerator_bound) for _ in range(c))
+        tuple(sample_simplex_block(rng, card) for _ in range(c))
         for _, card in component.neighbors
     )
     return LcParameterPoint(weights, conditionals)
@@ -290,38 +271,24 @@ def lc_jacobian_at(
 
 
 def lc_rank_trials(
-    component: "LcComponent",
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    numerator_bound: int = DEFAULT_NUMERATOR_BOUND,
+    component: "LcComponent", trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> tuple[int, ...]:
-    """Jacobian rank at one random interior point per trial."""
+    """Jacobian rank at one random interior point per trial.
+
+    A specific point can only under-estimate the almost-everywhere rank,
+    so callers take the maximum; disagreeing trials are logged.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        point = sample_lc_point(component, rng, numerator_bound)
+        point = sample_lc_point(component, rng)
         ranks.append(exact_rank(lc_jacobian_at(component, point)))
-    return tuple(ranks)
-
-
-def lc_effective_dimension(
-    component: "LcComponent",
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    numerator_bound: int = DEFAULT_NUMERATOR_BOUND,
-) -> int:
-    """Almost-everywhere rank of the component's Jacobian.
-
-    A specific point can only under-estimate the regular rank, so the
-    maximum over trials is returned; disagreeing trials are logged.
-    """
-    ranks = lc_rank_trials(component, trials, seed, numerator_bound)
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",
             component.latent_id,
-            ranks,
+            tuple(ranks),
         )
-    return max(ranks)
+    return tuple(ranks)

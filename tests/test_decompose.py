@@ -13,19 +13,17 @@ from support import (
     random_tree_model,
     two_branch_hierarchy,
 )
-from treedim import (
+from treedim import RankPolicy, effective_dimension, oracle_effective_dimension
+from treedim.decompose import (
     DecompositionLedger,
     LatentEdgeCorrection,
     LcComponent,
-    RankPolicy,
     combine,
     decompose_hlc,
-    effective_dimension,
-    oracle_effective_dimension,
     prune_latent_leaves,
-    regularize,
     split_at_observed,
 )
+from treedim.model import regularize
 
 
 def empty_ledger(components=(), latent_edges=(), cuts=(), free_parts=()):
@@ -67,7 +65,7 @@ class TestPruneLatentLeaves:
     def test_hierarchy_with_observed_leaves_unchanged(self):
         model = two_branch_hierarchy()
         pruned, removed = prune_latent_leaves(model)
-        assert pruned == model
+        assert pruned is model
         assert removed == ()
 
 
@@ -94,7 +92,7 @@ class TestSplitAtObserved:
     def test_no_observed_internal_node_is_identity(self):
         model = two_branch_hierarchy()
         pieces, corrections = split_at_observed(model)
-        assert pieces == (model,)
+        assert len(pieces) == 1 and pieces[0] is model
         assert corrections == ()
 
     def test_observed_hub_with_three_branches(self):

@@ -8,13 +8,8 @@ import pytest
 
 import treedim.iface
 from support import structural_signature
-from treedim import (
-    InvalidModelError,
-    ModelParseError,
-    parse_model,
-    run,
-    serialize_model,
-)
+from treedim import InvalidModelError, ModelParseError, parse_model, run
+from treedim.iface import serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -71,6 +66,17 @@ class TestParseModel:
 
 
 class TestCli:
+    def test_fixture_outputs_match_golden_files(self, capsys):
+        # Each .expected file holds the output of the two commands below.
+        fixtures = sorted(FIXTURES.glob("*.model"))
+        assert len(fixtures) == 8
+        for path in fixtures:
+            report = ["dims", str(path), "--report", "--seed", "7", "--trials", "3"]
+            assert run(report) == 0
+            assert run(["regularize", str(path)]) == 0
+            expected = path.with_suffix(".expected").read_text()
+            assert capsys.readouterr().out == expected, path.name
+
     def test_dims_plain(self, capsys):
         code = run(["dims", str(FIXTURES / "m1.model")])
         out = capsys.readouterr().out
@@ -135,8 +141,21 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
-        assert run(["dims"]) == 1
-        assert "error" in capsys.readouterr().err
+        m1 = str(FIXTURES / "m1.model")
+        for args in [
+            ["dims"],
+            ["dims", m1, "--trials", "0"],
+            ["dims", m1, "--trials", "-2"],
+            ["dims", m1, "--trials", "x"],
+            ["score", m1, "--loglik", "-10", "--n", "0"],
+            ["score", m1, "--loglik", "-10", "--n", "9", "--de", "-1"],
+            ["score", m1, "--loglik", "nan", "--n", "9"],
+            ["score", m1, "--loglik", "-inf", "--n", "9"],
+        ]:
+            assert run(args) == 1, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_score_with_computed_dimension(self, capsys):
         code = run(

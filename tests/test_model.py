@@ -13,15 +13,27 @@ from support import (
     structural_signature,
     two_branch_hierarchy,
 )
-from treedim import (
-    InvalidModelError,
-    TreeModel,
-    Variable,
-    check_regular,
-    regularize,
-    standard_dimension,
-    validate,
-)
+from treedim import InvalidModelError, TreeModel, Variable
+from treedim.model import check_regular, regularize, standard_dimension, validate
+
+
+class TestTreeModel:
+    def test_neighbors_ascending_whatever_the_construction_order(self):
+        vs = tuple(Variable(i, f"V{i}", 2, True) for i in range(5))
+        edges = [(2, 0), (4, 2), (2, 1), (3, 2)]
+        for order in (edges, edges[::-1], [(b, a) for a, b in edges]):
+            model = TreeModel(vs[::-1], tuple(order))
+            assert model.variables == vs
+            assert model.neighbors(2) == (0, 1, 3, 4)
+            assert model.neighbors(4) == (2,)
+            assert model.degree(2) == 4
+
+    def test_unknown_variable_id_raises_key_error(self):
+        model = two_branch_hierarchy()
+        assert model.variable(4).name == "Y2"
+        with pytest.raises(KeyError, match="unknown variable id 99"):
+            model.variable(99)
+        assert model.neighbors(99) == ()
 
 
 class TestValidate:
@@ -154,7 +166,7 @@ class TestRegularize:
     def test_reference_hierarchies_are_fixpoints(self):
         for model in (two_branch_hierarchy(), collapsed_hierarchy()):
             regular, log = regularize(model)
-            assert regular == model
+            assert regular is model
             assert log == ()
 
     def test_cardinality_reduction_to_bound(self):

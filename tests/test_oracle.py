@@ -9,20 +9,16 @@ from fractions import Fraction
 import pytest
 
 from support import build_model, latent_class_model, random_tree_model
-from treedim import (
+from treedim import OracleLimitError, TreeModel, Variable, oracle_effective_dimension
+from treedim.decompose import LcComponent
+from treedim.model import standard_dimension
+from treedim.oracle import (
     FullParameterPoint,
-    LcComponent,
-    OracleLimitError,
-    TreeModel,
-    Variable,
     joint_observed_distribution,
-    lc_jacobian_at,
     observed_joint_jacobian,
-    oracle_effective_dimension,
     sample_full_point,
-    sample_lc_point,
-    standard_dimension,
 )
+from treedim.rank import lc_jacobian_at, sample_lc_point
 
 HALF = (Fraction(1, 2),)
 
@@ -45,7 +41,7 @@ class TestJointDistribution:
         rng = random.Random(2718)
         for _ in range(20):
             model = random_tree_model(rng, max_vars=6)
-            point = sample_full_point(model, rng, 1000)
+            point = sample_full_point(model, rng)
             dist = joint_observed_distribution(model, point)
             assert sum(dist) == 1
             assert all(p > 0 for p in dist)
@@ -58,7 +54,7 @@ class TestJointDistribution:
             [("A", "L"), ("L", "B"), ("L", "C")],
         )
         rng = random.Random(5)
-        point = sample_full_point(model, rng, 50)
+        point = sample_full_point(model, rng)
         full = {0: list(point.root_weights) + [1 - sum(point.root_weights)]}
         tables = {}
         for vid, blocks in point.conditionals:
@@ -93,7 +89,7 @@ class TestJacobian:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
             rng = random.Random(card * 7 + len(leaves))
-            lc_point = sample_lc_point(component, rng, 500)
+            lc_point = sample_lc_point(component, rng)
             full_point = FullParameterPoint(
                 0,
                 lc_point.class_weights,
