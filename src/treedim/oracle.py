@@ -3,11 +3,11 @@
 Ground truth for the decomposition pipeline on small models: the joint
 distribution of the observed variables is computed exactly by rational
 sum-product over the tree, its Jacobian with respect to every free
-parameter is obtained by first-order dual-number evaluation (one
-directional derivative per parameter, each pass exact), and the rank of
-that matrix at random interior points is the effective dimension almost
-surely.  Deliberately not scalable: refuses models beyond fixed state
-and parameter limits.
+parameter by first-order dual-number evaluation (one exact directional
+derivative per parameter), and its rank at random interior points, mod
+the field prime as in the decomposition, is the effective dimension
+almost surely.  Deliberately not scalable: refuses models beyond fixed
+state and parameter limits.
 """
 
 from __future__ import annotations

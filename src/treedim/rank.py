@@ -1,13 +1,17 @@
-"""Exact rational linear algebra and latent-class Jacobian ranks.
+"""Prime-field rank engine and latent-class Jacobian ranks.
 
-The rank engine works over arbitrary-precision rationals with no
-tolerance anywhere: rows are cleared to integers (row scaling never
-changes rank) and reduced by fraction-free elimination with gcd content
-control.  On top of it sits the closed-form Jacobian of a latent-class
-component and the randomized regular-rank estimator: the rank of the
-Jacobian at a random interior parameter point equals its almost-
-everywhere rank except on a measure-zero set, and an unlucky point can
-only err low, so the maximum over independent trials is reported.
+Ranks are exact, taken in GF(p), p = 2**61 - 1: a rational row is
+mapped to its image mod p (one lcm of its denominators and one modular
+inverse) and eliminated mod p.  The closed-form Jacobian of a
+latent-class component is built directly mod p at the field image of a
+checked rational interior point.
+
+The error is one-sided.  Jacobian entries are integer polynomials in
+the free weights, so a minor that is non-zero mod p at the reduced point
+is a non-zero polynomial over the rationals: the rank mod p is at most
+the rational rank there, which is at most the almost-everywhere rank.
+An unlucky point can only err low, so the maximum over independent
+trials is reported.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .decompose import LcComponent
@@ -27,6 +31,8 @@ if TYPE_CHECKING:
 # Random simplex points draw integer numerators in [1, NUMERATOR_BOUND].
 NUMERATOR_BOUND = 2**20
 DEFAULT_TRIALS = 3
+# Ranks are taken in GF(PRIME), a Mersenne prime.
+PRIME = 2**61 - 1
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +51,9 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of rationals; shape is fixed at construction."""
+    """Dense matrix of rationals, or of their residues mod ``PRIME`` as ints."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction | int, ...], ...]
     n_cols: int
 
     def __post_init__(self) -> None:
@@ -79,42 +85,25 @@ class RationalMatrix:
         return RationalMatrix(cols, self.m)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // math.gcd(den, d)
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    _strip_content(ints)
-    return ints
+def residues(values: Sequence[Fraction | int]) -> list[int]:
+    """Exact images ``a * b**-1 mod PRIME`` of the rationals ``a/b``.
 
-
-def _strip_content(ints: list[int]) -> None:
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-        if g == 1:
-            return
-    if g > 1:
-        ints[:] = [x // g for x in ints]
-
-
-def _first_nonzero(row: list[int], start: int) -> Optional[int]:
-    for j in range(start, len(row)):
-        if row[j]:
-            return j
-    return None
+    One lcm of the denominators and one modular inverse serve them all.
+    """
+    den = math.lcm(*[x.denominator for x in values])
+    if den % PRIME == 0:
+        raise ValueError(f"denominator {den} is divisible by the field prime 2**61-1")
+    inv = pow(den, -1, PRIME)
+    return [x.numerator * (den // x.denominator) * inv % PRIME for x in values]
 
 
 def exact_rank(matrix: RationalMatrix) -> int:
-    """Rank over the rationals, computed exactly.
+    """Rank of the matrix reduced into GF(PRIME).
 
-    Incremental fraction-free row echelon: each row is cleared to
-    integers, reduced against the pivot rows collected so far, and
-    either vanishes or contributes a new pivot.  Pivot rows have zeros
-    left of their lead column, so eliminating lead columns in increasing
-    order never reintroduces a cleared column.  Stops early once the
-    rank reaches min(m, n).
+    Each row is mapped into the field, reduced left to right against the
+    pivot rows collected so far (each normalised to a leading 1), and
+    either vanishes or contributes a new pivot.  Never above the rank
+    over the rationals.  Stops early once the rank reaches min(m, n).
     """
     n = matrix.n_cols
     cap = min(matrix.m, n)
@@ -122,25 +111,20 @@ def exact_rank(matrix: RationalMatrix) -> int:
         return 0
     basis: dict[int, list[int]] = {}
     for row in matrix.entries:
-        ints = _integer_row(row)
-        lead = _first_nonzero(ints, 0)
-        while lead is not None:
-            pivot_row = basis.get(lead)
-            if pivot_row is None:
+        vec = residues(row)
+        for lead in range(n):
+            # Entries of vec are only reduced mod PRIME where they are read.
+            f = vec[lead] % PRIME
+            if not f:
+                continue
+            pivot = basis.get(lead)
+            if pivot is None:
+                inv = pow(f, -1, PRIME)
+                basis[lead] = [x * inv % PRIME for x in vec]
                 break
-            p = pivot_row[lead]
-            q = ints[lead]
-            g = math.gcd(p, q)
-            p //= g
-            q //= g
-            for j in range(lead, n):
-                ints[j] = p * ints[j] - q * pivot_row[j]
-            _strip_content(ints)
-            lead = _first_nonzero(ints, lead + 1)
-        if lead is not None:
-            basis[lead] = ints
-            if len(basis) == cap:
-                break
+            vec = [a - f * b for a, b in zip(vec, pivot)]
+        if len(basis) == cap:
+            break
     return len(basis)
 
 
@@ -191,7 +175,13 @@ def _check_interior(block: tuple[Fraction, ...], label: str) -> None:
             raise ValueError(f"parameter point lies on a simplex boundary ({label})")
 
 
-def _check_lc_point(component: "LcComponent", point: LcParameterPoint) -> None:
+def _field_blocks(component: "LcComponent", point: LcParameterPoint):
+    """Check the point against the component and complete each block once.
+
+    Returns the field images of the completed class weights and of the
+    completed conditionals, ``phi[i][z][y]``.  Blocks are completed in
+    the rationals, so ``last = 1 - sum(free)`` holds in the field too.
+    """
     c = component.latent_cardinality
     if len(point.class_weights) != c - 1:
         raise ValueError(
@@ -200,23 +190,30 @@ def _check_lc_point(component: "LcComponent", point: LcParameterPoint) -> None:
         )
     if len(point.conditionals) != len(component.neighbors):
         raise ValueError("conditional block count does not match neighbor count")
-    _check_interior(_full_block(point.class_weights), "class weights")
+    pi = _full_block(point.class_weights)
+    _check_interior(pi, "class weights")
+    phi = []
     for i, (var_id, card) in enumerate(component.neighbors):
         blocks = point.conditionals[i]
         if len(blocks) != c:
             raise ValueError(f"neighbor {var_id}: expected {c} conditional blocks")
+        full = []
         for z, block in enumerate(blocks):
             if len(block) != card - 1:
                 raise ValueError(
                     f"neighbor {var_id}, class {z}: expected {card - 1} free weights"
                 )
-            _check_interior(_full_block(block), f"neighbor {var_id}, class {z}")
+            block = _full_block(block)
+            _check_interior(block, f"neighbor {var_id}, class {z}")
+            full.append(residues(block))
+        phi.append(full)
+    return residues(pi), phi
 
 
 def lc_jacobian_at(
     component: "LcComponent", point: LcParameterPoint
 ) -> RationalMatrix:
-    """Jacobian of the observed joint of a latent-class component.
+    """Jacobian of the observed joint of a latent-class component, mod PRIME.
 
     The joint probability of a neighbor-state tuple ``y`` is
     ``sum_z pi_z * prod_i phi[i][z][y_i]`` with the last weight of every
@@ -224,48 +221,42 @@ def lc_jacobian_at(
     neighbor states except the all-last-states one, in lexicographic
     order; columns are the free class weights followed by the free
     conditional weights grouped by neighbor, then class, then state.
+    Entries are the residues mod PRIME of the exact rational entries.
     """
-    _check_lc_point(component, point)
+    pi, phi = _field_blocks(component, point)
     c = component.latent_cardinality
     cards = [card for _, card in component.neighbors]
-    pi = _full_block(point.class_weights)
-    phi = [
-        [_full_block(point.conditionals[i][z]) for z in range(c)]
-        for i in range(len(cards))
-    ]
-    n = (c - 1) + c * sum(card - 1 for card in cards)
+    # offsets[i] is the first column of neighbor i; the last one is n.
+    offsets = list(itertools.accumulate((c * (k - 1) for k in cards), initial=c - 1))
+    n = offsets[-1]
 
     all_last = tuple(card - 1 for card in cards)
     rows = []
     for state in itertools.product(*(range(card) for card in cards)):
         if state == all_last:
             continue
-        prods = []
+        row = [0] * n
+        free = []  # free[z] = prod_i phi[i][z][y_i]
         for z in range(c):
-            p = pi[z]
+            factors = [phi[i][z][y] for i, y in enumerate(state)]
+            suffix = [pi[z]]  # suffix[-1 - i] = pi_z * prod_{j >= i} factors[j]
+            for f in reversed(factors):
+                suffix.append(suffix[-1] * f % PRIME)
+            prefix = 1  # prod_{j < i} factors[j]
             for i, y in enumerate(state):
-                p *= phi[i][z][y]
-            prods.append(p)
-        # prods[z] = pi_z * prod_i phi[i][z][y_i]
-        row = []
-        last = c - 1
-        for z in range(c - 1):
-            row.append(prods[z] / pi[z] - prods[last] / pi[last])
-        for i, card in enumerate(cards):
-            if card == 1:
-                continue
-            y_i = state[i]
-            for z in range(c):
-                base = prods[z] / phi[i][z][y_i]
-                for y_free in range(card - 1):
-                    if y_i == y_free:
-                        row.append(base)
-                    elif y_i == card - 1:
-                        row.append(-base)
+                width = cards[i] - 1
+                if width:
+                    # d joint / d phi[i][z][y] = pi_z * prod_{j != i} phi[j][z][y_j]
+                    base = prefix * suffix[-2 - i] % PRIME
+                    start = offsets[i] + z * width
+                    if y < width:
+                        row[start + y] = base
                     else:
-                        row.append(_ZERO)
-        if len(row) != n:
-            raise AssertionError("jacobian column count mismatch")
+                        row[start : start + width] = [-base % PRIME] * width
+                prefix = prefix * factors[i] % PRIME
+            free.append(prefix)
+        for z in range(c - 1):
+            row[z] = (free[z] - free[c - 1]) % PRIME
         rows.append(tuple(row))
     return RationalMatrix(tuple(rows), n)
 

@@ -64,14 +64,16 @@ def latent_class_model(latent_card: int, leaf_cards) -> TreeModel:
 
 
 def random_tree_model(
-    rng: random.Random, max_vars: int = 7, max_latent: int = 3
+    rng: random.Random, max_vars: int = 7, max_latent: int = 3, max_card: int = 3
 ) -> TreeModel:
-    """Random valid tree with cards <= 3 and at most max_latent latent nodes."""
+    """Random valid tree with cards <= max_card and at most max_latent latent nodes."""
     n = rng.randint(1, max_vars)
     cards = []
     latent = []
     for _ in range(n):
-        cards.append(rng.randint(1, 3) if rng.random() < 0.2 else rng.randint(2, 3))
+        cards.append(
+            rng.randint(1, max_card) if rng.random() < 0.2 else rng.randint(2, max_card)
+        )
         latent.append(rng.random() < 0.45)
     latent_idx = [i for i, flag in enumerate(latent) if flag]
     while len(latent_idx) > max_latent:

@@ -40,6 +40,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 KEYSTONE_SEED = 20260801
 KEYSTONE_COUNT = 100
+# Second, larger keystone set: up to 9 variables and cardinality 4.
+WIDE_KEYSTONE_SEED = 20261017
+WIDE_KEYSTONE_COUNT = 40
 
 _keystone_models = None
 _keystone_oracle: dict[int, int] = {}
@@ -131,6 +134,31 @@ def test_criterion_3_oracle_keystone(capsys):
         3,
         ok,
         f"{len(models)} random models, {len(mismatches)} mismatches "
+        f"in {elapsed:.1f}s",
+    )
+    assert ok, mismatches
+
+
+def test_criterion_3b_wide_oracle_keystone(capsys):
+    start = time.perf_counter()
+    rng = random.Random(WIDE_KEYSTONE_SEED)
+    models = [
+        random_tree_model(rng, max_vars=9, max_latent=3, max_card=4)
+        for _ in range(WIDE_KEYSTONE_COUNT)
+    ]
+    mismatches = []
+    for i, model in enumerate(models):
+        de = effective_dimension(model, RankPolicy(trials=2, seed=i)).effective_dimension
+        oracle_de = oracle_effective_dimension(model, trials=1, seed=i)
+        if de != oracle_de:
+            mismatches.append((i, de, oracle_de))
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and elapsed < 300.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(models)} wider random models, {len(mismatches)} mismatches "
         f"in {elapsed:.1f}s",
     )
     assert ok, mismatches

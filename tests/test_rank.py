@@ -10,11 +10,13 @@ import pytest
 
 from treedim.decompose import LcComponent
 from treedim.rank import (
+    PRIME,
     LcParameterPoint,
     RationalMatrix,
     exact_rank,
     lc_jacobian_at,
     lc_rank_trials,
+    residues,
     sample_lc_point,
 )
 
@@ -129,6 +131,13 @@ class TestExactRank:
         with pytest.raises(ValueError, match="ragged"):
             RationalMatrix((tuple([Fraction(1)]), tuple()), 1)
 
+    def test_denominator_divisible_by_the_prime_rejected(self):
+        # Such an entry has no image in the field the rank is taken in.
+        for den in (PRIME, 3 * PRIME):
+            mat = RationalMatrix.from_rows([[1, 2], [Fraction(1, den), 1]])
+            with pytest.raises(ValueError, match="divisible by the field prime"):
+                exact_rank(mat)
+
 
 class TestLcJacobian:
     def test_degenerate_single_class_single_leaf(self):
@@ -143,12 +152,13 @@ class TestLcJacobian:
         point = sample_lc_point(component, random.Random(0))
         jac = lc_jacobian_at(component, point)
         assert (jac.m, jac.n) == (3, 5)
+        assert all(type(x) is int and 0 <= x < PRIME for row in jac.entries for x in row)
 
     def test_matches_exact_finite_differences(self):
         # The joint probability is affine in every single free weight, so
         # a finite difference with any nonzero rational step is the exact
         # partial derivative; this recomputes the whole Jacobian without
-        # the closed forms.
+        # the closed forms, and compares it with the field Jacobian mod PRIME.
         for card, leaves in [(2, (2, 2)), (3, (2, 3)), (1, (3,))]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
@@ -168,9 +178,9 @@ class TestLcJacobian:
                 expected_columns.append(
                     [(b - a) / step for a, b in zip(base, bumped)]
                 )
-            for i, row in enumerate(jac.entries):
-                for j in range(jac.n):
-                    assert row[j] == expected_columns[j][i]
+            for j in range(jac.n):
+                column = [row[j] for row in jac.entries]
+                assert column == residues(expected_columns[j])
 
     def test_columns_sum_to_zero_over_all_states(self):
         # Probabilities sum to one identically, so every column summed
@@ -186,7 +196,7 @@ class TestLcJacobian:
                 _mixture_prob(component, bumped_point, all_states[-1])
                 - _mixture_prob(component, point, all_states[-1])
             ) / step
-            assert sum(row[j] for row in jac.entries) + omitted == 0
+            assert (sum(row[j] for row in jac.entries) + residues([omitted])[0]) % PRIME == 0
 
     def test_boundary_point_rejected(self):
         component = LcComponent(0, 2, ((1, 2),), (False,))
@@ -219,6 +229,9 @@ class TestLcEffectiveDimension:
             (2, (2, 2, 2), 7),
             (3, (2, 3, 3, 3), 23),
             (3, (3, 3, 3, 3), 26),
+            # rank-deficient: below the parameter count (41, 19)
+            (6, (3, 3, 3), 26),
+            (4, (2, 2, 2, 2), 15),
         ],
     )
     def test_reference_components(self, card, leaves, expected):
