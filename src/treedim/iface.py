@@ -29,6 +29,7 @@ from .model import (
     validate,
 )
 from .oracle import OracleLimitError, oracle_effective_dimension
+from .rank import DEFAULT_TRIALS
 from .score import ScoreInput, bic, bice
 
 
@@ -158,12 +159,6 @@ def report_lines(
     return lines
 
 
-def format_report(
-    model: TreeModel, result: DimensionResult, seed: int, trials: int
-) -> str:
-    return "\n".join(report_lines(model, result, seed, trials)) + "\n"
-
-
 class _UsageError(Exception):
     pass
 
@@ -206,7 +201,10 @@ def _build_parser() -> _Parser:
     dims = sub.add_parser("dims", help="compute dimensions of a model file")
     dims.add_argument("model", help="model file path")
     dims.add_argument(
-        "--trials", type=_int_at_least(1), default=3, help="random rank trials"
+        "--trials",
+        type=_int_at_least(1),
+        default=DEFAULT_TRIALS,
+        help="random rank trials",
     )
     dims.add_argument("--seed", type=int, default=0, help="random seed")
     dims.add_argument(
@@ -235,7 +233,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_model(path_text: str) -> TreeModel:
-    text = Path(path_text).read_text()
+    data = Path(path_text).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        message = f"not UTF-8 text (byte {data[exc.start]:#04x})"
+        raise ModelParseError(line_number, message) from None
     return parse_model(text)
 
 
@@ -304,10 +308,7 @@ def run(argv: Sequence[str]) -> int:
         return 1
     try:
         model = _load_model(args.model)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ModelParseError, InvalidModelError) as exc:
+    except (OSError, ModelParseError, InvalidModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "dims":

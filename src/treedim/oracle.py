@@ -1,13 +1,15 @@
 """Brute-force effective dimension via the full observed-joint Jacobian.
 
-Ground truth for the decomposition pipeline on small models: the joint
-distribution of the observed variables is computed exactly by rational
-sum-product over the tree, its Jacobian with respect to every free
-parameter by first-order dual-number evaluation (one exact directional
-derivative per parameter), and its rank at random interior points, mod
-the field prime as in the decomposition, is the effective dimension
-almost surely.  Deliberately not scalable: refuses models beyond fixed
-state and parameter limits.
+Ground truth for the decomposition pipeline on small models.  The joint
+distribution of the observed variables is computed exactly by
+sum-product over the tree, in rationals.  The joint is linear in each
+conditional table, so its derivative with respect to one free weight is
+the same sum-product with that one table replaced by its derivative
+table (+1 at the weight, -1 at its block's last entry); these columns
+are computed over the field images of the tables and reduced mod the
+field prime, and their rank at random interior points, as in the
+decomposition, is the effective dimension almost surely.  Deliberately
+not scalable: refuses models beyond fixed state and parameter limits.
 """
 
 from __future__ import annotations
@@ -16,70 +18,25 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .model import TreeModel, require_valid, standard_dimension
 from .rank import (
     DEFAULT_TRIALS,
-    RationalMatrix,
+    PRIME,
     _check_interior,
     _full_block,
     derive_seed,
     exact_rank,
+    residues,
     sample_simplex_block,
 )
 
 STATE_LIMIT = 4096
 PARAMETER_LIMIT = 256
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class OracleLimitError(RuntimeError):
     """The model is too large for the brute force; use the decomposition."""
-
-
-class Dual:
-    """value + tangent * eps with rational components (eps^2 = 0)."""
-
-    __slots__ = ("value", "tangent")
-
-    def __init__(self, value, tangent=_ZERO):
-        self.value = value
-        self.tangent = tangent
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.tangent + other.tangent)
-        return Dual(self.value + other, self.tangent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.tangent - other.tangent)
-        return Dual(self.value - other, self.tangent)
-
-    def __rsub__(self, other):
-        return Dual(other - self.value, -self.tangent)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                self.value * other.tangent + self.tangent * other.value,
-            )
-        return Dual(self.value * other, self.tangent * other)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Dual({self.value}, {self.tangent})"
-
-
-def _tangent_of(x) -> Fraction:
-    return x.tangent if isinstance(x, Dual) else _ZERO
 
 
 class Factor:
@@ -88,6 +45,8 @@ class Factor:
     Values are stored row-major with the first variable most
     significant, so a factor whose scope is the sorted observed ids
     already enumerates joint states in canonical lexicographic order.
+    Values need only ``+`` and ``*``: rationals for the joint, integers
+    for the Jacobian columns.
     """
 
     __slots__ = ("vars", "cards", "values")
@@ -184,14 +143,9 @@ class FullParameterPoint:
     root_weights: tuple[Fraction, ...]
     conditionals: tuple[tuple[int, tuple[tuple[Fraction, ...], ...]], ...]
 
-    def blocks_for(self, var_id: int) -> tuple[tuple[Fraction, ...], ...]:
-        for vid, blocks in self.conditionals:
-            if vid == var_id:
-                return blocks
-        raise KeyError(f"no conditional blocks for variable id {var_id}")
-
 
 def _rooting(model: TreeModel):
+    """Parent map, child lists and breadth-first order from the lowest id."""
     root = model.variables[0].id
     parents: dict[int, int] = {}
     children: dict[int, list[int]] = {v.id: [] for v in model.variables}
@@ -208,12 +162,13 @@ def _rooting(model: TreeModel):
             children[node].append(other)
             order.append(other)
             queue.append(other)
-    return root, parents, children, order
+    return parents, children, order
 
 
 def sample_full_point(model: TreeModel, rng: random.Random) -> FullParameterPoint:
     require_valid(model)
-    root, parents, _, _ = _rooting(model)
+    parents, _, _ = _rooting(model)
+    root = model.variables[0].id
     root_weights = sample_simplex_block(rng, model.variable(root).cardinality)
     conditionals = []
     for var in model.variables[1:]:
@@ -225,16 +180,13 @@ def sample_full_point(model: TreeModel, rng: random.Random) -> FullParameterPoin
     return FullParameterPoint(root, root_weights, tuple(conditionals))
 
 
-def _dual_block(free: Sequence[Fraction], slot: int) -> list:
-    out = [
-        Dual(value, _ONE if i == slot else _ZERO) for i, value in enumerate(free)
-    ]
-    out.append(Dual(_ONE - sum(free, _ZERO), Fraction(-1)))
-    return out
+def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
+    """Check the point against the model and complete each block once.
 
-
-def _check_full_point(model: TreeModel, point: FullParameterPoint) -> None:
-    root, parents, _, _ = _rooting(model)
+    Returns ``tables[var_id][parent_state]``, the completed blocks of
+    every variable; the root has one block.
+    """
+    root = model.variables[0].id
     if point.root_id != root:
         raise ValueError(
             f"point rooted at id {point.root_id}, model roots at id {root}"
@@ -242,7 +194,8 @@ def _check_full_point(model: TreeModel, point: FullParameterPoint) -> None:
     root_card = model.variable(root).cardinality
     if len(point.root_weights) != root_card - 1:
         raise ValueError("root weight count does not match root cardinality")
-    _check_interior(_full_block(point.root_weights), "root weights")
+    tables = {root: [_full_block(point.root_weights)]}
+    _check_interior(tables[root][0], "root weights")
     given = {vid for vid, _ in point.conditionals}
     expected = {v.id for v in model.variables if v.id != root}
     if given != expected:
@@ -254,19 +207,26 @@ def _check_full_point(model: TreeModel, point: FullParameterPoint) -> None:
             raise ValueError(
                 f"variable {var.name!r}: expected one block per parent state"
             )
+        tables[vid] = []
         for block in blocks:
             if len(block) != var.cardinality - 1:
                 raise ValueError(
                     f"variable {var.name!r}: block size does not match cardinality"
                 )
-            _check_interior(_full_block(block), f"variable {var.name!r}")
+            tables[vid].append(_full_block(block))
+            _check_interior(tables[vid][-1], f"variable {var.name!r}")
+    return tables
 
 
-def _table_factor(model: TreeModel, parent_id: int, var_id: int, full) -> Factor:
-    """CPT factor over the sorted pair (parent, child), from completed
-    blocks: ``full[parent_state][state]``."""
-    p_card = model.variable(parent_id).cardinality
+def _table_factor(model: TreeModel, parents, var_id: int, full) -> Factor:
+    """Factor of one variable's table from completed blocks,
+    ``full[parent_state][state]``: over the sorted pair (parent, child),
+    or over the root alone, which has one block."""
     v_card = model.variable(var_id).cardinality
+    if var_id not in parents:
+        return Factor((var_id,), (v_card,), full[0])
+    parent_id = parents[var_id]
+    p_card = model.variable(parent_id).cardinality
     if parent_id < var_id:
         values = [full[ps][vs] for ps in range(p_card) for vs in range(v_card)]
         return Factor((parent_id, var_id), (p_card, v_card), values)
@@ -274,24 +234,8 @@ def _table_factor(model: TreeModel, parent_id: int, var_id: int, full) -> Factor
     return Factor((var_id, parent_id), (v_card, p_card), values)
 
 
-def _base_factors(model: TreeModel, point: FullParameterPoint) -> dict[int, Factor]:
-    root, parents, _, _ = _rooting(model)
-    factors = {
-        root: Factor(
-            (root,),
-            (model.variable(root).cardinality,),
-            _full_block(point.root_weights),
-        )
-    }
-    for vid, blocks in point.conditionals:
-        full = [_full_block(block) for block in blocks]
-        factors[vid] = _table_factor(model, parents[vid], vid, full)
-    return factors
-
-
-def _collapse(model: TreeModel, factors: dict[int, Factor]) -> list:
-    """Sum-product the per-node factors down to the observed joint."""
-    _, _, children, order = _rooting(model)
+def _collapse(model: TreeModel, children, order, factors: dict[int, Factor]) -> list:
+    """Sum-product the per-variable factors down to the observed joint."""
     latent = {v.id for v in model.latent_variables}
     up: dict[int, Factor] = {}
     for vid in reversed(order):
@@ -314,61 +258,48 @@ def joint_observed_distribution(
     ascending id order and sum to exactly one.
     """
     require_valid(model)
-    _check_full_point(model, point)
-    return tuple(_collapse(model, _base_factors(model, point)))
-
-
-def _parameter_slots(model: TreeModel):
-    """Canonical parameter order: root block, then ascending non-root ids,
-    each with one block per parent state."""
-    root, parents, _, _ = _rooting(model)
-    slots = []
-    root_card = model.variable(root).cardinality
-    for state in range(root_card - 1):
-        slots.append((root, None, state))
-    for var in model.variables[1:]:
-        parent_card = model.variable(parents[var.id]).cardinality
-        for parent_state in range(parent_card):
-            for state in range(var.cardinality - 1):
-                slots.append((var.id, parent_state, state))
-    return slots
+    parents, children, order = _rooting(model)
+    factors = {
+        vid: _table_factor(model, parents, vid, full)
+        for vid, full in _full_tables(model, point, parents).items()
+    }
+    return tuple(_collapse(model, children, order, factors))
 
 
 def observed_joint_jacobian(
     model: TreeModel, point: FullParameterPoint
-) -> RationalMatrix:
-    """Jacobian of the observed joint with respect to every free parameter.
+) -> tuple[tuple[int, ...], ...]:
+    """Jacobian of the observed joint in every free parameter, mod PRIME.
 
-    One dual-number sum-product pass per parameter; rows cover all
-    observed joint states except the lexicographically last one.
+    Rows cover all observed joint states except the lexicographically
+    last one.  Columns follow the canonical parameter order: the root
+    block, then ascending non-root ids, each with one block per parent
+    state.  Column ``j`` is one sum-product over the field images of the
+    tables, with the table of parameter ``j`` replaced by its derivative.
     """
     require_valid(model)
-    _check_full_point(model, point)
-    root, parents, _, _ = _rooting(model)
-    base = _base_factors(model, point)
-    slots = _parameter_slots(model)
-    if len(slots) != standard_dimension(model):
-        raise AssertionError("parameter slot count does not match dimension")
-
+    parents, children, order = _rooting(model)
+    tables = _full_tables(model, point, parents)
+    base = {
+        vid: _table_factor(model, parents, vid, [residues(b) for b in full])
+        for vid, full in tables.items()
+    }
     columns = []
-    for var_id, parent_state, state in slots:
-        factors = dict(base)
-        if var_id == root:
-            card = model.variable(root).cardinality
-            factors[root] = Factor(
-                (root,), (card,), _dual_block(point.root_weights, state)
-            )
-        else:
-            blocks = point.blocks_for(var_id)
-            full = [_full_block(block) for block in blocks]
-            full[parent_state] = _dual_block(blocks[parent_state], state)
-            factors[var_id] = _table_factor(model, parents[var_id], var_id, full)
-        values = _collapse(model, factors)
-        columns.append([_tangent_of(x) for x in values[:-1]])
-
-    m = 0 if not columns else len(columns[0])
-    rows = [tuple(col[i] for col in columns) for i in range(m)]
-    return RationalMatrix(tuple(rows), len(columns))
+    for vid in sorted(tables):
+        blocks = tables[vid]
+        card = len(blocks[0])
+        for parent_state in range(len(blocks)):
+            for state in range(card - 1):
+                slope = [[0] * card for _ in blocks]
+                slope[parent_state][state] = 1
+                slope[parent_state][-1] = -1
+                factors = dict(base)
+                factors[vid] = _table_factor(model, parents, vid, slope)
+                values = _collapse(model, children, order, factors)
+                columns.append([x % PRIME for x in values[:-1]])
+    if len(columns) != standard_dimension(model):
+        raise AssertionError("parameter column count does not match dimension")
+    return tuple(zip(*columns))
 
 
 def oracle_effective_dimension(

@@ -1,10 +1,11 @@
 """Prime-field rank engine and latent-class Jacobian ranks.
 
-Ranks are exact, taken in GF(p), p = 2**61 - 1: a rational row is
-mapped to its image mod p (one lcm of its denominators and one modular
-inverse) and eliminated mod p.  The closed-form Jacobian of a
-latent-class component is built directly mod p at the field image of a
-checked rational interior point.
+Ranks are exact, taken in GF(p), p = 2**61 - 1, of matrices given as
+rows of integers.  ``residues`` is the one map from rationals into the
+field (one lcm of the denominators and one modular inverse per
+sequence).  The closed-form Jacobian of a latent-class component is
+built directly mod p at the field image of a checked rational interior
+point.
 
 The error is one-sided.  Jacobian entries are integer polynomials in
 the free weights, so a minor that is non-zero mod p at the reduced point
@@ -23,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .decompose import LcComponent
@@ -49,42 +50,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of rationals, or of their residues mod ``PRIME`` as ints."""
-
-    entries: tuple[tuple[Fraction | int, ...], ...]
-    n_cols: int
-
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != self.n_cols:
-                raise ValueError(
-                    f"ragged matrix: row of length {len(row)}, expected {self.n_cols}"
-                )
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n(self) -> int:
-        return self.n_cols
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        converted = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in rows
-        )
-        n_cols = len(converted[0]) if converted else 0
-        return cls(converted, n_cols)
-
-    def transpose(self) -> "RationalMatrix":
-        cols = tuple(zip(*self.entries)) if self.entries else ()
-        return RationalMatrix(cols, self.m)
-
-
 def residues(values: Sequence[Fraction | int]) -> list[int]:
     """Exact images ``a * b**-1 mod PRIME`` of the rationals ``a/b``.
 
@@ -97,21 +62,23 @@ def residues(values: Sequence[Fraction | int]) -> list[int]:
     return [x.numerator * (den // x.denominator) * inv % PRIME for x in values]
 
 
-def exact_rank(matrix: RationalMatrix) -> int:
-    """Rank of the matrix reduced into GF(PRIME).
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(PRIME) of a matrix given as rows of integers.
 
-    Each row is mapped into the field, reduced left to right against the
-    pivot rows collected so far (each normalised to a leading 1), and
-    either vanishes or contributes a new pivot.  Never above the rank
-    over the rationals.  Stops early once the rank reaches min(m, n).
+    Rational entries are mapped into the field first, by :func:`residues`.
+    Each row is reduced left to right against the pivot rows collected
+    so far (each normalised to a leading 1), and either vanishes or
+    contributes a new pivot.  Stops early once the rank reaches min(m, n).
     """
-    n = matrix.n_cols
-    cap = min(matrix.m, n)
+    n = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"ragged matrix: row of length {len(row)}, expected {n}")
+    cap = min(len(rows), n)
     if cap == 0:
         return 0
     basis: dict[int, list[int]] = {}
-    for row in matrix.entries:
-        vec = residues(row)
+    for vec in rows:
         for lead in range(n):
             # Entries of vec are only reduced mod PRIME where they are read.
             f = vec[lead] % PRIME
@@ -212,7 +179,7 @@ def _field_blocks(component: "LcComponent", point: LcParameterPoint):
 
 def lc_jacobian_at(
     component: "LcComponent", point: LcParameterPoint
-) -> RationalMatrix:
+) -> tuple[tuple[int, ...], ...]:
     """Jacobian of the observed joint of a latent-class component, mod PRIME.
 
     The joint probability of a neighbor-state tuple ``y`` is
@@ -258,7 +225,7 @@ def lc_jacobian_at(
         for z in range(c - 1):
             row[z] = (free[z] - free[c - 1]) % PRIME
         rows.append(tuple(row))
-    return RationalMatrix(tuple(rows), n)
+    return tuple(rows)
 
 
 def lc_rank_trials(

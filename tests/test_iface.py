@@ -136,6 +136,14 @@ class TestCli:
         assert run(["dims", str(bad)]) == 1
         assert "cardinality" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(b"var A 2 observed\n\xff\n")
+        assert run(["dims", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: not UTF-8 text (byte 0xff)\n"
+
     def test_missing_file_exit_code(self, capsys):
         assert run(["dims", "no-such-file.model"]) == 1
         assert "error" in capsys.readouterr().err

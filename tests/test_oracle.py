@@ -1,4 +1,4 @@
-"""Brute-force Jacobian oracle: joint distribution, duals, limits."""
+"""Brute-force Jacobian oracle: joint distribution, Jacobian, limits."""
 
 from __future__ import annotations
 
@@ -18,9 +18,31 @@ from treedim.oracle import (
     observed_joint_jacobian,
     sample_full_point,
 )
-from treedim.rank import lc_jacobian_at, residues, sample_lc_point
+from treedim.rank import PRIME, lc_jacobian_at, residues, sample_lc_point
 
 HALF = (Fraction(1, 2),)
+
+
+def _bumped_points(point, step):
+    """Copies of the point with one free weight shifted by step, in the
+    oracle's column order: root block, then ascending non-root ids, each
+    with one block per parent state."""
+    tables = [(point.root_id, (point.root_weights,))] + sorted(point.conditionals)
+    for k, (vid, blocks) in enumerate(tables):
+        for b, block in enumerate(blocks):
+            for s in range(len(block)):
+                bumped = block[:s] + (block[s] + step,) + block[s + 1 :]
+                new_blocks = blocks[:b] + (bumped,) + blocks[b + 1 :]
+                if k == 0:
+                    yield FullParameterPoint(vid, bumped, point.conditionals)
+                else:
+                    conditionals = tuple(
+                        (v, new_blocks if v == vid else bs)
+                        for v, bs in point.conditionals
+                    )
+                    yield FullParameterPoint(
+                        point.root_id, point.root_weights, conditionals
+                    )
 
 
 class TestJointDistribution:
@@ -82,10 +104,10 @@ class TestJointDistribution:
 
 class TestJacobian:
     def test_matches_closed_form_on_latent_class_models(self):
-        # The dual-number full-model Jacobian and the closed-form
+        # The sum-product full-model Jacobian and the closed-form
         # component Jacobian are independent derivations; on a pure
-        # latent-class model they must agree entry by entry, the rational
-        # oracle entries taken mod the field prime.
+        # latent-class model they must agree entry by entry mod the
+        # field prime.
         for card, leaves in [(2, (2, 2)), (3, (2, 3)), (2, (3, 3))]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
@@ -100,17 +122,40 @@ class TestJacobian:
             )
             model = latent_class_model(card, leaves)
             oracle_jac = observed_joint_jacobian(model, full_point)
-            lc_jac = lc_jacobian_at(component, lc_point)
-            assert oracle_jac.n == lc_jac.n
-            assert lc_jac.entries == tuple(
-                tuple(residues(row)) for row in oracle_jac.entries
+            assert oracle_jac == lc_jacobian_at(component, lc_point)
+
+    def test_matches_exact_finite_differences_on_random_trees(self):
+        # The joint is affine in every single free weight, so a finite
+        # difference of exact joints is the exact partial derivative.
+        # Random trees carry latent-latent edges and observed internal
+        # nodes, which no latent-class model has.
+        rng = random.Random(8128)
+        step = Fraction(1, 10**9)  # below every weight a sampled point has
+        latent_edges = observed_internal = 0
+        for _ in range(25):
+            model = random_tree_model(rng, max_vars=7, max_card=3)
+            latent = {v.id for v in model.latent_variables}
+            latent_edges += sum(a in latent and b in latent for a, b in model.edges)
+            observed_internal += sum(
+                model.degree(v.id) > 1 for v in model.observed_variables
             )
+            point = sample_full_point(model, rng)
+            jac = observed_joint_jacobian(model, point)
+            base = joint_observed_distribution(model, point)[:-1]
+            columns = []
+            for bumped in _bumped_points(point, step):
+                joint = joint_observed_distribution(model, bumped)
+                columns.append(residues([(b - a) / step for a, b in zip(base, joint)]))
+            assert len(columns) == standard_dimension(model)
+            assert jac == tuple(zip(*columns))
+        assert latent_edges and observed_internal
 
     def test_fully_observed_pair_jacobian_shape(self):
         model = build_model([("A", 2, True), ("B", 2, True)], [("A", "B")])
         point = sample_full_point(model, random.Random(1))
         jac = observed_joint_jacobian(model, point)
-        assert (jac.m, jac.n) == (3, 3)
+        assert (len(jac), len(jac[0])) == (3, 3)
+        assert all(type(x) is int and 0 <= x < PRIME for row in jac for x in row)
 
 
 class TestOracleEffectiveDimension:
