@@ -264,7 +264,7 @@ def effective_dimension(
     Pipeline: prune latent leaves, split at observed internal nodes,
     then per piece either record its standard dimension (no latents) or
     regularize it and decompose it into latent-class components; rank
-    each component at random interior points and combine.
+    each component signature once at random interior points; combine.
     """
     require_valid(model)
     ds = standard_dimension(model)
@@ -313,13 +313,24 @@ def effective_dimension(
         regularization_log=tuple(reg_log),
     )
 
-    dims = []
+    # Permuting neighbors permutes Jacobian rows and columns, so a rank depends
+    # only on the latent cardinality and the sorted neighbor cardinalities.
+    by_signature: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     trial_ranks = []
-    for index, component in enumerate(ledger.lc_components):
-        component_seed = derive_seed(policy.seed, "component", index)
-        ranks = lc_rank_trials(component, policy.trials, component_seed)
-        dims.append(max(ranks))
-        trial_ranks.append(ranks)
+    for component in ledger.lc_components:
+        cards = tuple(sorted(card for _, card in component.neighbors))
+        signature = (component.latent_cardinality, cards)
+        if signature not in by_signature:
+            canonical = LcComponent(
+                component.latent_id,
+                component.latent_cardinality,
+                tuple(enumerate(cards)),
+                (False,) * len(cards),
+            )
+            seed = derive_seed(policy.seed, "component", *signature)
+            by_signature[signature] = lc_rank_trials(canonical, policy.trials, seed)
+        trial_ranks.append(by_signature[signature])
+    dims = [max(ranks) for ranks in trial_ranks]
 
     de = combine(dims, ledger)
     return DimensionResult(ds, de, ledger, tuple(dims), tuple(trial_ranks))

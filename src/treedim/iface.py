@@ -25,8 +25,8 @@ from .model import (
     TreeModel,
     Variable,
     regularize,
+    require_valid,
     standard_dimension,
-    validate,
 )
 from .oracle import OracleLimitError, oracle_effective_dimension
 from .rank import DEFAULT_TRIALS
@@ -88,9 +88,7 @@ def parse_model(text: str) -> TreeModel:
             raise ModelParseError(line_number, f"unknown directive {kind!r}")
 
     model = TreeModel(tuple(variables), tuple(edges))
-    errors = validate(model)
-    if errors:
-        raise InvalidModelError(errors)
+    require_valid(model)
     return model
 
 

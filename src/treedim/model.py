@@ -75,6 +75,11 @@ class TreeModel:
             out.setdefault(b, []).append(a)
         return {vid: tuple(nbrs) for vid, nbrs in out.items()}
 
+    @cached_property
+    def _errors(self) -> tuple[str, ...]:
+        # The model is immutable, so one validation serves every check.
+        return tuple(validate(self))
+
     def variable(self, var_id: int) -> Variable:
         try:
             return self._by_id[var_id]
@@ -178,9 +183,8 @@ def _reachable(start: int, edges: set[tuple[int, int]]) -> set[int]:
 
 
 def require_valid(model: TreeModel) -> None:
-    errors = validate(model)
-    if errors:
-        raise InvalidModelError(errors)
+    if model._errors:
+        raise InvalidModelError(list(model._errors))
 
 
 def standard_dimension(model: TreeModel, root: Optional[int] = None) -> int:

@@ -65,7 +65,7 @@ def residues(values: Sequence[Fraction | int]) -> list[int]:
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over GF(PRIME) of a matrix given as rows of integers.
 
-    Rational entries are mapped into the field first, by :func:`residues`.
+    Entries must be integers; rationals go through :func:`residues` first.
     Each row is reduced left to right against the pivot rows collected
     so far (each normalised to a leading 1), and either vanishes or
     contributes a new pivot.  Stops early once the rank reaches min(m, n).
@@ -228,6 +228,20 @@ def lc_jacobian_at(
     return tuple(rows)
 
 
+def _spread_rank(component: "LcComponent", point: LcParameterPoint) -> int:
+    """Jacobian rank at ``point``, rows visited by a golden-ratio stride.
+
+    Adjacent lexicographic rows differ in the last neighbor only and are
+    often dependent; a stride coprime to the row count spreads the visits.
+    """
+    rows = lc_jacobian_at(component, point)
+    m = len(rows)
+    step = max(1, round(m * 0.6180339887))
+    while math.gcd(step, m) != 1:
+        step += 1
+    return exact_rank([rows[k * step % m] for k in range(m)])
+
+
 def lc_rank_trials(
     component: "LcComponent", trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> tuple[int, ...]:
@@ -241,8 +255,7 @@ def lc_rank_trials(
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        point = sample_lc_point(component, rng)
-        ranks.append(exact_rank(lc_jacobian_at(component, point)))
+        ranks.append(_spread_rank(component, sample_lc_point(component, rng)))
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",

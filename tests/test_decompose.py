@@ -13,7 +13,12 @@ from support import (
     random_tree_model,
     two_branch_hierarchy,
 )
-from treedim import RankPolicy, effective_dimension, oracle_effective_dimension
+from treedim import (
+    RankPolicy,
+    decompose,
+    effective_dimension,
+    oracle_effective_dimension,
+)
 from treedim.decompose import (
     DecompositionLedger,
     LatentEdgeCorrection,
@@ -379,3 +384,94 @@ class TestEffectiveDimension:
                 )
             assert {c.latent_id for c in ledger.lc_components} == expected_latents
             assert len(ledger.latent_edge_corrections) == expected_edges
+
+
+def _signature(component):
+    cards = tuple(sorted(card for _, card in component.neighbors))
+    return component.latent_cardinality, cards
+
+
+def _reversed_declarations(model):
+    names = {v.id: v.name for v in model.variables}
+    return build_model(
+        [(v.name, v.cardinality, v.observed) for v in reversed(model.variables)],
+        [(names[a], names[b]) for a, b in model.edges],
+    )
+
+
+def _trials_by_signature(result):
+    return sorted(
+        zip(map(_signature, result.ledger.lc_components), result.component_trial_ranks)
+    )
+
+
+class TestRankMemo:
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        """Record each component ranked; its trial ranks end with its seed."""
+        calls = []
+        real = decompose.lc_rank_trials
+
+        def trials_with_seed(component, trials, seed):
+            calls.append(component)
+            return real(component, trials, seed) + (seed,)
+
+        monkeypatch.setattr(decompose, "lc_rank_trials", trials_with_seed)
+        return calls
+
+    def test_chain_ranks_each_signature_once(self, rank_calls):
+        k = 12
+        specs = [(f"Z{i}", 2, False) for i in range(k)]
+        specs += [(f"Y{i}{s}", 2, True) for i in range(k) for s in "ab"]
+        edges = [(f"Z{i}", f"Z{i + 1}") for i in range(k - 1)]
+        edges += [(f"Z{i}", f"Y{i}{s}") for i in range(k) for s in "ab"]
+        result = effective_dimension(build_model(specs, edges), RankPolicy(trials=2))
+        components = result.ledger.lc_components
+        assert len(components) == k
+        # The two ends have three neighbors, the middle latents four.
+        signatures = {_signature(c) for c in components}
+        assert signatures == {(2, (2, 2, 2)), (2, (2, 2, 2, 2))}
+        assert len(rank_calls) == 2
+        assert all(
+            [card for _, card in c.neighbors] == sorted(card for _, card in c.neighbors)
+            for c in rank_calls
+        )
+
+    def test_equal_signatures_get_equal_trial_ranks(self, rank_calls):
+        # H and L share the signature (2, (2, 2, 3)) with their neighbors
+        # in different orders; K hangs off the observed node B.
+        specs = [
+            ("A", 2, True), ("H", 2, False), ("B", 3, True), ("L", 2, False),
+            ("C", 3, True), ("D", 2, True), ("K", 3, False), ("E", 3, True),
+            ("F", 3, True),
+        ]
+        edges = [
+            ("H", "A"), ("H", "B"), ("H", "L"), ("L", "C"), ("L", "D"),
+            ("K", "B"), ("K", "E"), ("K", "F"),
+        ]
+        policy = RankPolicy(trials=2, seed=5)
+        first = effective_dimension(build_model(specs, edges), policy)
+        shuffled = specs[3:] + specs[:3]
+        second = effective_dimension(build_model(shuffled, edges), policy)
+        for result in (first, second):
+            by_signature = {}
+            for sig, ranks in _trials_by_signature(result):
+                assert by_signature.setdefault(sig, ranks) == ranks
+            assert len(by_signature) == 2
+        assert _trials_by_signature(first) == _trials_by_signature(second)
+        assert len(rank_calls) == 4
+
+    def test_reversed_declarations_give_the_same_result(self):
+        rng = random.Random(31)
+        models = [two_branch_hierarchy(), collapsed_hierarchy()]
+        models += [random_tree_model(rng, max_vars=7) for _ in range(10)]
+        for i, model in enumerate(models):
+            policy = RankPolicy(trials=2, seed=i)
+            a = effective_dimension(model, policy)
+            b = effective_dimension(_reversed_declarations(model), policy)
+            assert (a.standard_dimension, a.effective_dimension) == (
+                b.standard_dimension,
+                b.effective_dimension,
+            )
+            if not a.ledger.regularization_log and not b.ledger.regularization_log:
+                assert _trials_by_signature(a) == _trials_by_signature(b)

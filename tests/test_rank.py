@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from treedim import rank
 from treedim.decompose import LcComponent
 from treedim.rank import (
     PRIME,
@@ -269,3 +270,48 @@ class TestLcEffectiveDimension:
         a = lc_rank_trials(component, trials=3, seed=42)
         b = lc_rank_trials(component, trials=3, seed=42)
         assert a == b
+
+
+class TestSpreadRowOrder:
+    @staticmethod
+    def _components():
+        fixed = [(6, (3, 3, 3)), (2, (3, 3)), (3, (2, 3, 3, 3))]
+        rng = random.Random(606)
+        drawn = []
+        for _ in range(8):
+            leaves = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 4)))
+            drawn.append((rng.randint(1, 4), leaves))
+        for card, leaves in fixed + drawn:
+            neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
+            yield LcComponent(0, card, neighbors, (False,) * len(leaves))
+
+    def test_rows_are_a_permutation_with_the_same_rank(self, monkeypatch):
+        built, handed = [], []
+
+        def build(component, point):
+            built.append(lc_jacobian_at(component, point))
+            return built[-1]
+
+        def rank_of(rows):
+            handed.append(list(rows))
+            return exact_rank(rows)
+
+        monkeypatch.setattr(rank, "lc_jacobian_at", build)
+        monkeypatch.setattr(rank, "exact_rank", rank_of)
+        ranks = {}
+        for component in self._components():
+            built.clear()
+            handed.clear()
+            trials = lc_rank_trials(component, trials=2, seed=3)
+            assert len(built) == len(handed) == 2
+            for jacobian, rows, found in zip(built, handed, trials):
+                assert sorted(rows) == sorted(jacobian)
+                if len(rows) > 2:
+                    assert rows != list(jacobian)
+                assert found == exact_rank(jacobian)
+            leaves = tuple(c for _, c in component.neighbors)
+            ranks[component.latent_cardinality, leaves] = max(trials)
+        # Below the parameter count (41 and 9) in the first two, full in the last.
+        assert ranks[(6, (3, 3, 3))] == 26
+        assert ranks[(2, (3, 3))] == 7
+        assert ranks[(3, (2, 3, 3, 3))] == 23
