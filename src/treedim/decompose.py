@@ -222,9 +222,9 @@ def decompose_hlc(
 
     components = []
     for var in latents:
-        nbr_ids = hlc.neighbors(var.id)
-        neighbors = tuple((x, hlc.variable(x).cardinality) for x in nbr_ids)
-        flags = tuple(hlc.variable(x).latent for x in nbr_ids)
+        nbrs = [hlc.variable(x) for x in hlc.neighbors(var.id)]
+        neighbors = tuple((x.id, x.cardinality) for x in nbrs)
+        flags = tuple(x.latent for x in nbrs)
         components.append(
             LcComponent(var.id, var.cardinality, neighbors, flags)
         )

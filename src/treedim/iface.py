@@ -6,8 +6,9 @@ declared variables, ``#`` starts a comment, blank lines are ignored.
 Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
-Exit codes: 0 success, 1 parse or validation error, 2 oracle limits
-exceeded under ``--oracle``, 3 oracle/decomposition mismatch.
+Exit codes: 0 success; 1 usage error, unreadable model file, parse or
+validation error; 2 oracle limits exceeded under ``--oracle``; 3
+oracle/decomposition mismatch; 4 a latent-class rank over the row limit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     standard_dimension,
 )
 from .oracle import OracleLimitError, oracle_effective_dimension
-from .rank import DEFAULT_TRIALS
+from .rank import DEFAULT_TRIALS, RowLimitError
 from .score import ScoreInput, bic, bice
 
 
@@ -309,11 +310,12 @@ def run(argv: Sequence[str]) -> int:
     except (OSError, ModelParseError, InvalidModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "dims":
-        return _run_dims(args, model)
-    if args.command == "score":
-        return _run_score(args, model)
-    return _run_regularize(args, model)
+    commands = {"dims": _run_dims, "score": _run_score, "regularize": _run_regularize}
+    try:
+        return commands[args.command](args, model)
+    except RowLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

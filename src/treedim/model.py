@@ -240,19 +240,15 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     require_valid(model)
     violations: list[RegularityViolation] = []
     for var in model.latent_variables:
-        nbr_ids = model.neighbors(var.id)
-        if not nbr_ids:
+        nbrs = [model.variable(x) for x in model.neighbors(var.id)]
+        if not nbrs:
             continue
-        cards = [model.variable(x).cardinality for x in nbr_ids]
-        bound = _neighbor_bound(cards)
+        bound = _neighbor_bound([x.cardinality for x in nbrs])
         if var.cardinality > bound:
             violations.append(RegularityViolation(var.id, "bound", bound))
-        elif (
-            var.cardinality == bound
-            and len(nbr_ids) == 2
-            and any(model.variable(x).latent for x in nbr_ids)
-        ):
-            violations.append(RegularityViolation(var.id, "strict", bound))
+        elif var.cardinality == bound and len(nbrs) == 2:
+            if any(x.latent for x in nbrs):
+                violations.append(RegularityViolation(var.id, "strict", bound))
     return violations
 
 

@@ -34,10 +34,14 @@ NUMERATOR_BOUND = 2**20
 DEFAULT_TRIALS = 3
 # Ranks are taken in GF(PRIME), a Mersenne prime.
 PRIME = 2**61 - 1
+# No latent-class rank builds more Jacobian rows than this.
+ROW_LIMIT = 2**16
 
 log = logging.getLogger(__name__)
 
-_ZERO = Fraction(0)
+
+class RowLimitError(ValueError):
+    """A latent-class rank needs more Jacobian rows than ``ROW_LIMIT``."""
 
 
 def derive_seed(*parts) -> int:
@@ -133,7 +137,7 @@ def sample_lc_point(component: "LcComponent", rng: random.Random) -> LcParameter
 
 
 def _full_block(free: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(free) + (Fraction(1) - sum(free, _ZERO),)
+    return tuple(free) + (Fraction(1) - sum(free),)
 
 
 def _check_interior(block: tuple[Fraction, ...], label: str) -> None:
@@ -178,16 +182,18 @@ def _field_blocks(component: "LcComponent", point: LcParameterPoint):
 
 
 def lc_jacobian_at(
-    component: "LcComponent", point: LcParameterPoint
+    component: "LcComponent",
+    point: LcParameterPoint,
+    states: Sequence[Sequence[int]] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Jacobian of the observed joint of a latent-class component, mod PRIME.
 
     The joint probability of a neighbor-state tuple ``y`` is
     ``sum_z pi_z * prod_i phi[i][z][y_i]`` with the last weight of every
-    block substituted by one minus the rest.  Rows enumerate all joint
-    neighbor states except the all-last-states one, in lexicographic
-    order; columns are the free class weights followed by the free
-    conditional weights grouped by neighbor, then class, then state.
+    block substituted by one minus the rest.  Rows follow ``states``, by
+    default every joint neighbor state but the all-last one, in
+    lexicographic order; columns are the free class weights followed by the
+    free conditional weights grouped by neighbor, then class, then state.
     Entries are the residues mod PRIME of the exact rational entries.
     """
     pi, phi = _field_blocks(component, point)
@@ -197,11 +203,10 @@ def lc_jacobian_at(
     offsets = list(itertools.accumulate((c * (k - 1) for k in cards), initial=c - 1))
     n = offsets[-1]
 
-    all_last = tuple(card - 1 for card in cards)
+    if states is None:  # lexicographic, the all-last state (the last one) dropped
+        states = list(itertools.product(*(range(card) for card in cards)))[:-1]
     rows = []
-    for state in itertools.product(*(range(card) for card in cards)):
-        if state == all_last:
-            continue
+    for state in states:
         row = [0] * n
         free = []  # free[z] = prod_i phi[i][z][y_i]
         for z in range(c):
@@ -229,17 +234,39 @@ def lc_jacobian_at(
 
 
 def _spread_rank(component: "LcComponent", point: LcParameterPoint) -> int:
-    """Jacobian rank at ``point``, rows visited by a golden-ratio stride.
+    """Jacobian rank at ``point`` from a growing prefix of strided rows.
 
-    Adjacent lexicographic rows differ in the last neighbor only and are
-    often dependent; a stride coprime to the row count spreads the visits.
+    A golden-ratio stride coprime to the row count m spreads the rows, as
+    adjacent lexicographic ones are often dependent.  No rank exceeds
+    b = min(columns, m), so a prefix of rank b has the rank of all m rows.
+    The prefix starts at b rows and doubles (building only the new rows)
+    while its rank is below b and it is shorter than m.
     """
-    rows = lc_jacobian_at(component, point)
-    m = len(rows)
+    cards = [card for _, card in component.neighbors]
+    m = math.prod(cards) - 1
+    bound = min(component.standard_dimension(), m)
     step = max(1, round(m * 0.6180339887))
     while math.gcd(step, m) != 1:
         step += 1
-    return exact_rank([rows[k * step % m] for k in range(m)])
+    # Digit i of a lexicographic state index j is j // radix[i] % cards[i].
+    radix = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
+    rows: list[tuple[int, ...]] = []
+    size = bound
+    while True:
+        if size > ROW_LIMIT:
+            raise RowLimitError(
+                f"rank of latent cardinality {component.latent_cardinality} over "
+                f"neighbor cardinalities {tuple(cards)} needs {size} rows > {ROW_LIMIT}"
+            )
+        states = [
+            [k * step % m // r % card for r, card in zip(radix, cards)]
+            for k in range(len(rows), size)
+        ]
+        rows.extend(lc_jacobian_at(component, point, states))
+        rank = exact_rank(rows)
+        if rank == bound or size == m:
+            return rank
+        size = min(2 * size, m)
 
 
 def lc_rank_trials(

@@ -8,7 +8,7 @@ import pytest
 
 import treedim.iface
 from support import structural_signature
-from treedim import InvalidModelError, ModelParseError, parse_model, run
+from treedim import InvalidModelError, ModelParseError, parse_model, rank, run
 from treedim.iface import serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -164,6 +164,31 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_row_limit_exit_code(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "strassen.model"
+        model.write_text(
+            "var H 4 latent\n"
+            + "".join(f"var X{i} 3 observed\nedge H X{i}\n" for i in range(3))
+        )
+        monkeypatch.setattr(rank, "ROW_LIMIT", 20)
+        score = ["score", str(model), "--loglik", "-5", "--n", "9"]
+        for args in [["dims", str(model)], score]:
+            assert run(args) == 4, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "cardinality 4 over neighbor cardinalities (3, 3, 3)" in captured.err
+
+    def test_component_beyond_the_row_limit_fails_fast(self, capsys, tmp_path):
+        # 4 * 10**8 joint states; the first prefix alone would need 79,997 rows.
+        model = tmp_path / "wide.model"
+        model.write_text(
+            "var H 2 latent\nvar A 20000 observed\nvar B 20000 observed\n"
+            "edge H A\nedge H B\n"
+        )
+        assert run(["dims", str(model)]) == 4
+        assert "needs 79997 rows > 65536" in capsys.readouterr().err
 
     def test_score_with_computed_dimension(self, capsys):
         code = run(

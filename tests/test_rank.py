@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from treedim.decompose import LcComponent
 from treedim.rank import (
     PRIME,
     LcParameterPoint,
+    RowLimitError,
     exact_rank,
     lc_jacobian_at,
     lc_rank_trials,
@@ -221,6 +223,8 @@ class TestLcEffectiveDimension:
             # rank-deficient: below the parameter count (41, 19)
             (6, (3, 3, 3), 26),
             (4, (2, 2, 2, 2), 15),
+            # defective (Strassen): below both the 27 parameters and the 26 rows
+            (4, (3, 3, 3), 25),
         ],
     )
     def test_reference_components(self, card, leaves, expected):
@@ -285,29 +289,30 @@ class TestSpreadRowOrder:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             yield LcComponent(0, card, neighbors, (False,) * len(leaves))
 
-    def test_rows_are_a_permutation_with_the_same_rank(self, monkeypatch):
-        built, handed = [], []
+    def test_rows_are_a_sub_multiset_with_the_full_rank(self, monkeypatch):
+        points, handed = [], []
 
-        def build(component, point):
-            built.append(lc_jacobian_at(component, point))
-            return built[-1]
+        def sample(component, rng):
+            points.append(sample_lc_point(component, rng))
+            return points[-1]
 
         def rank_of(rows):
-            handed.append(list(rows))
+            handed.append((len(points) - 1, list(rows)))
             return exact_rank(rows)
 
-        monkeypatch.setattr(rank, "lc_jacobian_at", build)
+        monkeypatch.setattr(rank, "sample_lc_point", sample)
         monkeypatch.setattr(rank, "exact_rank", rank_of)
         ranks = {}
         for component in self._components():
-            built.clear()
+            points.clear()
             handed.clear()
             trials = lc_rank_trials(component, trials=2, seed=3)
-            assert len(built) == len(handed) == 2
-            for jacobian, rows, found in zip(built, handed, trials):
-                assert sorted(rows) == sorted(jacobian)
-                if len(rows) > 2:
-                    assert rows != list(jacobian)
+            assert len(points) == 2
+            full = [lc_jacobian_at(component, point) for point in points]
+            assert {trial for trial, _ in handed} == {0, 1}
+            for trial, rows in handed:
+                assert not Counter(rows) - Counter(full[trial])
+            for jacobian, found in zip(full, trials):
                 assert found == exact_rank(jacobian)
             leaves = tuple(c for _, c in component.neighbors)
             ranks[component.latent_cardinality, leaves] = max(trials)
@@ -315,3 +320,46 @@ class TestSpreadRowOrder:
         assert ranks[(6, (3, 3, 3))] == 26
         assert ranks[(2, (3, 3))] == 7
         assert ranks[(3, (2, 3, 3, 3))] == 23
+
+
+def _binary_component(card, leaves):
+    neighbors = tuple((i + 1, 2) for i in range(leaves))
+    return LcComponent(0, card, neighbors, (False,) * leaves)
+
+
+class TestPrefixEarlyStop:
+    @pytest.mark.parametrize(
+        "card,leaves,expected,builds",
+        [
+            # The rank reaches b, the column count, far below the 2**leaves - 1 rows.
+            (4, 20, 83, 1),
+            # The first b strided rows fall short, so the prefix doubles once.
+            (3, 20, 62, 2),
+            (2, 20, 41, 2),
+            (3, 16, 50, 2),
+        ],
+    )
+    def test_wide_binary_components(self, monkeypatch, card, leaves, expected, builds):
+        built = []
+
+        def build(component, point, states=None):
+            built.append(len(states))
+            return lc_jacobian_at(component, point, states)
+
+        monkeypatch.setattr(rank, "lc_jacobian_at", build)
+        component = _binary_component(card, leaves)
+        assert lc_rank_trials(component, trials=2) == (expected, expected)
+        # b rows first, then b new rows per doubling; never all 2**leaves - 1.
+        assert built == [expected] * (2 * builds)
+
+    def test_prefix_over_the_row_limit_raises(self, monkeypatch):
+        component = LcComponent(0, 4, ((1, 3), (2, 3), (3, 3)), (False,) * 3)
+        monkeypatch.setattr(rank, "ROW_LIMIT", 20)
+        with pytest.raises(RowLimitError, match=r"\(3, 3, 3\) needs 26 rows > 20"):
+            lc_rank_trials(component)
+        # Growth is checked too: 41 rows fit, the doubled prefix of 82 does not.
+        monkeypatch.setattr(rank, "ROW_LIMIT", 81)
+        with pytest.raises(RowLimitError, match="needs 82 rows"):
+            lc_rank_trials(_binary_component(2, 20), trials=1)
+        monkeypatch.setattr(rank, "ROW_LIMIT", 82)
+        assert lc_rank_trials(_binary_component(2, 20), trials=1) == (41,)
