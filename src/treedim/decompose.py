@@ -221,21 +221,19 @@ def decompose_hlc(
         raise ValueError("model is not regular; regularize it first")
 
     components = []
+    corrections = []
     for var in latents:
         nbrs = [hlc.variable(x) for x in hlc.neighbors(var.id)]
         neighbors = tuple((x.id, x.cardinality) for x in nbrs)
         flags = tuple(x.latent for x in nbrs)
-        components.append(
-            LcComponent(var.id, var.cardinality, neighbors, flags)
-        )
-
-    corrections = []
-    for a, b in hlc.edges:
-        va, vb = hlc.variable(a), hlc.variable(b)
-        if va.latent and vb.latent:
-            corrections.append(
-                LatentEdgeCorrection((a, b), va.cardinality * vb.cardinality - 1)
-            )
+        component = LcComponent(var.id, var.cardinality, neighbors, flags)
+        components.append(component)
+        # Latents and neighbors ascend, so each latent-latent edge, taken at
+        # its lower end, comes in the model's sorted edge order.
+        for (b, card), latent in zip(neighbors, component.neighbor_was_latent):
+            if latent and b > var.id:
+                shared = var.cardinality * card - 1
+                corrections.append(LatentEdgeCorrection((var.id, b), shared))
     return tuple(components), tuple(corrections)
 
 

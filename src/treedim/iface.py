@@ -7,7 +7,7 @@ Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
-validation error; 2 oracle limits exceeded under ``--oracle``; 3
+validation error; 2 oracle parameter limit exceeded under ``--oracle``; 3
 oracle/decomposition mismatch; 4 a latent-class rank over the row limit.
 """
 

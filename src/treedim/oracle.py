@@ -1,25 +1,33 @@
-"""Brute-force effective dimension via the full observed-joint Jacobian.
+"""Brute-force effective dimension via the observed-joint Jacobian.
 
-Ground truth for the decomposition pipeline on small models.  The joint
-distribution of the observed variables is computed exactly by
-sum-product over the tree, in rationals.  The joint is linear in each
-conditional table, so its derivative with respect to one free weight is
-the same sum-product with that one table replaced by its derivative
-table (+1 at the weight, -1 at its block's last entry); these columns
-are computed over the field images of the tables and reduced mod the
-field prime, and their rank at random interior points, as in the
-decomposition, is the effective dimension almost surely.  Deliberately
-not scalable: refuses models beyond fixed state and parameter limits.
+Ground truth for the decomposition: the Jacobian rank of the observed
+joint in every free weight of the rooted model, without splitting the
+tree or enumerating joint states.  A functional with one weight vector
+``a_v`` per observed variable contracts the joint to the scalar
+``S = sum_x prod_v a_v(x_v) P(x)``.  One inside and one outside pass over
+the tree give its gradient mod the field prime (the differential
+approach of Darwiche, JACM 2003); indicator vectors give the Jacobian
+row of one joint state.  The oracle ranks the gradients of
+``min(n, states - 1)`` functionals with random entries in GF(p), the rows
+of a projection ``R J``.  A projection can only lower the rank, and
+rank-one functionals span the dual of the joint space, so by
+Schwartz-Zippel a random ``R`` keeps the rank with probability at least
+``1 - deg/p``: the error stays one-sided.  Elimination is cubic in the
+parameter count, so models beyond a fixed parameter limit are refused.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
-from .model import TreeModel, require_valid, standard_dimension
+from .model import TreeModel, Variable, require_valid, standard_dimension
 from .rank import (
     DEFAULT_TRIALS,
     PRIME,
@@ -31,103 +39,11 @@ from .rank import (
     sample_simplex_block,
 )
 
-STATE_LIMIT = 4096
 PARAMETER_LIMIT = 256
 
 
 class OracleLimitError(RuntimeError):
     """The model is too large for the brute force; use the decomposition."""
-
-
-class Factor:
-    """Dense table over a strictly increasing tuple of variable ids.
-
-    Values are stored row-major with the first variable most
-    significant, so a factor whose scope is the sorted observed ids
-    already enumerates joint states in canonical lexicographic order.
-    Values need only ``+`` and ``*``: rationals for the joint, integers
-    for the Jacobian columns.
-    """
-
-    __slots__ = ("vars", "cards", "values")
-
-    def __init__(self, vars, cards, values):
-        self.vars = tuple(vars)
-        self.cards = tuple(cards)
-        self.values = list(values)
-        if list(self.vars) != sorted(self.vars):
-            raise ValueError("factor scope must be sorted by variable id")
-        size = 1
-        for c in self.cards:
-            size *= c
-        if len(self.values) != size:
-            raise ValueError("factor value count does not match its shape")
-
-    def _strides(self) -> dict[int, int]:
-        strides: dict[int, int] = {}
-        acc = 1
-        for var, card in zip(reversed(self.vars), reversed(self.cards)):
-            strides[var] = acc
-            acc *= card
-        return strides
-
-    def multiply(self, other: "Factor") -> "Factor":
-        merged = sorted(set(self.vars) | set(other.vars))
-        card_of = dict(zip(self.vars, self.cards))
-        card_of.update(zip(other.vars, other.cards))
-        cards = [card_of[v] for v in merged]
-
-        sa_map = self._strides()
-        sb_map = other._strides()
-        sa = [sa_map.get(v, 0) for v in merged]
-        sb = [sb_map.get(v, 0) for v in merged]
-
-        total = 1
-        for c in cards:
-            total *= c
-        av, bv = self.values, other.values
-        counters = [0] * len(merged)
-        ia = ib = 0
-        out = []
-        append = out.append
-        for _ in range(total):
-            append(av[ia] * bv[ib])
-            pos = len(merged) - 1
-            while pos >= 0:
-                counters[pos] += 1
-                ia += sa[pos]
-                ib += sb[pos]
-                if counters[pos] < cards[pos]:
-                    break
-                ia -= sa[pos] * counters[pos]
-                ib -= sb[pos] * counters[pos]
-                counters[pos] = 0
-                pos -= 1
-        return Factor(merged, cards, out)
-
-    def marginalize(self, var_id: int) -> "Factor":
-        axis = self.vars.index(var_id)
-        card = self.cards[axis]
-        inner = 1
-        for c in self.cards[axis + 1 :]:
-            inner *= c
-        outer = 1
-        for c in self.cards[:axis]:
-            outer *= c
-        values = self.values
-        out = []
-        for o in range(outer):
-            base = o * card * inner
-            for i in range(inner):
-                acc = values[base + i]
-                for k in range(1, card):
-                    acc = acc + values[base + i + k * inner]
-                out.append(acc)
-        return Factor(
-            self.vars[:axis] + self.vars[axis + 1 :],
-            self.cards[:axis] + self.cards[axis + 1 :],
-            out,
-        )
 
 
 @dataclass(frozen=True)
@@ -218,35 +134,99 @@ def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
     return tables
 
 
-def _table_factor(model: TreeModel, parents, var_id: int, full) -> Factor:
-    """Factor of one variable's table from completed blocks,
-    ``full[parent_state][state]``: over the sorted pair (parent, child),
-    or over the root alone, which has one block."""
-    v_card = model.variable(var_id).cardinality
-    if var_id not in parents:
-        return Factor((var_id,), (v_card,), full[0])
-    parent_id = parents[var_id]
-    p_card = model.variable(parent_id).cardinality
-    if parent_id < var_id:
-        values = [full[ps][vs] for ps in range(p_card) for vs in range(v_card)]
-        return Factor((parent_id, var_id), (p_card, v_card), values)
-    values = [full[ps][vs] for vs in range(v_card) for ps in range(p_card)]
-    return Factor((var_id, parent_id), (v_card, p_card), values)
+def _indicators(observed: Sequence[Variable]):
+    """The indicator functional of every observed joint state, in
+    lexicographic order over the observed variables in ascending id order."""
+    units = [
+        [[int(s == x) for s in range(v.cardinality)] for x in range(v.cardinality)]
+        for v in observed
+    ]
+    return list(itertools.product(*units))
 
 
-def _collapse(model: TreeModel, children, order, factors: dict[int, Factor]) -> list:
-    """Sum-product the per-variable factors down to the observed joint."""
-    latent = {v.id for v in model.latent_variables}
-    up: dict[int, Factor] = {}
-    for vid in reversed(order):
-        factor = factors[vid]
-        for child in children[vid]:
-            factor = factor.multiply(up.pop(child))
-        if vid in latent:
-            factor = factor.marginalize(vid)
-        up[vid] = factor
-    result = up.pop(order[0])
-    return result.values
+def _weights(observed: Sequence[Variable], functionals) -> dict[int, list]:
+    """``weights[v][x][j]``: functional ``j``'s weight of observed ``v`` at ``x``."""
+    shape = [v.cardinality for v in observed]
+    if any([len(a) for a in f] != shape for f in functionals):
+        raise ValueError(
+            "a functional needs one weight vector per observed variable, "
+            "as long as its cardinality"
+        )
+    return {
+        v.id: [list(at_x) for at_x in zip(*(f[i] for f in functionals))]
+        for i, v in enumerate(observed)
+    }
+
+
+def _field(x: int) -> int:
+    return x % PRIME
+
+
+def _inside(order, children, tables, weights, k, reduce):
+    """Inside vectors and upward messages of ``k`` functionals at once.
+
+    ``beta[v][x][j]`` is functional ``j``'s weight of ``v`` at ``x`` (one
+    for a latent ``v``) times the messages of ``v``'s children at ``x``.
+    ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]`` is the message
+    to the parent at state ``p``.  The root has one block, so
+    ``up[root][0][j]`` is the scalar ``S`` of functional ``j``.  Every
+    message product goes through ``reduce``: ``int`` keeps it exact.
+    """
+    beta, up = {}, {}
+    for v in reversed(order):
+        b = weights[v] if v in weights else [[1] * k] * len(tables[v][0])
+        for c in children[v]:
+            b = [[reduce(x * y) for x, y in zip(bx, ux)] for bx, ux in zip(b, up[c])]
+        beta[v] = b
+        per_functional = list(zip(*b))
+        up[v] = [
+            [reduce(sum(map(mul, row, bj))) for bj in per_functional]
+            for row in tables[v]
+        ]
+    return beta, up
+
+
+def _times(a, b):
+    """Entrywise product mod PRIME of two ``[state][functional]`` arrays."""
+    return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
+
+
+def _gradient(order, children, tables, weights, beta, up, k):
+    """Gradients of the ``k`` scalars ``S`` in every free weight, mod PRIME.
+
+    One outside pass: ``outer[v][p][j]`` is the weight of everything
+    outside ``v``'s subtree and table at parent state ``p``, so
+    ``dS/dT[v][p][x] = outer[v][p][j] * beta[v][x][j]``.  A free weight
+    moves its own entry up and its block's last entry down.  Returns the
+    gradient columns of each variable, block by block.
+    """
+    outer = {order[0]: [[1] * k]}
+    grad = {}
+    for v in order:
+        b, out = beta[v], outer[v]
+        grad[v] = [
+            [o * (x - y) % PRIME for o, x, y in zip(ox, bx, b[-1])]
+            for ox in out
+            for bx in b[:-1]
+        ]
+        kids = children[v]
+        if not kids:
+            continue
+        # down[x]: the weight outside the subtrees of v's children at v = x
+        per_functional = list(zip(*out))
+        down = [
+            [sum(map(mul, col, oj)) % PRIME for oj in per_functional]
+            for col in zip(*tables[v])
+        ]
+        if v in weights:
+            down = _times(down, weights[v])
+        rest = [[[1] * k] * len(b)]  # rest[i]: product of the last i kids' messages
+        for c in reversed(kids[1:]):
+            rest.append(_times(rest[-1], up[c]))
+        for c in kids:
+            outer[c] = _times(down, rest.pop())
+            down = _times(down, up[c])
+    return grad
 
 
 def joint_observed_distribution(
@@ -255,48 +235,58 @@ def joint_observed_distribution(
     """Exact joint distribution of the observed variables.
 
     Entries are indexed lexicographically over the observed variables in
-    ascending id order and sum to exactly one.
-    """
-    require_valid(model)
-    parents, children, order = _rooting(model)
-    factors = {
-        vid: _table_factor(model, parents, vid, full)
-        for vid, full in _full_tables(model, point, parents).items()
-    }
-    return tuple(_collapse(model, children, order, factors))
-
-
-def observed_joint_jacobian(
-    model: TreeModel, point: FullParameterPoint
-) -> tuple[tuple[int, ...], ...]:
-    """Jacobian of the observed joint in every free parameter, mod PRIME.
-
-    Rows cover all observed joint states except the lexicographically
-    last one.  Columns follow the canonical parameter order: the root
-    block, then ascending non-root ids, each with one block per parent
-    state.  Column ``j`` is one sum-product over the field images of the
-    tables, with the table of parameter ``j`` replaced by its derivative.
+    ascending id order and sum to exactly one.  One inside pass gives the
+    scalars of the states' indicator functionals over integer tables: each
+    joint term takes one entry of every table, so a table scaled by its
+    denominators' lcm scales every term, and the sums by their product.
     """
     require_valid(model)
     parents, children, order = _rooting(model)
     tables = _full_tables(model, point, parents)
-    base = {
-        vid: _table_factor(model, parents, vid, [residues(b) for b in full])
-        for vid, full in tables.items()
+    scale = 1
+    for vid, blocks in tables.items():
+        den = math.lcm(*(x.denominator for block in blocks for x in block))
+        tables[vid] = [
+            [x.numerator * (den // x.denominator) for x in block] for block in blocks
+        ]
+        scale *= den
+    observed = model.observed_variables
+    indicators = _indicators(observed)
+    weights = _weights(observed, indicators)
+    _, up = _inside(order, children, tables, weights, len(indicators), int)
+    return tuple(Fraction(total, scale) for total in up[order[0]][0])
+
+
+def observed_joint_jacobian(
+    model: TreeModel, point: FullParameterPoint, functionals=None
+) -> tuple[tuple[int, ...], ...]:
+    """Gradients of functionals of the observed joint, mod PRIME.
+
+    A functional holds one weight vector per observed variable, in
+    ascending id order, and stands for ``S = sum_x prod_v a_v(x_v) P(x)``.
+    Row ``j`` is the gradient of functional ``j`` in every free parameter.
+    Columns follow the canonical parameter order: the root block, then
+    ascending non-root ids, each with one block per parent state.  The
+    default, ``None``, is the indicator functional of every observed joint
+    state but the lexicographically last, so the rows are the Jacobian of
+    the observed joint.
+    """
+    require_valid(model)
+    parents, children, order = _rooting(model)
+    tables = {
+        vid: [residues(block) for block in full]
+        for vid, full in _full_tables(model, point, parents).items()
     }
-    columns = []
-    for vid in sorted(tables):
-        blocks = tables[vid]
-        card = len(blocks[0])
-        for parent_state in range(len(blocks)):
-            for state in range(card - 1):
-                slope = [[0] * card for _ in blocks]
-                slope[parent_state][state] = 1
-                slope[parent_state][-1] = -1
-                factors = dict(base)
-                factors[vid] = _table_factor(model, parents, vid, slope)
-                values = _collapse(model, children, order, factors)
-                columns.append([x % PRIME for x in values[:-1]])
+    observed = model.observed_variables
+    if functionals is None:
+        functionals = _indicators(observed)[:-1]
+    k = len(functionals)
+    if not k:
+        return ()
+    weights = _weights(observed, functionals)
+    beta, up = _inside(order, children, tables, weights, k, _field)
+    grad = _gradient(order, children, tables, weights, beta, up, k)
+    columns = [column for vid in sorted(grad) for column in grad[vid]]
     if len(columns) != standard_dimension(model):
         raise AssertionError("parameter column count does not match dimension")
     return tuple(zip(*columns))
@@ -309,30 +299,30 @@ def oracle_effective_dimension(
 ) -> int:
     """Effective dimension by direct Jacobian rank, without decomposition.
 
-    Raises :class:`OracleLimitError` when the observed joint or the
-    parameter count is too large for a dense exact computation.
+    Each trial ranks the gradients of ``min(n, states - 1)`` random
+    functionals at one random interior point.  Raises
+    :class:`OracleLimitError` when the parameter count is too large for a
+    dense exact elimination.
     """
     require_valid(model)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    states = 1
-    for var in model.observed_variables:
-        states *= var.cardinality
-    if states > STATE_LIMIT:
-        raise OracleLimitError(
-            f"observed joint has {states} states (limit {STATE_LIMIT}); "
-            "use the decomposition pipeline"
-        )
     n_params = standard_dimension(model)
     if n_params > PARAMETER_LIMIT:
         raise OracleLimitError(
             f"model has {n_params} parameters (limit {PARAMETER_LIMIT}); "
             "use the decomposition pipeline"
         )
+    observed = model.observed_variables
+    k = min(n_params, math.prod(v.cardinality for v in observed) - 1)
 
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))
         point = sample_full_point(model, rng)
-        ranks.append(exact_rank(observed_joint_jacobian(model, point)))
+        functionals = [
+            [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
+            for _ in range(k)
+        ]
+        ranks.append(exact_rank(observed_joint_jacobian(model, point, functionals)))
     return max(ranks)

@@ -7,6 +7,7 @@ oracle-agreement and regularization criteria.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from pathlib import Path
@@ -43,6 +44,9 @@ KEYSTONE_COUNT = 100
 # Second, larger keystone set: up to 9 variables and cardinality 4.
 WIDE_KEYSTONE_SEED = 20261017
 WIDE_KEYSTONE_COUNT = 40
+# Third keystone set: trees beyond the oracle's former 4096-state limit.
+LARGE_KEYSTONE_SEED = 20261018
+LARGE_KEYSTONE_COUNT = 100
 
 _keystone_models = None
 _keystone_oracle: dict[int, int] = {}
@@ -160,6 +164,41 @@ def test_criterion_3b_wide_oracle_keystone(capsys):
         ok,
         f"{len(models)} wider random models, {len(mismatches)} mismatches "
         f"in {elapsed:.1f}s",
+    )
+    assert ok, mismatches
+
+
+def test_criterion_3c_oracle_keystone_beyond_the_old_state_limit(capsys):
+    rng = random.Random(LARGE_KEYSTONE_SEED)
+    models = []
+    while len(models) < LARGE_KEYSTONE_COUNT:
+        model = random_tree_model(rng, max_vars=16, max_latent=6, max_card=3)
+        states = math.prod(v.cardinality for v in model.observed_variables)
+        if states > 4096 and standard_dimension(model) <= 256:
+            models.append(model)
+    latent_edges = observed_internal = 0
+    for model in models:
+        latent = {v.id for v in model.latent_variables}
+        latent_edges += sum(a in latent and b in latent for a, b in model.edges)
+        observed_internal += sum(
+            model.degree(v.id) > 1 for v in model.observed_variables
+        )
+    assert latent_edges and observed_internal
+    start = time.perf_counter()
+    mismatches = []
+    for i, model in enumerate(models):
+        de = effective_dimension(model, RankPolicy(trials=2, seed=i)).effective_dimension
+        oracle_de = oracle_effective_dimension(model, trials=1, seed=i)
+        if de != oracle_de:
+            mismatches.append((i, de, oracle_de))
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and elapsed < 300.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(models)} random models over 4096 observed states, "
+        f"{len(mismatches)} mismatches in {elapsed:.1f}s",
     )
     assert ok, mismatches
 

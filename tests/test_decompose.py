@@ -163,6 +163,31 @@ class TestDecomposeHlc:
             ((0, 2), 5),
         ]
 
+    def test_corrections_follow_the_sorted_latent_edges(self):
+        # One correction per latent-latent edge, in the model's edge order,
+        # on regular hierarchies whose latent and observed ids interleave.
+        rng = random.Random(4242)
+        for _ in range(20):
+            hubs = rng.randint(2, 6)
+            specs = [(f"H{i}", rng.randint(2, 3), False) for i in range(hubs)]
+            edges = [(f"H{rng.randrange(i)}", f"H{i}") for i in range(1, hubs)]
+            for i in range(hubs):
+                for j in range(rng.randint(2, 3)):
+                    specs.append((f"Y{i}.{j}", 3, True))
+                    edges.append((f"H{i}", f"Y{i}.{j}"))
+            rng.shuffle(specs)
+            hlc = build_model(specs, edges)
+            latent = {v.id for v in hlc.latent_variables}
+            card = {v.id: v.cardinality for v in hlc.variables}
+            expected = [
+                ((a, b), card[a] * card[b] - 1)
+                for a, b in hlc.edges
+                if a in latent and b in latent
+            ]
+            _, corrections = decompose_hlc(hlc)
+            assert len(expected) == hubs - 1
+            assert [(c.edge, c.shared_parameters) for c in corrections] == expected
+
     def test_single_latent_has_no_corrections(self):
         components, corrections = decompose_hlc(latent_class_model(3, (2, 2, 2)))
         assert len(components) == 1

@@ -111,15 +111,16 @@ class TestCli:
         assert code == 0
         assert "oracle_de=44" in out
 
-    def test_dims_oracle_limit_exit_code(self, capsys, tmp_path):
-        lines = [f"var Y{i} 4 observed" for i in range(7)]  # 16384 states
-        lines += [f"edge Y{i} Y{i + 1}" for i in range(6)]
+    def test_dims_oracle_parameter_limit_exit_code(self, capsys, tmp_path):
+        lines = [f"var Y{i} 16 observed" for i in range(3)]  # 495 parameters
+        lines += [f"edge Y{i} Y{i + 1}" for i in range(2)]
         big = tmp_path / "big.model"
         big.write_text("\n".join(lines) + "\n")
         code = run(["dims", str(big), "--oracle"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "limit" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "495 parameters (limit 256)" in err
 
     def test_dims_oracle_mismatch_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from support import build_model, latent_class_model, random_tree_model
-from treedim import OracleLimitError, TreeModel, Variable, oracle_effective_dimension
+from treedim import (
+    OracleLimitError,
+    RankPolicy,
+    TreeModel,
+    Variable,
+    effective_dimension,
+    oracle_effective_dimension,
+)
 from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
 from treedim.oracle import (
@@ -158,6 +166,54 @@ class TestJacobian:
         assert all(type(x) is int and 0 <= x < PRIME for row in jac for x in row)
 
 
+class TestSketch:
+    def test_rows_combine_the_jacobian_rows_by_the_functional(self):
+        # The gradient of S = sum_x prod_v a_v(x_v) P(x) is the same
+        # combination of the rows J(x), with the dropped last state's row
+        # J(last) = -sum of the others (the joint sums to one).
+        rng = random.Random(1729)
+        latent_edges = observed_internal = 0
+        for _ in range(30):
+            model = random_tree_model(rng, max_vars=7, max_card=3)
+            latent = {v.id for v in model.latent_variables}
+            latent_edges += sum(a in latent and b in latent for a, b in model.edges)
+            observed_internal += sum(
+                model.degree(v.id) > 1 for v in model.observed_variables
+            )
+            observed = model.observed_variables
+            n = standard_dimension(model)
+            point = sample_full_point(model, rng)
+            jac = observed_joint_jacobian(model, point)
+            last = tuple(-sum(row[j] for row in jac) % PRIME for j in range(n))
+            rows = jac + (last,)
+            states = list(itertools.product(*(range(v.cardinality) for v in observed)))
+            functionals = [
+                [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
+                for _ in range(3)
+            ]
+            sketch = observed_joint_jacobian(model, point, functionals)
+            assert len(sketch) == len(functionals)
+            for functional, row in zip(functionals, sketch):
+                weights = [
+                    math.prod(a[x] for a, x in zip(functional, state))
+                    for state in states
+                ]
+                expected = tuple(
+                    sum(w * r[j] for w, r in zip(weights, rows)) % PRIME
+                    for j in range(n)
+                )
+                assert row == expected
+        assert latent_edges and observed_internal
+
+    def test_functional_shape_is_checked(self):
+        model = latent_class_model(2, (2, 3))
+        point = sample_full_point(model, random.Random(4))
+        assert observed_joint_jacobian(model, point, []) == ()
+        for functional in [[[1, 2]], [[1, 2], [1, 2]], [[1, 2], [1, 2, 3], [1]]]:
+            with pytest.raises(ValueError, match="functional"):
+                observed_joint_jacobian(model, point, [functional])
+
+
 class TestOracleEffectiveDimension:
     def test_fully_observed_chain_is_saturated(self):
         chain = build_model([("A", 2, True), ("B", 2, True)], [("A", "B")])
@@ -197,10 +253,11 @@ class TestOracleEffectiveDimension:
             model, trials=1, seed=3
         ) == oracle_effective_dimension(relabeled, trials=1, seed=3)
 
-    def test_state_limit(self):
-        big = latent_class_model(2, (4,) * 7)  # 16384 observed states
-        with pytest.raises(OracleLimitError, match="states"):
-            oracle_effective_dimension(big)
+    def test_beyond_the_old_state_limit(self):
+        # 16384 observed states: the sketched oracle has no joint-state limit.
+        big = latent_class_model(2, (4,) * 7)
+        de = effective_dimension(big, RankPolicy(trials=2)).effective_dimension
+        assert oracle_effective_dimension(big, trials=1) == de == 43
 
     def test_parameter_limit(self):
         model = latent_class_model(100, (4, 4))  # 699 parameters, 16 states
