@@ -277,6 +277,10 @@ def _run_dims(args, model: TreeModel) -> int:
 def _run_score(args, model: TreeModel) -> int:
     ds = standard_dimension(model)
     if args.de is not None:
+        if args.de > ds:
+            message = f"--de {args.de} exceeds the standard dimension {ds}"
+            print(f"error: {message}", file=sys.stderr)
+            return 1
         de = args.de
     else:
         de = effective_dimension(model, RankPolicy()).effective_dimension

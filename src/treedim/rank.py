@@ -3,9 +3,12 @@
 Ranks are exact, taken in GF(p), p = 2**61 - 1, of matrices given as
 rows of integers.  ``residues`` is the one map from rationals into the
 field (one lcm of the denominators and one modular inverse per
-sequence).  The closed-form Jacobian of a latent-class component is
-built directly mod p at the field image of a checked rational interior
-point.
+sequence).  Elimination packs each row into one int, one fixed-width
+slot per column, wide enough that no carry crosses a slot, so a pivot
+is applied to a whole row by one big-int multiply-add; pivots are kept
+un-normalised, their slots only folded below 2p.  The closed-form
+Jacobian of a latent-class component is built directly mod p at the
+field image of a checked rational interior point.
 
 The error is one-sided.  Jacobian entries are integer polynomials in
 the free weights, so a minor that is non-zero mod p at the reduced point
@@ -22,6 +25,7 @@ import itertools
 import logging
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -70,9 +74,23 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over GF(PRIME) of a matrix given as rows of integers.
 
     Entries must be integers; rationals go through :func:`residues` first.
-    Each row is reduced left to right against the pivot rows collected
-    so far (each normalised to a leading 1), and either vanishes or
-    contributes a new pivot.  Stops early once the rank reaches min(m, n).
+    Each row, reduced mod PRIME, is packed into one int with a W-bit slot
+    per column, column 0 lowest, and reduced left to right: the low slot
+    is read mod PRIME, a pivot leading there is applied to every slot at
+    once by one multiply-add ``vec += g * neg``, and the finished slot is
+    shifted out.  A row whose low slot survives becomes a pivot, stored
+    un-normalised as the inverse of its lead and ``neg = 2p - row`` per
+    slot.  Stops early once the rank reaches min(m, n).
+
+    No carry crosses a slot: a row starts below 2**61 per slot and sees
+    at most n updates, each adding ``g * neg < 2**61 * 2**62``, so slots
+    stay below ``2**(124 + n.bit_length())``; W is that rounded up to
+    whole bytes.  Two rounds of the Mersenne fold
+    ``(v & low) + ((v >> 61) & high)``, on all slots at once, take a slot
+    below ``2**61 + 2**(W-61)``, then below ``2**61 + 2**(W-122) < 2p``
+    (W <= 182 for any n below 2**52), so ``neg`` slots lie in
+    ``(0, 2**62)``.  Exact integer arithmetic congruent mod PRIME gives
+    the rank over GF(PRIME).
     """
     n = len(rows[0]) if rows else 0
     for row in rows:
@@ -81,19 +99,26 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     cap = min(len(rows), n)
     if cap == 0:
         return 0
-    basis: dict[int, list[int]] = {}
-    for vec in rows:
+    width = 8 * -(-(124 + n.bit_length()) // 8)
+    pack = struct.Struct("<" + f"Q{width // 8 - 8}x" * n).pack
+    ones = int.from_bytes(pack(*[1] * n), "little")
+    low, high, twop = ones * PRIME, ones * ((1 << (width - 61)) - 1), ones * 2 * PRIME
+    mask = (1 << width) - 1
+    basis: dict[int, tuple[int, int]] = {}  # lead column -> (1 / lead, 2p - pivot)
+    for row in rows:
+        vec = int.from_bytes(pack(*[x % PRIME for x in row]), "little")
         for lead in range(n):
-            # Entries of vec are only reduced mod PRIME where they are read.
-            f = vec[lead] % PRIME
-            if not f:
-                continue
-            pivot = basis.get(lead)
-            if pivot is None:
-                inv = pow(f, -1, PRIME)
-                basis[lead] = [x * inv % PRIME for x in vec]
-                break
-            vec = [a - f * b for a, b in zip(vec, pivot)]
+            f = (vec & mask) % PRIME
+            if f:
+                pivot = basis.get(lead)
+                if pivot is None:
+                    for _ in range(2):
+                        vec = (vec & low) + ((vec >> 61) & high)
+                    basis[lead] = (pow(f, -1, PRIME), (twop >> lead * width) - vec)
+                    break
+                inv, neg = pivot
+                vec += f * inv % PRIME * neg
+            vec >>= width
         if len(basis) == cap:
             break
     return len(basis)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from treedim import TreeModel, Variable
+from treedim.rank import PRIME
 
 
 def build_model(var_specs, edges) -> TreeModel:
@@ -94,3 +95,25 @@ def structural_signature(model: TreeModel):
         frozenset((v.name, v.cardinality, v.observed) for v in model.variables),
         frozenset(frozenset((names[a], names[b])) for a, b in model.edges),
     )
+
+
+def reference_rank(rows) -> int:
+    """Rank over GF(PRIME) by plain row reduction, one entry at a time.
+
+    The list-based elimination ``treedim.rank.exact_rank`` replaced; each
+    pivot row is normalised to a leading 1.
+    """
+    n = len(rows[0]) if rows else 0
+    basis: dict[int, list[int]] = {}
+    for vec in rows:
+        for lead in range(n):
+            f = vec[lead] % PRIME
+            if not f:
+                continue
+            pivot = basis.get(lead)
+            if pivot is None:
+                inv = pow(f, -1, PRIME)
+                basis[lead] = [x * inv % PRIME for x in vec]
+                break
+            vec = [a - f * b for a, b in zip(vec, pivot)]
+    return len(basis)

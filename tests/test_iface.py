@@ -228,6 +228,19 @@ class TestCli:
         assert values["de"] == "43"
         assert float(values["bic"]) < float(values["bice"])
 
+    def test_score_dimension_above_the_standard_dimension_rejected(
+        self, capsys, tmp_path
+    ):
+        model = tmp_path / "pair.model"
+        model.write_text("var A 2 observed\nvar B 3 observed\nedge A B\n")
+        score = ["score", str(model), "--loglik", "-5", "--n", "9", "--de"]
+        assert run(score + ["50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --de 50 exceeds the standard dimension 5\n"
+        assert run(score + ["5"]) == 0
+        assert capsys.readouterr().out.startswith("ds=5\nde=5\n")
+
     def test_regularize_output_parses_to_collapsed_structure(self, capsys):
         code = run(["regularize", str(FIXTURES / "m1prime.model")])
         out = capsys.readouterr().out

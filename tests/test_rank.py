@@ -8,9 +8,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from support import reference_rank
 
 from treedim import rank
 from treedim.decompose import LcComponent
+from treedim.oracle import PARAMETER_LIMIT
 from treedim.rank import (
     PRIME,
     LcParameterPoint,
@@ -130,6 +132,82 @@ class TestExactRank:
         for den in (PRIME, 3 * PRIME):
             with pytest.raises(ValueError, match="divisible by the field prime"):
                 residues([Fraction(1, den), 1])
+
+
+def _with_zero_columns(rng, mat, count):
+    n = len(mat[0])
+    cols = set(rng.sample(range(n + count), count))
+    out = []
+    for row in mat:
+        it = iter(row)
+        out.append([0 if j in cols else next(it) for j in range(n + count)])
+    return out
+
+
+class TestPackedEliminationMatchesReference:
+    """``exact_rank`` packs each row into one int; the list-based
+    ``reference_rank`` must agree with it on every matrix."""
+
+    @staticmethod
+    def _check(mat):
+        rank_of_mat = exact_rank(mat)
+        assert rank_of_mat == reference_rank(mat)
+        transposed = [list(col) for col in zip(*mat)]
+        assert exact_rank(transposed) == reference_rank(transposed)
+        return rank_of_mat
+
+    def test_low_rank_products(self):
+        rng = random.Random(8)
+        for bound in (10, 10**6, PRIME - 1):
+            for _ in range(30):
+                m, n = rng.randint(1, 24), rng.randint(1, 24)
+                r = rng.randint(1, min(m, n))
+                assert self._check(random_product_matrix(rng, m, r, n, bound)) <= r
+
+    def test_entries_negative_above_the_prime_or_multiples_of_it(self):
+        rng = random.Random(9)
+        pool = [0, 1, -1, PRIME, -PRIME, 2 * PRIME, PRIME - 1, PRIME + 1,
+                1 - PRIME, 3 * PRIME + 5, 2**64, -(2**70), 7, -7]
+        for _ in range(60):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            self._check([[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+        # Shifting every entry by a multiple of the prime changes no rank.
+        for _ in range(20):
+            mat = random_product_matrix(rng, 8, rng.randint(1, 8), 8)
+            shifted = [[x + rng.randint(-5, 5) * PRIME for x in row] for row in mat]
+            assert exact_rank(shifted) == exact_rank(mat) == reference_rank(mat)
+        assert exact_rank([[PRIME, -3 * PRIME], [2 * PRIME, 0]]) == 0
+
+    def test_zero_columns(self):
+        rng = random.Random(10)
+        for _ in range(30):
+            m, n = rng.randint(1, 10), rng.randint(1, 10)
+            mat = random_product_matrix(rng, m, rng.randint(1, min(m, n)), n)
+            self._check(_with_zero_columns(rng, mat, rng.randint(1, 6)))
+        assert exact_rank([[0, 5, 0], [0, 3, 0], [0, 0, 0]]) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 256])
+    def test_column_counts_around_the_slot_width_steps(self, n):
+        # The slot width goes from 128 to 136 bits between n = 15 and 16.
+        rng = random.Random(n)
+        for m in (1, 2, 3, 5):
+            self._check([[rng.randrange(-PRIME, 2 * PRIME) for _ in range(n)]
+                         for _ in range(m)])
+            r = rng.randint(1, min(m, n))
+            self._check(random_product_matrix(rng, m, r, n, PRIME - 1))
+            # Dense entries near p - 1: every row meets every earlier pivot.
+            self._check([[PRIME - 1 - (i == j) for j in range(n)] for i in range(m)])
+
+    def test_full_rank_at_the_oracle_parameter_limit(self):
+        # Entries p - 1 off the diagonal and p - 3 on it make -(J + 2I) mod p,
+        # with determinant +-2**(n-1) * (n + 2) != 0.  Row i is updated by
+        # all i earlier pivots, up to n - 1 updates, the most any row meets.
+        n = PARAMETER_LIMIT
+        mat = [[PRIME - 1 - 2 * (i == j) for j in range(n)] for i in range(n)]
+        assert exact_rank(mat) == n
+        # n I - J mod p has the all-ones vector in its kernel: rank n - 1.
+        mat = [[PRIME - 1 + (n + PRIME) * (i == j) for j in range(n)] for i in range(n)]
+        assert exact_rank(mat) == n - 1
 
 
 class TestLcJacobian:

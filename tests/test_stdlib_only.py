@@ -1,0 +1,32 @@
+"""The runtime imports nothing outside the standard library."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import treedim
+
+PACKAGE = Path(treedim.__file__).parent
+
+
+def _absolute_imports(path: Path) -> set[str]:
+    """Top-level module of every absolute import in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_every_absolute_import_is_stdlib_or_treedim():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 7
+    imported = {path.name: _absolute_imports(path) for path in sources}
+    assert "struct" in imported["rank.py"]
+    allowed = set(sys.stdlib_module_names) | {"treedim"}
+    outside = {name: sorted(mods - allowed) for name, mods in imported.items()}
+    assert {name: mods for name, mods in outside.items() if mods} == {}
