@@ -3,7 +3,7 @@
 Computes the standard (parameter-count) dimension and the effective
 dimension (the almost-everywhere rank of the map from parameters to the
 observed joint distribution) of undirected tree models with observed
-and latent nodes, in exact rational and prime-field arithmetic, plus the
+and latent nodes, in exact prime-field arithmetic, plus the
 penalized-likelihood scores built on those dimensions.
 
 The package exports the documented API; the pipeline stages live in

@@ -262,7 +262,7 @@ def effective_dimension(
     Pipeline: prune latent leaves, split at observed internal nodes,
     then per piece either record its standard dimension (no latents) or
     regularize it and decompose it into latent-class components; rank
-    each component signature once at random interior points; combine.
+    each component signature once at random points of GF(p); combine.
     """
     require_valid(model)
     ds = standard_dimension(model)

@@ -187,32 +187,22 @@ def require_valid(model: TreeModel) -> None:
         raise InvalidModelError(list(model._errors))
 
 
-def standard_dimension(model: TreeModel, root: Optional[int] = None) -> int:
+def standard_dimension(model: TreeModel) -> int:
     """Count the free parameters of the rooted conditional-table form.
 
-    The count is ``(|root| - 1)`` plus ``|parent| * (|child| - 1)`` over
-    all parent-child edges, and is the same for every choice of root.
-    ``root`` defaults to the lowest variable id.
+    Rooted anywhere, the count is ``(|root| - 1)`` plus
+    ``|parent| * (|child| - 1)`` over all parent-child edges.  Every node
+    is the parent of all but one of its edges, the root of all of them,
+    so the count needs no root: the sum of ``|a| * |b|`` over the edges
+    minus the sum of ``|v| * (deg v - 1)`` over the nodes, minus one.
     """
     require_valid(model)
-    if root is None:
-        root = model.variables[0].id
-    elif root not in {v.id for v in model.variables}:
-        raise ValueError(f"unknown root id {root}")
-
-    total = model.variable(root).cardinality - 1
-    seen = {root}
-    stack = [root]
-    while stack:
-        parent = stack.pop()
-        parent_card = model.variable(parent).cardinality
-        for child in model.neighbors(parent):
-            if child in seen:
-                continue
-            seen.add(child)
-            stack.append(child)
-            total += parent_card * (model.variable(child).cardinality - 1)
-    return total
+    by_id, adjacency = model._by_id, model._adjacency
+    pairs = sum(by_id[a].cardinality * by_id[b].cardinality for a, b in model.edges)
+    shared = sum(
+        v.cardinality * (len(adjacency.get(v.id, ())) - 1) for v in model.variables
+    )
+    return pairs - shared - 1
 
 
 def _neighbor_bound(cards: list[int]) -> int:

@@ -9,11 +9,15 @@ the tree give its gradient mod the field prime (the differential
 approach of Darwiche, JACM 2003); indicator vectors give the Jacobian
 row of one joint state.  The oracle ranks the gradients of
 ``min(n, states - 1)`` functionals with random entries in GF(p), the rows
-of a projection ``R J``.  A projection can only lower the rank, and
-rank-one functionals span the dual of the joint space, so by
-Schwartz-Zippel a random ``R`` keeps the rank with probability at least
-``1 - deg/p``: the error stays one-sided.  Elimination is cubic in the
-parameter count, so models beyond a fixed parameter limit are refused.
+of a projection ``R J``, at a parameter point drawn in GF(p), which
+need be neither rational nor interior (see :mod:`treedim.rank`).  A
+projection can only lower the rank, and rank-one functionals span the
+dual of the joint space.  Every point and functional entry is drawn
+with point mass at most mu = 9/2**64, so by Schwartz-Zippel a random
+point and ``R`` keep the rank with probability at least
+``1 - deg * mu``: the error stays one-sided.  Elimination is cubic in
+the parameter count, so models beyond a fixed parameter limit are
+refused.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -31,12 +34,10 @@ from .model import TreeModel, Variable, require_valid, standard_dimension
 from .rank import (
     DEFAULT_TRIALS,
     PRIME,
-    _check_interior,
     _full_block,
     derive_seed,
     exact_rank,
-    residues,
-    sample_simplex_block,
+    field_draws,
 )
 
 PARAMETER_LIMIT = 256
@@ -48,16 +49,17 @@ class OracleLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FullParameterPoint:
-    """Interior parameter point of the whole model, rooted at the lowest id.
+    """Parameter point of the whole model in GF(PRIME), rooted at the lowest id.
 
     ``root_weights`` are the free weights of the root distribution;
     ``conditionals`` maps every non-root variable id to one tuple of free
-    weights per parent state.
+    weights per parent state.  Weights are integers taken mod PRIME; the
+    last weight of every block is one minus the rest, mod PRIME.
     """
 
     root_id: int
-    root_weights: tuple[Fraction, ...]
-    conditionals: tuple[tuple[int, tuple[tuple[Fraction, ...], ...]], ...]
+    root_weights: tuple[int, ...]
+    conditionals: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
 
 def _rooting(model: TreeModel):
@@ -84,16 +86,20 @@ def _rooting(model: TreeModel):
 def sample_full_point(model: TreeModel, rng: random.Random) -> FullParameterPoint:
     require_valid(model)
     parents, _, _ = _rooting(model)
-    root = model.variables[0].id
-    root_weights = sample_simplex_block(rng, model.variable(root).cardinality)
-    conditionals = []
-    for var in model.variables[1:]:
-        parent_card = model.variable(parents[var.id]).cardinality
-        blocks = tuple(
-            sample_simplex_block(rng, var.cardinality) for _ in range(parent_card)
-        )
-        conditionals.append((var.id, blocks))
-    return FullParameterPoint(root, root_weights, tuple(conditionals))
+    root, *rest = model.variables
+    # one (parent cardinality, block width) pair per non-root variable
+    shapes = [
+        (model.variable(parents[v.id]).cardinality, v.cardinality - 1) for v in rest
+    ]
+    draws = iter(
+        field_draws(rng, root.cardinality - 1 + sum(b * w for b, w in shapes))
+    )
+    root_weights = tuple(itertools.islice(draws, root.cardinality - 1))
+    conditionals = tuple(
+        (var.id, tuple(tuple(itertools.islice(draws, width)) for _ in range(blocks)))
+        for var, (blocks, width) in zip(rest, shapes)
+    )
+    return FullParameterPoint(root.id, root_weights, conditionals)
 
 
 def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
@@ -111,7 +117,6 @@ def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
     if len(point.root_weights) != root_card - 1:
         raise ValueError("root weight count does not match root cardinality")
     tables = {root: [_full_block(point.root_weights)]}
-    _check_interior(tables[root][0], "root weights")
     given = {vid for vid, _ in point.conditionals}
     expected = {v.id for v in model.variables if v.id != root}
     if given != expected:
@@ -130,7 +135,6 @@ def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
                     f"variable {var.name!r}: block size does not match cardinality"
                 )
             tables[vid].append(_full_block(block))
-            _check_interior(tables[vid][-1], f"variable {var.name!r}")
     return tables
 
 
@@ -158,11 +162,7 @@ def _weights(observed: Sequence[Variable], functionals) -> dict[int, list]:
     }
 
 
-def _field(x: int) -> int:
-    return x % PRIME
-
-
-def _inside(order, children, tables, weights, k, reduce):
+def _inside(order, children, tables, weights, k):
     """Inside vectors and upward messages of ``k`` functionals at once.
 
     ``beta[v][x][j]`` is functional ``j``'s weight of ``v`` at ``x`` (one
@@ -170,17 +170,17 @@ def _inside(order, children, tables, weights, k, reduce):
     ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]`` is the message
     to the parent at state ``p``.  The root has one block, so
     ``up[root][0][j]`` is the scalar ``S`` of functional ``j``.  Every
-    message product goes through ``reduce``: ``int`` keeps it exact.
+    message is reduced mod PRIME.
     """
     beta, up = {}, {}
     for v in reversed(order):
         b = weights[v] if v in weights else [[1] * k] * len(tables[v][0])
         for c in children[v]:
-            b = [[reduce(x * y) for x, y in zip(bx, ux)] for bx, ux in zip(b, up[c])]
+            b = [[x * y % PRIME for x, y in zip(bx, ux)] for bx, ux in zip(b, up[c])]
         beta[v] = b
         per_functional = list(zip(*b))
         up[v] = [
-            [reduce(sum(map(mul, row, bj))) for bj in per_functional]
+            [sum(map(mul, row, bj)) % PRIME for bj in per_functional]
             for row in tables[v]
         ]
     return beta, up
@@ -231,30 +231,21 @@ def _gradient(order, children, tables, weights, beta, up, k):
 
 def joint_observed_distribution(
     model: TreeModel, point: FullParameterPoint
-) -> tuple[Fraction, ...]:
-    """Exact joint distribution of the observed variables.
+) -> tuple[int, ...]:
+    """Joint distribution of the observed variables at a point, mod PRIME.
 
     Entries are indexed lexicographically over the observed variables in
-    ascending id order and sum to exactly one.  One inside pass gives the
-    scalars of the states' indicator functionals over integer tables: each
-    joint term takes one entry of every table, so a table scaled by its
-    denominators' lcm scales every term, and the sums by their product.
+    ascending id order and sum to one mod PRIME.  One inside pass gives
+    the scalars of the states' indicator functionals.
     """
     require_valid(model)
     parents, children, order = _rooting(model)
     tables = _full_tables(model, point, parents)
-    scale = 1
-    for vid, blocks in tables.items():
-        den = math.lcm(*(x.denominator for block in blocks for x in block))
-        tables[vid] = [
-            [x.numerator * (den // x.denominator) for x in block] for block in blocks
-        ]
-        scale *= den
     observed = model.observed_variables
     indicators = _indicators(observed)
     weights = _weights(observed, indicators)
-    _, up = _inside(order, children, tables, weights, len(indicators), int)
-    return tuple(Fraction(total, scale) for total in up[order[0]][0])
+    _, up = _inside(order, children, tables, weights, len(indicators))
+    return tuple(up[order[0]][0])
 
 
 def observed_joint_jacobian(
@@ -273,10 +264,7 @@ def observed_joint_jacobian(
     """
     require_valid(model)
     parents, children, order = _rooting(model)
-    tables = {
-        vid: [residues(block) for block in full]
-        for vid, full in _full_tables(model, point, parents).items()
-    }
+    tables = _full_tables(model, point, parents)
     observed = model.observed_variables
     if functionals is None:
         functionals = _indicators(observed)[:-1]
@@ -284,7 +272,7 @@ def observed_joint_jacobian(
     if not k:
         return ()
     weights = _weights(observed, functionals)
-    beta, up = _inside(order, children, tables, weights, k, _field)
+    beta, up = _inside(order, children, tables, weights, k)
     grad = _gradient(order, children, tables, weights, beta, up, k)
     columns = [column for vid in sorted(grad) for column in grad[vid]]
     if len(columns) != standard_dimension(model):
@@ -300,7 +288,7 @@ def oracle_effective_dimension(
     """Effective dimension by direct Jacobian rank, without decomposition.
 
     Each trial ranks the gradients of ``min(n, states - 1)`` random
-    functionals at one random interior point.  Raises
+    functionals at one random point of GF(PRIME).  Raises
     :class:`OracleLimitError` when the parameter count is too large for a
     dense exact elimination.
     """
@@ -313,16 +301,16 @@ def oracle_effective_dimension(
             f"model has {n_params} parameters (limit {PARAMETER_LIMIT}); "
             "use the decomposition pipeline"
         )
-    observed = model.observed_variables
-    k = min(n_params, math.prod(v.cardinality for v in observed) - 1)
+    cards = [v.cardinality for v in model.observed_variables]
+    k = min(n_params, math.prod(cards) - 1)
 
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))
         point = sample_full_point(model, rng)
+        draws = iter(field_draws(rng, k * sum(cards)))
         functionals = [
-            [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
-            for _ in range(k)
+            [list(itertools.islice(draws, card)) for card in cards] for _ in range(k)
         ]
         ranks.append(exact_rank(observed_joint_jacobian(model, point, functionals)))
     return max(ranks)

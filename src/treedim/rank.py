@@ -1,21 +1,24 @@
 """Prime-field rank engine and latent-class Jacobian ranks.
 
 Ranks are exact, taken in GF(p), p = 2**61 - 1, of matrices given as
-rows of integers.  ``residues`` is the one map from rationals into the
-field (one lcm of the denominators and one modular inverse per
-sequence).  Elimination packs each row into one int, one fixed-width
-slot per column, wide enough that no carry crosses a slot, so a pivot
-is applied to a whole row by one big-int multiply-add; pivots are kept
-un-normalised, their slots only folded below 2p.  The closed-form
-Jacobian of a latent-class component is built directly mod p at the
-field image of a checked rational interior point.
+rows of integers.  Elimination packs each row into one int, one
+fixed-width slot per column, wide enough that no carry crosses a slot,
+so a pivot is applied to a whole row by one big-int multiply-add;
+pivots are kept un-normalised, their slots only folded below 2p.  The
+closed-form Jacobian of a latent-class component is built directly mod p
+at a random point of GF(p): every free weight is a residue drawn by
+:func:`field_draws`, and each block's last weight is one minus the rest
+mod p.
 
 The error is one-sided.  Jacobian entries are integer polynomials in
-the free weights, so a minor that is non-zero mod p at the reduced point
-is a non-zero polynomial over the rationals: the rank mod p is at most
-the rational rank there, which is at most the almost-everywhere rank.
-An unlucky point can only err low, so the maximum over independent
-trials is reported.
+the free weights, so a minor that is non-zero mod p at any field point
+is a non-zero polynomial over the rationals: the rank mod p there is at
+most the generic rank over the rationals, which the open simplex, being
+Zariski-dense, attains almost everywhere.  So a point need be neither
+rational nor interior, and an unlucky one can only err low; the maximum
+over independent trials is reported.  Each drawn residue has point mass
+at most mu = 9/2**64, so by Schwartz-Zippel a minor of degree d that is
+non-zero mod p vanishes at a drawn point with probability at most d*mu.
 """
 
 from __future__ import annotations
@@ -27,14 +30,11 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .decompose import LcComponent
 
-# Random simplex points draw integer numerators in [1, NUMERATOR_BOUND].
-NUMERATOR_BOUND = 2**20
 DEFAULT_TRIALS = 3
 # Ranks are taken in GF(PRIME), a Mersenne prime.
 PRIME = 2**61 - 1
@@ -58,29 +58,29 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def residues(values: Sequence[Fraction | int]) -> list[int]:
-    """Exact images ``a * b**-1 mod PRIME`` of the rationals ``a/b``.
+def field_draws(rng: random.Random, count: int) -> list[int]:
+    """``count`` random field elements in [0, PRIME), from one bulk draw.
 
-    One lcm of the denominators and one modular inverse serve them all.
+    Each is a uniform 64-bit word reduced mod PRIME.  As 2**64 = 8p + 8,
+    the values 0..7 have nine preimages and the rest eight, so no value
+    has point mass above 9/2**64: close enough to uniform for the
+    Schwartz-Zippel bound d * 9/2**64 on a degree-d minor.
     """
-    den = math.lcm(*[x.denominator for x in values])
-    if den % PRIME == 0:
-        raise ValueError(f"denominator {den} is divisible by the field prime 2**61-1")
-    inv = pow(den, -1, PRIME)
-    return [x.numerator * (den // x.denominator) * inv % PRIME for x in values]
+    words = struct.unpack(f"<{count}Q", rng.randbytes(8 * count))
+    return [w % PRIME for w in words]
 
 
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over GF(PRIME) of a matrix given as rows of integers.
 
-    Entries must be integers; rationals go through :func:`residues` first.
-    Each row, reduced mod PRIME, is packed into one int with a W-bit slot
-    per column, column 0 lowest, and reduced left to right: the low slot
-    is read mod PRIME, a pivot leading there is applied to every slot at
-    once by one multiply-add ``vec += g * neg``, and the finished slot is
-    shifted out.  A row whose low slot survives becomes a pivot, stored
-    un-normalised as the inverse of its lead and ``neg = 2p - row`` per
-    slot.  Stops early once the rank reaches min(m, n).
+    Entries must be integers.  Each row, reduced mod PRIME, is packed into
+    one int with a W-bit slot per column, column 0 lowest, and reduced
+    left to right: the low slot is read mod PRIME, a pivot leading there
+    is applied to every slot at once by one multiply-add
+    ``vec += g * neg``, and the finished slot is shifted out.  A row whose
+    low slot survives becomes a pivot, stored un-normalised as the inverse
+    of its lead and ``neg = 2p - row`` per slot.  Stops early once the
+    rank reaches min(m, n).
 
     No carry crosses a slot: a row starts below 2**61 per slot and sees
     at most n updates, each adding ``g * neg < 2**61 * 2**62``, so slots
@@ -126,57 +126,41 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class LcParameterPoint:
-    """Interior parameter point of a latent-class component.
+    """Parameter point of a latent-class component, in GF(PRIME).
 
     ``class_weights`` holds the free weights of the latent classes (one
     fewer than the latent cardinality); ``conditionals[i][z]`` holds the
     free weights of neighbor ``i``'s distribution given class ``z``.
-    The implied last weight of every block must stay strictly positive.
+    Weights are integers taken mod PRIME; the last weight of every block
+    is one minus the rest, mod PRIME, and may be any residue, zero too.
     """
 
-    class_weights: tuple[Fraction, ...]
-    conditionals: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
-def sample_simplex_block(rng: random.Random, size: int) -> tuple[Fraction, ...]:
-    """Free weights of a random interior point of the (size-1)-simplex.
-
-    Draws ``size`` positive integer numerators up to ``NUMERATOR_BOUND``
-    and normalizes by their sum; returns all but the last weight.  Every
-    weight, including the implied last one, is strictly positive and
-    exactly representable.
-    """
-    draws = [rng.randint(1, NUMERATOR_BOUND) for _ in range(size)]
-    total = sum(draws)
-    return tuple(Fraction(a, total) for a in draws[:-1])
+    class_weights: tuple[int, ...]
+    conditionals: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def sample_lc_point(component: "LcComponent", rng: random.Random) -> LcParameterPoint:
     c = component.latent_cardinality
-    weights = sample_simplex_block(rng, c)
+    cards = [card for _, card in component.neighbors]
+    draws = iter(field_draws(rng, c - 1 + c * sum(card - 1 for card in cards)))
+    weights = tuple(itertools.islice(draws, c - 1))
     conditionals = tuple(
-        tuple(sample_simplex_block(rng, card) for _ in range(c))
-        for _, card in component.neighbors
+        tuple(tuple(itertools.islice(draws, card - 1)) for _ in range(c))
+        for card in cards
     )
     return LcParameterPoint(weights, conditionals)
 
 
-def _full_block(free: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(free) + (Fraction(1) - sum(free),)
-
-
-def _check_interior(block: tuple[Fraction, ...], label: str) -> None:
-    for value in block:
-        if value <= 0:
-            raise ValueError(f"parameter point lies on a simplex boundary ({label})")
+def _full_block(free: Sequence[int]) -> list[int]:
+    """A block's free weights completed by ``(1 - sum(free)) mod PRIME``."""
+    return [*free, (1 - sum(free)) % PRIME]
 
 
 def _field_blocks(component: "LcComponent", point: LcParameterPoint):
     """Check the point against the component and complete each block once.
 
-    Returns the field images of the completed class weights and of the
-    completed conditionals, ``phi[i][z][y]``.  Blocks are completed in
-    the rationals, so ``last = 1 - sum(free)`` holds in the field too.
+    Returns the completed class weights and the completed conditionals,
+    ``phi[i][z][y]``.
     """
     c = component.latent_cardinality
     if len(point.class_weights) != c - 1:
@@ -186,8 +170,6 @@ def _field_blocks(component: "LcComponent", point: LcParameterPoint):
         )
     if len(point.conditionals) != len(component.neighbors):
         raise ValueError("conditional block count does not match neighbor count")
-    pi = _full_block(point.class_weights)
-    _check_interior(pi, "class weights")
     phi = []
     for i, (var_id, card) in enumerate(component.neighbors):
         blocks = point.conditionals[i]
@@ -199,11 +181,9 @@ def _field_blocks(component: "LcComponent", point: LcParameterPoint):
                 raise ValueError(
                     f"neighbor {var_id}, class {z}: expected {card - 1} free weights"
                 )
-            block = _full_block(block)
-            _check_interior(block, f"neighbor {var_id}, class {z}")
-            full.append(residues(block))
+            full.append(_full_block(block))
         phi.append(full)
-    return residues(pi), phi
+    return _full_block(point.class_weights), phi
 
 
 def lc_jacobian_at(
@@ -219,7 +199,7 @@ def lc_jacobian_at(
     default every joint neighbor state but the all-last one, in
     lexicographic order; columns are the free class weights followed by the
     free conditional weights grouped by neighbor, then class, then state.
-    Entries are the residues mod PRIME of the exact rational entries.
+    Entries lie in [0, PRIME).
     """
     pi, phi = _field_blocks(component, point)
     c = component.latent_cardinality
@@ -297,7 +277,7 @@ def _spread_rank(component: "LcComponent", point: LcParameterPoint) -> int:
 def lc_rank_trials(
     component: "LcComponent", trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> tuple[int, ...]:
-    """Jacobian rank at one random interior point per trial.
+    """Jacobian rank at one random point of GF(PRIME) per trial.
 
     A specific point can only under-estimate the almost-everywhere rank,
     so callers take the maximum; disagreeing trials are logged.

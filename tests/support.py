@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
+from typing import Sequence
 
 from treedim import TreeModel, Variable
 from treedim.rank import PRIME
@@ -117,3 +120,33 @@ def reference_rank(rows) -> int:
                 break
             vec = [a - f * b for a, b in zip(vec, pivot)]
     return len(basis)
+
+
+def residues(values: Sequence[Fraction | int]) -> list[int]:
+    """Exact images ``a * b**-1 mod PRIME`` of the rationals ``a/b``.
+
+    One lcm of the denominators and one modular inverse serve them all.
+    """
+    den = math.lcm(*[x.denominator for x in values])
+    if den % PRIME == 0:
+        raise ValueError(f"denominator {den} is divisible by the field prime 2**61-1")
+    inv = pow(den, -1, PRIME)
+    return [x.numerator * (den // x.denominator) * inv % PRIME for x in values]
+
+
+def rooted_standard_dimension(model: TreeModel, root: int) -> int:
+    """Free parameters of the conditional tables of the model rooted at
+    ``root``, counted by a depth-first walk: ``(|root| - 1)`` plus
+    ``|parent| * (|child| - 1)`` over every parent-child edge."""
+    card = {v.id: v.cardinality for v in model.variables}
+    total = card[root] - 1
+    seen = {root}
+    stack = [root]
+    while stack:
+        parent = stack.pop()
+        for child in model.neighbors(parent):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+                total += card[parent] * (card[child] - 1)
+    return total

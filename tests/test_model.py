@@ -10,6 +10,7 @@ from support import (
     build_model,
     collapsed_hierarchy,
     random_tree_model,
+    rooted_standard_dimension,
     structural_signature,
     two_branch_hierarchy,
 )
@@ -83,33 +84,26 @@ class TestStandardDimension:
     def test_single_observed_variable(self):
         assert standard_dimension(build_model([("Y", 3, True)], [])) == 2
 
-    def test_binary_chain_root_invariant(self):
+    def test_binary_chain(self):
         chain = build_model(
             [("A", 2, True), ("B", 2, True), ("C", 2, True)],
             [("A", "B"), ("B", "C")],
         )
         # (a-1) + a(b-1) + b(c-1) = 1 + 2 + 2
-        assert standard_dimension(chain, root=0) == 5
-        assert standard_dimension(chain, root=1) == 5
+        assert standard_dimension(chain) == 5
 
-    def test_root_invariance_on_random_trees(self):
+    def test_edge_sum_equals_the_rooted_count_at_every_root(self):
         rng = random.Random(4821)
-        for _ in range(25):
-            model = random_tree_model(rng)
-            values = {
-                standard_dimension(model, root=v.id) for v in model.variables
-            }
-            assert len(values) == 1
+        for _ in range(40):
+            model = random_tree_model(rng, max_vars=9, max_card=5)
+            ds = standard_dimension(model)
+            for v in model.variables:
+                assert rooted_standard_dimension(model, v.id) == ds
 
     def test_observed_pair_is_joint_size_minus_one(self):
         for a, b in [(2, 2), (2, 5), (4, 3)]:
             pair = build_model([("A", a, True), ("B", b, True)], [("A", "B")])
-            assert standard_dimension(pair, root=0) == a * b - 1
-            assert standard_dimension(pair, root=1) == a * b - 1
-
-    def test_unknown_root_rejected(self):
-        with pytest.raises(ValueError, match="unknown root"):
-            standard_dimension(two_branch_hierarchy(), root=99)
+            assert standard_dimension(pair) == a * b - 1
 
     def test_invalid_model_rejected(self):
         with pytest.raises(InvalidModelError):

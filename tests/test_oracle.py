@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -26,20 +25,26 @@ from treedim.oracle import (
     observed_joint_jacobian,
     sample_full_point,
 )
-from treedim.rank import PRIME, lc_jacobian_at, residues, sample_lc_point
-
-HALF = (Fraction(1, 2),)
+from treedim.rank import PRIME, lc_jacobian_at, sample_lc_point
 
 
-def _bumped_points(point, step):
-    """Copies of the point with one free weight shifted by step, in the
+def _inverse(n):
+    """The field image of 1/n."""
+    return pow(n, -1, PRIME)
+
+
+HALF = (_inverse(2),)
+
+
+def _bumped_points(point):
+    """Copies of the point with one free weight raised by 1 mod PRIME, in the
     oracle's column order: root block, then ascending non-root ids, each
     with one block per parent state."""
     tables = [(point.root_id, (point.root_weights,))] + sorted(point.conditionals)
     for k, (vid, blocks) in enumerate(tables):
         for b, block in enumerate(blocks):
             for s in range(len(block)):
-                bumped = block[:s] + (block[s] + step,) + block[s + 1 :]
+                bumped = block[:s] + ((block[s] + 1) % PRIME,) + block[s + 1 :]
                 new_blocks = blocks[:b] + (bumped,) + blocks[b + 1 :]
                 if k == 0:
                     yield FullParameterPoint(vid, bumped, point.conditionals)
@@ -56,16 +61,16 @@ def _bumped_points(point, step):
 class TestJointDistribution:
     def test_single_coin(self):
         coin = build_model([("Y", 2, True)], [])
-        point = FullParameterPoint(0, (Fraction(1, 3),), ())
+        point = FullParameterPoint(0, (_inverse(3),), ())
         assert joint_observed_distribution(coin, point) == (
-            Fraction(1, 3),
-            Fraction(2, 3),
+            _inverse(3),
+            2 * _inverse(3) % PRIME,
         )
 
     def test_symmetric_latent_pair_is_uniform(self):
         model = latent_class_model(2, (2, 2))
         point = FullParameterPoint(0, HALF, ((1, (HALF, HALF)), (2, (HALF, HALF))))
-        assert joint_observed_distribution(model, point) == (Fraction(1, 4),) * 4
+        assert joint_observed_distribution(model, point) == (_inverse(4),) * 4
 
     def test_sums_to_one_on_random_models(self):
         rng = random.Random(2718)
@@ -73,8 +78,8 @@ class TestJointDistribution:
             model = random_tree_model(rng, max_vars=6)
             point = sample_full_point(model, rng)
             dist = joint_observed_distribution(model, point)
-            assert sum(dist) == 1
-            assert all(p > 0 for p in dist)
+            assert sum(dist) % PRIME == 1
+            assert all(0 <= p < PRIME for p in dist)
 
     def test_matches_direct_enumeration(self):
         # Independent recomputation: sum over all full configurations of
@@ -97,9 +102,9 @@ class TestJointDistribution:
             for vid in (1, 2, 3):
                 p *= tables[vid][config[parents[vid]]][config[vid]]
             key = (config[0], config[2], config[3])  # observed ids 0, 2, 3
-            probs[key] = probs.get(key, Fraction(0)) + p
+            probs[key] = probs.get(key, 0) + p
         expected = tuple(
-            probs[key]
+            probs[key] % PRIME
             for key in itertools.product(range(2), range(2), range(2))
         )
         assert joint_observed_distribution(model, point) == expected
@@ -134,11 +139,10 @@ class TestJacobian:
 
     def test_matches_exact_finite_differences_on_random_trees(self):
         # The joint is affine in every single free weight, so a finite
-        # difference of exact joints is the exact partial derivative.
+        # difference with step 1 is the exact partial derivative mod PRIME.
         # Random trees carry latent-latent edges and observed internal
         # nodes, which no latent-class model has.
         rng = random.Random(8128)
-        step = Fraction(1, 10**9)  # below every weight a sampled point has
         latent_edges = observed_internal = 0
         for _ in range(25):
             model = random_tree_model(rng, max_vars=7, max_card=3)
@@ -151,9 +155,9 @@ class TestJacobian:
             jac = observed_joint_jacobian(model, point)
             base = joint_observed_distribution(model, point)[:-1]
             columns = []
-            for bumped in _bumped_points(point, step):
+            for bumped in _bumped_points(point):
                 joint = joint_observed_distribution(model, bumped)
-                columns.append(residues([(b - a) / step for a, b in zip(base, joint)]))
+                columns.append(tuple((b - a) % PRIME for a, b in zip(base, joint)))
             assert len(columns) == standard_dimension(model)
             assert jac == tuple(zip(*columns))
         assert latent_edges and observed_internal

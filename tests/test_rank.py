@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from support import reference_rank
+from support import reference_rank, residues
 
 from treedim import rank
 from treedim.decompose import LcComponent
@@ -18,9 +18,9 @@ from treedim.rank import (
     LcParameterPoint,
     RowLimitError,
     exact_rank,
+    field_draws,
     lc_jacobian_at,
     lc_rank_trials,
-    residues,
     sample_lc_point,
 )
 
@@ -35,11 +35,11 @@ def random_product_matrix(rng, m, r, n, bound=10**6):
 
 
 def _mixture_prob(component, point, state):
-    """Joint probability of a neighbor-state tuple, straight from the
-    mixture formula with the last weight of each block substituted."""
+    """Joint probability mod PRIME of a neighbor-state tuple, straight from
+    the mixture formula with the last weight of each block substituted."""
     c = component.latent_cardinality
     pi = list(point.class_weights) + [1 - sum(point.class_weights)]
-    total = Fraction(0)
+    total = 0
     for z in range(c):
         term = pi[z]
         for i, (_, card) in enumerate(component.neighbors):
@@ -47,7 +47,7 @@ def _mixture_prob(component, point, state):
             full = list(block) + [1 - sum(block)]
             term *= full[state[i]]
         total += term
-    return total
+    return total % PRIME
 
 
 def _bump_free_weight(component, point, flat_index, step):
@@ -210,10 +210,20 @@ class TestPackedEliminationMatchesReference:
         assert exact_rank(mat) == n - 1
 
 
+class TestFieldDraws:
+    def test_same_seed_same_residues_all_in_the_field(self):
+        for count in (0, 1, 7, 1000):
+            draws = field_draws(random.Random(count), count)
+            assert draws == field_draws(random.Random(count), count)
+            assert len(draws) == count
+            assert all(type(x) is int and 0 <= x < PRIME for x in draws)
+        assert len(set(field_draws(random.Random(1), 1000))) == 1000
+
+
 class TestLcJacobian:
     def test_degenerate_single_class_single_leaf(self):
         component = LcComponent(0, 1, ((1, 2),), (False,))
-        point = LcParameterPoint((), (((Fraction(1, 3),),),))
+        point = LcParameterPoint((), (((5,),),))
         assert lc_jacobian_at(component, point) == ((1,),)
 
     def test_shape(self):
@@ -225,9 +235,9 @@ class TestLcJacobian:
 
     def test_matches_exact_finite_differences(self):
         # The joint probability is affine in every single free weight, so
-        # a finite difference with any nonzero rational step is the exact
-        # partial derivative; this recomputes the whole Jacobian without
-        # the closed forms, and compares it with the field Jacobian mod PRIME.
+        # a finite difference with step 1 is the exact partial derivative
+        # mod PRIME; this recomputes the whole Jacobian without the closed
+        # forms, and compares it with the field Jacobian.
         for card, leaves in [(2, (2, 2)), (3, (2, 3)), (1, (3,))]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
@@ -238,18 +248,12 @@ class TestLcJacobian:
                 for s in itertools.product(*(range(c) for c in leaves))
                 if s != tuple(c - 1 for c in leaves)
             ]
-            step = Fraction(3, 7)
-            expected_columns = []
+            base = [_mixture_prob(component, point, s) for s in states]
             for j in range(len(jac[0])):
-                base = [_mixture_prob(component, point, s) for s in states]
-                bumped_point = _bump_free_weight(component, point, j, step)
+                bumped_point = _bump_free_weight(component, point, j, 1)
                 bumped = [_mixture_prob(component, bumped_point, s) for s in states]
-                expected_columns.append(
-                    [(b - a) / step for a, b in zip(base, bumped)]
-                )
-            for j in range(len(jac[0])):
                 column = [row[j] for row in jac]
-                assert column == residues(expected_columns[j])
+                assert column == [(b - a) % PRIME for a, b in zip(base, bumped)]
 
     def test_columns_sum_to_zero_over_all_states(self):
         # Probabilities sum to one identically, so every column summed
@@ -258,26 +262,34 @@ class TestLcJacobian:
         point = sample_lc_point(component, random.Random(5))
         jac = lc_jacobian_at(component, point)
         all_states = list(itertools.product(range(2), range(3)))
-        step = Fraction(1, 3)
         for j in range(len(jac[0])):
-            bumped_point = _bump_free_weight(component, point, j, step)
-            omitted = (
-                _mixture_prob(component, bumped_point, all_states[-1])
-                - _mixture_prob(component, point, all_states[-1])
-            ) / step
-            assert (sum(row[j] for row in jac) + residues([omitted])[0]) % PRIME == 0
+            bumped_point = _bump_free_weight(component, point, j, 1)
+            omitted = _mixture_prob(
+                component, bumped_point, all_states[-1]
+            ) - _mixture_prob(component, point, all_states[-1])
+            assert (sum(row[j] for row in jac) + omitted) % PRIME == 0
 
-    def test_boundary_point_rejected(self):
-        component = LcComponent(0, 2, ((1, 2),), (False,))
-        boundary = LcParameterPoint(
-            (Fraction(1),), (((Fraction(1, 2),), (Fraction(1, 2),)),)
+    def test_zero_weight_point_accepted_and_ranks_no_higher(self):
+        # A field point need not be interior: one with a zero weight is
+        # ranked like any other, and can only err low.
+        component = LcComponent(0, 2, ((1, 2), (2, 2), (3, 2)), (False,) * 3)
+        best = max(lc_rank_trials(component))
+        assert best == 7
+        point = sample_lc_point(component, random.Random(12))
+        zero_free = LcParameterPoint(
+            point.class_weights, (((0,), (1,)),) + point.conditionals[1:]
         )
-        with pytest.raises(ValueError, match="boundary"):
-            lc_jacobian_at(component, boundary)
+        # Class weights (1,) leave the last class weight 0: one class is dead.
+        zero_last = LcParameterPoint((1,), point.conditionals)
+        ranks = [
+            exact_rank(lc_jacobian_at(component, p)) for p in (zero_free, zero_last)
+        ]
+        assert all(r <= best for r in ranks)
+        assert ranks[1] < best
 
     def test_shape_mismatch_rejected(self):
         component = LcComponent(0, 2, ((1, 2),), (False,))
-        wrong = LcParameterPoint((), (((Fraction(1, 2),), (Fraction(1, 2),)),))
+        wrong = LcParameterPoint((), (((3,), (5,)),))
         with pytest.raises(ValueError, match="does not match"):
             lc_jacobian_at(component, wrong)
 

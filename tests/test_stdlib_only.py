@@ -30,3 +30,9 @@ def test_every_absolute_import_is_stdlib_or_treedim():
     allowed = set(sys.stdlib_module_names) | {"treedim"}
     outside = {name: sorted(mods - allowed) for name, mods in imported.items()}
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def test_no_rationals_in_the_runtime():
+    # Parameter points, functionals and Jacobians all live in GF(p).
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [p.name for p in sources if "fractions" in _absolute_imports(p)] == []
