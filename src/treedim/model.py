@@ -76,6 +76,16 @@ class TreeModel:
         return {vid: tuple(nbrs) for vid, nbrs in out.items()}
 
     @cached_property
+    def _rooting(self):
+        """Parent map, child lists and breadth-first order from the lowest id."""
+        order, parents, children = [self.variables[0].id], {}, {}
+        for node in order:  # order grows as the search reaches new nodes
+            children[node] = [c for c in self.neighbors(node) if c != parents.get(node)]
+            parents.update(dict.fromkeys(children[node], node))
+            order.extend(children[node])
+        return parents, children, order
+
+    @cached_property
     def _errors(self) -> tuple[str, ...]:
         # The model is immutable, so one validation serves every check.
         return tuple(validate(self))
@@ -99,11 +109,11 @@ class TreeModel:
     def degree(self, var_id: int) -> int:
         return len(self.neighbors(var_id))
 
-    @property
+    @cached_property
     def observed_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if v.observed)
 
-    @property
+    @cached_property
     def latent_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if v.latent)
 

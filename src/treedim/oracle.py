@@ -1,33 +1,34 @@
 """Brute-force effective dimension via the observed-joint Jacobian.
 
 Ground truth for the decomposition: the Jacobian rank of the observed
-joint in every free weight of the rooted model, without splitting the
-tree or enumerating joint states.  A functional with one weight vector
-``a_v`` per observed variable contracts the joint to the scalar
+joint in every free weight of the rooted model, without splitting the tree
+or enumerating joint states.  A functional with one weight vector ``a_v``
+per observed variable contracts the joint to the scalar
 ``S = sum_x prod_v a_v(x_v) P(x)``.  One inside and one outside pass over
-the tree give its gradient mod the field prime (the differential
-approach of Darwiche, JACM 2003); indicator vectors give the Jacobian
-row of one joint state.  The oracle ranks the gradients of
-``min(n, states - 1)`` functionals with random entries in GF(p), the rows
-of a projection ``R J``, at a parameter point drawn in GF(p), which
+the tree give its gradient mod the field prime (the differential approach
+of Darwiche, JACM 2003); indicator vectors give the Jacobian row of one
+joint state.  The passes hold a message's values for all functionals in
+one int, a slot each, so a table sum is one big-int multiply-add per table
+entry (see :class:`treedim.rank._Slots`).  The oracle ranks the gradients
+of ``min(n, states - 1)`` functionals with random entries in GF(p), the
+rows of a projection ``R J``, at a parameter point drawn in GF(p), which
 need be neither rational nor interior (see :mod:`treedim.rank`).  A
-projection can only lower the rank, and rank-one functionals span the
-dual of the joint space.  Every point and functional entry is drawn
-with point mass at most mu = 9/2**64, so by Schwartz-Zippel a random
-point and ``R`` keep the rank with probability at least
-``1 - deg * mu``: the error stays one-sided.  Elimination is cubic in
-the parameter count, so models beyond a fixed parameter limit are
-refused.
+projection can only lower the rank, and rank-one functionals span the dual
+of the joint space.  Every point and functional entry is drawn with point
+mass at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R``
+keep the rank with probability at least ``1 - deg * mu``: the error stays
+one-sided.  Elimination is cubic in the parameter count, so models beyond
+a fixed parameter limit are refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .model import TreeModel, Variable, require_valid, standard_dimension
@@ -35,6 +36,7 @@ from .rank import (
     DEFAULT_TRIALS,
     PRIME,
     _full_block,
+    _Slots,
     derive_seed,
     exact_rank,
     field_draws,
@@ -62,30 +64,9 @@ class FullParameterPoint:
     conditionals: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
 
-def _rooting(model: TreeModel):
-    """Parent map, child lists and breadth-first order from the lowest id."""
-    root = model.variables[0].id
-    parents: dict[int, int] = {}
-    children: dict[int, list[int]] = {v.id: [] for v in model.variables}
-    order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for other in model.neighbors(node):
-            if other in seen:
-                continue
-            seen.add(other)
-            parents[other] = node
-            children[node].append(other)
-            order.append(other)
-            queue.append(other)
-    return parents, children, order
-
-
 def sample_full_point(model: TreeModel, rng: random.Random) -> FullParameterPoint:
     require_valid(model)
-    parents, _, _ = _rooting(model)
+    parents, _, _ = model._rooting
     root, *rest = model.variables
     # one (parent cardinality, block width) pair per non-root variable
     shapes = [
@@ -113,28 +94,20 @@ def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
         raise ValueError(
             f"point rooted at id {point.root_id}, model roots at id {root}"
         )
-    root_card = model.variable(root).cardinality
-    if len(point.root_weights) != root_card - 1:
+    card = {v.id: v.cardinality for v in model.variables}
+    if len(point.root_weights) != card[root] - 1:
         raise ValueError("root weight count does not match root cardinality")
     tables = {root: [_full_block(point.root_weights)]}
-    given = {vid for vid, _ in point.conditionals}
-    expected = {v.id for v in model.variables if v.id != root}
-    if given != expected:
+    if {vid for vid, _ in point.conditionals} != card.keys() - {root}:
         raise ValueError("conditional tables do not cover the non-root variables")
     for vid, blocks in point.conditionals:
-        var = model.variable(vid)
-        parent_card = model.variable(parents[vid]).cardinality
-        if len(blocks) != parent_card:
+        width = card[vid] - 1
+        if len(blocks) != card[parents[vid]] or any(len(b) != width for b in blocks):
             raise ValueError(
-                f"variable {var.name!r}: expected one block per parent state"
+                f"variable {model.variable(vid).name!r}: expected "
+                f"{card[parents[vid]]} blocks of {width} free weights"
             )
-        tables[vid] = []
-        for block in blocks:
-            if len(block) != var.cardinality - 1:
-                raise ValueError(
-                    f"variable {var.name!r}: block size does not match cardinality"
-                )
-            tables[vid].append(_full_block(block))
+        tables[vid] = [_full_block(block) for block in blocks]
     return tables
 
 
@@ -149,7 +122,7 @@ def _indicators(observed: Sequence[Variable]):
 
 
 def _weights(observed: Sequence[Variable], functionals) -> dict[int, list]:
-    """``weights[v][x][j]``: functional ``j``'s weight of observed ``v`` at ``x``."""
+    """``weights[v][x][j]``: functional ``j``'s weight of ``v`` at ``x`` mod p."""
     shape = [v.cardinality for v in observed]
     if any([len(a) for a in f] != shape for f in functionals):
         raise ValueError(
@@ -157,75 +130,85 @@ def _weights(observed: Sequence[Variable], functionals) -> dict[int, list]:
             "as long as its cardinality"
         )
     return {
-        v.id: [list(at_x) for at_x in zip(*(f[i] for f in functionals))]
+        v.id: [[w % PRIME for w in at_x] for at_x in zip(*(f[i] for f in functionals))]
         for i, v in enumerate(observed)
     }
 
 
-def _inside(order, children, tables, weights, k):
-    """Inside vectors and upward messages of ``k`` functionals at once.
-
-    ``beta[v][x][j]`` is functional ``j``'s weight of ``v`` at ``x`` (one
-    for a latent ``v``) times the messages of ``v``'s children at ``x``.
-    ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]`` is the message
-    to the parent at state ``p``.  The root has one block, so
-    ``up[root][0][j]`` is the scalar ``S`` of functional ``j``.  Every
-    message is reduced mod PRIME.
-    """
-    beta, up = {}, {}
-    for v in reversed(order):
-        b = weights[v] if v in weights else [[1] * k] * len(tables[v][0])
-        for c in children[v]:
-            b = [[x * y % PRIME for x, y in zip(bx, ux)] for bx, ux in zip(b, up[c])]
-        beta[v] = b
-        per_functional = list(zip(*b))
-        up[v] = [
-            [sum(map(mul, row, bj)) % PRIME for bj in per_functional]
-            for row in tables[v]
-        ]
-    return beta, up
-
-
 def _times(a, b):
     """Entrywise product mod PRIME of two ``[state][functional]`` arrays."""
-    return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
+    return [[y % PRIME for y in map(mul, ax, bx)] for ax, bx in zip(a, b)]
 
 
-def _gradient(order, children, tables, weights, beta, up, k):
-    """Gradients of the ``k`` scalars ``S`` in every free weight, mod PRIME.
+def _sums(slots, rows, vectors):
+    """Packed ``sum_i row[i] * vectors[i]`` per row, slots folded below 2p."""
+    packed = [slots.pack(x) for x in vectors]
+    return [slots.unpack(slots.fold(sum(map(mul, row, packed)))) for row in rows]
 
-    One outside pass: ``outer[v][p][j]`` is the weight of everything
-    outside ``v``'s subtree and table at parent state ``p``, so
-    ``dS/dT[v][p][x] = outer[v][p][j] * beta[v][x][j]``.  A free weight
-    moves its own entry up and its block's last entry down.  Returns the
-    gradient columns of each variable, block by block.
+
+def _inside(order, children, tables, weights, k):
+    """Inside vectors and upward messages of all functionals at once.
+
+    ``beta[v][x][j]`` is functional ``j``'s weight of ``v`` at ``x`` times
+    the messages of ``v``'s children at ``x``, an entrywise product over
+    the factors present.  The message to the parent at state ``p``,
+    ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]``, is one packed
+    sum (:func:`_sums`), a slot per functional, its entries below 2p;
+    ``up[root][0][j]`` is functional ``j``'s ``S``.  A subtree without
+    observed variables sums to one at every parent state, so it gets
+    neither ``beta`` nor ``up``.  Returns the slots too.
     """
-    outer = {order[0]: [[1] * k]}
+    # A sum in _sums adds at most c products of a table entry, below p, and
+    # a vector entry, below 2p, c the largest cardinality: below c * 2**123.
+    card = max(len(blocks[0]) for blocks in tables.values())
+    slots = _Slots(k, 123 + card.bit_length())
+    beta, up = {}, {}
+    for v in reversed(order):
+        factors = [up[c] for c in children[v] if c in up]
+        if v in weights:
+            factors.append(weights[v])
+        if factors:
+            beta[v] = functools.reduce(_times, factors)
+            up[v] = _sums(slots, tables[v], beta[v])
+    return beta, up, slots
+
+
+def _gradient(order, children, tables, weights, beta, up, slots):
+    """Gradient columns of the scalars ``S``, mod PRIME, per variable.
+
+    ``outer[v][p]`` is the weight outside ``v``'s subtree and table at
+    parent state ``p`` (one at the root, where no product is taken).  A
+    free weight moves its entry up and its block's last entry down, so
+    its column is ``outer[v][p] * (beta[v][x] - beta[v][last])``, zero
+    without ``beta``.  ``down[x] = sum_p tables[v][p][x] * outer[v][p]``
+    is a packed sum, as in :func:`_inside`.
+    """
+    outer = {order[0]: None}  # None: the root's outer weight is one
     grad = {}
     for v in order:
+        if v not in beta:
+            grad[v] = [slots.unpack(0)] * (len(tables[v]) * (len(tables[v][0]) - 1))
+            continue
         b, out = beta[v], outer[v]
-        grad[v] = [
-            [o * (x - y) % PRIME for o, x, y in zip(ox, bx, b[-1])]
-            for ox in out
-            for bx in b[:-1]
-        ]
-        kids = children[v]
+        diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
+        if out is None:
+            grad[v] = [[d % PRIME for d in dx] for dx in diffs]
+        else:
+            grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
+        kids = [c for c in children[v] if c in beta]
         if not kids:
             continue
         # down[x]: the weight outside the subtrees of v's children at v = x
-        per_functional = list(zip(*out))
-        down = [
-            [sum(map(mul, col, oj)) % PRIME for oj in per_functional]
-            for col in zip(*tables[v])
-        ]
+        down = _sums(slots, zip(*tables[v]), out or [slots.unpack(slots.ones)])
         if v in weights:
             down = _times(down, weights[v])
-        rest = [[[1] * k] * len(b)]  # rest[i]: product of the last i kids' messages
+        rest = []  # rest[-1 - i]: product of the messages of kids[i + 1:]
         for c in reversed(kids[1:]):
-            rest.append(_times(rest[-1], up[c]))
-        for c in kids:
+            rest.append(_times(rest[-1], up[c]) if rest else up[c])
+        for c in kids[:-1]:
             outer[c] = _times(down, rest.pop())
             down = _times(down, up[c])
+        outer[kids[-1]] = down
     return grad
 
 
@@ -239,13 +222,13 @@ def joint_observed_distribution(
     the scalars of the states' indicator functionals.
     """
     require_valid(model)
-    parents, children, order = _rooting(model)
+    parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
     observed = model.observed_variables
     indicators = _indicators(observed)
     weights = _weights(observed, indicators)
-    _, up = _inside(order, children, tables, weights, len(indicators))
-    return tuple(up[order[0]][0])
+    _, up, _ = _inside(order, children, tables, weights, len(indicators))
+    return tuple(s % PRIME for s in up[order[0]][0])
 
 
 def observed_joint_jacobian(
@@ -255,29 +238,25 @@ def observed_joint_jacobian(
 
     A functional holds one weight vector per observed variable, in
     ascending id order, and stands for ``S = sum_x prod_v a_v(x_v) P(x)``.
-    Row ``j`` is the gradient of functional ``j`` in every free parameter.
-    Columns follow the canonical parameter order: the root block, then
-    ascending non-root ids, each with one block per parent state.  The
-    default, ``None``, is the indicator functional of every observed joint
-    state but the lexicographically last, so the rows are the Jacobian of
-    the observed joint.
+    Row ``j`` is the gradient of functional ``j`` in every free parameter,
+    with entries in [0, PRIME).  Columns follow the canonical parameter
+    order: the root block, then ascending non-root ids, each with one
+    block per parent state.  The default, ``None``, is the indicator
+    functional of every observed joint state but the lexicographically
+    last, so the rows are the Jacobian of the observed joint.
     """
     require_valid(model)
-    parents, children, order = _rooting(model)
+    parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
     observed = model.observed_variables
     if functionals is None:
         functionals = _indicators(observed)[:-1]
-    k = len(functionals)
-    if not k:
+    if not functionals:
         return ()
     weights = _weights(observed, functionals)
-    beta, up = _inside(order, children, tables, weights, k)
-    grad = _gradient(order, children, tables, weights, beta, up, k)
-    columns = [column for vid in sorted(grad) for column in grad[vid]]
-    if len(columns) != standard_dimension(model):
-        raise AssertionError("parameter column count does not match dimension")
-    return tuple(zip(*columns))
+    beta, up, slots = _inside(order, children, tables, weights, len(functionals))
+    grad = _gradient(order, children, tables, weights, beta, up, slots)
+    return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
 
 
 def oracle_effective_dimension(

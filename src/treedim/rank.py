@@ -70,27 +70,50 @@ def field_draws(rng: random.Random, count: int) -> list[int]:
     return [w % PRIME for w in words]
 
 
+class _Slots:
+    """Values in [0, 2**64) packed into one int, a W-bit slot each, slot 0 lowest.
+
+    W is ``bits`` rounded up to whole bytes; a caller picks ``bits`` so that
+    no slot of a sum it forms reaches ``2**bits``: no carry crosses a slot,
+    and one big-int multiply-add acts on every slot.  Two rounds of the
+    Mersenne fold ``(v & low) + ((v >> 61) & high)`` take every slot below
+    ``2**61 + 2**(W-61)``, then below ``2**61 + 2**(W-122) < 2p`` (W <= 182).
+    """
+
+    def __init__(self, count: int, bits: int):
+        self.width = 8 * -(-bits // 8)
+        self.layout = struct.Struct("<" + f"Q{self.width // 8 - 8}x" * count)
+        ones = self.ones = self.pack([1] * count)
+        self.low, self.high = ones * PRIME, ones * ((1 << (self.width - 61)) - 1)
+
+    def pack(self, values: Sequence[int]) -> int:
+        return int.from_bytes(self.layout.pack(*values), "little")
+
+    def unpack(self, vec: int) -> tuple[int, ...]:
+        return self.layout.unpack(vec.to_bytes(self.layout.size, "little"))
+
+    def fold(self, vec: int) -> int:
+        vec = (vec & self.low) + ((vec >> 61) & self.high)
+        return (vec & self.low) + ((vec >> 61) & self.high)
+
+
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over GF(PRIME) of a matrix given as rows of integers.
 
     Entries must be integers.  Each row, reduced mod PRIME, is packed into
-    one int with a W-bit slot per column, column 0 lowest, and reduced
-    left to right: the low slot is read mod PRIME, a pivot leading there
-    is applied to every slot at once by one multiply-add
+    one int with a :class:`_Slots` slot per column, column 0 lowest, and
+    reduced left to right: the low slot is read mod PRIME, a pivot leading
+    there is applied to every slot at once by one multiply-add
     ``vec += g * neg``, and the finished slot is shifted out.  A row whose
     low slot survives becomes a pivot, stored un-normalised as the inverse
-    of its lead and ``neg = 2p - row`` per slot.  Stops early once the
+    of its lead and ``neg = 2p - row`` per slot, its slots folded below 2p
+    so that ``neg`` slots lie in ``(0, 2**62)``.  Stops early once the
     rank reaches min(m, n).
 
     No carry crosses a slot: a row starts below 2**61 per slot and sees
     at most n updates, each adding ``g * neg < 2**61 * 2**62``, so slots
-    stay below ``2**(124 + n.bit_length())``; W is that rounded up to
-    whole bytes.  Two rounds of the Mersenne fold
-    ``(v & low) + ((v >> 61) & high)``, on all slots at once, take a slot
-    below ``2**61 + 2**(W-61)``, then below ``2**61 + 2**(W-122) < 2p``
-    (W <= 182 for any n below 2**52), so ``neg`` slots lie in
-    ``(0, 2**62)``.  Exact integer arithmetic congruent mod PRIME gives
-    the rank over GF(PRIME).
+    stay below ``2**(124 + n.bit_length())``.  Exact integer arithmetic
+    congruent mod PRIME gives the rank over GF(PRIME).
     """
     n = len(rows[0]) if rows else 0
     for row in rows:
@@ -99,22 +122,18 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     cap = min(len(rows), n)
     if cap == 0:
         return 0
-    width = 8 * -(-(124 + n.bit_length()) // 8)
-    pack = struct.Struct("<" + f"Q{width // 8 - 8}x" * n).pack
-    ones = int.from_bytes(pack(*[1] * n), "little")
-    low, high, twop = ones * PRIME, ones * ((1 << (width - 61)) - 1), ones * 2 * PRIME
-    mask = (1 << width) - 1
+    slots = _Slots(n, 124 + n.bit_length())
+    width, twop, mask = slots.width, slots.ones * 2 * PRIME, (1 << slots.width) - 1
     basis: dict[int, tuple[int, int]] = {}  # lead column -> (1 / lead, 2p - pivot)
     for row in rows:
-        vec = int.from_bytes(pack(*[x % PRIME for x in row]), "little")
+        vec = slots.pack([x % PRIME for x in row])
         for lead in range(n):
             f = (vec & mask) % PRIME
             if f:
                 pivot = basis.get(lead)
                 if pivot is None:
-                    for _ in range(2):
-                        vec = (vec & low) + ((vec >> 61) & high)
-                    basis[lead] = (pow(f, -1, PRIME), (twop >> lead * width) - vec)
+                    neg = (twop >> lead * width) - slots.fold(vec)
+                    basis[lead] = (pow(f, -1, PRIME), neg)
                     break
                 inv, neg = pivot
                 vec += f * inv % PRIME * neg
@@ -152,7 +171,8 @@ def sample_lc_point(component: "LcComponent", rng: random.Random) -> LcParameter
 
 
 def _full_block(free: Sequence[int]) -> list[int]:
-    """A block's free weights completed by ``(1 - sum(free)) mod PRIME``."""
+    """Free weights mod PRIME, completed by ``(1 - sum(free)) mod PRIME``."""
+    free = [x % PRIME for x in free]
     return [*free, (1 - sum(free)) % PRIME]
 
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from treedim import TreeModel, Variable
+from treedim.oracle import _full_tables, _indicators, _weights
 from treedim.rank import PRIME
 
 
@@ -150,3 +152,93 @@ def rooted_standard_dimension(model: TreeModel, root: int) -> int:
                 stack.append(child)
                 total += card[parent] * (card[child] - 1)
     return total
+
+
+def _reference_times(a, b):
+    return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
+
+
+def reference_inside(order, children, tables, weights, k):
+    """Inside vectors and upward messages, one list entry per functional.
+
+    The list-based inside pass ``treedim.oracle._inside`` replaced:
+    ``beta[v][x][j]`` is functional ``j``'s weight of ``v`` at ``x`` (one for
+    a latent ``v``) times the children's messages at ``x``, and
+    ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j] mod PRIME``.
+    """
+    beta, up = {}, {}
+    for v in reversed(order):
+        b = weights[v] if v in weights else [[1] * k] * len(tables[v][0])
+        for c in children[v]:
+            b = _reference_times(b, up[c])
+        beta[v] = b
+        per_functional = list(zip(*b))
+        up[v] = [
+            [sum(map(mul, row, bj)) % PRIME for bj in per_functional]
+            for row in tables[v]
+        ]
+    return beta, up
+
+
+def reference_gradient(order, children, tables, weights, beta, up, k):
+    """Gradient columns of every variable, block by block, entry by entry.
+
+    The list-based outside pass ``treedim.oracle._gradient`` replaced:
+    ``outer[v][p][j]`` is the weight outside ``v``'s subtree and table at
+    parent state ``p``, and a free weight's column is
+    ``outer[v][p] * (beta[v][x] - beta[v][last])``.
+    """
+    outer = {order[0]: [[1] * k]}
+    grad = {}
+    for v in order:
+        b, out = beta[v], outer[v]
+        grad[v] = [
+            [o * (x - y) % PRIME for o, x, y in zip(ox, bx, b[-1])]
+            for ox in out
+            for bx in b[:-1]
+        ]
+        kids = children[v]
+        if not kids:
+            continue
+        per_functional = list(zip(*out))
+        down = [
+            [sum(map(mul, col, oj)) % PRIME for oj in per_functional]
+            for col in zip(*tables[v])
+        ]
+        if v in weights:
+            down = _reference_times(down, weights[v])
+        rest = [[[1] * k] * len(b)]  # rest[i]: product of the last i kids' messages
+        for c in reversed(kids[1:]):
+            rest.append(_reference_times(rest[-1], up[c]))
+        for c in kids:
+            outer[c] = _reference_times(down, rest.pop())
+            down = _reference_times(down, up[c])
+    return grad
+
+
+def reference_observed_joint_jacobian(model: TreeModel, point, functionals=None):
+    """``treedim.oracle.observed_joint_jacobian`` by the list-based passes,
+    one product and one ``% PRIME`` per functional and table entry."""
+    parents, children, order = model._rooting
+    tables = _full_tables(model, point, parents)
+    observed = model.observed_variables
+    if functionals is None:
+        functionals = _indicators(observed)[:-1]
+    k = len(functionals)
+    if not k:
+        return ()
+    weights = _weights(observed, functionals)
+    beta, up = reference_inside(order, children, tables, weights, k)
+    grad = reference_gradient(order, children, tables, weights, beta, up, k)
+    return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
+
+
+def reference_joint_observed_distribution(model: TreeModel, point):
+    """``treedim.oracle.joint_observed_distribution`` by the list-based
+    inside pass over the indicator functionals."""
+    parents, children, order = model._rooting
+    tables = _full_tables(model, point, parents)
+    indicators = _indicators(model.observed_variables)
+    weights = _weights(model.observed_variables, indicators)
+    _, up = reference_inside(order, children, tables, weights, len(indicators))
+    return tuple(up[order[0]][0])

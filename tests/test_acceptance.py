@@ -16,6 +16,7 @@ from support import (
     collapsed_hierarchy,
     latent_class_model,
     random_tree_model,
+    reference_observed_joint_jacobian,
     structural_signature,
     two_branch_hierarchy,
 )
@@ -35,7 +36,8 @@ from treedim.decompose import (
     combine,
 )
 from treedim.model import check_regular, regularize, standard_dimension
-from treedim.rank import exact_rank, lc_rank_trials
+from treedim.oracle import observed_joint_jacobian, sample_full_point
+from treedim.rank import PRIME, exact_rank, lc_rank_trials
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -199,6 +201,38 @@ def test_criterion_3c_oracle_keystone_beyond_the_old_state_limit(capsys):
         ok,
         f"{len(models)} random models over 4096 observed states, "
         f"{len(mismatches)} mismatches in {elapsed:.1f}s",
+    )
+    assert ok, mismatches
+
+
+def test_criterion_3d_oracle_rows_match_the_reference_passes(capsys):
+    # Every keystone model, at one random point: the oracle's count of
+    # random functionals, and the indicator functionals (the full Jacobian).
+    start = time.perf_counter()
+    mismatches = []
+    for i, model in enumerate(keystone_models()):
+        rng = random.Random(i)
+        point = sample_full_point(model, rng)
+        observed = model.observed_variables
+        states = math.prod(v.cardinality for v in observed)
+        k = min(standard_dimension(model), states - 1)
+        functionals = [
+            [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
+            for _ in range(k)
+        ]
+        for f in (functionals, None):
+            if observed_joint_jacobian(
+                model, point, f
+            ) != reference_observed_joint_jacobian(model, point, f):
+                mismatches.append((i, f is None))
+    elapsed = time.perf_counter() - start
+    ok = not mismatches
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(keystone_models())} random models, packed rows equal the "
+        f"reference rows ({len(mismatches)} mismatches) in {elapsed:.1f}s",
     )
     assert ok, mismatches
 

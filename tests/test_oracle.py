@@ -8,7 +8,13 @@ import random
 
 import pytest
 
-from support import build_model, latent_class_model, random_tree_model
+from support import (
+    build_model,
+    latent_class_model,
+    random_tree_model,
+    reference_joint_observed_distribution,
+    reference_observed_joint_jacobian,
+)
 from treedim import (
     OracleLimitError,
     RankPolicy,
@@ -216,6 +222,118 @@ class TestSketch:
         for functional in [[[1, 2]], [[1, 2], [1, 2]], [[1, 2], [1, 2, 3], [1]]]:
             with pytest.raises(ValueError, match="functional"):
                 observed_joint_jacobian(model, point, [functional])
+
+
+def _random_functionals(rng, observed, k):
+    return [
+        [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
+        for _ in range(k)
+    ]
+
+
+def _mapped(point, f):
+    """The point with ``f`` applied to every free weight."""
+    return FullParameterPoint(
+        point.root_id,
+        tuple(map(f, point.root_weights)),
+        tuple(
+            (vid, tuple(tuple(map(f, block)) for block in blocks))
+            for vid, blocks in point.conditionals
+        ),
+    )
+
+
+class TestPackedKernels:
+    """The packed passes against the list-based reference passes."""
+
+    def test_random_trees_match_the_reference(self):
+        rng = random.Random(3141)
+        observed_internal = unit_cards = unobserved_subtrees = 0
+        for _ in range(50):
+            model = random_tree_model(rng, max_vars=7, max_card=3)
+            observed = model.observed_variables
+            observed_internal += sum(model.degree(v.id) > 1 for v in observed)
+            unit_cards += sum(v.cardinality == 1 for v in model.variables)
+            _, children, _ = model._rooting
+            latent_leaves = [v for v in model.latent_variables if not children[v.id]]
+            unobserved_subtrees += len(latent_leaves)
+            point = sample_full_point(model, rng)
+            for k in (1, 2, 3, 64):
+                functionals = _random_functionals(rng, observed, k)
+                jac = observed_joint_jacobian(model, point, functionals)
+                assert jac == reference_observed_joint_jacobian(
+                    model, point, functionals
+                )
+                # one column per free parameter, in every row
+                assert {len(row) for row in jac} == {standard_dimension(model)}
+            assert observed_joint_jacobian(
+                model, point
+            ) == reference_observed_joint_jacobian(model, point)
+        assert observed_internal and unit_cards and unobserved_subtrees
+
+    def test_extreme_entries_match_the_reference(self):
+        # All-(p-1) functionals, and a point whose free weights are all
+        # p-1 or all zero: the largest slot sums and zero weights.
+        rng = random.Random(2)
+        for _ in range(10):
+            model = random_tree_model(rng, max_vars=7, max_card=3)
+            observed = model.observed_variables
+            top = [[[PRIME - 1] * v.cardinality for v in observed]] * 3
+            sampled = sample_full_point(model, rng)
+            for point in (
+                sampled,
+                _mapped(sampled, lambda w: PRIME - 1),
+                _mapped(sampled, lambda w: 0),
+            ):
+                for functionals in (top, _random_functionals(rng, observed, 2)):
+                    assert observed_joint_jacobian(
+                        model, point, functionals
+                    ) == reference_observed_joint_jacobian(model, point, functionals)
+
+    def test_indicator_joint_matches_the_reference(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            model = random_tree_model(rng, max_vars=6)
+            point = sample_full_point(model, rng)
+            assert joint_observed_distribution(
+                model, point
+            ) == reference_joint_observed_distribution(model, point)
+
+    def test_a_wide_leaf_needs_wide_slots(self):
+        # The wide leaf's message sums 8193 products of a table entry and
+        # p-1, about 2**134 at random table entries: a slot of 128 bits
+        # would carry into its neighbor.
+        model = latent_class_model(2, (2**13 + 1, 2))
+        rng = random.Random(13)
+        point = sample_full_point(model, rng)
+        functionals = [
+            [[PRIME - 1] * (2**13 + 1), [rng.randrange(PRIME) for _ in range(2)]]
+            for _ in range(2)
+        ]
+        jac = observed_joint_jacobian(model, point, functionals)
+        assert jac == reference_observed_joint_jacobian(model, point, functionals)
+
+    def test_entries_outside_the_field_act_as_their_residues(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            model = random_tree_model(rng, max_vars=6)
+            observed = model.observed_variables
+            point = sample_full_point(model, rng)
+            functionals = _random_functionals(rng, observed, 3)
+            expected = observed_joint_jacobian(model, point, functionals)
+            for shift in (3 * PRIME, -PRIME):
+                moved = _mapped(point, lambda w: w + shift)
+                assert observed_joint_jacobian(model, moved, functionals) == expected
+                assert joint_observed_distribution(
+                    model, moved
+                ) == joint_observed_distribution(model, point)
+                functionals_moved = [
+                    [[w + shift for w in a] for a in f] for f in functionals
+                ]
+                assert (
+                    observed_joint_jacobian(model, point, functionals_moved)
+                    == expected
+                )
 
 
 class TestOracleEffectiveDimension:
