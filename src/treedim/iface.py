@@ -7,8 +7,9 @@ Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
-validation error; 2 oracle parameter limit exceeded under ``--oracle``; 3
-oracle/decomposition mismatch; 4 a latent-class rank over the row limit.
+validation error, or a score beyond float range; 2 oracle parameter limit
+exceeded under ``--oracle``; 3 oracle/decomposition mismatch; 4 a
+latent-class rank over the row limit (see ``treedim.rank._spread_rank``).
 """
 
 from __future__ import annotations
@@ -285,10 +286,12 @@ def _run_score(args, model: TreeModel) -> int:
     else:
         de = effective_dimension(model, RankPolicy()).effective_dimension
     score_input = ScoreInput(loglik=args.loglik, sample_size=args.n)
-    print(f"ds={ds}")
-    print(f"de={de}")
-    print(f"bic={bic(score_input, ds)}")
-    print(f"bice={bice(score_input, de)}")
+    try:
+        scores = bic(score_input, ds), bice(score_input, de)
+    except OverflowError as exc:
+        print(f"error: score out of float range: {exc}", file=sys.stderr)
+        return 1
+    print(f"ds={ds}\nde={de}\nbic={scores[0]}\nbice={scores[1]}")
     return 0
 
 

@@ -4,8 +4,8 @@ A model is an undirected tree whose nodes carry a cardinality and an
 observed/latent flag.  This module provides structural validation, the
 standard (parameter-count) dimension of the rooted parameterization, the
 latent-cardinality regularity check, and the regularization transform
-that shrinks an irregular model without changing the set of joint
-distributions it can represent over its observed variables.
+that shrinks a model without changing the set of joint distributions it
+can represent over its observed variables.
 
 Everything here is a pure function of immutable values.  A transform
 that changes nothing returns its input object; one that changes
@@ -14,6 +14,7 @@ something returns a new model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -95,12 +96,6 @@ class TreeModel:
             return self._by_id[var_id]
         except KeyError:
             raise KeyError(f"unknown variable id {var_id}") from None
-
-    def by_name(self, name: str) -> Variable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(f"unknown variable name {name!r}")
 
     def neighbors(self, var_id: int) -> tuple[int, ...]:
         """Neighbor ids in ascending order."""
@@ -215,20 +210,6 @@ def standard_dimension(model: TreeModel) -> int:
     return pairs - shared - 1
 
 
-def _neighbor_bound(cards: list[int]) -> int:
-    # Product of neighbor cardinalities divided by the largest one; exact
-    # because the largest factor is simply left out of the product.
-    biggest = max(cards)
-    dropped = False
-    prod = 1
-    for c in cards:
-        if c == biggest and not dropped:
-            dropped = True
-            continue
-        prod *= c
-    return prod
-
-
 def check_regular(model: TreeModel) -> list[RegularityViolation]:
     """Report every latent node whose cardinality exceeds its bound.
 
@@ -243,7 +224,8 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
         nbrs = [model.variable(x) for x in model.neighbors(var.id)]
         if not nbrs:
             continue
-        bound = _neighbor_bound([x.cardinality for x in nbrs])
+        cards = [x.cardinality for x in nbrs]
+        bound = math.prod(cards) // max(cards)  # exact: max(cards) divides
         if var.cardinality > bound:
             violations.append(RegularityViolation(var.id, "bound", bound))
         elif var.cardinality == bound and len(nbrs) == 2:
@@ -265,7 +247,7 @@ class RegularizationStep:
 
 
 def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, ...]]:
-    """Shrink a model until no latent node violates its cardinality bound.
+    """Shrink a model until neither rewrite rule below applies.
 
     Two rewrite rules are applied repeatedly, scanning latent nodes in
     ascending id and restarting the scan after every change:
@@ -276,9 +258,12 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
     * otherwise, a latent node whose cardinality exceeds the neighbor
       bound has its cardinality reduced to that bound.
 
-    The output represents exactly the same set of observed-variable
-    joint distributions as the input and never has more parameters; a
-    model that needs no rewrite is returned as is.
+    The first rule also removes latents that :func:`check_regular` accepts,
+    such as a binary one between observed nodes of cardinalities 2 and 3,
+    so a regular model can come back rewritten.  The output represents
+    exactly the same set of observed-variable joint distributions as the
+    input and never has more parameters; a model that neither rule
+    changes is returned as is.
     """
     require_valid(model)
     log: list[RegularizationStep] = []
@@ -295,7 +280,7 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
                 )
                 log.append(RegularizationStep("remove", var.id, var.name, joined=nbrs))
                 break
-            bound = _neighbor_bound(cards)
+            bound = math.prod(cards) // max(cards)
             if var.cardinality > bound:
                 model = TreeModel(
                     tuple(

@@ -6,17 +6,18 @@ or enumerating joint states.  A functional with one weight vector ``a_v``
 per observed variable contracts the joint to the scalar
 ``S = sum_x prod_v a_v(x_v) P(x)``.  One inside and one outside pass over
 the tree give its gradient mod the field prime (the differential approach
-of Darwiche, JACM 2003); indicator vectors give the Jacobian row of one
-joint state.  The passes hold a message's values for all functionals in
-one int, a slot each, so a table sum is one big-int multiply-add per table
-entry (see :class:`treedim.rank._Slots`).  The oracle ranks the gradients
-of ``min(n, states - 1)`` functionals with random entries in GF(p), the
-rows of a projection ``R J``, at a parameter point drawn in GF(p), which
-need be neither rational nor interior (see :mod:`treedim.rank`).  A
-projection can only lower the rank, and rank-one functionals span the dual
-of the joint space.  Every point and functional entry is drawn with point
-mass at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R``
-keep the rank with probability at least ``1 - deg * mu``: the error stays
+of Darwiche, JACM 2003).  The passes take the weights of all functionals
+as one table per observed variable, a row per state and an entry per
+functional, and hold a message's values for all functionals in one int, a
+slot each, so a table sum is one big-int multiply-add per table entry (see
+:class:`treedim.rank._Slots`).  The oracle ranks the gradients of
+``min(n, states - 1)`` functionals with random entries in GF(p), the rows
+of a projection ``R J``, at a parameter point drawn in GF(p), which need
+be neither rational nor interior (see :mod:`treedim.rank`).  A projection
+can only lower the rank, and rank-one functionals span the dual of the
+joint space.  Every point and functional entry is drawn with point mass
+at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R`` keep
+the rank with probability at least ``1 - deg * mu``: the error stays
 one-sided.  Elimination is cubic in the parameter count, so models beyond
 a fixed parameter limit are refused.
 """
@@ -72,9 +73,8 @@ def sample_full_point(model: TreeModel, rng: random.Random) -> FullParameterPoin
     shapes = [
         (model.variable(parents[v.id]).cardinality, v.cardinality - 1) for v in rest
     ]
-    draws = iter(
-        field_draws(rng, root.cardinality - 1 + sum(b * w for b, w in shapes))
-    )
+    count = root.cardinality - 1 + sum(b * w for b, w in shapes)
+    draws = iter(field_draws(rng, count))
     root_weights = tuple(itertools.islice(draws, root.cardinality - 1))
     conditionals = tuple(
         (var.id, tuple(tuple(itertools.islice(draws, width)) for _ in range(blocks)))
@@ -111,28 +111,15 @@ def _full_tables(model: TreeModel, point: FullParameterPoint, parents):
     return tables
 
 
-def _indicators(observed: Sequence[Variable]):
-    """The indicator functional of every observed joint state, in
-    lexicographic order over the observed variables in ascending id order."""
-    units = [
-        [[int(s == x) for s in range(v.cardinality)] for x in range(v.cardinality)]
-        for v in observed
-    ]
-    return list(itertools.product(*units))
-
-
-def _weights(observed: Sequence[Variable], functionals) -> dict[int, list]:
-    """``weights[v][x][j]``: functional ``j``'s weight of ``v`` at ``x`` mod p."""
-    shape = [v.cardinality for v in observed]
-    if any([len(a) for a in f] != shape for f in functionals):
-        raise ValueError(
-            "a functional needs one weight vector per observed variable, "
-            "as long as its cardinality"
-        )
-    return {
-        v.id: [[w % PRIME for w in at_x] for at_x in zip(*(f[i] for f in functionals))]
-        for i, v in enumerate(observed)
-    }
+def _weights(observed: Sequence[Variable], weights) -> tuple[dict[int, list], int]:
+    """Check ``weights`` (see :func:`observed_joint_jacobian`) and return its
+    tables by observed variable id, entries mod PRIME, and the count k."""
+    k = len(weights[0][0]) if weights and weights[0] else 0
+    shape = [[k] * v.cardinality for v in observed]
+    if [[len(row) for row in t] for t in weights] != shape:
+        raise ValueError("weights need a cardinality x k table per observed variable")
+    rows = [[[w % PRIME for w in row] for row in t] for t in weights]
+    return {v.id: t for v, t in zip(observed, rows)}, k
 
 
 def _times(a, b):
@@ -212,49 +199,25 @@ def _gradient(order, children, tables, weights, beta, up, slots):
     return grad
 
 
-def joint_observed_distribution(
-    model: TreeModel, point: FullParameterPoint
-) -> tuple[int, ...]:
-    """Joint distribution of the observed variables at a point, mod PRIME.
-
-    Entries are indexed lexicographically over the observed variables in
-    ascending id order and sum to one mod PRIME.  One inside pass gives
-    the scalars of the states' indicator functionals.
-    """
-    require_valid(model)
-    parents, children, order = model._rooting
-    tables = _full_tables(model, point, parents)
-    observed = model.observed_variables
-    indicators = _indicators(observed)
-    weights = _weights(observed, indicators)
-    _, up, _ = _inside(order, children, tables, weights, len(indicators))
-    return tuple(s % PRIME for s in up[order[0]][0])
-
-
 def observed_joint_jacobian(
-    model: TreeModel, point: FullParameterPoint, functionals=None
+    model: TreeModel, point: FullParameterPoint, weights
 ) -> tuple[tuple[int, ...], ...]:
     """Gradients of functionals of the observed joint, mod PRIME.
 
-    A functional holds one weight vector per observed variable, in
-    ascending id order, and stands for ``S = sum_x prod_v a_v(x_v) P(x)``.
-    Row ``j`` is the gradient of functional ``j`` in every free parameter,
-    with entries in [0, PRIME).  Columns follow the canonical parameter
-    order: the root block, then ascending non-root ids, each with one
-    block per parent state.  The default, ``None``, is the indicator
-    functional of every observed joint state but the lexicographically
-    last, so the rows are the Jacobian of the observed joint.
+    ``weights[i][x][j]`` is functional ``j``'s weight of observed variable
+    ``i``, in ascending id order, at state ``x``: one table per observed
+    variable, a row per state, an entry per functional, any integers.
+    Functional ``j`` stands for ``S = sum_x prod_v a_v(x_v) P(x)``, and
+    row ``j`` is its gradient in every free parameter, with entries in
+    [0, PRIME).  Columns follow the canonical parameter order: the root
+    block, then ascending non-root ids, each with one block per parent
+    state.
     """
     require_valid(model)
     parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
-    observed = model.observed_variables
-    if functionals is None:
-        functionals = _indicators(observed)[:-1]
-    if not functionals:
-        return ()
-    weights = _weights(observed, functionals)
-    beta, up, slots = _inside(order, children, tables, weights, len(functionals))
+    weights, k = _weights(model.observed_variables, weights)
+    beta, up, slots = _inside(order, children, tables, weights, k)
     grad = _gradient(order, children, tables, weights, beta, up, slots)
     return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
 
@@ -281,15 +244,14 @@ def oracle_effective_dimension(
             "use the decomposition pipeline"
         )
     cards = [v.cardinality for v in model.observed_variables]
-    k = min(n_params, math.prod(cards) - 1)
-
+    k, width = min(n_params, math.prod(cards) - 1), sum(cards)
+    # Draw j*width + s is functional j's weight of variable i at s - spans[i][0].
+    spans = [range(e - c, e) for e, c in zip(itertools.accumulate(cards), cards)]
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))
         point = sample_full_point(model, rng)
-        draws = iter(field_draws(rng, k * sum(cards)))
-        functionals = [
-            [list(itertools.islice(draws, card)) for card in cards] for _ in range(k)
-        ]
-        ranks.append(exact_rank(observed_joint_jacobian(model, point, functionals)))
+        draws = field_draws(rng, k * width)
+        weights = [[draws[s::width] for s in span] for span in spans]
+        ranks.append(exact_rank(observed_joint_jacobian(model, point, weights)))
     return max(ranks)

@@ -209,17 +209,16 @@ def _field_blocks(component: "LcComponent", point: LcParameterPoint):
 def lc_jacobian_at(
     component: "LcComponent",
     point: LcParameterPoint,
-    states: Sequence[Sequence[int]] | None = None,
+    states: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], ...]:
-    """Jacobian of the observed joint of a latent-class component, mod PRIME.
+    """Jacobian rows of the observed joint of a latent-class component, mod PRIME.
 
     The joint probability of a neighbor-state tuple ``y`` is
     ``sum_z pi_z * prod_i phi[i][z][y_i]`` with the last weight of every
-    block substituted by one minus the rest.  Rows follow ``states``, by
-    default every joint neighbor state but the all-last one, in
-    lexicographic order; columns are the free class weights followed by the
-    free conditional weights grouped by neighbor, then class, then state.
-    Entries lie in [0, PRIME).
+    block substituted by one minus the rest.  There is one row per tuple
+    in ``states``, in that order; columns are the free class weights
+    followed by the free conditional weights grouped by neighbor, then
+    class, then state.  Entries lie in [0, PRIME).
     """
     pi, phi = _field_blocks(component, point)
     c = component.latent_cardinality
@@ -228,8 +227,6 @@ def lc_jacobian_at(
     offsets = list(itertools.accumulate((c * (k - 1) for k in cards), initial=c - 1))
     n = offsets[-1]
 
-    if states is None:  # lexicographic, the all-last state (the last one) dropped
-        states = list(itertools.product(*(range(card) for card in cards)))[:-1]
     rows = []
     for state in states:
         row = [0] * n
@@ -258,31 +255,28 @@ def lc_jacobian_at(
     return tuple(rows)
 
 
-def _spread_rank(component: "LcComponent", point: LcParameterPoint) -> int:
-    """Jacobian rank at ``point`` from a growing prefix of strided rows.
+def _spread_rank(component: "LcComponent", rng: random.Random) -> int:
+    """Jacobian rank at a point drawn from ``rng``, from a growing prefix of rows.
 
     A golden-ratio stride coprime to the row count m spreads the rows, as
     adjacent lexicographic ones are often dependent.  No rank exceeds
     b = min(columns, m), so a prefix of rank b has the rank of all m rows.
     The prefix starts at b rows and doubles (building only the new rows)
-    while its rank is below b and it is shorter than m.
+    while its rank is below b and it is shorter than m.  A prefix over
+    ``ROW_LIMIT`` rows raises :class:`RowLimitError`, the first before any draw.
     """
     cards = [card for _, card in component.neighbors]
     m = math.prod(cards) - 1
     bound = min(component.standard_dimension(), m)
-    step = max(1, round(m * 0.6180339887))
-    while math.gcd(step, m) != 1:
-        step += 1
-    # Digit i of a lexicographic state index j is j // radix[i] % cards[i].
-    radix = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
-    rows: list[tuple[int, ...]] = []
-    size = bound
-    while True:
-        if size > ROW_LIMIT:
-            raise RowLimitError(
-                f"rank of latent cardinality {component.latent_cardinality} over "
-                f"neighbor cardinalities {tuple(cards)} needs {size} rows > {ROW_LIMIT}"
-            )
+    rows, point, size = [], None, bound
+    while size <= ROW_LIMIT:
+        if point is None:  # the first prefix fits
+            point = sample_lc_point(component, rng)
+            step = max(1, round(m * 0.6180339887))
+            while math.gcd(step, m) != 1:
+                step += 1
+            # Digit i of a lexicographic state index j is j // radix[i] % cards[i].
+            radix = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
         states = [
             [k * step % m // r % card for r, card in zip(radix, cards)]
             for k in range(len(rows), size)
@@ -292,6 +286,10 @@ def _spread_rank(component: "LcComponent", point: LcParameterPoint) -> int:
         if rank == bound or size == m:
             return rank
         size = min(2 * size, m)
+    raise RowLimitError(
+        f"rank of latent cardinality {component.latent_cardinality} over "
+        f"neighbor cardinalities {tuple(cards)} needs {size} rows > {ROW_LIMIT}"
+    )
 
 
 def lc_rank_trials(
@@ -307,7 +305,7 @@ def lc_rank_trials(
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        ranks.append(_spread_rank(component, sample_lc_point(component, rng)))
+        ranks.append(_spread_rank(component, rng))
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",

@@ -33,7 +33,11 @@ class ScoreInput:
 def _penalized(score_input: ScoreInput, dimension: int) -> float:
     if dimension < 0:
         raise ValueError("model dimension must be >= 0")
-    return score_input.loglik - dimension * math.log(score_input.sample_size) / 2.0
+    log_n = math.log(score_input.sample_size)
+    penalty = dimension * log_n / 2.0 if log_n else 0.0  # OverflowError past 2**1024
+    if penalty == math.inf:  # the dimension fits a float, the product does not
+        raise OverflowError("dimension times log N overflows")
+    return score_input.loglik - penalty
 
 
 def bic(score_input: ScoreInput, model_dimension: int) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,8 +10,8 @@ from operator import mul
 from typing import Sequence
 
 from treedim import TreeModel, Variable
-from treedim.oracle import _full_tables, _indicators, _weights
-from treedim.rank import PRIME
+from treedim.oracle import _full_tables, _inside, _weights, observed_joint_jacobian
+from treedim.rank import PRIME, lc_jacobian_at
 
 
 def build_model(var_specs, edges) -> TreeModel:
@@ -216,29 +217,77 @@ def reference_gradient(order, children, tables, weights, beta, up, k):
     return grad
 
 
-def reference_observed_joint_jacobian(model: TreeModel, point, functionals=None):
+def all_states(cards: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every joint state over the given cardinalities, in lexicographic order."""
+    return list(itertools.product(*(range(card) for card in cards)))
+
+
+def indicator_weights(observed, states=None):
+    """Weight tables of the indicator functionals of ``states``, by default
+    every joint state of the observed variables: ``tables[i][x][j]`` is 1
+    when state ``j`` puts observed variable ``i`` at ``x``, else 0."""
+    if states is None:
+        states = all_states([v.cardinality for v in observed])
+    return [
+        [[int(s[i] == x) for s in states] for x in range(v.cardinality)]
+        for i, v in enumerate(observed)
+    ]
+
+
+def jacobian_weights(observed):
+    """The indicator functionals of every observed joint state but the
+    lexicographically last: their gradients are the rows of the Jacobian
+    of the observed joint."""
+    states = all_states([v.cardinality for v in observed])
+    return indicator_weights(observed, states[:-1])
+
+
+def full_jacobian(model: TreeModel, point):
+    """The Jacobian of the observed joint, one row per joint state but the
+    last, from the packed oracle passes."""
+    weights = jacobian_weights(model.observed_variables)
+    return observed_joint_jacobian(model, point, weights)
+
+
+def full_lc_jacobian(component, point):
+    """``lc_jacobian_at`` over every joint neighbor state but the all-last one."""
+    cards = [card for _, card in component.neighbors]
+    return lc_jacobian_at(component, point, all_states(cards)[:-1])
+
+
+def joint_observed_distribution(model: TreeModel, point) -> tuple[int, ...]:
+    """Joint distribution of the observed variables at a point, mod PRIME,
+    in lexicographic state order, from the packed inside pass
+    ``treedim.oracle._inside`` over the indicator functionals."""
+    parents, children, order = model._rooting
+    tables = _full_tables(model, point, parents)
+    weights, k = _weights(
+        model.observed_variables, indicator_weights(model.observed_variables)
+    )
+    _, up, _ = _inside(order, children, tables, weights, k)
+    return tuple(s % PRIME for s in up[order[0]][0])
+
+
+def reference_observed_joint_jacobian(model: TreeModel, point, weights):
     """``treedim.oracle.observed_joint_jacobian`` by the list-based passes,
     one product and one ``% PRIME`` per functional and table entry."""
     parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
-    observed = model.observed_variables
-    if functionals is None:
-        functionals = _indicators(observed)[:-1]
-    k = len(functionals)
+    weights, k = _weights(model.observed_variables, weights)
     if not k:
         return ()
-    weights = _weights(observed, functionals)
     beta, up = reference_inside(order, children, tables, weights, k)
     grad = reference_gradient(order, children, tables, weights, beta, up, k)
     return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
 
 
 def reference_joint_observed_distribution(model: TreeModel, point):
-    """``treedim.oracle.joint_observed_distribution`` by the list-based
-    inside pass over the indicator functionals."""
+    """``joint_observed_distribution`` by the list-based inside pass over
+    the indicator functionals."""
     parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
-    indicators = _indicators(model.observed_variables)
-    weights = _weights(model.observed_variables, indicators)
-    _, up = reference_inside(order, children, tables, weights, len(indicators))
+    weights, k = _weights(
+        model.observed_variables, indicator_weights(model.observed_variables)
+    )
+    _, up = reference_inside(order, children, tables, weights, k)
     return tuple(up[order[0]][0])

@@ -15,6 +15,7 @@ from pathlib import Path
 from support import (
     collapsed_hierarchy,
     latent_class_model,
+    jacobian_weights,
     random_tree_model,
     reference_observed_joint_jacobian,
     structural_signature,
@@ -216,15 +217,16 @@ def test_criterion_3d_oracle_rows_match_the_reference_passes(capsys):
         observed = model.observed_variables
         states = math.prod(v.cardinality for v in observed)
         k = min(standard_dimension(model), states - 1)
-        functionals = [
-            [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
-            for _ in range(k)
+        random_weights = [
+            [[rng.randrange(PRIME) for _ in range(k)] for _ in range(v.cardinality)]
+            for v in observed
         ]
-        for f in (functionals, None):
+        indicators = jacobian_weights(observed)
+        for weights in (random_weights, indicators):
             if observed_joint_jacobian(
-                model, point, f
-            ) != reference_observed_joint_jacobian(model, point, f):
-                mismatches.append((i, f is None))
+                model, point, weights
+            ) != reference_observed_joint_jacobian(model, point, weights):
+                mismatches.append((i, weights is indicators))
     elapsed = time.perf_counter() - start
     ok = not mismatches
     _report(

@@ -500,3 +500,17 @@ class TestRankMemo:
             )
             if not a.ledger.regularization_log and not b.ledger.regularization_log:
                 assert _trials_by_signature(a) == _trials_by_signature(b)
+
+
+class TestLiteratureLcDimensions:
+    def test_binary_leaves(self):
+        # c classes over n binary leaves: de = min(c(n+1) - 1, 2**n - 1),
+        # but 13 at n = 4, c = 3 (Geiger, Heckerman, King & Meek 2001;
+        # Catalisano, Geramita & Gimigliano 2011).  A check that shares no
+        # code with the oracle; c > 2**(n-1) goes through regularization.
+        for n in range(3, 11):
+            for c in range(1, 9):
+                model = latent_class_model(c, (2,) * n)
+                result = effective_dimension(model, RankPolicy(trials=2))
+                expected = 13 if (n, c) == (4, 3) else min(c * (n + 1), 2**n) - 1
+                assert result.effective_dimension == expected, (n, c)

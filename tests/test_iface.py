@@ -18,8 +18,9 @@ class TestParseModel:
     def test_reference_file_dimensions(self):
         model = parse_model((FIXTURES / "m1.model").read_text())
         assert len(model.variables) == 9
-        assert model.by_name("X1").latent
-        assert model.by_name("Y4").observed
+        by_name = {v.name: v for v in model.variables}
+        assert by_name["X1"].latent
+        assert by_name["Y4"].observed
 
     def test_round_trip_identity(self):
         for path in sorted(FIXTURES.glob("*.model")):
@@ -190,6 +191,42 @@ class TestCli:
         )
         assert run(["dims", str(model)]) == 4
         assert "needs 79997 rows > 65536" in capsys.readouterr().err
+
+    def test_row_limit_is_checked_before_any_draw(self, capsys, monkeypatch, tmp_path):
+        # A 10**40-state leaf: its point alone would be 2 * 10**40 draws.
+        model = tmp_path / "huge.model"
+        model.write_text(
+            "var H 2 latent\n"
+            + "".join(
+                f"var {name} {card} observed\nedge H {name}\n"
+                for name, card in [("A", 10**40), ("B", 2), ("C", 2)]
+            )
+        )
+
+        def no_draw(component, rng):
+            raise AssertionError("a parameter point was drawn")
+
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        score = ["score", str(model), "--loglik", "-5", "--n", "9"]
+        for args in [["dims", str(model)], score]:
+            assert run(args) == 4, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert f"needs {2 * 10**40 + 3} rows > 65536" in captured.err
+
+    def test_score_beyond_float_range(self, capsys, tmp_path):
+        # ds = de = 10**400 - 1: both scores are computed before any output.
+        model = tmp_path / "pair.model"
+        model.write_text(
+            f"var A {10**200} observed\nvar B {10**200} observed\nedge A B\n"
+        )
+        assert run(["score", str(model), "--loglik", "-5", "--n", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: score out of float range: int too large to convert to float\n"
+        )
 
     def test_score_with_computed_dimension(self, capsys):
         code = run(

@@ -14,7 +14,14 @@ from support import (
     structural_signature,
     two_branch_hierarchy,
 )
-from treedim import InvalidModelError, TreeModel, Variable
+from treedim import (
+    InvalidModelError,
+    RankPolicy,
+    TreeModel,
+    Variable,
+    effective_dimension,
+    oracle_effective_dimension,
+)
 from treedim.model import check_regular, regularize, standard_dimension, validate
 
 
@@ -173,6 +180,23 @@ class TestRegularize:
         assert [(s.kind, s.old_cardinality, s.new_cardinality) for s in log] == [
             ("reduce", 10, 9)
         ]
+
+    def test_regular_latent_of_degree_two_is_still_removed(self):
+        # X is at its bound 2 * 3 // 3 = 2 between observed nodes, which
+        # check_regular allows; the removal rule fires all the same.
+        model = build_model(
+            [("A", 2, True), ("X", 2, False), ("B", 3, True)],
+            [("A", "X"), ("X", "B")],
+        )
+        assert check_regular(model) == []
+        regular, log = regularize(model)
+        assert [(s.kind, s.variable_name, s.joined) for s in log] == [
+            ("remove", "X", (0, 2))
+        ]
+        assert regular.edges == ((0, 2),)
+        result = effective_dimension(model, RankPolicy(trials=2))
+        assert result.effective_dimension == 5
+        assert oracle_effective_dimension(model, trials=2) == 5
 
     def test_removed_ids_are_retired(self):
         regular, _ = regularize(two_branch_hierarchy(root_cardinality=3))

@@ -9,7 +9,12 @@ import random
 import pytest
 
 from support import (
+    all_states,
     build_model,
+    full_jacobian,
+    full_lc_jacobian,
+    jacobian_weights,
+    joint_observed_distribution,
     latent_class_model,
     random_tree_model,
     reference_joint_observed_distribution,
@@ -27,11 +32,10 @@ from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
 from treedim.oracle import (
     FullParameterPoint,
-    joint_observed_distribution,
     observed_joint_jacobian,
     sample_full_point,
 )
-from treedim.rank import PRIME, lc_jacobian_at, sample_lc_point
+from treedim.rank import PRIME, sample_lc_point
 
 
 def _inverse(n):
@@ -140,8 +144,8 @@ class TestJacobian:
                 ),
             )
             model = latent_class_model(card, leaves)
-            oracle_jac = observed_joint_jacobian(model, full_point)
-            assert oracle_jac == lc_jacobian_at(component, lc_point)
+            oracle_jac = full_jacobian(model, full_point)
+            assert oracle_jac == full_lc_jacobian(component, lc_point)
 
     def test_matches_exact_finite_differences_on_random_trees(self):
         # The joint is affine in every single free weight, so a finite
@@ -158,7 +162,7 @@ class TestJacobian:
                 model.degree(v.id) > 1 for v in model.observed_variables
             )
             point = sample_full_point(model, rng)
-            jac = observed_joint_jacobian(model, point)
+            jac = full_jacobian(model, point)
             base = joint_observed_distribution(model, point)[:-1]
             columns = []
             for bumped in _bumped_points(point):
@@ -171,7 +175,7 @@ class TestJacobian:
     def test_fully_observed_pair_jacobian_shape(self):
         model = build_model([("A", 2, True), ("B", 2, True)], [("A", "B")])
         point = sample_full_point(model, random.Random(1))
-        jac = observed_joint_jacobian(model, point)
+        jac = full_jacobian(model, point)
         assert (len(jac), len(jac[0])) == (3, 3)
         assert all(type(x) is int and 0 <= x < PRIME for row in jac for x in row)
 
@@ -193,24 +197,21 @@ class TestSketch:
             observed = model.observed_variables
             n = standard_dimension(model)
             point = sample_full_point(model, rng)
-            jac = observed_joint_jacobian(model, point)
+            jac = full_jacobian(model, point)
             last = tuple(-sum(row[j] for row in jac) % PRIME for j in range(n))
             rows = jac + (last,)
-            states = list(itertools.product(*(range(v.cardinality) for v in observed)))
-            functionals = [
-                [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
-                for _ in range(3)
-            ]
-            sketch = observed_joint_jacobian(model, point, functionals)
-            assert len(sketch) == len(functionals)
-            for functional, row in zip(functionals, sketch):
-                weights = [
-                    math.prod(a[x] for a, x in zip(functional, state))
+            states = all_states([v.cardinality for v in observed])
+            weights = _random_weights(rng, observed, 3)
+            sketch = observed_joint_jacobian(model, point, weights)
+            assert len(sketch) == 3
+            for j, row in enumerate(sketch):
+                at_state = [
+                    math.prod(table[x][j] for table, x in zip(weights, state))
                     for state in states
                 ]
                 expected = tuple(
-                    sum(w * r[j] for w, r in zip(weights, rows)) % PRIME
-                    for j in range(n)
+                    sum(w * r[c] for w, r in zip(at_state, rows)) % PRIME
+                    for c in range(n)
                 )
                 assert row == expected
         assert latent_edges and observed_internal
@@ -218,16 +219,23 @@ class TestSketch:
     def test_functional_shape_is_checked(self):
         model = latent_class_model(2, (2, 3))
         point = sample_full_point(model, random.Random(4))
-        assert observed_joint_jacobian(model, point, []) == ()
-        for functional in [[[1, 2]], [[1, 2], [1, 2]], [[1, 2], [1, 2, 3], [1]]]:
-            with pytest.raises(ValueError, match="functional"):
-                observed_joint_jacobian(model, point, [functional])
+        assert observed_joint_jacobian(model, point, [[[], []], [[], [], []]]) == ()
+        for weights in [
+            [],
+            [[[1], [2]]],  # a table missing
+            [[[1], [2]], [[1], [2]]],  # a table one row short
+            [[[1], [2]], [[1], [2], [3]], [[1]]],  # a table too many
+            [[[1], [2]], [[1], [2], [3, 4]]],  # ragged functional count
+        ]:
+            with pytest.raises(ValueError, match="table per observed variable"):
+                observed_joint_jacobian(model, point, weights)
 
 
-def _random_functionals(rng, observed, k):
+def _random_weights(rng, observed, k):
+    """Weight tables of ``k`` random functionals: ``[i][x][j]``."""
     return [
-        [[rng.randrange(PRIME) for _ in range(v.cardinality)] for v in observed]
-        for _ in range(k)
+        [[rng.randrange(PRIME) for _ in range(k)] for _ in range(v.cardinality)]
+        for v in observed
     ]
 
 
@@ -259,16 +267,15 @@ class TestPackedKernels:
             unobserved_subtrees += len(latent_leaves)
             point = sample_full_point(model, rng)
             for k in (1, 2, 3, 64):
-                functionals = _random_functionals(rng, observed, k)
-                jac = observed_joint_jacobian(model, point, functionals)
-                assert jac == reference_observed_joint_jacobian(
-                    model, point, functionals
-                )
+                weights = _random_weights(rng, observed, k)
+                jac = observed_joint_jacobian(model, point, weights)
+                assert jac == reference_observed_joint_jacobian(model, point, weights)
                 # one column per free parameter, in every row
                 assert {len(row) for row in jac} == {standard_dimension(model)}
-            assert observed_joint_jacobian(
-                model, point
-            ) == reference_observed_joint_jacobian(model, point)
+            indicators = jacobian_weights(observed)
+            assert full_jacobian(model, point) == reference_observed_joint_jacobian(
+                model, point, indicators
+            )
         assert observed_internal and unit_cards and unobserved_subtrees
 
     def test_extreme_entries_match_the_reference(self):
@@ -278,17 +285,17 @@ class TestPackedKernels:
         for _ in range(10):
             model = random_tree_model(rng, max_vars=7, max_card=3)
             observed = model.observed_variables
-            top = [[[PRIME - 1] * v.cardinality for v in observed]] * 3
+            top = [[[PRIME - 1] * 3] * v.cardinality for v in observed]
             sampled = sample_full_point(model, rng)
             for point in (
                 sampled,
                 _mapped(sampled, lambda w: PRIME - 1),
                 _mapped(sampled, lambda w: 0),
             ):
-                for functionals in (top, _random_functionals(rng, observed, 2)):
+                for weights in (top, _random_weights(rng, observed, 2)):
                     assert observed_joint_jacobian(
-                        model, point, functionals
-                    ) == reference_observed_joint_jacobian(model, point, functionals)
+                        model, point, weights
+                    ) == reference_observed_joint_jacobian(model, point, weights)
 
     def test_indicator_joint_matches_the_reference(self):
         rng = random.Random(6)
@@ -306,12 +313,12 @@ class TestPackedKernels:
         model = latent_class_model(2, (2**13 + 1, 2))
         rng = random.Random(13)
         point = sample_full_point(model, rng)
-        functionals = [
-            [[PRIME - 1] * (2**13 + 1), [rng.randrange(PRIME) for _ in range(2)]]
-            for _ in range(2)
+        weights = [
+            [[PRIME - 1] * 2] * (2**13 + 1),
+            [[rng.randrange(PRIME) for _ in range(2)] for _ in range(2)],
         ]
-        jac = observed_joint_jacobian(model, point, functionals)
-        assert jac == reference_observed_joint_jacobian(model, point, functionals)
+        jac = observed_joint_jacobian(model, point, weights)
+        assert jac == reference_observed_joint_jacobian(model, point, weights)
 
     def test_entries_outside_the_field_act_as_their_residues(self):
         rng = random.Random(11)
@@ -319,21 +326,18 @@ class TestPackedKernels:
             model = random_tree_model(rng, max_vars=6)
             observed = model.observed_variables
             point = sample_full_point(model, rng)
-            functionals = _random_functionals(rng, observed, 3)
-            expected = observed_joint_jacobian(model, point, functionals)
+            weights = _random_weights(rng, observed, 3)
+            expected = observed_joint_jacobian(model, point, weights)
             for shift in (3 * PRIME, -PRIME):
                 moved = _mapped(point, lambda w: w + shift)
-                assert observed_joint_jacobian(model, moved, functionals) == expected
+                assert observed_joint_jacobian(model, moved, weights) == expected
                 assert joint_observed_distribution(
                     model, moved
                 ) == joint_observed_distribution(model, point)
-                functionals_moved = [
-                    [[w + shift for w in a] for a in f] for f in functionals
+                weights_moved = [
+                    [[w + shift for w in row] for row in table] for table in weights
                 ]
-                assert (
-                    observed_joint_jacobian(model, point, functionals_moved)
-                    == expected
-                )
+                assert observed_joint_jacobian(model, point, weights_moved) == expected
 
 
 class TestOracleEffectiveDimension:

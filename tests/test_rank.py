@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from support import reference_rank, residues
+from support import full_lc_jacobian, reference_rank, residues
 
 from treedim import rank
 from treedim.decompose import LcComponent
@@ -224,12 +224,12 @@ class TestLcJacobian:
     def test_degenerate_single_class_single_leaf(self):
         component = LcComponent(0, 1, ((1, 2),), (False,))
         point = LcParameterPoint((), (((5,),),))
-        assert lc_jacobian_at(component, point) == ((1,),)
+        assert full_lc_jacobian(component, point) == ((1,),)
 
     def test_shape(self):
         component = LcComponent(0, 2, ((1, 2), (2, 2)), (False, False))
         point = sample_lc_point(component, random.Random(0))
-        jac = lc_jacobian_at(component, point)
+        jac = full_lc_jacobian(component, point)
         assert (len(jac), len(jac[0])) == (3, 5)
         assert all(type(x) is int and 0 <= x < PRIME for row in jac for x in row)
 
@@ -242,7 +242,7 @@ class TestLcJacobian:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
             point = sample_lc_point(component, random.Random(card * 10))
-            jac = lc_jacobian_at(component, point)
+            jac = full_lc_jacobian(component, point)
             states = [
                 s
                 for s in itertools.product(*(range(c) for c in leaves))
@@ -260,7 +260,7 @@ class TestLcJacobian:
         # over all joint states (the omitted one included) vanishes.
         component = LcComponent(0, 3, ((1, 2), (2, 3)), (False, False))
         point = sample_lc_point(component, random.Random(5))
-        jac = lc_jacobian_at(component, point)
+        jac = full_lc_jacobian(component, point)
         all_states = list(itertools.product(range(2), range(3)))
         for j in range(len(jac[0])):
             bumped_point = _bump_free_weight(component, point, j, 1)
@@ -282,7 +282,7 @@ class TestLcJacobian:
         # Class weights (1,) leave the last class weight 0: one class is dead.
         zero_last = LcParameterPoint((1,), point.conditionals)
         ranks = [
-            exact_rank(lc_jacobian_at(component, p)) for p in (zero_free, zero_last)
+            exact_rank(full_lc_jacobian(component, p)) for p in (zero_free, zero_last)
         ]
         assert all(r <= best for r in ranks)
         assert ranks[1] < best
@@ -291,7 +291,7 @@ class TestLcJacobian:
         component = LcComponent(0, 2, ((1, 2),), (False,))
         wrong = LcParameterPoint((), (((3,), (5,)),))
         with pytest.raises(ValueError, match="does not match"):
-            lc_jacobian_at(component, wrong)
+            lc_jacobian_at(component, wrong, [(0,)])
 
 
 class TestLcEffectiveDimension:
@@ -398,7 +398,7 @@ class TestSpreadRowOrder:
             handed.clear()
             trials = lc_rank_trials(component, trials=2, seed=3)
             assert len(points) == 2
-            full = [lc_jacobian_at(component, point) for point in points]
+            full = [full_lc_jacobian(component, point) for point in points]
             assert {trial for trial, _ in handed} == {0, 1}
             for trial, rows in handed:
                 assert not Counter(rows) - Counter(full[trial])
@@ -432,7 +432,7 @@ class TestPrefixEarlyStop:
     def test_wide_binary_components(self, monkeypatch, card, leaves, expected, builds):
         built = []
 
-        def build(component, point, states=None):
+        def build(component, point, states):
             built.append(len(states))
             return lc_jacobian_at(component, point, states)
 

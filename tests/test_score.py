@@ -54,6 +54,15 @@ class TestScores:
         values = [bic(score_input, d) for d in range(6)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_penalty_beyond_float_range_raises(self):
+        score_input = ScoreInput(loglik=-1.0, sample_size=10)
+        # Beyond float range as an int, and as a product with log N.
+        for dimension in (10**400, 10**308):
+            with pytest.raises(OverflowError):
+                bic(score_input, dimension)
+        # log 1 = 0: no penalty, whatever the dimension.
+        assert bice(ScoreInput(loglik=-1.0, sample_size=1), 10**400) == -1.0
+
     def test_negative_dimension_rejected(self):
         score_input = ScoreInput(loglik=-1.0, sample_size=3)
         with pytest.raises(ValueError):

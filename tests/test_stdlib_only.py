@@ -36,3 +36,29 @@ def test_no_rationals_in_the_runtime():
     # Parameter points, functionals and Jacobians all live in GF(p).
     sources = sorted(PACKAGE.glob("*.py"))
     assert [p.name for p in sources if "fractions" in _absolute_imports(p)] == []
+
+
+def _product_uses(path: Path) -> list[int]:
+    """Lines that name ``itertools.product`` or import it from itertools."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "product"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "itertools"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and any(alias.name == "product" for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_joint_state_enumeration_in_the_runtime():
+    # The oracle sketches its Jacobian and a latent-class rank builds only
+    # the rows it ranks: no code path lists every joint state.
+    sources = sorted(PACKAGE.glob("*.py"))
+    uses = {path.name: _product_uses(path) for path in sources}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
