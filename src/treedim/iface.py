@@ -7,9 +7,10 @@ Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
-validation error, or a score beyond float range; 2 oracle parameter limit
-exceeded under ``--oracle``; 3 oracle/decomposition mismatch; 4 a
-latent-class rank over the row limit (see ``treedim.rank._spread_rank``).
+validation error, a score beyond float range or a ds too long to print;
+2 oracle parameter limit exceeded under ``--oracle``; 3 oracle/decomposition
+mismatch; 4 a latent-class rank over the row or cell limit (see
+``treedim.rank._spread_rank``).
 """
 
 from __future__ import annotations
@@ -246,13 +247,14 @@ def _load_model(path_text: str) -> TreeModel:
 def _run_dims(args, model: TreeModel) -> int:
     policy = RankPolicy(trials=args.trials, seed=args.seed)
     result = effective_dimension(model, policy)
-    if args.report:
+    try:  # its first two lines are ds= and de=
         lines = report_lines(model, result, args.seed, args.trials)
-    else:
-        lines = [
-            f"ds={result.standard_dimension}",
-            f"de={result.effective_dimension}",
-        ]
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        print(f"error: ds has more than {limit} digits to print", file=sys.stderr)
+        return 1
+    if not args.report:
+        lines = lines[:2]
     if args.oracle:
         try:
             oracle_de = oracle_effective_dimension(

@@ -147,7 +147,7 @@ def validate(model: TreeModel) -> list[str]:
             errors.append(f"duplicate variable name {var.name!r}")
         seen_names.add(var.name)
 
-    usable: set[tuple[int, int]] = set()
+    usable, last = 0, None  # edges are sorted, so an edge's repeats are adjacent
     for a, b in model.edges:
         if a == b:
             errors.append(f"self-loop at variable id {a}")
@@ -155,36 +155,27 @@ def validate(model: TreeModel) -> list[str]:
         if a not in seen_ids or b not in seen_ids:
             errors.append(f"edge ({a}, {b}) references an unknown variable id")
             continue
-        if (a, b) in usable:
+        if (a, b) == last:
             errors.append(f"duplicate edge ({a}, {b})")
-        usable.add((a, b))
+        usable += (a, b) != last
+        last = (a, b)
 
     n = len(seen_ids)
-    if len(usable) != n - 1:
-        errors.append(f"not a tree: {len(usable)} distinct edges for {n} variables")
-    reached = _reachable(min(seen_ids), usable)
+    if usable != n - 1:
+        errors.append(f"not a tree: {usable} distinct edges for {n} variables")
+    reached = {min(seen_ids)}
+    stack = list(reached)
+    while stack:
+        for other in model._adjacency.get(stack.pop(), ()):
+            if other in seen_ids and other not in reached:
+                reached.add(other)
+                stack.append(other)
     if len(reached) < n:
         errors.append(f"disconnected: only {len(reached)} of {n} variables reachable")
 
     if not any(v.observed for v in model.variables):
         errors.append("no observed variable")
     return errors
-
-
-def _reachable(start: int, edges: set[tuple[int, int]]) -> set[int]:
-    adjacency: dict[int, list[int]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for other in adjacency.get(node, ()):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return seen
 
 
 def require_valid(model: TreeModel) -> None:

@@ -10,16 +10,20 @@ of Darwiche, JACM 2003).  The passes take the weights of all functionals
 as one table per observed variable, a row per state and an entry per
 functional, and hold a message's values for all functionals in one int, a
 slot each, so a table sum is one big-int multiply-add per table entry (see
-:class:`treedim.rank._Slots`).  The oracle ranks the gradients of
-``min(n, states - 1)`` functionals with random entries in GF(p), the rows
-of a projection ``R J``, at a parameter point drawn in GF(p), which need
-be neither rational nor interior (see :mod:`treedim.rank`).  A projection
-can only lower the rank, and rank-one functionals span the dual of the
-joint space.  Every point and functional entry is drawn with point mass
-at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R`` keep
-the rank with probability at least ``1 - deg * mu``: the error stays
-one-sided.  Elimination is cubic in the parameter count, so models beyond
-a fixed parameter limit are refused.
+:class:`treedim.rank._Slots`).  A parameter is *live* when its variable
+is observed or has a live child.  Each completed block sums to one mod p,
+so a subtree without observed variables sums to exactly one at every
+parent state, and the other parameters' columns are exact zeros: rank J
+<= k = min(n_live, states - 1).  The oracle ranks the nonzero columns
+(rank J = rank J^T) of the gradients of ``k`` functionals with random
+entries in GF(p), the rows of a projection ``R J``, at a point drawn in
+GF(p), which need be neither rational nor interior (see
+:mod:`treedim.rank`).  A projection can only lower the rank, and rank-one
+functionals span the dual of the joint space.  Every point and functional
+entry is drawn with point mass at most mu = 9/2**64, so by Schwartz-Zippel
+a random point and ``R`` keep the rank with probability at least
+``1 - deg * mu``: the error stays one-sided.  Elimination is cubic in the
+parameter count, so models beyond a fixed parameter limit are refused.
 """
 
 from __future__ import annotations
@@ -222,6 +226,18 @@ def observed_joint_jacobian(
     return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
 
 
+def _live_parameters(model: TreeModel) -> int:
+    """Free parameters of the observed variables and those with a live child."""
+    parents, children, order = model._rooting
+    card = {v.id: v.cardinality for v in model.variables}
+    live, count = set(), 0
+    for v in reversed(order):
+        if model.variable(v).observed or live.intersection(children[v]):
+            live.add(v)
+            count += (card[v] - 1) * card.get(parents.get(v), 1)  # root: 1 block
+    return count
+
+
 def oracle_effective_dimension(
     model: TreeModel,
     trials: int = DEFAULT_TRIALS,
@@ -229,10 +245,10 @@ def oracle_effective_dimension(
 ) -> int:
     """Effective dimension by direct Jacobian rank, without decomposition.
 
-    Each trial ranks the gradients of ``min(n, states - 1)`` random
-    functionals at one random point of GF(PRIME).  Raises
-    :class:`OracleLimitError` when the parameter count is too large for a
-    dense exact elimination.
+    Each trial ranks the nonzero columns of the gradients of
+    ``min(live parameters, states - 1)`` random functionals at one random
+    point of GF(PRIME).  Raises :class:`OracleLimitError` when the
+    parameter count is too large for a dense exact elimination.
     """
     require_valid(model)
     if trials < 1:
@@ -244,7 +260,7 @@ def oracle_effective_dimension(
             "use the decomposition pipeline"
         )
     cards = [v.cardinality for v in model.observed_variables]
-    k, width = min(n_params, math.prod(cards) - 1), sum(cards)
+    k, width = min(_live_parameters(model), math.prod(cards) - 1), sum(cards)
     # Draw j*width + s is functional j's weight of variable i at s - spans[i][0].
     spans = [range(e - c, e) for e, c in zip(itertools.accumulate(cards), cards)]
     ranks = []
@@ -253,5 +269,6 @@ def oracle_effective_dimension(
         point = sample_full_point(model, rng)
         draws = field_draws(rng, k * width)
         weights = [[draws[s::width] for s in span] for span in spans]
-        ranks.append(exact_rank(observed_joint_jacobian(model, point, weights)))
+        rows = observed_joint_jacobian(model, point, weights)
+        ranks.append(exact_rank([col for col in zip(*rows) if any(col)]))
     return max(ranks)

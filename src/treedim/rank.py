@@ -40,12 +40,14 @@ DEFAULT_TRIALS = 3
 PRIME = 2**61 - 1
 # No latent-class rank builds more Jacobian rows than this.
 ROW_LIMIT = 2**16
+# No latent-class rank starts from a first prefix of more entries than this.
+CELL_LIMIT = 2**18
 
 log = logging.getLogger(__name__)
 
 
 class RowLimitError(ValueError):
-    """A latent-class rank needs more Jacobian rows than ``ROW_LIMIT``."""
+    """A latent-class rank needs over ``ROW_LIMIT`` rows or ``CELL_LIMIT`` cells."""
 
 
 def derive_seed(*parts) -> int:
@@ -258,21 +260,23 @@ def lc_jacobian_at(
 def _spread_rank(component: "LcComponent", rng: random.Random) -> int:
     """Jacobian rank at a point drawn from ``rng``, from a growing prefix of rows.
 
-    A golden-ratio stride coprime to the row count m spreads the rows, as
-    adjacent lexicographic ones are often dependent.  No rank exceeds
-    b = min(columns, m), so a prefix of rank b has the rank of all m rows.
-    The prefix starts at b rows and doubles (building only the new rows)
-    while its rank is below b and it is shorter than m.  A prefix over
-    ``ROW_LIMIT`` rows raises :class:`RowLimitError`, the first before any draw.
+    A golden-ratio stride coprime to the row count m, round(m * (sqrt(5) -
+    1) / 2) in exact integers, spreads the rows, as adjacent lexicographic
+    ones are often dependent.  No rank exceeds b = min(columns n, m), so a
+    prefix of rank b has the rank of all m rows.  The prefix starts at b
+    rows and doubles (building only the new rows) while its rank is below b
+    and it is shorter than m.  A prefix over ``ROW_LIMIT`` rows, or a first
+    prefix of b * n cells over ``CELL_LIMIT``, raises :class:`RowLimitError`,
+    the first before any draw.
     """
     cards = [card for _, card in component.neighbors]
-    m = math.prod(cards) - 1
-    bound = min(component.standard_dimension(), m)
+    m, n = math.prod(cards) - 1, component.standard_dimension()
+    bound = min(n, m)
     rows, point, size = [], None, bound
-    while size <= ROW_LIMIT:
+    while size <= ROW_LIMIT and (point is not None or bound * n <= CELL_LIMIT):
         if point is None:  # the first prefix fits
             point = sample_lc_point(component, rng)
-            step = max(1, round(m * 0.6180339887))
+            step = (math.isqrt(20 * m * m) - 2 * m + 2) // 4
             while math.gcd(step, m) != 1:
                 step += 1
             # Digit i of a lexicographic state index j is j // radix[i] % cards[i].
@@ -286,9 +290,12 @@ def _spread_rank(component: "LcComponent", rng: random.Random) -> int:
         if rank == bound or size == m:
             return rank
         size = min(2 * size, m)
+    need = f"{size} rows > {ROW_LIMIT}"
+    if size <= ROW_LIMIT:
+        need = f"{bound} x {n} cells > {CELL_LIMIT}"
     raise RowLimitError(
         f"rank of latent cardinality {component.latent_cardinality} over "
-        f"neighbor cardinalities {tuple(cards)} needs {size} rows > {ROW_LIMIT}"
+        f"neighbor cardinalities {tuple(cards)} needs {need}"
     )
 
 

@@ -10,8 +10,15 @@ from operator import mul
 from typing import Sequence
 
 from treedim import TreeModel, Variable
-from treedim.oracle import _full_tables, _inside, _weights, observed_joint_jacobian
-from treedim.rank import PRIME, lc_jacobian_at
+from treedim.model import standard_dimension
+from treedim.oracle import (
+    _full_tables,
+    _inside,
+    _weights,
+    observed_joint_jacobian,
+    sample_full_point,
+)
+from treedim.rank import PRIME, derive_seed, exact_rank, field_draws, lc_jacobian_at
 
 
 def build_model(var_specs, edges) -> TreeModel:
@@ -92,6 +99,36 @@ def random_tree_model(
     )
     edges = tuple((rng.randrange(i), i) for i in range(1, n))
     return TreeModel(variables, edges)
+
+
+def random_hlc_model(rng: random.Random) -> TreeModel:
+    """Random hierarchical latent class (HLC) shaped tree.
+
+    A random skeleton of 2-6 latents of cardinality 2-4; about one
+    skeleton edge in six runs through an observed node of cardinality 2-3,
+    so the split step has work too.  Each latent then gets observed
+    leaves of cardinality 2-3, mostly enough to reach degree 3, though
+    one latent in five may stop short of it (and be regularized away).
+    """
+    specs = [(f"H{i}", rng.randint(2, 4), False) for i in range(rng.randint(2, 6))]
+    edges = []
+    for i in range(1, len(specs)):
+        a, b = f"H{rng.randrange(i)}", f"H{i}"
+        if rng.random() < 1 / 6:
+            specs.append((f"O{i}", rng.randint(2, 3), True))
+            edges += [(a, f"O{i}"), (f"O{i}", b)]
+        else:
+            edges.append((a, b))
+    for i in range(len(specs)):
+        name, _, observed = specs[i]
+        if observed:
+            continue
+        degree = sum(name in edge for edge in edges)
+        short = rng.random() < 0.2
+        for j in range(max(3 - degree - short, 0) + rng.randint(0, 1)):
+            specs.append((f"Y{name}_{j}", rng.randint(2, 3), True))
+            edges.append((name, f"Y{name}_{j}"))
+    return build_model(specs, edges)
 
 
 def structural_signature(model: TreeModel):
@@ -291,3 +328,23 @@ def reference_joint_observed_distribution(model: TreeModel, point):
     )
     _, up = reference_inside(order, children, tables, weights, k)
     return tuple(up[order[0]][0])
+
+
+def reference_oracle_effective_dimension(
+    model: TreeModel, trials: int, seed: int = 0
+) -> int:
+    """The oracle before it dropped the parameters that cannot move the
+    observed joint: each trial ranks all ``n`` columns of the gradients of
+    ``min(n, states - 1)`` random functionals, ``n`` every free parameter."""
+    n_params = standard_dimension(model)
+    cards = [v.cardinality for v in model.observed_variables]
+    k, width = min(n_params, math.prod(cards) - 1), sum(cards)
+    spans = [range(e - c, e) for e, c in zip(itertools.accumulate(cards), cards)]
+    ranks = []
+    for trial in range(trials):
+        rng = random.Random(derive_seed(seed, "oracle-trial", trial))
+        point = sample_full_point(model, rng)
+        draws = field_draws(rng, k * width)
+        weights = [[draws[s::width] for s in span] for span in spans]
+        ranks.append(exact_rank(observed_joint_jacobian(model, point, weights)))
+    return max(ranks)

@@ -7,6 +7,7 @@ oracle-agreement and regularization criteria.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -16,8 +17,10 @@ from support import (
     collapsed_hierarchy,
     latent_class_model,
     jacobian_weights,
+    random_hlc_model,
     random_tree_model,
     reference_observed_joint_jacobian,
+    reference_oracle_effective_dimension,
     structural_signature,
     two_branch_hierarchy,
 )
@@ -50,28 +53,73 @@ WIDE_KEYSTONE_COUNT = 40
 # Third keystone set: trees beyond the oracle's former 4096-state limit.
 LARGE_KEYSTONE_SEED = 20261018
 LARGE_KEYSTONE_COUNT = 100
+# Fourth keystone set: hierarchical latent class (HLC) shaped trees.
+HLC_KEYSTONE_SEED = 20261019
+HLC_KEYSTONE_COUNT = 50
 
-_keystone_models = None
-_keystone_oracle: dict[int, int] = {}
 
-
+@functools.cache
 def keystone_models():
-    global _keystone_models
-    if _keystone_models is None:
-        rng = random.Random(KEYSTONE_SEED)
-        _keystone_models = [
-            random_tree_model(rng, max_vars=7, max_latent=3)
-            for _ in range(KEYSTONE_COUNT)
-        ]
-    return _keystone_models
+    rng = random.Random(KEYSTONE_SEED)
+    return [
+        random_tree_model(rng, max_vars=7, max_latent=3) for _ in range(KEYSTONE_COUNT)
+    ]
 
 
-def keystone_oracle(index: int) -> int:
-    if index not in _keystone_oracle:
-        _keystone_oracle[index] = oracle_effective_dimension(
-            keystone_models()[index], trials=1, seed=index
-        )
-    return _keystone_oracle[index]
+@functools.cache
+def wide_keystone_models():
+    rng = random.Random(WIDE_KEYSTONE_SEED)
+    return [
+        random_tree_model(rng, max_vars=9, max_latent=3, max_card=4)
+        for _ in range(WIDE_KEYSTONE_COUNT)
+    ]
+
+
+@functools.cache
+def large_keystone_models():
+    rng = random.Random(LARGE_KEYSTONE_SEED)
+    models = []
+    while len(models) < LARGE_KEYSTONE_COUNT:
+        model = random_tree_model(rng, max_vars=16, max_latent=6, max_card=3)
+        states = math.prod(v.cardinality for v in model.observed_variables)
+        if states > 4096 and standard_dimension(model) <= 256:
+            models.append(model)
+    return models
+
+
+@functools.cache
+def hlc_keystone_models():
+    rng = random.Random(HLC_KEYSTONE_SEED)
+    models = []
+    while len(models) < HLC_KEYSTONE_COUNT:
+        model = random_hlc_model(rng)
+        if standard_dimension(model) <= 160:
+            models.append(model)
+    return models
+
+
+KEYSTONE_SETS = {
+    "main": keystone_models,
+    "wide": wide_keystone_models,
+    "large": large_keystone_models,
+    "hlc": hlc_keystone_models,
+}
+
+
+@functools.cache
+def keystone_oracle(name: str, index: int) -> int:
+    model = KEYSTONE_SETS[name]()[index]
+    return oracle_effective_dimension(model, trials=1, seed=index)
+
+
+def keystone_mismatches(name: str) -> list[tuple[int, int, int]]:
+    """(index, decomposition de, oracle de) of every disagreeing model."""
+    mismatches = []
+    for i, model in enumerate(KEYSTONE_SETS[name]()):
+        de = effective_dimension(model, RankPolicy(trials=2, seed=i)).effective_dimension
+        if de != keystone_oracle(name, i):
+            mismatches.append((i, de, keystone_oracle(name, i)))
+    return mismatches
 
 
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -128,12 +176,7 @@ def test_criterion_2_combination_arithmetic(capsys):
 def test_criterion_3_oracle_keystone(capsys):
     start = time.perf_counter()
     models = keystone_models()
-    mismatches = []
-    for i, model in enumerate(models):
-        result = effective_dimension(model, RankPolicy(trials=2, seed=i))
-        oracle_de = keystone_oracle(i)
-        if result.effective_dimension != oracle_de:
-            mismatches.append((i, result.effective_dimension, oracle_de))
+    mismatches = keystone_mismatches("main")
     elapsed = time.perf_counter() - start
     ok = not mismatches and len(models) >= 100 and elapsed < 300.0
     _report(
@@ -148,37 +191,21 @@ def test_criterion_3_oracle_keystone(capsys):
 
 def test_criterion_3b_wide_oracle_keystone(capsys):
     start = time.perf_counter()
-    rng = random.Random(WIDE_KEYSTONE_SEED)
-    models = [
-        random_tree_model(rng, max_vars=9, max_latent=3, max_card=4)
-        for _ in range(WIDE_KEYSTONE_COUNT)
-    ]
-    mismatches = []
-    for i, model in enumerate(models):
-        de = effective_dimension(model, RankPolicy(trials=2, seed=i)).effective_dimension
-        oracle_de = oracle_effective_dimension(model, trials=1, seed=i)
-        if de != oracle_de:
-            mismatches.append((i, de, oracle_de))
+    mismatches = keystone_mismatches("wide")
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 300.0
     _report(
         capsys,
         3,
         ok,
-        f"{len(models)} wider random models, {len(mismatches)} mismatches "
-        f"in {elapsed:.1f}s",
+        f"{len(wide_keystone_models())} wider random models, "
+        f"{len(mismatches)} mismatches in {elapsed:.1f}s",
     )
     assert ok, mismatches
 
 
 def test_criterion_3c_oracle_keystone_beyond_the_old_state_limit(capsys):
-    rng = random.Random(LARGE_KEYSTONE_SEED)
-    models = []
-    while len(models) < LARGE_KEYSTONE_COUNT:
-        model = random_tree_model(rng, max_vars=16, max_latent=6, max_card=3)
-        states = math.prod(v.cardinality for v in model.observed_variables)
-        if states > 4096 and standard_dimension(model) <= 256:
-            models.append(model)
+    models = large_keystone_models()
     latent_edges = observed_internal = 0
     for model in models:
         latent = {v.id for v in model.latent_variables}
@@ -188,12 +215,7 @@ def test_criterion_3c_oracle_keystone_beyond_the_old_state_limit(capsys):
         )
     assert latent_edges and observed_internal
     start = time.perf_counter()
-    mismatches = []
-    for i, model in enumerate(models):
-        de = effective_dimension(model, RankPolicy(trials=2, seed=i)).effective_dimension
-        oracle_de = oracle_effective_dimension(model, trials=1, seed=i)
-        if de != oracle_de:
-            mismatches.append((i, de, oracle_de))
+    mismatches = keystone_mismatches("large")
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 300.0
     _report(
@@ -235,6 +257,65 @@ def test_criterion_3d_oracle_rows_match_the_reference_passes(capsys):
         ok,
         f"{len(keystone_models())} random models, packed rows equal the "
         f"reference rows ({len(mismatches)} mismatches) in {elapsed:.1f}s",
+    )
+    assert ok, mismatches
+
+
+def test_criterion_3e_hlc_oracle_keystone(capsys):
+    # Zhang & Kocka (JAIR 2004): de of an HLC model is the sum of its
+    # latent-class components' dimensions minus one correction per
+    # latent-latent edge.  The set must keep exercising that, regularization
+    # and rank-deficient components, whatever the generator draws.
+    start = time.perf_counter()
+    models = hlc_keystone_models()
+    mismatches = []
+    two_edges = regularized = deficient = split = 0
+    for i, model in enumerate(models):
+        result = effective_dimension(model, RankPolicy(trials=2, seed=i))
+        de, oracle_de = result.effective_dimension, keystone_oracle("hlc", i)
+        if de != oracle_de:
+            mismatches.append((i, de, oracle_de))
+        ledger = result.ledger
+        two_edges += len(ledger.latent_edge_corrections) >= 2
+        regularized += bool(ledger.regularization_log)
+        split += bool(ledger.observed_cut_corrections)
+        deficient += any(
+            de < min(c.standard_dimension(), math.prod(k for _, k in c.neighbors) - 1)
+            for c, de in zip(ledger.lc_components, result.component_dimensions)
+        )
+    elapsed = time.perf_counter() - start
+    floors = 2 * two_edges >= len(models) and regularized and deficient and split
+    ok = not mismatches and floors and elapsed < 300.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(models)} HLC models ({two_edges} with two or more latent-edge "
+        f"corrections, {regularized} regularized, {deficient} deficient, "
+        f"{split} split), {len(mismatches)} mismatches in {elapsed:.1f}s",
+    )
+    assert ok, mismatches
+
+
+def test_criterion_3f_oracle_equals_the_reference_oracle(capsys):
+    # The oracle ranks only the live parameters' columns of fewer
+    # functionals; the reference ranks all of them, as the oracle once did.
+    start = time.perf_counter()
+    mismatches = []
+    for name, models in KEYSTONE_SETS.items():
+        for i, model in enumerate(models()):
+            expected = reference_oracle_effective_dimension(model, trials=1, seed=i)
+            if keystone_oracle(name, i) != expected:
+                mismatches.append((name, i, keystone_oracle(name, i), expected))
+    elapsed = time.perf_counter() - start
+    ok = not mismatches
+    count = sum(len(models()) for models in KEYSTONE_SETS.values())
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{count} keystone models, oracle equals the reference oracle "
+        f"({len(mismatches)} mismatches) in {elapsed:.1f}s",
     )
     assert ok, mismatches
 
@@ -360,7 +441,8 @@ def test_criterion_8_regularization(capsys):
             idempotence_failures += 1
         if steps:
             changed += 1
-            if oracle_effective_dimension(reg, trials=1, seed=i) != keystone_oracle(i):
+            reg_de = oracle_effective_dimension(reg, trials=1, seed=i)
+            if reg_de != keystone_oracle("main", i):
                 preservation_failures += 1
     ok = (
         structure_ok

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,48 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert f"needs {2 * 10**40 + 3} rows > 65536" in captured.err
+
+    def test_wide_latent_class_components(self, capsys, monkeypatch, tmp_path):
+        def lc_file(leaves):
+            path = tmp_path / f"lc{leaves}.model"
+            path.write_text(
+                "var H 2 latent\n"
+                + "".join(f"var Y{i} 2 observed\nedge H Y{i}\n" for i in range(leaves))
+            )
+            return str(path)
+
+        # 80 binary leaves: b = 161 strided rows reach the rank at once.
+        start = time.perf_counter()
+        assert run(["dims", lc_file(80)]) == 0
+        assert capsys.readouterr().out == "ds=161\nde=161\n"
+        assert time.perf_counter() - start < 5.0
+
+        def no_draw(component, rng):
+            raise AssertionError("a parameter point was drawn")
+
+        # 1,100 binary leaves: a first prefix of 2,201 x 2,201 cells.
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        wide = lc_file(1100)
+        score = ["score", wide, "--loglik", "-5", "--n", "9"]
+        for args in [["dims", wide], ["dims", wide, "--report"], score]:
+            assert run(args) == 4, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "needs 2201 x 2201 cells > 262144" in captured.err
+
+    def test_dimension_past_the_digit_limit(self, capsys, tmp_path):
+        # ds = de = 10**8000 - 1, past the digits str() of an int allows.
+        model = tmp_path / "pair.model"
+        model.write_text(
+            f"var A {10**4000} observed\nvar B {10**4000} observed\nedge A B\n"
+        )
+        limit = sys.get_int_max_str_digits()
+        for extra in [[], ["--report"], ["--oracle"], ["--report", "--oracle"]]:
+            assert run(["dims", str(model), *extra]) == 1, extra
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: ds has more than {limit} digits to print\n"
 
     def test_score_beyond_float_range(self, capsys, tmp_path):
         # ds = de = 10**400 - 1: both scores are computed before any output.

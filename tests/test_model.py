@@ -80,6 +80,44 @@ class TestValidate:
         vs = (Variable(0, "A", 2, True), Variable(1, "A", 2, True))
         assert any("duplicate variable name" in e for e in validate(TreeModel(vs, ((0, 1),))))
 
+    def test_whole_error_lists(self):
+        # The reachability walk follows only edges between declared ids: an
+        # unknown id never bridges two parts, and loops or repeats add nothing.
+        vs = tuple(Variable(i, f"V{i}", 2, i != 1) for i in range(3))
+        cases = [
+            (
+                ((0, 7), (1, 7), (1, 2)),
+                [
+                    "edge (0, 7) references an unknown variable id",
+                    "edge (1, 7) references an unknown variable id",
+                    "not a tree: 1 distinct edges for 3 variables",
+                    "disconnected: only 1 of 3 variables reachable",
+                ],
+            ),
+            (
+                ((1, 1), (0, 1), (0, 1), (1, 2)),
+                ["duplicate edge (0, 1)", "self-loop at variable id 1"],
+            ),
+            (
+                ((0, 1), (0, 2), (1, 2)),
+                ["not a tree: 3 distinct edges for 3 variables"],
+            ),
+            (
+                (),
+                [
+                    "not a tree: 0 distinct edges for 3 variables",
+                    "disconnected: only 1 of 3 variables reachable",
+                ],
+            ),
+        ]
+        for edges, errors in cases:
+            assert validate(TreeModel(vs, edges)) == errors, edges
+        dup_id = (Variable(0, "A", 2, True), Variable(0, "B", 2, False))
+        assert validate(TreeModel(dup_id, ((0, 0),))) == [
+            "duplicate variable id 0",
+            "self-loop at variable id 0",
+        ]
+
 
 class TestStandardDimension:
     def test_two_branch_hierarchy(self):

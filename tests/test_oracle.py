@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import support
 from support import (
     all_states,
     build_model,
@@ -19,6 +20,7 @@ from support import (
     random_tree_model,
     reference_joint_observed_distribution,
     reference_observed_joint_jacobian,
+    reference_oracle_effective_dimension,
 )
 from treedim import (
     OracleLimitError,
@@ -28,6 +30,7 @@ from treedim import (
     effective_dimension,
     oracle_effective_dimension,
 )
+from treedim import oracle
 from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
 from treedim.oracle import (
@@ -399,3 +402,83 @@ class TestOracleEffectiveDimension:
             for v in model.observed_variables:
                 states *= v.cardinality
             assert de <= min(standard_dimension(model), states - 1)
+
+
+def _hang_latent_chain(model: TreeModel, rng: random.Random) -> TreeModel:
+    """The model with a chain of 1-3 latents of cardinality 1-4 hung off a
+    random node; the chain takes the lowest ids half the time, so the root
+    can sit at its free end."""
+    length = rng.randint(1, 3)
+    low = rng.random() < 0.5
+    shift = length if low else 0
+    first = 0 if low else len(model.variables)
+    chain = [
+        Variable(first + i, f"H{i}", rng.randint(1, 4), False) for i in range(length)
+    ]
+    anchor = rng.choice(model.variables).id + shift
+    edges = [(a + shift, b + shift) for a, b in model.edges]
+    edges += [(anchor, first)] + [(first + i, first + i + 1) for i in range(length - 1)]
+    variables = [
+        Variable(v.id + shift, v.name, v.cardinality, v.observed)
+        for v in model.variables
+    ]
+    return TreeModel(tuple(variables + chain), tuple(edges))
+
+
+class TestLiveParameters:
+    # A (3) - L (2) - {B (3), C (3)}, with the latent chain L - D (3) - E (2)
+    # hanging off L.  Rooted at A: 20 parameters, of which D's 4 and E's 3
+    # cannot move the joint of A, B and C over 27 states.
+    DEAD_CHAIN = build_model(
+        [
+            ("A", 3, True),
+            ("L", 2, False),
+            ("B", 3, True),
+            ("C", 3, True),
+            ("D", 3, False),
+            ("E", 2, False),
+        ],
+        [("A", "L"), ("L", "B"), ("L", "C"), ("L", "D"), ("D", "E")],
+    )
+
+    def test_k_counts_only_the_live_parameters(self, monkeypatch):
+        draws, shapes = [], []
+        real_draws, real_rank = oracle.field_draws, oracle.exact_rank
+
+        def recording_draws(rng, count):
+            draws.append(count)
+            return real_draws(rng, count)
+
+        def recording_rank(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return real_rank(rows)
+
+        for module in (oracle, support):
+            monkeypatch.setattr(module, "field_draws", recording_draws)
+            monkeypatch.setattr(module, "exact_rank", recording_rank)
+        model = self.DEAD_CHAIN
+        assert standard_dimension(model) == 20
+        assert oracle_effective_dimension(model, trials=1) == 13
+        # The point draws all 20 parameters; the functionals k = min(13, 26)
+        # times 9 observed states; the 13 nonzero columns of 13 rows are ranked.
+        assert draws == [20, 13 * 9]
+        assert shapes == [(13, 13)]
+        # Before: k = min(20, 26) functionals, all 20 columns.
+        draws.clear()
+        shapes.clear()
+        assert reference_oracle_effective_dimension(model, trials=1) == 13
+        assert draws == [20, 20 * 9]
+        assert shapes == [(20, 20)]
+        assert effective_dimension(model).effective_dimension == 13
+
+    def test_hanging_latent_chains_match_the_reference(self):
+        rng = random.Random(4242)
+        roots_in_chain = 0
+        for i in range(40):
+            model = _hang_latent_chain(random_tree_model(rng, max_vars=5), rng)
+            roots_in_chain += model.variables[0].latent
+            de = oracle_effective_dimension(model, trials=1, seed=i)
+            assert de == reference_oracle_effective_dimension(model, trials=1, seed=i)
+            policy = RankPolicy(trials=2, seed=i)
+            assert de == effective_dimension(model, policy).effective_dimension
+        assert roots_in_chain >= 10

@@ -453,3 +453,38 @@ class TestPrefixEarlyStop:
             lc_rank_trials(_binary_component(2, 20), trials=1)
         monkeypatch.setattr(rank, "ROW_LIMIT", 82)
         assert lc_rank_trials(_binary_component(2, 20), trials=1) == (41,)
+
+    def test_first_prefix_over_the_cell_limit_raises_before_any_draw(
+        self, monkeypatch
+    ):
+        def no_draw(component, rng):
+            raise AssertionError("a parameter point was drawn")
+
+        real_draw = rank.sample_lc_point
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        # c = 2 over 20 binary leaves: b = n = 41, a first prefix of 1,681 cells.
+        monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41 - 1)
+        with pytest.raises(RowLimitError, match=r"needs 41 x 41 cells > 1680$"):
+            lc_rank_trials(_binary_component(2, 20), trials=1)
+        monkeypatch.setattr(rank, "sample_lc_point", real_draw)
+        monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41)
+        assert lc_rank_trials(_binary_component(2, 20), trials=1) == (41,)
+        # Only the first prefix is checked: c = 3 doubles to 124 x 62 cells.
+        monkeypatch.setattr(rank, "CELL_LIMIT", 62 * 62)
+        assert lc_rank_trials(_binary_component(3, 20), trials=1) == (62,)
+
+    def test_eighty_binary_leaves_reach_the_bound_from_the_first_prefix(
+        self, monkeypatch
+    ):
+        # m = 2**80 - 1.  round(m * 0.6180339887) in floats kept 53 bits and
+        # ended in 27 zero bits, so the last leaves hardly varied over the
+        # prefix, which doubled up to ROW_LIMIT without reaching rank b.
+        built = []
+
+        def build(component, point, states):
+            built.append(len(states))
+            return lc_jacobian_at(component, point, states)
+
+        monkeypatch.setattr(rank, "lc_jacobian_at", build)
+        assert lc_rank_trials(_binary_component(2, 80), trials=2) == (161, 161)
+        assert built == [161, 161]
