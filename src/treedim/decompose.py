@@ -260,8 +260,8 @@ def effective_dimension(
     """Standard and effective dimension of a tree model, with audit trail.
 
     Pipeline: prune latent leaves, split at observed internal nodes,
-    then per piece either record its standard dimension (no latents) or
-    regularize it and decompose it into latent-class components; rank
+    regularize each piece, then either record its standard dimension (no
+    latents left) or decompose it into latent-class components; rank
     each component signature once at random points of GF(p); combine.
     """
     require_valid(model)
@@ -275,18 +275,10 @@ def effective_dimension(
     reg_log: list[RegularizationStep] = []
 
     for piece in pieces:
-        if not piece.latent_variables:
-            free_parts.append(
-                LatentFreePart(
-                    tuple(v.id for v in piece.variables), standard_dimension(piece)
-                )
-            )
-            continue
+        # Regularizing returns a latent-free piece as is, and can leave one.
         regular, steps = regularize(piece)
         reg_log.extend(steps)
         if not regular.latent_variables:
-            # Regularization can collapse a piece down to a single
-            # observed-observed edge.
             free_parts.append(
                 LatentFreePart(
                     tuple(v.id for v in regular.variables),

@@ -9,8 +9,8 @@ identical inputs and flags.
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
 validation error, a score beyond float range or a ds too long to print;
 2 oracle parameter limit exceeded under ``--oracle``; 3 oracle/decomposition
-mismatch; 4 a latent-class rank over the row or cell limit (see
-``treedim.rank._spread_rank``).
+mismatch; 4 a latent-class rank over the cell limit (see
+``treedim.rank._trial_rank``).
 """
 
 from __future__ import annotations

@@ -1,24 +1,32 @@
-"""Prime-field rank engine and latent-class Jacobian ranks.
+"""Prime-field rank engine and the packed Jacobian passes of tree models.
 
 Ranks are exact, taken in GF(p), p = 2**61 - 1, of matrices given as
 rows of integers.  Elimination packs each row into one int, one
 fixed-width slot per column, wide enough that no carry crosses a slot,
 so a pivot is applied to a whole row by one big-int multiply-add;
-pivots are kept un-normalised, their slots only folded below 2p.  The
-closed-form Jacobian of a latent-class component is built directly mod p
-at a random point of GF(p): every free weight is a residue drawn by
-:func:`field_draws`, and each block's last weight is one minus the rest
-mod p.
+pivots are kept un-normalised, their slots only folded below 2p.
+
+No Jacobian is written out state by state.  A functional with one weight
+vector ``a_v`` per observed variable contracts the observed joint to
+``S = sum_x prod_v a_v(x_v) P(x)``; one inside and one outside pass over
+the rooted tree give the gradients of all functionals at once, a slot
+each (the differential approach of Darwiche, JACM 2003).  The oracle
+runs the passes on a whole model, a latent-class component on its star:
+the latent at the root, one observed leaf per neighbor.  Free weights
+and functional entries are residues drawn by :func:`field_draws`; each
+block's last weight is one minus the rest mod p.
 
 The error is one-sided.  Jacobian entries are integer polynomials in
 the free weights, so a minor that is non-zero mod p at any field point
 is a non-zero polynomial over the rationals: the rank mod p there is at
 most the generic rank over the rationals, which the open simplex, being
-Zariski-dense, attains almost everywhere.  So a point need be neither
-rational nor interior, and an unlucky one can only err low; the maximum
-over independent trials is reported.  Each drawn residue has point mass
-at most mu = 9/2**64, so by Schwartz-Zippel a minor of degree d that is
-non-zero mod p vanishes at a drawn point with probability at most d*mu.
+Zariski-dense, attains almost everywhere, so a point need be neither
+rational nor interior.  ``k`` functionals' gradients are the rows of a
+projection ``R J``, which can only lower the rank, and rank-one
+functionals span the dual of the joint space.  Each draw has point mass
+at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R``
+lose a rank up to ``k`` with probability at most deg * mu.  An unlucky
+draw can only err low; the maximum over trials is reported.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import logging
 import math
 import random
 import struct
-from dataclasses import dataclass
+from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -38,16 +46,14 @@ if TYPE_CHECKING:
 DEFAULT_TRIALS = 3
 # Ranks are taken in GF(PRIME), a Mersenne prime.
 PRIME = 2**61 - 1
-# No latent-class rank builds more Jacobian rows than this.
-ROW_LIMIT = 2**16
-# No latent-class rank starts from a first prefix of more entries than this.
+# No latent-class rank builds a Jacobian of more entries than this.
 CELL_LIMIT = 2**18
 
 log = logging.getLogger(__name__)
 
 
 class RowLimitError(ValueError):
-    """A latent-class rank needs over ``ROW_LIMIT`` rows or ``CELL_LIMIT`` cells."""
+    """A latent-class rank needs a Jacobian of over ``CELL_LIMIT`` cells."""
 
 
 def derive_seed(*parts) -> int:
@@ -70,6 +76,13 @@ def field_draws(rng: random.Random, count: int) -> list[int]:
     """
     words = struct.unpack(f"<{count}Q", rng.randbytes(8 * count))
     return [w % PRIME for w in words]
+
+
+def _residues(values: Sequence[int]) -> Sequence[int]:
+    """``values`` mod PRIME; values all in [0, PRIME) come back as they are."""
+    if values and 0 <= min(values) and max(values) < PRIME:
+        return values
+    return [x % PRIME for x in values]
 
 
 class _Slots:
@@ -128,7 +141,7 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     width, twop, mask = slots.width, slots.ones * 2 * PRIME, (1 << slots.width) - 1
     basis: dict[int, tuple[int, int]] = {}  # lead column -> (1 / lead, 2p - pivot)
     for row in rows:
-        vec = slots.pack([x % PRIME for x in row])
+        vec = slots.pack(_residues(row))
         for lead in range(n):
             f = (vec & mask) % PRIME
             if f:
@@ -145,158 +158,191 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class LcParameterPoint:
-    """Parameter point of a latent-class component, in GF(PRIME).
-
-    ``class_weights`` holds the free weights of the latent classes (one
-    fewer than the latent cardinality); ``conditionals[i][z]`` holds the
-    free weights of neighbor ``i``'s distribution given class ``z``.
-    Weights are integers taken mod PRIME; the last weight of every block
-    is one minus the rest, mod PRIME, and may be any residue, zero too.
-    """
-
-    class_weights: tuple[int, ...]
-    conditionals: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def sample_lc_point(component: "LcComponent", rng: random.Random) -> LcParameterPoint:
-    c = component.latent_cardinality
-    cards = [card for _, card in component.neighbors]
-    draws = iter(field_draws(rng, c - 1 + c * sum(card - 1 for card in cards)))
-    weights = tuple(itertools.islice(draws, c - 1))
-    conditionals = tuple(
-        tuple(tuple(itertools.islice(draws, card - 1)) for _ in range(c))
-        for card in cards
-    )
-    return LcParameterPoint(weights, conditionals)
-
-
 def _full_block(free: Sequence[int]) -> list[int]:
     """Free weights mod PRIME, completed by ``(1 - sum(free)) mod PRIME``."""
     free = [x % PRIME for x in free]
     return [*free, (1 - sum(free)) % PRIME]
 
 
-def _field_blocks(component: "LcComponent", point: LcParameterPoint):
-    """Check the point against the component and complete each block once.
+def _functionals(rng: random.Random, cards: Sequence[int], k: int):
+    """Weights of ``k`` random functionals from one :func:`field_draws` call.
 
-    Returns the completed class weights and the completed conditionals,
-    ``phi[i][z][y]``.
+    Returns ``weights[i][x][j]``, functional ``j``'s weight of variable
+    ``i`` at state ``x``: one table per variable, a row per state and an
+    entry per functional, the layout :func:`_inside` reads.  Draw
+    ``j * sum(cards) + s`` is that weight for ``s = sum(cards[:i]) + x``.
+    """
+    width = sum(cards)
+    draws = field_draws(rng, k * width)
+    starts = itertools.accumulate(cards, initial=0)
+    return [
+        [draws[s::width] for s in range(a, a + card)] for a, card in zip(starts, cards)
+    ]
+
+
+def _weights(variables, weights) -> tuple[dict, int]:
+    """Check ``weights[i][x][j]`` against ``variables``, (key, cardinality)
+    pairs, and return its tables by key, entries mod PRIME, and the count k."""
+    k = len(weights[0][0]) if weights and weights[0] else 0
+    shape = [[k] * card for _, card in variables]
+    if [[len(row) for row in t] for t in weights] != shape:
+        raise ValueError("weights need a cardinality x k table per observed variable")
+    rows = [[_residues(row) for row in t] for t in weights]
+    return {key: t for (key, _), t in zip(variables, rows)}, k
+
+
+def _times(a, b):
+    """Entrywise product mod PRIME of two ``[state][functional]`` arrays."""
+    return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
+
+
+def _sums(slots, rows, vectors):
+    """Packed ``sum_i row[i] * vectors[i]`` per row, slots folded below 2p."""
+    packed = [slots.pack(x) for x in vectors]
+    return [slots.unpack(slots.fold(sum(map(mul, row, packed)))) for row in rows]
+
+
+def _inside(order, children, tables, weights, k):
+    """Inside vectors and upward messages of all functionals at once.
+
+    ``order`` lists the variables root first, each before its children;
+    ``tables[v][p]`` is ``v``'s completed block at parent state ``p`` (the
+    root has one), and ``weights[v][x][j]`` functional ``j``'s weight of
+    an observed ``v`` at ``x``.  The factors of ``v``, arrays ``[x][j]``,
+    are its children's messages in order, then its weights;
+    ``partial[v][i]`` is the entrywise product of the first ``i + 1``,
+    ``beta[v] = partial[v][-1]``.  The message to the parent at state
+    ``p``, ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]``, is one
+    packed sum (:func:`_sums`), a slot per functional, its entries below
+    2p; ``up[root][0][j]`` is functional ``j``'s ``S``.  A subtree without
+    observed variables sums to one at every parent state, so it gets
+    neither ``partial`` nor ``up``.  Returns the slots too.
+    """
+    # A sum in _sums adds at most c products of a table entry, below p, and
+    # a vector entry, below 2p, c the largest cardinality: below c * 2**123.
+    card = max(len(blocks[0]) for blocks in tables.values())
+    slots = _Slots(k, 123 + card.bit_length())
+    partial, up = {}, {}
+    for v in reversed(order):
+        factors = [up[c] for c in children[v] if c in up]
+        if v in weights:
+            factors.append(weights[v])
+        if factors:
+            partial[v] = list(itertools.accumulate(factors, _times))
+            up[v] = _sums(slots, tables[v], partial[v][-1])
+    return partial, up, slots
+
+
+def _gradient(order, children, tables, weights, partial, up, slots):
+    """Gradient columns of the scalars ``S``, mod PRIME, per variable.
+
+    ``outer[v][p]`` is the weight outside ``v``'s subtree and table at
+    parent state ``p`` (one at the root, where no product is taken).  A
+    free weight moves its entry up and its block's last entry down, so
+    its column is ``outer[v][p] * (beta[v][x] - beta[v][last])``, zero
+    without ``beta``.  ``down[x] = sum_p tables[v][p][x] * outer[v][p]``
+    is a packed sum, as in :func:`_inside`; a child's outer weight is
+    ``down`` times the messages of the children after it, taken from the
+    right, times ``partial`` of those before it.
+    """
+    outer = {order[0]: None}  # None: the root's outer weight is one
+    grad = {}
+    for v in order:
+        if v not in partial:
+            grad[v] = [slots.unpack(0)] * (len(tables[v]) * (len(tables[v][0]) - 1))
+            continue
+        b, out = partial[v][-1], outer[v]
+        diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
+        if out is None:
+            grad[v] = [[d % PRIME for d in dx] for dx in diffs]
+        else:
+            grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
+        kids = [c for c in children[v] if c in partial]
+        if not kids:
+            continue
+        # down[x]: the weight outside the subtrees of v's children at v = x
+        down = _sums(slots, zip(*tables[v]), out or [slots.unpack(slots.ones)])
+        if v in weights:
+            down = _times(down, weights[v])
+        for i in range(len(kids) - 1, 0, -1):
+            outer[kids[i]] = _times(down, partial[v][i - 1])
+            down = _times(down, up[kids[i]])
+        outer[kids[0]] = down
+    return grad
+
+
+def sample_lc_point(component: "LcComponent", rng: random.Random) -> list:
+    """Completed tables of a latent-class component's star, in GF(PRIME).
+
+    ``point[0]`` holds the latent's one block of class weights and
+    ``point[1 + i][z]`` neighbor ``i``'s block given class ``z``.  The free
+    weights come from one :func:`field_draws` call, class weights first,
+    then neighbor by neighbor and class by class; the last weight of every
+    block is one minus the rest, mod PRIME, and may be any residue.
     """
     c = component.latent_cardinality
-    if len(point.class_weights) != c - 1:
-        raise ValueError(
-            f"class weight count {len(point.class_weights)} does not match "
-            f"latent cardinality {c}"
-        )
-    if len(point.conditionals) != len(component.neighbors):
-        raise ValueError("conditional block count does not match neighbor count")
-    phi = []
-    for i, (var_id, card) in enumerate(component.neighbors):
-        blocks = point.conditionals[i]
-        if len(blocks) != c:
-            raise ValueError(f"neighbor {var_id}: expected {c} conditional blocks")
-        full = []
-        for z, block in enumerate(blocks):
-            if len(block) != card - 1:
-                raise ValueError(
-                    f"neighbor {var_id}, class {z}: expected {card - 1} free weights"
-                )
-            full.append(_full_block(block))
-        phi.append(full)
-    return _full_block(point.class_weights), phi
+    cards = [card for _, card in component.neighbors]
+    draws = iter(field_draws(rng, c - 1 + c * sum(card - 1 for card in cards)))
+    widths = [[c]] + [[card] * c for card in cards]
+    return [
+        [_full_block(list(itertools.islice(draws, w - 1))) for w in t] for t in widths
+    ]
 
 
 def lc_jacobian_at(
-    component: "LcComponent",
-    point: LcParameterPoint,
-    states: Sequence[Sequence[int]],
+    component: "LcComponent", point, weights
 ) -> tuple[tuple[int, ...], ...]:
-    """Jacobian rows of the observed joint of a latent-class component, mod PRIME.
+    """Gradients of functionals of a latent-class component's joint, mod PRIME.
 
-    The joint probability of a neighbor-state tuple ``y`` is
-    ``sum_z pi_z * prod_i phi[i][z][y_i]`` with the last weight of every
-    block substituted by one minus the rest.  There is one row per tuple
-    in ``states``, in that order; columns are the free class weights
-    followed by the free conditional weights grouped by neighbor, then
-    class, then state.  Entries lie in [0, PRIME).
+    ``point`` holds the star's completed tables (:func:`sample_lc_point`),
+    ``weights[i][x][j]`` functional ``j``'s weight of neighbor ``i`` at
+    state ``x``, any integers.  Row ``j`` is functional ``j``'s gradient
+    from the passes on the star; columns are the free class weights, then
+    the free conditional weights by neighbor, class and state.  Entries
+    lie in [0, PRIME).
     """
-    pi, phi = _field_blocks(component, point)
     c = component.latent_cardinality
     cards = [card for _, card in component.neighbors]
-    # offsets[i] is the first column of neighbor i; the last one is n.
-    offsets = list(itertools.accumulate((c * (k - 1) for k in cards), initial=c - 1))
-    n = offsets[-1]
-
-    rows = []
-    for state in states:
-        row = [0] * n
-        free = []  # free[z] = prod_i phi[i][z][y_i]
-        for z in range(c):
-            factors = [phi[i][z][y] for i, y in enumerate(state)]
-            suffix = [pi[z]]  # suffix[-1 - i] = pi_z * prod_{j >= i} factors[j]
-            for f in reversed(factors):
-                suffix.append(suffix[-1] * f % PRIME)
-            prefix = 1  # prod_{j < i} factors[j]
-            for i, y in enumerate(state):
-                width = cards[i] - 1
-                if width:
-                    # d joint / d phi[i][z][y] = pi_z * prod_{j != i} phi[j][z][y_j]
-                    base = prefix * suffix[-2 - i] % PRIME
-                    start = offsets[i] + z * width
-                    if y < width:
-                        row[start + y] = base
-                    else:
-                        row[start : start + width] = [-base % PRIME] * width
-                prefix = prefix * factors[i] % PRIME
-            free.append(prefix)
-        for z in range(c - 1):
-            row[z] = (free[z] - free[c - 1]) % PRIME
-        rows.append(tuple(row))
-    return tuple(rows)
+    if [[len(block) for block in t] for t in point] != [[c]] + [[y] * c for y in cards]:
+        raise ValueError("point does not match the component's tables")
+    tables = {v: [_residues(block) for block in t] for v, t in enumerate(point)}
+    order = list(tables)
+    children = dict.fromkeys(order[1:], ()) | {0: order[1:]}
+    weights, k = _weights(list(enumerate(cards, 1)), weights)
+    partial, up, slots = _inside(order, children, tables, weights, k)
+    grad = _gradient(order, children, tables, weights, partial, up, slots)
+    return tuple(zip(*(column for v in order for column in grad[v])))
 
 
-def _spread_rank(component: "LcComponent", rng: random.Random) -> int:
-    """Jacobian rank at a point drawn from ``rng``, from a growing prefix of rows.
+def _figure(x: int) -> str:
+    """``x`` in digits below 10**12, else as ``m.me<exponent>``, which needs
+    no ``str`` of a huge int.  ``x`` is positive."""
+    e = math.log10(x)
+    return str(x) if e < 12 else f"{10 ** (e % 1):.1f}e{int(e)}"
 
-    A golden-ratio stride coprime to the row count m, round(m * (sqrt(5) -
-    1) / 2) in exact integers, spreads the rows, as adjacent lexicographic
-    ones are often dependent.  No rank exceeds b = min(columns n, m), so a
-    prefix of rank b has the rank of all m rows.  The prefix starts at b
-    rows and doubles (building only the new rows) while its rank is below b
-    and it is shorter than m.  A prefix over ``ROW_LIMIT`` rows, or a first
-    prefix of b * n cells over ``CELL_LIMIT``, raises :class:`RowLimitError`,
-    the first before any draw.
+
+def _trial_rank(component: "LcComponent", rng: random.Random) -> int:
+    """Jacobian rank at a point drawn from ``rng``, from ``b`` functionals.
+
+    No rank exceeds b = min(columns n, joint states - 1), so the gradients
+    of b random functionals keep the rank of the whole Jacobian but with
+    probability at most deg * mu (see the module docstring).  A component
+    of b * n cells over ``CELL_LIMIT`` raises :class:`RowLimitError`
+    before any draw.
     """
     cards = [card for _, card in component.neighbors]
-    m, n = math.prod(cards) - 1, component.standard_dimension()
-    bound = min(n, m)
-    rows, point, size = [], None, bound
-    while size <= ROW_LIMIT and (point is not None or bound * n <= CELL_LIMIT):
-        if point is None:  # the first prefix fits
-            point = sample_lc_point(component, rng)
-            step = (math.isqrt(20 * m * m) - 2 * m + 2) // 4
-            while math.gcd(step, m) != 1:
-                step += 1
-            # Digit i of a lexicographic state index j is j // radix[i] % cards[i].
-            radix = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
-        states = [
-            [k * step % m // r % card for r, card in zip(radix, cards)]
-            for k in range(len(rows), size)
-        ]
-        rows.extend(lc_jacobian_at(component, point, states))
-        rank = exact_rank(rows)
-        if rank == bound or size == m:
-            return rank
-        size = min(2 * size, m)
-    need = f"{size} rows > {ROW_LIMIT}"
-    if size <= ROW_LIMIT:
-        need = f"{bound} x {n} cells > {CELL_LIMIT}"
-    raise RowLimitError(
-        f"rank of latent cardinality {component.latent_cardinality} over "
-        f"neighbor cardinalities {tuple(cards)} needs {need}"
-    )
+    n = component.standard_dimension()
+    bound = min(n, math.prod(cards) - 1)
+    if bound * n > CELL_LIMIT:
+        distinct = ", ".join(map(_figure, sorted(set(cards))))
+        raise RowLimitError(
+            f"rank of latent cardinality {_figure(component.latent_cardinality)} "
+            f"over {len(cards)} neighbors of cardinalities {{{distinct}}} needs "
+            f"{_figure(bound)} x {_figure(n)} cells > {CELL_LIMIT}"
+        )
+    point = sample_lc_point(component, rng)
+    weights = _functionals(rng, cards, bound)
+    return exact_rank(lc_jacobian_at(component, point, weights))
 
 
 def lc_rank_trials(
@@ -312,7 +358,7 @@ def lc_rank_trials(
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        ranks.append(_spread_rank(component, rng))
+        ranks.append(_trial_rank(component, rng))
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",

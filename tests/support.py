@@ -11,14 +11,19 @@ from typing import Sequence
 
 from treedim import TreeModel, Variable
 from treedim.model import standard_dimension
-from treedim.oracle import (
-    _full_tables,
+from treedim.oracle import _full_tables, observed_joint_jacobian, sample_full_point
+from treedim.rank import (
+    CELL_LIMIT,
+    PRIME,
+    RowLimitError,
+    _functionals,
     _inside,
     _weights,
-    observed_joint_jacobian,
-    sample_full_point,
+    derive_seed,
+    exact_rank,
+    lc_jacobian_at,
+    sample_lc_point,
 )
-from treedim.rank import PRIME, derive_seed, exact_rank, field_draws, lc_jacobian_at
 
 
 def build_model(var_specs, edges) -> TreeModel:
@@ -199,7 +204,7 @@ def _reference_times(a, b):
 def reference_inside(order, children, tables, weights, k):
     """Inside vectors and upward messages, one list entry per functional.
 
-    The list-based inside pass ``treedim.oracle._inside`` replaced:
+    The list-based inside pass ``treedim.rank._inside`` replaced:
     ``beta[v][x][j]`` is functional ``j``'s weight of ``v`` at ``x`` (one for
     a latent ``v``) times the children's messages at ``x``, and
     ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j] mod PRIME``.
@@ -221,7 +226,7 @@ def reference_inside(order, children, tables, weights, k):
 def reference_gradient(order, children, tables, weights, beta, up, k):
     """Gradient columns of every variable, block by block, entry by entry.
 
-    The list-based outside pass ``treedim.oracle._gradient`` replaced:
+    The list-based outside pass ``treedim.rank._gradient`` replaced:
     ``outer[v][p][j]`` is the weight outside ``v``'s subtree and table at
     parent state ``p``, and a free weight's column is
     ``outer[v][p] * (beta[v][x] - beta[v][last])``.
@@ -259,48 +264,51 @@ def all_states(cards: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(card) for card in cards)))
 
 
-def indicator_weights(observed, states=None):
+def indicator_weights(cards: Sequence[int], states=None):
     """Weight tables of the indicator functionals of ``states``, by default
-    every joint state of the observed variables: ``tables[i][x][j]`` is 1
-    when state ``j`` puts observed variable ``i`` at ``x``, else 0."""
+    every joint state over the cardinalities: ``tables[i][x][j]`` is 1 when
+    state ``j`` puts variable ``i`` at ``x``, else 0."""
     if states is None:
-        states = all_states([v.cardinality for v in observed])
+        states = all_states(cards)
     return [
-        [[int(s[i] == x) for s in states] for x in range(v.cardinality)]
-        for i, v in enumerate(observed)
+        [[int(s[i] == x) for s in states] for x in range(card)]
+        for i, card in enumerate(cards)
     ]
 
 
-def jacobian_weights(observed):
-    """The indicator functionals of every observed joint state but the
+def jacobian_weights(cards: Sequence[int]):
+    """The indicator functionals of every joint state but the
     lexicographically last: their gradients are the rows of the Jacobian
-    of the observed joint."""
-    states = all_states([v.cardinality for v in observed])
-    return indicator_weights(observed, states[:-1])
+    of the joint."""
+    return indicator_weights(cards, all_states(cards)[:-1])
+
+
+def _observed(model: TreeModel):
+    """The (id, cardinality) pairs of the observed variables."""
+    return [(v.id, v.cardinality) for v in model.observed_variables]
 
 
 def full_jacobian(model: TreeModel, point):
     """The Jacobian of the observed joint, one row per joint state but the
-    last, from the packed oracle passes."""
-    weights = jacobian_weights(model.observed_variables)
+    last, from the packed passes."""
+    weights = jacobian_weights([v.cardinality for v in model.observed_variables])
     return observed_joint_jacobian(model, point, weights)
 
 
 def full_lc_jacobian(component, point):
     """``lc_jacobian_at`` over every joint neighbor state but the all-last one."""
-    cards = [card for _, card in component.neighbors]
-    return lc_jacobian_at(component, point, all_states(cards)[:-1])
+    weights = jacobian_weights([card for _, card in component.neighbors])
+    return lc_jacobian_at(component, point, weights)
 
 
 def joint_observed_distribution(model: TreeModel, point) -> tuple[int, ...]:
     """Joint distribution of the observed variables at a point, mod PRIME,
     in lexicographic state order, from the packed inside pass
-    ``treedim.oracle._inside`` over the indicator functionals."""
+    ``treedim.rank._inside`` over the indicator functionals."""
     parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
-    weights, k = _weights(
-        model.observed_variables, indicator_weights(model.observed_variables)
-    )
+    observed = _observed(model)
+    weights, k = _weights(observed, indicator_weights([c for _, c in observed]))
     _, up, _ = _inside(order, children, tables, weights, k)
     return tuple(s % PRIME for s in up[order[0]][0])
 
@@ -310,7 +318,7 @@ def reference_observed_joint_jacobian(model: TreeModel, point, weights):
     one product and one ``% PRIME`` per functional and table entry."""
     parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
-    weights, k = _weights(model.observed_variables, weights)
+    weights, k = _weights(_observed(model), weights)
     if not k:
         return ()
     beta, up = reference_inside(order, children, tables, weights, k)
@@ -323,9 +331,8 @@ def reference_joint_observed_distribution(model: TreeModel, point):
     the indicator functionals."""
     parents, children, order = model._rooting
     tables = _full_tables(model, point, parents)
-    weights, k = _weights(
-        model.observed_variables, indicator_weights(model.observed_variables)
-    )
+    observed = _observed(model)
+    weights, k = _weights(observed, indicator_weights([c for _, c in observed]))
     _, up = reference_inside(order, children, tables, weights, k)
     return tuple(up[order[0]][0])
 
@@ -336,15 +343,96 @@ def reference_oracle_effective_dimension(
     """The oracle before it dropped the parameters that cannot move the
     observed joint: each trial ranks all ``n`` columns of the gradients of
     ``min(n, states - 1)`` random functionals, ``n`` every free parameter."""
-    n_params = standard_dimension(model)
     cards = [v.cardinality for v in model.observed_variables]
-    k, width = min(n_params, math.prod(cards) - 1), sum(cards)
-    spans = [range(e - c, e) for e, c in zip(itertools.accumulate(cards), cards)]
+    k = min(standard_dimension(model), math.prod(cards) - 1)
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))
         point = sample_full_point(model, rng)
-        draws = field_draws(rng, k * width)
-        weights = [[draws[s::width] for s in span] for span in spans]
+        weights = _functionals(rng, cards, k)
         ranks.append(exact_rank(observed_joint_jacobian(model, point, weights)))
     return max(ranks)
+
+
+def reference_lc_jacobian_at(component, point, states):
+    """Closed-form Jacobian rows of a latent-class component's joint, mod PRIME.
+
+    The derivation ``treedim.rank.lc_jacobian_at`` replaced, independent of
+    the packed passes.  ``point`` holds the star's completed tables, as
+    ``treedim.rank.sample_lc_point`` draws them.  The joint probability of
+    a neighbor-state tuple ``y`` is ``sum_z pi_z * prod_i phi[i][z][y_i]``
+    with the last weight of every block one minus the rest.  There is one
+    row per tuple in ``states``, in that order; columns are the free class
+    weights, then the free conditional weights by neighbor, class and state.
+    """
+    (pi,), *phi = point
+    c = component.latent_cardinality
+    cards = [card for _, card in component.neighbors]
+    # offsets[i] is the first column of neighbor i; the last one is n.
+    offsets = list(itertools.accumulate((c * (k - 1) for k in cards), initial=c - 1))
+    rows = []
+    for state in states:
+        row = [0] * offsets[-1]
+        free = []  # free[z] = pi_z * prod_i phi[i][z][y_i]
+        for z in range(c):
+            factors = [phi[i][z][y] for i, y in enumerate(state)]
+            suffix = [pi[z]]  # suffix[-1 - i] = pi_z * prod_{j >= i} factors[j]
+            for f in reversed(factors):
+                suffix.append(suffix[-1] * f % PRIME)
+            prefix = 1  # prod_{j < i} factors[j]
+            for i, y in enumerate(state):
+                width = cards[i] - 1
+                if width:
+                    # d joint / d phi[i][z][y] = pi_z * prod_{j != i} phi[j][z][y_j]
+                    base = prefix * suffix[-2 - i] % PRIME
+                    start = offsets[i] + z * width
+                    if y < width:
+                        row[start + y] = base
+                    else:
+                        row[start : start + width] = [-base % PRIME] * width
+                prefix = prefix * factors[i] % PRIME
+            free.append(prefix)
+        for z in range(c - 1):
+            row[z] = (free[z] - free[c - 1]) % PRIME
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+REFERENCE_ROW_LIMIT = 2**16
+
+
+def reference_lc_rank(component, rng: random.Random) -> int:
+    """The latent-class trial rank that functionals replaced (formerly
+    ``treedim.rank._spread_rank``): closed-form rows over golden-strided
+    joint states.
+
+    A golden-ratio stride coprime to the row count m, round(m * (sqrt(5) -
+    1) / 2) in exact integers, spreads the rows.  The prefix starts at b =
+    min(n, m) rows and doubles, building only the new rows, while its rank
+    is below b and it is shorter than m.  A prefix over
+    ``REFERENCE_ROW_LIMIT`` rows, or a first prefix of b * n cells over
+    ``CELL_LIMIT``, raises ``RowLimitError``, the second before any draw.
+    """
+    cards = [card for _, card in component.neighbors]
+    m, n = math.prod(cards) - 1, component.standard_dimension()
+    bound = min(n, m)
+    if bound * n > CELL_LIMIT:
+        raise RowLimitError(f"needs {bound} x {n} cells > {CELL_LIMIT}")
+    point = sample_lc_point(component, rng)
+    step = (math.isqrt(20 * m * m) - 2 * m + 2) // 4
+    while math.gcd(step, m) != 1:
+        step += 1
+    # Digit i of a lexicographic state index j is j // radix[i] % cards[i].
+    radix = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
+    rows, size = [], bound
+    while size <= REFERENCE_ROW_LIMIT:
+        states = [
+            [k * step % m // r % card for r, card in zip(radix, cards)]
+            for k in range(len(rows), size)
+        ]
+        rows.extend(reference_lc_jacobian_at(component, point, states))
+        rank = exact_rank(rows)
+        if rank == bound or size == m:
+            return rank
+        size = min(2 * size, m)
+    raise RowLimitError(f"needs {size} rows > {REFERENCE_ROW_LIMIT}")

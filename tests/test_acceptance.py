@@ -243,7 +243,7 @@ def test_criterion_3d_oracle_rows_match_the_reference_passes(capsys):
             [[rng.randrange(PRIME) for _ in range(k)] for _ in range(v.cardinality)]
             for v in observed
         ]
-        indicators = jacobian_weights(observed)
+        indicators = jacobian_weights([v.cardinality for v in observed])
         for weights in (random_weights, indicators):
             if observed_joint_jacobian(
                 model, point, weights

@@ -208,6 +208,18 @@ class TestRegularize:
             assert regular is model
             assert log == ()
 
+    def test_latent_free_models_come_back_as_is(self):
+        # effective_dimension regularizes every piece, latent-free ones too.
+        edge = build_model([("A", 2, True), ("B", 3, True)], [("A", "B")])
+        path = build_model(
+            [("A", 2, True), ("B", 1, True), ("C", 4, True)],
+            [("A", "B"), ("B", "C")],
+        )
+        for model in (edge, path):
+            regular, log = regularize(model)
+            assert regular is model
+            assert log == ()
+
     def test_cardinality_reduction_to_bound(self):
         model = build_model(
             [("Z", 10, False), ("A", 3, True), ("B", 3, True), ("C", 3, True)],

@@ -19,6 +19,7 @@ from support import (
     latent_class_model,
     random_tree_model,
     reference_joint_observed_distribution,
+    reference_lc_jacobian_at,
     reference_observed_joint_jacobian,
     reference_oracle_effective_dimension,
 )
@@ -30,7 +31,7 @@ from treedim import (
     effective_dimension,
     oracle_effective_dimension,
 )
-from treedim import oracle
+from treedim import oracle, rank
 from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
 from treedim.oracle import (
@@ -133,21 +134,25 @@ class TestJacobian:
         # The sum-product full-model Jacobian and the closed-form
         # component Jacobian are independent derivations; on a pure
         # latent-class model they must agree entry by entry mod the
-        # field prime.
-        for card, leaves in [(2, (2, 2)), (3, (2, 3)), (2, (3, 3))]:
+        # field prime.  The component's passes on its star agree too.
+        for card, leaves in [(2, (2, 2)), (3, (2, 3)), (2, (3, 3)), (2, (1, 3))]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
             rng = random.Random(card * 7 + len(leaves))
             lc_point = sample_lc_point(component, rng)
+            (pi,), *phi = lc_point
             full_point = FullParameterPoint(
                 0,
-                lc_point.class_weights,
+                tuple(pi[:-1]),
                 tuple(
-                    (i + 1, lc_point.conditionals[i]) for i in range(len(leaves))
+                    (i + 1, tuple(tuple(block[:-1]) for block in blocks))
+                    for i, blocks in enumerate(phi)
                 ),
             )
             model = latent_class_model(card, leaves)
             oracle_jac = full_jacobian(model, full_point)
+            states = all_states(leaves)[:-1]
+            assert oracle_jac == reference_lc_jacobian_at(component, lc_point, states)
             assert oracle_jac == full_lc_jacobian(component, lc_point)
 
     def test_matches_exact_finite_differences_on_random_trees(self):
@@ -275,7 +280,7 @@ class TestPackedKernels:
                 assert jac == reference_observed_joint_jacobian(model, point, weights)
                 # one column per free parameter, in every row
                 assert {len(row) for row in jac} == {standard_dimension(model)}
-            indicators = jacobian_weights(observed)
+            indicators = jacobian_weights([v.cardinality for v in observed])
             assert full_jacobian(model, point) == reference_observed_joint_jacobian(
                 model, point, indicators
             )
@@ -453,8 +458,10 @@ class TestLiveParameters:
             shapes.append((len(rows), len(rows[0])))
             return real_rank(rows)
 
-        for module in (oracle, support):
+        # The point is drawn in oracle, the functionals in rank.
+        for module in (oracle, rank):
             monkeypatch.setattr(module, "field_draws", recording_draws)
+        for module in (oracle, support):
             monkeypatch.setattr(module, "exact_rank", recording_rank)
         model = self.DEAD_CHAIN
         assert standard_dimension(model) == 20

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
-from support import full_lc_jacobian, reference_rank, residues
+from support import (
+    all_states,
+    full_lc_jacobian,
+    indicator_weights,
+    latent_class_model,
+    reference_lc_jacobian_at,
+    reference_lc_rank,
+    reference_rank,
+    residues,
+)
 
-from treedim import rank
+from treedim import oracle, rank
 from treedim.decompose import LcComponent
 from treedim.oracle import PARAMETER_LIMIT
 from treedim.rank import (
     PRIME,
-    LcParameterPoint,
     RowLimitError,
+    derive_seed,
     exact_rank,
     field_draws,
     lc_jacobian_at,
@@ -34,49 +42,28 @@ def random_product_matrix(rng, m, r, n, bound=10**6):
     ]
 
 
-def _mixture_prob(component, point, state):
+def _mixture_prob(point, state):
     """Joint probability mod PRIME of a neighbor-state tuple, straight from
-    the mixture formula with the last weight of each block substituted."""
-    c = component.latent_cardinality
-    pi = list(point.class_weights) + [1 - sum(point.class_weights)]
+    the mixture formula over the completed tables."""
+    (pi,), *phi = point
     total = 0
-    for z in range(c):
-        term = pi[z]
-        for i, (_, card) in enumerate(component.neighbors):
-            block = point.conditionals[i][z]
-            full = list(block) + [1 - sum(block)]
-            term *= full[state[i]]
-        total += term
+    for z, weight in enumerate(pi):
+        for i, y in enumerate(state):
+            weight *= phi[i][z][y]
+        total += weight
     return total % PRIME
 
 
-def _bump_free_weight(component, point, flat_index, step):
-    """Return a copy of the point with one free weight shifted by step,
-    using the Jacobian's column order."""
-    c = component.latent_cardinality
-    weights = list(point.class_weights)
-    conditionals = [
-        [list(block) for block in blocks] for blocks in point.conditionals
-    ]
-    j = flat_index
-    if j < c - 1:
-        weights[j] += step
-    else:
-        j -= c - 1
-        for i, (_, card) in enumerate(component.neighbors):
-            block_size = card - 1
-            span = c * block_size
-            if j < span:
-                z, y = divmod(j, block_size)
-                conditionals[i][z][y] += step
-                break
-            j -= span
-        else:
-            raise IndexError(flat_index)
-    return LcParameterPoint(
-        tuple(weights),
-        tuple(tuple(tuple(block) for block in blocks) for blocks in conditionals),
-    )
+def _bumped_points(point):
+    """Copies of the point with one free weight raised by 1 and its block's
+    last weight lowered by 1, in the Jacobian's column order."""
+    for t, table in enumerate(point):
+        for z, block in enumerate(table):
+            for y in range(len(block) - 1):
+                bumped = [[list(b) for b in tab] for tab in point]
+                bumped[t][z][y] += 1
+                bumped[t][z][-1] -= 1
+                yield bumped
 
 
 class TestExactRank:
@@ -220,67 +207,64 @@ class TestFieldDraws:
         assert len(set(field_draws(random.Random(1), 1000))) == 1000
 
 
+def _component(card, leaves):
+    neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
+    return LcComponent(0, card, neighbors, (False,) * len(leaves))
+
+
+def _random_weights(rng, cards, k):
+    return [[[rng.randrange(PRIME) for _ in range(k)] for _ in range(c)] for c in cards]
+
+
 class TestLcJacobian:
     def test_degenerate_single_class_single_leaf(self):
-        component = LcComponent(0, 1, ((1, 2),), (False,))
-        point = LcParameterPoint((), (((5,),),))
-        assert full_lc_jacobian(component, point) == ((1,),)
+        point = [[[1]], [[5, 1 - 5]]]
+        assert full_lc_jacobian(_component(1, (2,)), point) == ((1,),)
 
     def test_shape(self):
-        component = LcComponent(0, 2, ((1, 2), (2, 2)), (False, False))
+        component = _component(2, (2, 2))
         point = sample_lc_point(component, random.Random(0))
-        jac = full_lc_jacobian(component, point)
-        assert (len(jac), len(jac[0])) == (3, 5)
-        assert all(type(x) is int and 0 <= x < PRIME for row in jac for x in row)
+        weights = _random_weights(random.Random(1), (2, 2), 4)
+        rows = lc_jacobian_at(component, point, weights)
+        assert (len(rows), len(rows[0])) == (4, 5)
+        assert all(type(x) is int and 0 <= x < PRIME for row in rows for x in row)
 
     def test_matches_exact_finite_differences(self):
-        # The joint probability is affine in every single free weight, so
-        # a finite difference with step 1 is the exact partial derivative
-        # mod PRIME; this recomputes the whole Jacobian without the closed
-        # forms, and compares it with the field Jacobian.
-        for card, leaves in [(2, (2, 2)), (3, (2, 3)), (1, (3,))]:
-            neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
-            component = LcComponent(0, card, neighbors, (False,) * len(leaves))
+        # The joint probability is affine in every block, so moving a free
+        # weight up by 1 and its block's last weight down by 1 gives the
+        # exact partial derivative mod PRIME; this recomputes the whole
+        # Jacobian without the passes.
+        for card, leaves in [(2, (2, 2)), (3, (2, 3)), (1, (3,)), (2, (1, 3))]:
+            component = _component(card, leaves)
             point = sample_lc_point(component, random.Random(card * 10))
             jac = full_lc_jacobian(component, point)
-            states = [
-                s
-                for s in itertools.product(*(range(c) for c in leaves))
-                if s != tuple(c - 1 for c in leaves)
+            states = all_states(leaves)[:-1]
+            base = [_mixture_prob(point, s) for s in states]
+            columns = [
+                [(_mixture_prob(bumped, s) - a) % PRIME for a, s in zip(base, states)]
+                for bumped in _bumped_points(point)
             ]
-            base = [_mixture_prob(component, point, s) for s in states]
-            for j in range(len(jac[0])):
-                bumped_point = _bump_free_weight(component, point, j, 1)
-                bumped = [_mixture_prob(component, bumped_point, s) for s in states]
-                column = [row[j] for row in jac]
-                assert column == [(b - a) % PRIME for a, b in zip(base, bumped)]
+            assert [list(col) for col in zip(*jac)] == columns
 
     def test_columns_sum_to_zero_over_all_states(self):
-        # Probabilities sum to one identically, so every column summed
-        # over all joint states (the omitted one included) vanishes.
-        component = LcComponent(0, 3, ((1, 2), (2, 3)), (False, False))
+        # Probabilities sum to one identically, so the gradients of the
+        # indicators of all joint states, the last one included, add up to 0.
+        component = _component(3, (2, 3))
         point = sample_lc_point(component, random.Random(5))
-        jac = full_lc_jacobian(component, point)
-        all_states = list(itertools.product(range(2), range(3)))
-        for j in range(len(jac[0])):
-            bumped_point = _bump_free_weight(component, point, j, 1)
-            omitted = _mixture_prob(
-                component, bumped_point, all_states[-1]
-            ) - _mixture_prob(component, point, all_states[-1])
-            assert (sum(row[j] for row in jac) + omitted) % PRIME == 0
+        rows = lc_jacobian_at(component, point, indicator_weights((2, 3)))
+        assert len(rows) == 6
+        assert all(sum(col) % PRIME == 0 for col in zip(*rows))
 
     def test_zero_weight_point_accepted_and_ranks_no_higher(self):
         # A field point need not be interior: one with a zero weight is
         # ranked like any other, and can only err low.
-        component = LcComponent(0, 2, ((1, 2), (2, 2), (3, 2)), (False,) * 3)
+        component = _component(2, (2, 2, 2))
         best = max(lc_rank_trials(component))
         assert best == 7
         point = sample_lc_point(component, random.Random(12))
-        zero_free = LcParameterPoint(
-            point.class_weights, (((0,), (1,)),) + point.conditionals[1:]
-        )
-        # Class weights (1,) leave the last class weight 0: one class is dead.
-        zero_last = LcParameterPoint((1,), point.conditionals)
+        zero_free = [point[0], [[0, 1], point[1][1]], *point[2:]]
+        # Class weights (1, 0): one class is dead.
+        zero_last = [[[1, 0]], *point[1:]]
         ranks = [
             exact_rank(full_lc_jacobian(component, p)) for p in (zero_free, zero_last)
         ]
@@ -288,10 +272,67 @@ class TestLcJacobian:
         assert ranks[1] < best
 
     def test_shape_mismatch_rejected(self):
-        component = LcComponent(0, 2, ((1, 2),), (False,))
-        wrong = LcParameterPoint((), (((3,), (5,)),))
+        component = _component(2, (2,))
+        weights = indicator_weights((2,))
         with pytest.raises(ValueError, match="does not match"):
-            lc_jacobian_at(component, wrong, [(0,)])
+            lc_jacobian_at(component, [[[1, 0]], [[3, 5]]], weights)
+        point = sample_lc_point(component, random.Random(0))
+        with pytest.raises(ValueError, match="weights need"):
+            lc_jacobian_at(component, point, indicator_weights((3,)))
+
+
+class TestLcJacobianMatchesReference:
+    """With indicator weights, the rows of the passes on the star equal the
+    closed-form rows of ``reference_lc_jacobian_at`` exactly."""
+
+    @staticmethod
+    def _check(component, point, states):
+        cards = [c for _, c in component.neighbors]
+        rows = lc_jacobian_at(component, point, indicator_weights(cards, states))
+        assert rows == reference_lc_jacobian_at(component, point, states)
+
+    def test_random_components(self):
+        rng = random.Random(1729)
+        unit_leaves = single_class = 0
+        for _ in range(60):
+            leaves = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            component = _component(rng.randint(1, 4), leaves)
+            unit_leaves += 1 in leaves
+            single_class += component.latent_cardinality == 1
+            point = sample_lc_point(component, rng)
+            top = [[[PRIME - 1] * len(b) for b in t] for t in point]
+            for p in (point, top):
+                self._check(component, p, all_states(leaves))
+        assert unit_leaves and single_class
+
+    @pytest.mark.parametrize("card", [2**13 - 1, 2**13 + 1])
+    def test_leaves_around_the_slot_width_step(self, card):
+        # The slots of the passes widen from 136 to 144 bits at 2**13 states.
+        rng = random.Random(card)
+        leaves = (card, 2, 1)
+        component = _component(2, leaves)
+        point = sample_lc_point(component, rng)
+        states = [(card - 1, 1, 0), (card - 1, 0, 0), (0, 1, 0)]
+        states += [(rng.randrange(card), rng.randrange(2), 0) for _ in range(20)]
+        self._check(component, point, states)
+
+
+class TestLcRankMatchesReference:
+    def test_trial_rank_on_random_components(self):
+        # The strided closed-form ranks that the functional ranks replaced,
+        # one trial each, at the same parameter point.
+        rng = random.Random(2718)
+        deficient = 0
+        for _ in range(300):
+            leaves = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 7)))
+            component = _component(rng.randint(1, 6), leaves)
+            seed = rng.randrange(100)
+            (found,) = lc_rank_trials(component, trials=1, seed=seed)
+            trial_rng = random.Random(derive_seed(seed, "lc-trial", 0))
+            assert found == reference_lc_rank(component, trial_rng), (component, seed)
+            joint = math.prod(leaves) - 1
+            deficient += found < min(component.standard_dimension(), joint)
+        assert deficient
 
 
 class TestLcEffectiveDimension:
@@ -366,125 +407,84 @@ class TestLcEffectiveDimension:
         assert a == b
 
 
-class TestSpreadRowOrder:
-    @staticmethod
-    def _components():
-        fixed = [(6, (3, 3, 3)), (2, (3, 3)), (3, (2, 3, 3, 3))]
-        rng = random.Random(606)
-        drawn = []
-        for _ in range(8):
-            leaves = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 4)))
-            drawn.append((rng.randint(1, 4), leaves))
-        for card, leaves in fixed + drawn:
-            neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
-            yield LcComponent(0, card, neighbors, (False,) * len(leaves))
-
-    def test_rows_are_a_sub_multiset_with_the_full_rank(self, monkeypatch):
-        points, handed = [], []
-
-        def sample(component, rng):
-            points.append(sample_lc_point(component, rng))
-            return points[-1]
-
-        def rank_of(rows):
-            handed.append((len(points) - 1, list(rows)))
-            return exact_rank(rows)
-
-        monkeypatch.setattr(rank, "sample_lc_point", sample)
-        monkeypatch.setattr(rank, "exact_rank", rank_of)
-        ranks = {}
-        for component in self._components():
-            points.clear()
-            handed.clear()
-            trials = lc_rank_trials(component, trials=2, seed=3)
-            assert len(points) == 2
-            full = [full_lc_jacobian(component, point) for point in points]
-            assert {trial for trial, _ in handed} == {0, 1}
-            for trial, rows in handed:
-                assert not Counter(rows) - Counter(full[trial])
-            for jacobian, found in zip(full, trials):
-                assert found == exact_rank(jacobian)
-            leaves = tuple(c for _, c in component.neighbors)
-            ranks[component.latent_cardinality, leaves] = max(trials)
-        # Below the parameter count (41 and 9) in the first two, full in the last.
-        assert ranks[(6, (3, 3, 3))] == 26
-        assert ranks[(2, (3, 3))] == 7
-        assert ranks[(3, (2, 3, 3, 3))] == 23
-
-
-def _binary_component(card, leaves):
-    neighbors = tuple((i + 1, 2) for i in range(leaves))
-    return LcComponent(0, card, neighbors, (False,) * leaves)
-
-
-class TestPrefixEarlyStop:
+class TestOneBuildPerTrial:
     @pytest.mark.parametrize(
-        "card,leaves,expected,builds",
+        "card,leaves,bound,expected",
         [
-            # The rank reaches b, the column count, far below the 2**leaves - 1 rows.
-            (4, 20, 83, 1),
-            # The first b strided rows fall short, so the prefix doubles once.
-            (3, 20, 62, 2),
-            (2, 20, 41, 2),
-            (3, 16, 50, 2),
+            # The strided rows that functionals replaced took two builds per
+            # trial on c = 3 and c = 2 over 16 to 40 leaves.
+            (3, (2,) * 16, 50, 50),
+            (2, (3,) * 40, 161, 161),
+            (2, (2,) * 80, 161, 161),
+            (4, (2,) * 20, 83, 83),
+            (3, (2,) * 20, 62, 62),
+            (2, (2,) * 20, 41, 41),
+            # Deficient: b = 14 rows, rank 13 (Geiger et al., Ann. Statist. 2001).
+            (3, (2,) * 4, 14, 13),
         ],
     )
-    def test_wide_binary_components(self, monkeypatch, card, leaves, expected, builds):
-        built = []
+    def test_one_jacobian_of_b_rows_and_one_elimination(
+        self, monkeypatch, card, leaves, bound, expected
+    ):
+        built, eliminated = [], []
 
-        def build(component, point, states):
-            built.append(len(states))
-            return lc_jacobian_at(component, point, states)
+        def build(component, point, weights):
+            built.append(len(rows := lc_jacobian_at(component, point, weights)))
+            return rows
+
+        def rank_of(rows):
+            eliminated.append(len(rows))
+            return exact_rank(rows)
 
         monkeypatch.setattr(rank, "lc_jacobian_at", build)
-        component = _binary_component(card, leaves)
+        monkeypatch.setattr(rank, "exact_rank", rank_of)
+        component = _component(card, leaves)
         assert lc_rank_trials(component, trials=2) == (expected, expected)
-        # b rows first, then b new rows per doubling; never all 2**leaves - 1.
-        assert built == [expected] * (2 * builds)
+        assert built == eliminated == [bound, bound]
 
-    def test_prefix_over_the_row_limit_raises(self, monkeypatch):
-        component = LcComponent(0, 4, ((1, 3), (2, 3), (3, 3)), (False,) * 3)
-        monkeypatch.setattr(rank, "ROW_LIMIT", 20)
-        with pytest.raises(RowLimitError, match=r"\(3, 3, 3\) needs 26 rows > 20"):
-            lc_rank_trials(component)
-        # Growth is checked too: 41 rows fit, the doubled prefix of 82 does not.
-        monkeypatch.setattr(rank, "ROW_LIMIT", 81)
-        with pytest.raises(RowLimitError, match="needs 82 rows"):
-            lc_rank_trials(_binary_component(2, 20), trials=1)
-        monkeypatch.setattr(rank, "ROW_LIMIT", 82)
-        assert lc_rank_trials(_binary_component(2, 20), trials=1) == (41,)
-
-    def test_first_prefix_over_the_cell_limit_raises_before_any_draw(
-        self, monkeypatch
-    ):
+    def test_over_the_cell_limit_raises_before_any_draw(self, monkeypatch):
         def no_draw(component, rng):
             raise AssertionError("a parameter point was drawn")
 
         real_draw = rank.sample_lc_point
         monkeypatch.setattr(rank, "sample_lc_point", no_draw)
-        # c = 2 over 20 binary leaves: b = n = 41, a first prefix of 1,681 cells.
+        # c = 2 over 20 binary leaves: b = n = 41, a Jacobian of 1,681 cells.
         monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41 - 1)
-        with pytest.raises(RowLimitError, match=r"needs 41 x 41 cells > 1680$"):
-            lc_rank_trials(_binary_component(2, 20), trials=1)
+        component = _component(2, (2,) * 20)
+        message = (
+            r"^rank of latent cardinality 2 over 20 neighbors of cardinalities "
+            r"\{2\} needs 41 x 41 cells > 1680$"
+        )
+        with pytest.raises(RowLimitError, match=message):
+            lc_rank_trials(component, trials=1)
         monkeypatch.setattr(rank, "sample_lc_point", real_draw)
         monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41)
-        assert lc_rank_trials(_binary_component(2, 20), trials=1) == (41,)
-        # Only the first prefix is checked: c = 3 doubles to 124 x 62 cells.
-        monkeypatch.setattr(rank, "CELL_LIMIT", 62 * 62)
-        assert lc_rank_trials(_binary_component(3, 20), trials=1) == (62,)
+        assert lc_rank_trials(component, trials=1) == (41,)
+        # Deficient components are bounded by the same b x n cells.
+        monkeypatch.setattr(rank, "CELL_LIMIT", 14 * 14 - 1)
+        with pytest.raises(RowLimitError, match=r"\{2\} needs 14 x 14 cells"):
+            lc_rank_trials(_component(3, (2,) * 4), trials=1)
 
-    def test_eighty_binary_leaves_reach_the_bound_from_the_first_prefix(
+
+class TestOneEngine:
+    def test_lc_and_oracle_jacobians_run_through_the_shared_gradient(
         self, monkeypatch
     ):
-        # m = 2**80 - 1.  round(m * 0.6180339887) in floats kept 53 bits and
-        # ended in 27 zero bits, so the last leaves hardly varied over the
-        # prefix, which doubled up to ROW_LIMIT without reaching rank b.
-        built = []
+        # Both ranks take their rows from the one outside pass in rank.
+        assert oracle._gradient is rank._gradient
+        real, calls = rank._gradient, []
 
-        def build(component, point, states):
-            built.append(len(states))
-            return lc_jacobian_at(component, point, states)
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
 
-        monkeypatch.setattr(rank, "lc_jacobian_at", build)
-        assert lc_rank_trials(_binary_component(2, 80), trials=2) == (161, 161)
-        assert built == [161, 161]
+        for module in (rank, oracle):
+            monkeypatch.setattr(module, "_gradient", counted)
+        component = _component(2, (3, 3))
+        point = sample_lc_point(component, random.Random(0))
+        assert len(full_lc_jacobian(component, point)) == 8
+        assert calls == [3]
+        assert lc_rank_trials(component, trials=2) == (7, 7)
+        assert calls == [3, 3, 3]
+        assert oracle.oracle_effective_dimension(latent_class_model(2, (3, 3)), 2) == 7
+        assert calls == [3, 3, 3, 3, 3]
