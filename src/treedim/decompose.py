@@ -20,10 +20,12 @@ of every component and correction in a :class:`DecompositionLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import (
     RegularizationStep,
     TreeModel,
+    Variable,
     check_regular,
     regularize,
     require_valid,
@@ -54,6 +56,17 @@ class LcComponent:
     def standard_dimension(self) -> int:
         c = self.latent_cardinality
         return (c - 1) + c * sum(card - 1 for _, card in self.neighbors)
+
+    @cached_property
+    def star(self) -> TreeModel:
+        """The component as a tree model: the latent at id 0, the root, and
+        neighbor ``i`` observed at id ``i + 1``, a leaf."""
+        leaves = [
+            Variable(i, f"Y{i}", card, True)
+            for i, (_, card) in enumerate(self.neighbors, 1)
+        ]
+        latent = Variable(0, "Z", self.latent_cardinality, False)
+        return TreeModel((latent, *leaves), tuple((0, v.id) for v in leaves))
 
 
 @dataclass(frozen=True)

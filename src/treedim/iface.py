@@ -7,7 +7,8 @@ Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
-validation error, a score beyond float range or a ds too long to print;
+validation error, a score beyond float range, a ds too long to print or
+a stdout closed before the output was written;
 2 oracle parameter limit exceeded under ``--oracle``; 3 oracle/decomposition
 mismatch; 4 a latent-class rank over the cell limit (see
 ``treedim.rank._trial_rank``).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -328,4 +330,12 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        code = 1
+    sys.exit(code)

@@ -10,11 +10,12 @@ No Jacobian is written out state by state.  A functional with one weight
 vector ``a_v`` per observed variable contracts the observed joint to
 ``S = sum_x prod_v a_v(x_v) P(x)``; one inside and one outside pass over
 the rooted tree give the gradients of all functionals at once, a slot
-each (the differential approach of Darwiche, JACM 2003).  The oracle
-runs the passes on a whole model, a latent-class component on its star:
-the latent at the root, one observed leaf per neighbor.  Free weights
-and functional entries are residues drawn by :func:`field_draws`; each
-block's last weight is one minus the rest mod p.
+each (the differential approach of Darwiche, JACM 2003).  One sampler,
+:func:`draw_point`, and one driver, :func:`jacobian`, serve the oracle's
+whole models and the latent-class components' stars.  A point lists a
+completed table per variable, ascending ids, a block per parent state;
+free weights and functional entries are residues drawn by
+:func:`field_draws`, and each block's last weight is one minus the rest.
 
 The error is one-sided.  Jacobian entries are integer polynomials in
 the free weights, so a minor that is non-zero mod p at any field point
@@ -158,12 +159,6 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _full_block(free: Sequence[int]) -> list[int]:
-    """Free weights mod PRIME, completed by ``(1 - sum(free)) mod PRIME``."""
-    free = [x % PRIME for x in free]
-    return [*free, (1 - sum(free)) % PRIME]
-
-
 def _functionals(rng: random.Random, cards: Sequence[int], k: int):
     """Weights of ``k`` random functionals from one :func:`field_draws` call.
 
@@ -271,47 +266,64 @@ def _gradient(order, children, tables, weights, partial, up, slots):
     return grad
 
 
-def sample_lc_point(component: "LcComponent", rng: random.Random) -> list:
-    """Completed tables of a latent-class component's star, in GF(PRIME).
-
-    ``point[0]`` holds the latent's one block of class weights and
-    ``point[1 + i][z]`` neighbor ``i``'s block given class ``z``.  The free
-    weights come from one :func:`field_draws` call, class weights first,
-    then neighbor by neighbor and class by class; the last weight of every
-    block is one minus the rest, mod PRIME, and may be any residue.
-    """
-    c = component.latent_cardinality
-    cards = [card for _, card in component.neighbors]
-    draws = iter(field_draws(rng, c - 1 + c * sum(card - 1 for card in cards)))
-    widths = [[c]] + [[card] * c for card in cards]
+def _shapes(model) -> list[tuple[int, int]]:
+    """(blocks, cardinality) of each variable's table, ascending ids: one
+    block per state of its parent in the tree rooted at the lowest id."""
+    parents, by_id = model._rooting[0], model._by_id
     return [
-        [_full_block(list(itertools.islice(draws, w - 1))) for w in t] for t in widths
+        (by_id[parents[v.id]].cardinality if v.id in parents else 1, v.cardinality)
+        for v in model.variables
     ]
+
+
+def draw_point(model, rng: random.Random) -> list:
+    """Completed tables of a tree model, in GF(PRIME): one per variable in
+    ascending id order, one block per parent state (the root has one).
+    The free weights come from one :func:`field_draws` call in that order;
+    each block's last weight is one minus the rest, mod PRIME."""
+    shapes = _shapes(model)
+    draws = iter(field_draws(rng, sum(b * (card - 1) for b, card in shapes)))
+    free = [[[*itertools.islice(draws, c - 1)] for _ in range(b)] for b, c in shapes]
+    return [[[*f, (1 - sum(f)) % PRIME] for f in table] for table in free]
+
+
+def jacobian(model, point, weights) -> tuple[tuple[int, ...], ...]:
+    """Gradients of functionals of a tree model's observed joint, mod PRIME.
+
+    ``point`` holds completed tables (:func:`draw_point`), any integers;
+    the passes take the messages of a subtree without observed variables
+    to be one, so its blocks must sum to one mod PRIME.  ``weights[i][x][j]``
+    is functional ``j``'s weight of observed variable ``i``, in ascending
+    id order, at state ``x``, any integers.  Row ``j`` is functional
+    ``j``'s gradient from the passes; columns are the free weights in the
+    point's order.  Entries lie in [0, PRIME).
+    """
+    if [[len(b) for b in t] for t in point] != [[c] * b for b, c in _shapes(model)]:
+        raise ValueError("point does not match the model's tables")
+    _, children, order = model._rooting
+    tables = {v.id: [_residues(b) for b in t] for v, t in zip(model.variables, point)}
+    observed = [(v.id, v.cardinality) for v in model.observed_variables]
+    weights, k = _weights(observed, weights)
+    partial, up, slots = _inside(order, children, tables, weights, k)
+    if any(sum(b) % PRIME != 1 for v in order if v not in partial for b in tables[v]):
+        raise ValueError("a block of an unobserved subtree does not sum to one")
+    grad = _gradient(order, children, tables, weights, partial, up, slots)
+    return tuple(zip(*(column for v in model.variables for column in grad[v.id])))
+
+
+def sample_lc_point(component: "LcComponent", rng: random.Random) -> list:
+    """:func:`draw_point` of the component's star: ``point[0]`` holds the
+    class weights, ``point[1 + i][z]`` neighbor ``i``'s block given class ``z``."""
+    return draw_point(component.star, rng)
 
 
 def lc_jacobian_at(
     component: "LcComponent", point, weights
 ) -> tuple[tuple[int, ...], ...]:
-    """Gradients of functionals of a latent-class component's joint, mod PRIME.
-
-    ``point`` holds the star's completed tables (:func:`sample_lc_point`),
-    ``weights[i][x][j]`` functional ``j``'s weight of neighbor ``i`` at
-    state ``x``, any integers.  Row ``j`` is functional ``j``'s gradient
-    from the passes on the star; columns are the free class weights, then
-    the free conditional weights by neighbor, class and state.  Entries
-    lie in [0, PRIME).
-    """
-    c = component.latent_cardinality
-    cards = [card for _, card in component.neighbors]
-    if [[len(block) for block in t] for t in point] != [[c]] + [[y] * c for y in cards]:
-        raise ValueError("point does not match the component's tables")
-    tables = {v: [_residues(block) for block in t] for v, t in enumerate(point)}
-    order = list(tables)
-    children = dict.fromkeys(order[1:], ()) | {0: order[1:]}
-    weights, k = _weights(list(enumerate(cards, 1)), weights)
-    partial, up, slots = _inside(order, children, tables, weights, k)
-    grad = _gradient(order, children, tables, weights, partial, up, slots)
-    return tuple(zip(*(column for v in order for column in grad[v])))
+    """:func:`jacobian` of the component's star; ``weights[i]`` is neighbor
+    ``i``'s table.  Columns are the free class weights, then the free
+    conditional weights by neighbor, class and state."""
+    return jacobian(component.star, point, weights)
 
 
 def _figure(x: int) -> str:
@@ -328,10 +340,13 @@ def _trial_rank(component: "LcComponent", rng: random.Random) -> int:
     of b random functionals keep the rank of the whole Jacobian but with
     probability at most deg * mu (see the module docstring).  A component
     of b * n cells over ``CELL_LIMIT`` raises :class:`RowLimitError`
-    before any draw.
+    before any draw.  A one-state latent makes its neighbors independent,
+    each with a free marginal, so that rank is n, returned without a draw.
     """
     cards = [card for _, card in component.neighbors]
     n = component.standard_dimension()
+    if component.latent_cardinality == 1:
+        return n
     bound = min(n, math.prod(cards) - 1)
     if bound * n > CELL_LIMIT:
         distinct = ", ".join(map(_figure, sorted(set(cards))))

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from treedim import TreeModel, Variable
 from treedim.model import standard_dimension
-from treedim.oracle import _full_tables, observed_joint_jacobian, sample_full_point
+from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     CELL_LIMIT,
     PRIME,
@@ -288,6 +288,26 @@ def _observed(model: TreeModel):
     return [(v.id, v.cardinality) for v in model.observed_variables]
 
 
+def _tables(model: TreeModel, point):
+    """A point's completed tables by variable id, entries mod PRIME."""
+    ids = [v.id for v in model.variables]
+    return dict(zip(ids, ([[x % PRIME for x in b] for b in t] for t in point)))
+
+
+def bumped_points(point):
+    """Copies of the point with one free weight raised by 1 and its block's
+    last weight lowered by 1, in the Jacobian's column order: the joint is
+    affine in each block, so the change in it is the exact partial
+    derivative mod PRIME."""
+    for t, table in enumerate(point):
+        for z, block in enumerate(table):
+            for y in range(len(block) - 1):
+                bumped = [[list(b) for b in tab] for tab in point]
+                bumped[t][z][y] += 1
+                bumped[t][z][-1] -= 1
+                yield bumped
+
+
 def full_jacobian(model: TreeModel, point):
     """The Jacobian of the observed joint, one row per joint state but the
     last, from the packed passes."""
@@ -305,8 +325,8 @@ def joint_observed_distribution(model: TreeModel, point) -> tuple[int, ...]:
     """Joint distribution of the observed variables at a point, mod PRIME,
     in lexicographic state order, from the packed inside pass
     ``treedim.rank._inside`` over the indicator functionals."""
-    parents, children, order = model._rooting
-    tables = _full_tables(model, point, parents)
+    _, children, order = model._rooting
+    tables = _tables(model, point)
     observed = _observed(model)
     weights, k = _weights(observed, indicator_weights([c for _, c in observed]))
     _, up, _ = _inside(order, children, tables, weights, k)
@@ -316,8 +336,8 @@ def joint_observed_distribution(model: TreeModel, point) -> tuple[int, ...]:
 def reference_observed_joint_jacobian(model: TreeModel, point, weights):
     """``treedim.oracle.observed_joint_jacobian`` by the list-based passes,
     one product and one ``% PRIME`` per functional and table entry."""
-    parents, children, order = model._rooting
-    tables = _full_tables(model, point, parents)
+    _, children, order = model._rooting
+    tables = _tables(model, point)
     weights, k = _weights(_observed(model), weights)
     if not k:
         return ()
@@ -329,8 +349,8 @@ def reference_observed_joint_jacobian(model: TreeModel, point, weights):
 def reference_joint_observed_distribution(model: TreeModel, point):
     """``joint_observed_distribution`` by the list-based inside pass over
     the indicator functionals."""
-    parents, children, order = model._rooting
-    tables = _full_tables(model, point, parents)
+    _, children, order = model._rooting
+    tables = _tables(model, point)
     observed = _observed(model)
     weights, k = _weights(observed, indicator_weights([c for _, c in observed]))
     _, up = reference_inside(order, children, tables, weights, k)

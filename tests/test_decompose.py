@@ -16,6 +16,7 @@ from support import (
 from treedim import (
     RankPolicy,
     decompose,
+    rank,
     effective_dimension,
     oracle_effective_dimension,
 )
@@ -279,6 +280,21 @@ class TestEffectiveDimension:
         assert len(ledger.latent_edge_corrections) == 2  # one per latent edge
         assert ledger.pruned_latent_leaves == ()
         assert ledger.observed_cut_corrections == ()
+
+    def test_one_state_latent_is_ranked_without_a_draw(self, monkeypatch):
+        # A(300) - L(1) - B(7): regularize keeps L, whose component's rank
+        # is its parameter count, 299 + 6, with no point drawn.
+        def no_draw(component, rng):
+            raise AssertionError("a parameter point was drawn")
+
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        model = build_model(
+            [("A", 300, True), ("L", 1, False), ("B", 7, True)],
+            [("A", "L"), ("L", "B")],
+        )
+        result = effective_dimension(model)
+        assert result.component_trial_ranks == ((305,) * 3,)
+        assert result.effective_dimension == result.standard_dimension == 305
 
     def test_pipeline_handles_collapse_to_latent_free(self):
         # Both latents get removed by regularization, leaving bare edges.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -365,6 +367,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "# no changes" in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dims", "m1.model", "--report"],
+            ["score", "m1.model", "--loglik", "-5", "--n", "9"],
+            ["regularize", "hub.model"],
+        ],
+    )
+    def test_closed_stdout_exit_code(self, args):
+        # The read end closes before the spawn, so every write to stdout
+        # fails with EPIPE: no race with a reader.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(treedim.iface.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command, model, *flags = args
+        main = "from treedim.iface import main; main()"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", main, command, str(FIXTURES / model), *flags],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == "error: stdout closed before the output was written\n"
 
     def test_hub_report_prunes_and_cuts(self, capsys):
         code = run(["dims", str(FIXTURES / "hub.model"), "--report"])

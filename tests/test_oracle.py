@@ -12,6 +12,7 @@ import support
 from support import (
     all_states,
     build_model,
+    bumped_points,
     full_jacobian,
     full_lc_jacobian,
     jacobian_weights,
@@ -34,12 +35,8 @@ from treedim import (
 from treedim import oracle, rank
 from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
-from treedim.oracle import (
-    FullParameterPoint,
-    observed_joint_jacobian,
-    sample_full_point,
-)
-from treedim.rank import PRIME, sample_lc_point
+from treedim.oracle import observed_joint_jacobian, sample_full_point
+from treedim.rank import PRIME
 
 
 def _inverse(n):
@@ -47,35 +44,13 @@ def _inverse(n):
     return pow(n, -1, PRIME)
 
 
-HALF = (_inverse(2),)
-
-
-def _bumped_points(point):
-    """Copies of the point with one free weight raised by 1 mod PRIME, in the
-    oracle's column order: root block, then ascending non-root ids, each
-    with one block per parent state."""
-    tables = [(point.root_id, (point.root_weights,))] + sorted(point.conditionals)
-    for k, (vid, blocks) in enumerate(tables):
-        for b, block in enumerate(blocks):
-            for s in range(len(block)):
-                bumped = block[:s] + ((block[s] + 1) % PRIME,) + block[s + 1 :]
-                new_blocks = blocks[:b] + (bumped,) + blocks[b + 1 :]
-                if k == 0:
-                    yield FullParameterPoint(vid, bumped, point.conditionals)
-                else:
-                    conditionals = tuple(
-                        (v, new_blocks if v == vid else bs)
-                        for v, bs in point.conditionals
-                    )
-                    yield FullParameterPoint(
-                        point.root_id, point.root_weights, conditionals
-                    )
+HALF = [_inverse(2)] * 2  # a completed binary block
 
 
 class TestJointDistribution:
     def test_single_coin(self):
         coin = build_model([("Y", 2, True)], [])
-        point = FullParameterPoint(0, (_inverse(3),), ())
+        point = [[[_inverse(3), 2 * _inverse(3) % PRIME]]]
         assert joint_observed_distribution(coin, point) == (
             _inverse(3),
             2 * _inverse(3) % PRIME,
@@ -83,7 +58,7 @@ class TestJointDistribution:
 
     def test_symmetric_latent_pair_is_uniform(self):
         model = latent_class_model(2, (2, 2))
-        point = FullParameterPoint(0, HALF, ((1, (HALF, HALF)), (2, (HALF, HALF))))
+        point = [[HALF], [HALF, HALF], [HALF, HALF]]
         assert joint_observed_distribution(model, point) == (_inverse(4),) * 4
 
     def test_sums_to_one_on_random_models(self):
@@ -104,17 +79,14 @@ class TestJointDistribution:
         )
         rng = random.Random(5)
         point = sample_full_point(model, rng)
-        full = {0: list(point.root_weights) + [1 - sum(point.root_weights)]}
-        tables = {}
-        for vid, blocks in point.conditionals:
-            tables[vid] = [list(b) + [1 - sum(b)] for b in blocks]
+        (full,), *tables = point
         parents = {1: 0, 2: 1, 3: 1}
         cards = {v.id: v.cardinality for v in model.variables}
         probs = {}
         for config in itertools.product(*(range(cards[i]) for i in range(4))):
-            p = full[0][config[0]]
+            p = full[config[0]]
             for vid in (1, 2, 3):
-                p *= tables[vid][config[parents[vid]]][config[vid]]
+                p *= tables[vid - 1][config[parents[vid]]][config[vid]]
             key = (config[0], config[2], config[3])  # observed ids 0, 2, 3
             probs[key] = probs.get(key, 0) + p
         expected = tuple(
@@ -123,37 +95,24 @@ class TestJointDistribution:
         )
         assert joint_observed_distribution(model, point) == expected
 
-    def test_point_must_match_model(self):
-        coin = build_model([("Y", 2, True)], [])
-        with pytest.raises(ValueError):
-            joint_observed_distribution(coin, FullParameterPoint(0, (), ()))
-
 
 class TestJacobian:
     def test_matches_closed_form_on_latent_class_models(self):
         # The sum-product full-model Jacobian and the closed-form
         # component Jacobian are independent derivations; on a pure
         # latent-class model they must agree entry by entry mod the
-        # field prime.  The component's passes on its star agree too.
+        # field prime, at the model's point, which is also the
+        # component's.  The component's passes on its star agree too.
         for card, leaves in [(2, (2, 2)), (3, (2, 3)), (2, (3, 3)), (2, (1, 3))]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
             component = LcComponent(0, card, neighbors, (False,) * len(leaves))
             rng = random.Random(card * 7 + len(leaves))
-            lc_point = sample_lc_point(component, rng)
-            (pi,), *phi = lc_point
-            full_point = FullParameterPoint(
-                0,
-                tuple(pi[:-1]),
-                tuple(
-                    (i + 1, tuple(tuple(block[:-1]) for block in blocks))
-                    for i, blocks in enumerate(phi)
-                ),
-            )
             model = latent_class_model(card, leaves)
-            oracle_jac = full_jacobian(model, full_point)
+            point = sample_full_point(model, rng)
+            oracle_jac = full_jacobian(model, point)
             states = all_states(leaves)[:-1]
-            assert oracle_jac == reference_lc_jacobian_at(component, lc_point, states)
-            assert oracle_jac == full_lc_jacobian(component, lc_point)
+            assert oracle_jac == reference_lc_jacobian_at(component, point, states)
+            assert oracle_jac == full_lc_jacobian(component, point)
 
     def test_matches_exact_finite_differences_on_random_trees(self):
         # The joint is affine in every single free weight, so a finite
@@ -173,12 +132,27 @@ class TestJacobian:
             jac = full_jacobian(model, point)
             base = joint_observed_distribution(model, point)[:-1]
             columns = []
-            for bumped in _bumped_points(point):
+            for bumped in bumped_points(point):
                 joint = joint_observed_distribution(model, bumped)
                 columns.append(tuple((b - a) % PRIME for a, b in zip(base, joint)))
             assert len(columns) == standard_dimension(model)
             assert jac == tuple(zip(*columns))
         assert latent_edges and observed_internal
+
+    def test_point_must_match_model(self):
+        model = latent_class_model(2, (2, 3))  # tables of shape 1 x 2, 2 x 2, 2 x 3
+        weights = jacobian_weights([2, 3])
+        point = sample_full_point(model, random.Random(3))
+        for bad in [
+            [],
+            point[:2],  # a table missing
+            point + [[[1]]],  # a table too many
+            [point[0] * 2, *point[1:]],  # two root blocks
+            [point[0], point[1][:1], point[2]],  # a block missing
+            [point[0], point[1], [b[:2] for b in point[2]]],  # blocks too narrow
+        ]:
+            with pytest.raises(ValueError, match="point does not match"):
+                observed_joint_jacobian(model, bad, weights)
 
     def test_fully_observed_pair_jacobian_shape(self):
         model = build_model([("A", 2, True), ("B", 2, True)], [("A", "B")])
@@ -248,15 +222,13 @@ def _random_weights(rng, observed, k):
 
 
 def _mapped(point, f):
-    """The point with ``f`` applied to every free weight."""
-    return FullParameterPoint(
-        point.root_id,
-        tuple(map(f, point.root_weights)),
-        tuple(
-            (vid, tuple(tuple(map(f, block)) for block in blocks))
-            for vid, blocks in point.conditionals
-        ),
-    )
+    """The point with ``f`` applied to every free weight, each block's last
+    weight one minus the rest again."""
+
+    def complete(free):
+        return [*free, 1 - sum(free)]
+
+    return [[complete([f(w) for w in b[:-1]]) for b in table] for table in point]
 
 
 class TestPackedKernels:
@@ -448,7 +420,7 @@ class TestLiveParameters:
 
     def test_k_counts_only_the_live_parameters(self, monkeypatch):
         draws, shapes = [], []
-        real_draws, real_rank = oracle.field_draws, oracle.exact_rank
+        real_draws, real_rank = rank.field_draws, oracle.exact_rank
 
         def recording_draws(rng, count):
             draws.append(count)
@@ -458,9 +430,8 @@ class TestLiveParameters:
             shapes.append((len(rows), len(rows[0])))
             return real_rank(rows)
 
-        # The point is drawn in oracle, the functionals in rank.
-        for module in (oracle, rank):
-            monkeypatch.setattr(module, "field_draws", recording_draws)
+        # The point and the functionals are both drawn in rank.
+        monkeypatch.setattr(rank, "field_draws", recording_draws)
         for module in (oracle, support):
             monkeypatch.setattr(module, "exact_rank", recording_rank)
         model = self.DEAD_CHAIN
@@ -477,6 +448,22 @@ class TestLiveParameters:
         assert draws == [20, 20 * 9]
         assert shapes == [(20, 20)]
         assert effective_dimension(model).effective_dimension == 13
+
+    def test_unobserved_blocks_must_sum_to_one(self):
+        # The passes take the message of D and E's subtree to be one.
+        model = self.DEAD_CHAIN
+        weights = jacobian_weights([3, 3, 3])
+        point = sample_full_point(model, random.Random(2))
+        observed_joint_jacobian(model, point, weights)
+        for vid in (4, 5):
+            bad = [[list(b) for b in table] for table in point]
+            bad[vid][-1][0] += 1
+            with pytest.raises(ValueError, match="does not sum to one"):
+                observed_joint_jacobian(model, bad, weights)
+        # An observed variable's blocks need not sum to one.
+        bad = [[list(b) for b in table] for table in point]
+        bad[2][0][0] += 1
+        observed_joint_jacobian(model, bad, weights)
 
     def test_hanging_latent_chains_match_the_reference(self):
         rng = random.Random(4242)

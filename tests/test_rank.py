@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from support import (
     all_states,
+    bumped_points,
     full_lc_jacobian,
     indicator_weights,
     latent_class_model,
@@ -20,7 +21,7 @@ from support import (
 
 from treedim import oracle, rank
 from treedim.decompose import LcComponent
-from treedim.oracle import PARAMETER_LIMIT
+from treedim.oracle import PARAMETER_LIMIT, observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     PRIME,
     RowLimitError,
@@ -52,18 +53,6 @@ def _mixture_prob(point, state):
             weight *= phi[i][z][y]
         total += weight
     return total % PRIME
-
-
-def _bumped_points(point):
-    """Copies of the point with one free weight raised by 1 and its block's
-    last weight lowered by 1, in the Jacobian's column order."""
-    for t, table in enumerate(point):
-        for z, block in enumerate(table):
-            for y in range(len(block) - 1):
-                bumped = [[list(b) for b in tab] for tab in point]
-                bumped[t][z][y] += 1
-                bumped[t][z][-1] -= 1
-                yield bumped
 
 
 class TestExactRank:
@@ -242,7 +231,7 @@ class TestLcJacobian:
             base = [_mixture_prob(point, s) for s in states]
             columns = [
                 [(_mixture_prob(bumped, s) - a) % PRIME for a, s in zip(base, states)]
-                for bumped in _bumped_points(point)
+                for bumped in bumped_points(point)
             ]
             assert [list(col) for col in zip(*jac)] == columns
 
@@ -467,19 +456,19 @@ class TestOneBuildPerTrial:
 
 
 class TestOneEngine:
-    def test_lc_and_oracle_jacobians_run_through_the_shared_gradient(
+    def test_lc_and_oracle_jacobians_run_through_the_shared_driver(
         self, monkeypatch
     ):
-        # Both ranks take their rows from the one outside pass in rank.
-        assert oracle._gradient is rank._gradient
-        real, calls = rank._gradient, []
+        # Both ranks take their rows from the one driver in rank.
+        assert oracle.jacobian is rank.jacobian
+        real, calls = rank.jacobian, []
 
-        def counted(*args):
-            calls.append(len(args[0]))
-            return real(*args)
+        def counted(model, point, weights):
+            calls.append(len(model.variables))
+            return real(model, point, weights)
 
         for module in (rank, oracle):
-            monkeypatch.setattr(module, "_gradient", counted)
+            monkeypatch.setattr(module, "jacobian", counted)
         component = _component(2, (3, 3))
         point = sample_lc_point(component, random.Random(0))
         assert len(full_lc_jacobian(component, point)) == 8
@@ -488,3 +477,51 @@ class TestOneEngine:
         assert calls == [3, 3, 3]
         assert oracle.oracle_effective_dimension(latent_class_model(2, (3, 3)), 2) == 7
         assert calls == [3, 3, 3, 3, 3]
+
+
+class TestOnePointFormat:
+    @pytest.mark.parametrize(
+        "card,leaves",
+        [(1, (3,)), (2, (2, 2, 2)), (3, (2, 3, 4)), (2, (1, 3)), (4, (3,) * 3)],
+    )
+    def test_a_component_is_ranked_as_its_latent_class_model(self, card, leaves):
+        # Any ids: the star numbers the latent 0 and the neighbors 1, 2, ...
+        neighbors = tuple(enumerate(leaves, 5))
+        component = LcComponent(9, card, neighbors, (False,) * len(leaves))
+        model = latent_class_model(card, leaves)
+        shape = [
+            ([(v.id, v.cardinality, v.observed) for v in m.variables], m.edges)
+            for m in (component.star, model)
+        ]
+        assert shape[0] == shape[1]
+        for s in range(3):
+            point = sample_lc_point(component, random.Random(s))
+            assert point == sample_full_point(model, random.Random(s))
+            weights = _random_weights(random.Random(s + 10), leaves, 4)
+            rows = lc_jacobian_at(component, point, weights)
+            assert rows == observed_joint_jacobian(model, point, weights)
+            assert len(rows[0]) == component.standard_dimension()
+
+
+class TestOneStateLatent:
+    def test_rank_is_the_parameter_count_without_a_draw(self, monkeypatch):
+        # One class makes the neighbors independent: rank sum(card - 1).
+        def no_draw(component, rng):
+            raise AssertionError("a parameter point was drawn")
+
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        for leaves in [(300, 7), (2,), (1, 5), (2**40, 3), (2,) * 1100]:
+            n = sum(card - 1 for card in leaves)
+            assert lc_rank_trials(_component(1, leaves), trials=2) == (n, n)
+
+    def test_equals_the_generic_rank_on_small_shapes(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            leaves = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+            component = _component(1, leaves)
+            seed = rng.randrange(100)
+            (found,) = lc_rank_trials(component, trials=1, seed=seed)
+            trial_rng = random.Random(derive_seed(seed, "lc-trial", 0))
+            assert found == reference_lc_rank(component, trial_rng)
+            point = sample_lc_point(component, rng)
+            assert found == exact_rank(full_lc_jacobian(component, point))

@@ -62,3 +62,28 @@ def test_no_joint_state_enumeration_in_the_runtime():
     sources = sorted(PACKAGE.glob("*.py"))
     uses = {path.name: _product_uses(path) for path in sources}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier a source file names, defines or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_points_are_drawn_and_passed_only_in_rank():
+    # One module fixes the point format and the draw order: no other one
+    # draws field elements, completes a block or runs the passes.
+    private = {"_inside", "_gradient", "_full_block", "field_draws"}
+    sources = sorted(PACKAGE.glob("*.py"))
+    uses = {p.name: sorted(_names(p) & private) for p in sources if p.name != "rank.py"}
+    assert {name: found for name, found in uses.items() if found} == {}
+    assert {"_inside", "_gradient", "field_draws"} <= _names(PACKAGE / "rank.py")
