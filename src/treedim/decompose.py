@@ -48,8 +48,9 @@ class LcComponent:
             raise ValueError("latent cardinality must be >= 1")
         if not self.neighbors:
             raise ValueError("a latent-class component needs at least one neighbor")
-        if any(card < 1 for _, card in self.neighbors):
-            raise ValueError("neighbor cardinalities must be >= 1")
+        for _, card in self.neighbors:
+            if card < 1:
+                raise ValueError("neighbor cardinalities must be >= 1")
         if len(self.neighbor_was_latent) != len(self.neighbors):
             raise ValueError("one latent flag per neighbor required")
 
@@ -126,20 +127,33 @@ def prune_latent_leaves(model: TreeModel) -> tuple[TreeModel, tuple[int, ...]]:
     A latent leaf is summed out of the observed joint entirely, so its
     conditional table never moves any observed probability; removing it
     leaves the effective dimension unchanged.  Removal can expose new
-    latent leaves, so passes repeat until a fixpoint.  A model without
-    latent leaves is returned as is.
+    latent leaves, so they go in layers, each in ascending id order: the
+    input's latent leaves, then the latents that their removal left
+    leaves, and so on.  Cost: a model without latent leaves costs one
+    read-only scan and is returned as is; otherwise degree counters find
+    each layer, linear in the tree, and one model is built at the end.
     """
     require_valid(model)
+    by_id, adjacency = model._by_id, model._adjacency
+    layer = [v.id for v in model.latent_variables if len(adjacency[v.id]) <= 1]
+    if not layer:
+        return model, ()
+    degree = {vid: len(others) for vid, others in adjacency.items()}
     removed: list[int] = []
-    while True:
-        leaves = {v.id for v in model.latent_variables if model.degree(v.id) <= 1}
-        if not leaves:
-            return model, tuple(removed)
-        model = TreeModel(
-            tuple(v for v in model.variables if v.id not in leaves),
-            tuple(e for e in model.edges if leaves.isdisjoint(e)),
-        )
-        removed.extend(sorted(leaves))
+    while layer:
+        removed.extend(layer)
+        degree.update(dict.fromkeys(layer, 0))
+        exposed = []
+        for vid in layer:
+            for x in adjacency[vid]:
+                degree[x] -= 1
+                if degree[x] == 1 and not by_id[x].observed:
+                    exposed.append(x)
+        layer = sorted(exposed)
+    gone = set(removed)
+    variables = tuple(v for v in model.variables if v.id not in gone)
+    edges = tuple(e for e in model.edges if gone.isdisjoint(e))
+    return TreeModel(variables, edges), tuple(removed)
 
 
 def split_at_observed(
@@ -156,19 +170,20 @@ def split_at_observed(
     returned as its own single piece.
     """
     require_valid(model)
+    by_id, adjacency = model._by_id, model._adjacency
     for var in model.latent_variables:
-        if model.degree(var.id) <= 1:
+        if len(adjacency[var.id]) <= 1:
             raise ValueError(
                 f"latent leaf {var.name!r} present; prune latent leaves first"
             )
 
-    corrections = []
-    for var in model.observed_variables:
-        d = model.degree(var.id)
-        if d >= 2:
-            corrections.append(
-                ObservedCutCorrection(var.id, (d - 1) * (var.cardinality - 1))
-            )
+    corrections = [
+        ObservedCutCorrection(v.id, (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
+        for v in model.observed_variables
+        if len(adjacency.get(v.id, ())) >= 2
+    ]
+    if not corrections:  # no observed internal node: nothing to cut
+        return (model,), ()
 
     # Label every latent node with the lowest id of its connected latent
     # cluster; an edge belongs to the piece of its latent endpoint, and an
@@ -180,35 +195,26 @@ def split_at_observed(
         cluster[var.id] = var.id
         stack = [var.id]
         while stack:
-            for other in model.neighbors(stack.pop()):
-                if other not in cluster and model.variable(other).latent:
+            for other in adjacency[stack.pop()]:
+                if other not in cluster and not by_id[other].observed:
                     cluster[other] = var.id
                     stack.append(other)
     groups: dict[object, list[tuple[int, int]]] = {}
     for a, b in model.edges:
         key = cluster.get(a, cluster.get(b, (a, b)))
         groups.setdefault(key, []).append((a, b))
-    if len(groups) <= 1:
-        return (model,), tuple(corrections)
 
     # Edges are sorted, so the groups come in the order of their lowest edge.
     pieces = []
     for edge_subset in groups.values():
         ids = sorted({v for e in edge_subset for v in e})
-        pieces.append(
-            TreeModel(tuple(model.variable(i) for i in ids), tuple(edge_subset))
-        )
+        pieces.append(TreeModel(tuple([by_id[i] for i in ids]), tuple(edge_subset)))
     return tuple(pieces), tuple(corrections)
 
 
 def _is_latent_internal_hierarchy(model: TreeModel) -> bool:
-    for var in model.variables:
-        internal = model.degree(var.id) >= 2
-        if internal and var.observed:
-            return False
-        if not internal and var.latent:
-            return False
-    return True
+    adj = model._adjacency
+    return all((len(adj.get(v.id, ())) >= 2) != v.observed for v in model.variables)
 
 
 def decompose_hlc(
@@ -233,20 +239,19 @@ def decompose_hlc(
     if check_regular(hlc):
         raise ValueError("model is not regular; regularize it first")
 
-    components = []
-    corrections = []
+    by_id, adjacency = hlc._by_id, hlc._adjacency
+    components, corrections = [], []
     for var in latents:
-        nbrs = [hlc.variable(x) for x in hlc.neighbors(var.id)]
-        neighbors = tuple((x.id, x.cardinality) for x in nbrs)
-        flags = tuple(x.latent for x in nbrs)
-        component = LcComponent(var.id, var.cardinality, neighbors, flags)
-        components.append(component)
+        nbrs = [by_id[x] for x in adjacency[var.id]]
+        neighbors = tuple([(x.id, x.cardinality) for x in nbrs])
+        flags = tuple([not x.observed for x in nbrs])
+        components.append(LcComponent(var.id, var.cardinality, neighbors, flags))
         # Latents and neighbors ascend, so each latent-latent edge, taken at
         # its lower end, comes in the model's sorted edge order.
-        for (b, card), latent in zip(neighbors, component.neighbor_was_latent):
-            if latent and b > var.id:
-                shared = var.cardinality * card - 1
-                corrections.append(LatentEdgeCorrection((var.id, b), shared))
+        for x in nbrs:
+            if not x.observed and x.id > var.id:
+                shared = var.cardinality * x.cardinality - 1
+                corrections.append(LatentEdgeCorrection((var.id, x.id), shared))
     return tuple(components), tuple(corrections)
 
 
@@ -292,12 +297,8 @@ def effective_dimension(
         regular, steps = regularize(piece)
         reg_log.extend(steps)
         if not regular.latent_variables:
-            free_parts.append(
-                LatentFreePart(
-                    tuple(v.id for v in regular.variables),
-                    standard_dimension(regular),
-                )
-            )
+            ids = tuple(v.id for v in regular.variables)
+            free_parts.append(LatentFreePart(ids, standard_dimension(regular)))
             continue
         components, corrections = decompose_hlc(regular)
         lc_components.extend(components)
@@ -321,7 +322,7 @@ def effective_dimension(
     by_signature: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     trial_ranks = []
     for component in ledger.lc_components:
-        cards = tuple(sorted(card for _, card in component.neighbors))
+        cards = tuple(sorted([card for _, card in component.neighbors]))
         signature = (component.latent_cardinality, cards)
         if signature not in by_signature:
             canonical = LcComponent(

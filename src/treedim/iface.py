@@ -11,12 +11,16 @@ validation error, a score beyond float range, a ds too long to print or
 a stdout closed before the output was written;
 2 oracle parameter limit exceeded under ``--oracle``; 3 oracle/decomposition
 mismatch; 4 a latent-class rank over the cell limit (see
-``treedim.rank._trial_rank``).
+``treedim.rank._trial_rank``).  A closed stdout leaves a code of 2 or 3
+as it is: the command's ``error:`` line comes first, then the
+closed-stdout line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -53,10 +57,9 @@ def parse_model(text: str) -> TreeModel:
     edges: list[tuple[int, int]] = []
 
     for line_number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "var":
             if len(tokens) != 4:
@@ -150,13 +153,9 @@ def report_lines(
         lines.append(f"correction.latent_edge.{i}={correction.shared_parameters}")
     for i, correction in enumerate(ledger.observed_cut_corrections):
         lines.append(f"correction.observed_cut.{i}={correction.amount}")
-    lines.append(
-        "pruned=" + ",".join(names[vid] for vid in ledger.pruned_latent_leaves)
-    )
-    lines.append(
-        "regularized="
-        + ";".join(_regularization_entries(ledger.regularization_log, names))
-    )
+    lines.append("pruned=" + ",".join(names[v] for v in ledger.pruned_latent_leaves))
+    entries = _regularization_entries(ledger.regularization_log, names)
+    lines.append("regularized=" + ";".join(entries))
     lines.append(f"seed={seed}")
     lines.append(f"trials={trials}")
     return lines
@@ -220,14 +219,9 @@ def _build_parser() -> _Parser:
     score = sub.add_parser("score", help="penalized-likelihood scores")
     score.add_argument("model", help="model file path")
     score.add_argument("--loglik", type=_finite_float, required=True)
+    score.add_argument("--n", type=_int_at_least(1), required=True, help="sample size")
     score.add_argument(
-        "--n", type=_int_at_least(1), required=True, help="sample size"
-    )
-    score.add_argument(
-        "--de",
-        type=_int_at_least(0),
-        default=None,
-        help="effective dimension, if already known",
+        "--de", type=_int_at_least(0), help="effective dimension, if already known"
     )
 
     reg = sub.add_parser("regularize", help="print the regularized model")
@@ -257,26 +251,21 @@ def _run_dims(args, model: TreeModel) -> int:
         return 1
     if not args.report:
         lines = lines[:2]
+    code, error = 0, None
     if args.oracle:
         try:
-            oracle_de = oracle_effective_dimension(
-                model, trials=args.trials, seed=args.seed
-            )
+            oracle_de = oracle_effective_dimension(model, args.trials, args.seed)
         except OracleLimitError as exc:
-            print("\n".join(lines))
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        lines.insert(2, f"oracle_de={oracle_de}")
-        if oracle_de != result.effective_dimension:
-            print("\n".join(lines))
-            print(
-                "error: decomposition and oracle disagree "
-                f"({result.effective_dimension} vs {oracle_de})",
-                file=sys.stderr,
-            )
-            return 3
+            code, error = 2, str(exc)
+        else:
+            lines.insert(2, f"oracle_de={oracle_de}")
+            pair = (result.effective_dimension, oracle_de)
+            if pair[0] != pair[1]:
+                code, error = 3, "decomposition and oracle disagree (%d vs %d)" % pair
+    if error:  # ahead of the report, the order main keeps by holding stdout
+        print(f"error: {error}", file=sys.stderr)
     print("\n".join(lines))
-    return 0
+    return code
 
 
 def _run_score(args, model: TreeModel) -> int:
@@ -330,12 +319,14 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    try:
+    # stdout waits for the command's code, which a closed stdout keeps if nonzero
+    with contextlib.redirect_stdout(io.StringIO()) as held:
         code = run(sys.argv[1:])
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    try:
+        print(held.getvalue(), end="", flush=True)
     except BrokenPipeError:
         # Python flushes stdout again at exit: point it at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the output was written", file=sys.stderr)
-        code = 1
+        code = code or 1
     sys.exit(code)

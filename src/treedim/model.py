@@ -14,6 +14,7 @@ something returns a new model.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -59,7 +60,7 @@ class TreeModel:
     def __post_init__(self) -> None:
         ordered = sorted(self.variables, key=lambda v: v.id)
         object.__setattr__(self, "variables", tuple(ordered))
-        normalized = sorted((min(a, b), max(a, b)) for a, b in self.edges)
+        normalized = sorted((a, b) if a < b else (b, a) for a, b in self.edges)
         object.__setattr__(self, "edges", tuple(normalized))
 
     @cached_property
@@ -100,9 +101,6 @@ class TreeModel:
     def neighbors(self, var_id: int) -> tuple[int, ...]:
         """Neighbor ids in ascending order."""
         return self._adjacency.get(var_id, ())
-
-    def degree(self, var_id: int) -> int:
-        return len(self.neighbors(var_id))
 
     @cached_property
     def observed_variables(self) -> tuple[Variable, ...]:
@@ -193,11 +191,9 @@ def standard_dimension(model: TreeModel) -> int:
     minus the sum of ``|v| * (deg v - 1)`` over the nodes, minus one.
     """
     require_valid(model)
-    by_id, adjacency = model._by_id, model._adjacency
+    by_id, adj = model._by_id, model._adjacency
     pairs = sum(by_id[a].cardinality * by_id[b].cardinality for a, b in model.edges)
-    shared = sum(
-        v.cardinality * (len(adjacency.get(v.id, ())) - 1) for v in model.variables
-    )
+    shared = sum(v.cardinality * (len(adj.get(v.id, ())) - 1) for v in model.variables)
     return pairs - shared - 1
 
 
@@ -210,17 +206,16 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     Observed nodes are never checked.
     """
     require_valid(model)
+    by_id, adjacency = model._by_id, model._adjacency
     violations: list[RegularityViolation] = []
-    for var in model.latent_variables:
-        nbrs = [model.variable(x) for x in model.neighbors(var.id)]
-        if not nbrs:
-            continue
+    for var in model.latent_variables:  # every one has a neighbor: n >= 2
+        nbrs = [by_id[x] for x in adjacency[var.id]]
         cards = [x.cardinality for x in nbrs]
         bound = math.prod(cards) // max(cards)  # exact: max(cards) divides
         if var.cardinality > bound:
             violations.append(RegularityViolation(var.id, "bound", bound))
         elif var.cardinality == bound and len(nbrs) == 2:
-            if any(x.latent for x in nbrs):
+            if not (nbrs[0].observed and nbrs[1].observed):
                 violations.append(RegularityViolation(var.id, "strict", bound))
     return violations
 
@@ -237,11 +232,21 @@ class RegularizationStep:
     new_cardinality: Optional[int] = None
 
 
+def _rewrite(var: Variable, nbrs: list[Variable]) -> Optional[int]:
+    """The cardinality a latent is rewritten to: 0 for a removal, its
+    neighbor bound for a reduction, None when neither rule acts."""
+    cards = [x.cardinality for x in nbrs]
+    if len(cards) == 2 and var.cardinality >= min(cards):
+        return 0
+    bound = math.prod(cards) // max(cards)
+    return bound if var.cardinality > bound else None
+
+
 def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, ...]]:
     """Shrink a model until neither rewrite rule below applies.
 
-    Two rewrite rules are applied repeatedly, scanning latent nodes in
-    ascending id and restarting the scan after every change:
+    Two rewrite rules act on latent nodes, one step at a time, and the
+    lowest-id node that acts goes first:
 
     * a latent node with exactly two neighbors whose cardinality is at
       least the smaller neighbor cardinality is removed and its two
@@ -253,42 +258,41 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
     such as a binary one between observed nodes of cardinalities 2 and 3,
     so a regular model can come back rewritten.  The output represents
     exactly the same set of observed-variable joint distributions as the
-    input and never has more parameters; a model that neither rule
-    changes is returned as is.
+    input and never has more parameters.
+
+    Cost: a model that needs no step costs one read-only scan and is
+    returned as is.  Otherwise candidate ids wait in a min-heap, a step
+    costs O(degree + log n) plus the bound's product, and one model is
+    built at the end.
     """
     require_valid(model)
+    var, nbrs = model._by_id, model._adjacency  # copied at the first step
+    heap = [v.id for v in model.latent_variables]  # ascending ids: a heap
     log: list[RegularizationStep] = []
-    while True:
-        for var in model.latent_variables:
-            nbrs = model.neighbors(var.id)
-            if not nbrs:
-                continue
-            cards = [model.variable(x).cardinality for x in nbrs]
-            if len(nbrs) == 2 and var.cardinality >= min(cards):
-                model = TreeModel(
-                    tuple(v for v in model.variables if v is not var),
-                    tuple(e for e in model.edges if var.id not in e) + (nbrs,),
-                )
-                log.append(RegularizationStep("remove", var.id, var.name, joined=nbrs))
-                break
-            bound = math.prod(cards) // max(cards)
-            if var.cardinality > bound:
-                model = TreeModel(
-                    tuple(
-                        replace(v, cardinality=bound) if v is var else v
-                        for v in model.variables
-                    ),
-                    model.edges,
-                )
-                log.append(
-                    RegularizationStep(
-                        "reduce",
-                        var.id,
-                        var.name,
-                        old_cardinality=var.cardinality,
-                        new_cardinality=bound,
-                    )
-                )
-                break
+    while heap:
+        vid = heapq.heappop(heap)
+        new = _rewrite(var[vid], [var[x] for x in nbrs[vid]]) if vid in var else None
+        if new is None:
+            continue
+        if not log:
+            var, nbrs = dict(var), {x: set(others) for x, others in nbrs.items()}
+        v, touched = var[vid], nbrs[vid]
+        if new == 0:
+            a, b = sorted(touched)
+            nbrs[a] ^= {vid, b}  # a swaps vid for b, and b swaps vid for a
+            nbrs[b] ^= {vid, a}
+            del var[vid], nbrs[vid]
+            step = RegularizationStep("remove", vid, v.name, joined=(a, b))
         else:
-            return model, tuple(log)
+            var[vid] = replace(v, cardinality=new)
+            step = RegularizationStep("reduce", vid, v.name, None, v.cardinality, new)
+        log.append(step)
+        # Only these can start to act (a reduced node stays at its bound),
+        # so the first pop that acts is always the lowest-id acting node.
+        for x in touched:
+            if not var[x].observed:
+                heapq.heappush(heap, x)
+    if not log:
+        return model, ()
+    edges = tuple((a, b) for a, others in nbrs.items() for b in others if a < b)
+    return TreeModel(tuple(var.values()), edges), tuple(log)

@@ -81,9 +81,10 @@ def oracle_effective_dimension(
     """Effective dimension by direct Jacobian rank, without decomposition.
 
     Each trial ranks the nonzero columns of the gradients of
-    ``min(live parameters, states - 1)`` random functionals at one random
-    point of GF(PRIME).  Raises :class:`OracleLimitError` when the
-    parameter count is too large for a dense exact elimination.
+    ``k = min(live parameters, states - 1)`` random functionals at one
+    random point of GF(PRIME); the trials stop at the first that reaches
+    ``k``.  Raises :class:`OracleLimitError` when the parameter count is
+    too large for a dense exact elimination.
     """
     require_valid(model)
     if trials < 1:
@@ -103,4 +104,6 @@ def oracle_effective_dimension(
         weights = _functionals(rng, cards, k)
         rows = observed_joint_jacobian(model, point, weights)
         ranks.append(exact_rank([col for col in zip(*rows) if any(col)]))
+        if ranks[-1] == k:  # k rows: no later trial can rank higher
+            break
     return max(ranks)

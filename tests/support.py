@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from treedim import TreeModel, Variable
-from treedim.model import standard_dimension
+from treedim.model import RegularizationStep, require_valid, standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     CELL_LIMIT,
@@ -456,3 +457,63 @@ def reference_lc_rank(component, rng: random.Random) -> int:
             return rank
         size = min(2 * size, m)
     raise RowLimitError(f"needs {size} rows > {REFERENCE_ROW_LIMIT}")
+
+
+def reference_prune_latent_leaves(model: TreeModel):
+    """Latent-leaf pruning as ``treedim.decompose.prune_latent_leaves`` did
+    it before its layered worklist: one pass per layer of latent leaves,
+    rebuilding the model after each."""
+    require_valid(model)
+    removed: list[int] = []
+    while True:
+        latents = model.latent_variables
+        leaves = {v.id for v in latents if len(model.neighbors(v.id)) <= 1}
+        if not leaves:
+            return model, tuple(removed)
+        model = TreeModel(
+            tuple(v for v in model.variables if v.id not in leaves),
+            tuple(e for e in model.edges if leaves.isdisjoint(e)),
+        )
+        removed.extend(sorted(leaves))
+
+
+def reference_regularize(model: TreeModel):
+    """Regularization as ``treedim.model.regularize`` did it before its
+    min-heap: scan the latents in ascending id, apply the first rule that
+    acts, rebuild the model and restart the scan."""
+    require_valid(model)
+    log: list[RegularizationStep] = []
+    while True:
+        for var in model.latent_variables:
+            nbrs = model.neighbors(var.id)
+            if not nbrs:
+                continue
+            cards = [model.variable(x).cardinality for x in nbrs]
+            if len(nbrs) == 2 and var.cardinality >= min(cards):
+                model = TreeModel(
+                    tuple(v for v in model.variables if v is not var),
+                    tuple(e for e in model.edges if var.id not in e) + (nbrs,),
+                )
+                log.append(RegularizationStep("remove", var.id, var.name, joined=nbrs))
+                break
+            bound = math.prod(cards) // max(cards)
+            if var.cardinality > bound:
+                model = TreeModel(
+                    tuple(
+                        replace(v, cardinality=bound) if v is var else v
+                        for v in model.variables
+                    ),
+                    model.edges,
+                )
+                log.append(
+                    RegularizationStep(
+                        "reduce",
+                        var.id,
+                        var.name,
+                        old_cardinality=var.cardinality,
+                        new_cardinality=bound,
+                    )
+                )
+                break
+        else:
+            return model, tuple(log)

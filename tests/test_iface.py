@@ -71,6 +71,31 @@ class TestParseModel:
             parse_model("var A x observed\n")
 
 
+CLOSED_STDOUT = "error: stdout closed before the output was written\n"
+
+
+def _main_into_a_closed_pipe(argv):
+    """Run ``treedim.iface.main`` in a child whose stdout is a pipe with
+    its read end closed before the spawn, so every write to stdout fails
+    with EPIPE: no race with a reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(treedim.iface.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    main = "from treedim.iface import main; main()"
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", main, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
 class TestCli:
     def test_fixture_outputs_match_golden_files(self, capsys):
         # Each .expected file holds the output of the two commands below.
@@ -377,27 +402,23 @@ class TestCli:
         ],
     )
     def test_closed_stdout_exit_code(self, args):
-        # The read end closes before the spawn, so every write to stdout
-        # fails with EPIPE: no race with a reader.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        src = str(Path(treedim.iface.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         command, model, *flags = args
-        main = "from treedim.iface import main; main()"
-        try:
-            done = subprocess.run(
-                [sys.executable, "-c", main, command, str(FIXTURES / model), *flags],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env={**os.environ, "PYTHONPATH": path},
-                timeout=60,
-            )
-        finally:
-            os.close(write_end)
+        done = _main_into_a_closed_pipe([command, str(FIXTURES / model), *flags])
         assert done.returncode == 1
-        assert done.stderr == "error: stdout closed before the output was written\n"
+        assert done.stderr == CLOSED_STDOUT
+
+    def test_closed_stdout_keeps_the_oracle_limit_code(self, tmp_path):
+        # Four observed 16-state variables in a chain: 735 parameters, over
+        # the oracle's limit.  Its code 2 wins over the closed stdout's 1.
+        lines = [f"var Y{i} 16 observed" for i in range(4)]
+        lines += [f"edge Y{i} Y{i + 1}" for i in range(3)]
+        big = tmp_path / "chain.model"
+        big.write_text("\n".join(lines) + "\n")
+        done = _main_into_a_closed_pipe(["dims", str(big), "--oracle"])
+        assert done.returncode == 2
+        first, second = done.stderr.splitlines(keepends=True)
+        assert first.startswith("error: ") and "735 parameters" in first
+        assert second == CLOSED_STDOUT
 
     def test_hub_report_prunes_and_cuts(self, capsys):
         code = run(["dims", str(FIXTURES / "hub.model"), "--report"])

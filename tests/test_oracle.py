@@ -23,6 +23,7 @@ from support import (
     reference_lc_jacobian_at,
     reference_observed_joint_jacobian,
     reference_oracle_effective_dimension,
+    two_branch_hierarchy,
 )
 from treedim import (
     OracleLimitError,
@@ -126,7 +127,7 @@ class TestJacobian:
             latent = {v.id for v in model.latent_variables}
             latent_edges += sum(a in latent and b in latent for a, b in model.edges)
             observed_internal += sum(
-                model.degree(v.id) > 1 for v in model.observed_variables
+                len(model.neighbors(v.id)) > 1 for v in model.observed_variables
             )
             point = sample_full_point(model, rng)
             jac = full_jacobian(model, point)
@@ -174,7 +175,7 @@ class TestSketch:
             latent = {v.id for v in model.latent_variables}
             latent_edges += sum(a in latent and b in latent for a, b in model.edges)
             observed_internal += sum(
-                model.degree(v.id) > 1 for v in model.observed_variables
+                len(model.neighbors(v.id)) > 1 for v in model.observed_variables
             )
             observed = model.observed_variables
             n = standard_dimension(model)
@@ -240,7 +241,7 @@ class TestPackedKernels:
         for _ in range(50):
             model = random_tree_model(rng, max_vars=7, max_card=3)
             observed = model.observed_variables
-            observed_internal += sum(model.degree(v.id) > 1 for v in observed)
+            observed_internal += sum(len(model.neighbors(v.id)) > 1 for v in observed)
             unit_cards += sum(v.cardinality == 1 for v in model.variables)
             _, children, _ = model._rooting
             latent_leaves = [v for v in model.latent_variables if not children[v.id]]
@@ -369,6 +370,23 @@ class TestOracleEffectiveDimension:
         model = latent_class_model(100, (4, 4))  # 699 parameters, 16 states
         with pytest.raises(OracleLimitError, match="parameters"):
             oracle_effective_dimension(model)
+
+    def test_trials_stop_once_one_reaches_k(self, monkeypatch):
+        # A trial ranks k rows, so no trial after one that reaches k can
+        # rank higher.  c = 2 over (2, 2): k = min(5, 3) = 3, reached at
+        # once.  m1: k = 45 and rank 43, so every trial runs.
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return rank.exact_rank(rows)
+
+        monkeypatch.setattr(oracle, "exact_rank", counted)
+        assert oracle_effective_dimension(latent_class_model(2, (2, 2)), trials=3) == 3
+        assert len(calls) == 1
+        calls.clear()
+        assert oracle_effective_dimension(two_branch_hierarchy(), trials=3) == 43
+        assert len(calls) == 3
 
     def test_bounded_by_dimension_and_joint_size(self):
         rng = random.Random(55)

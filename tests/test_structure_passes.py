@@ -1,0 +1,221 @@
+"""The worklist structure passes: equal to the old passes, one model built,
+linear time, and scans that read the model's index directly."""
+
+from __future__ import annotations
+
+import ast
+import random
+import time
+from pathlib import Path
+
+import pytest
+
+from support import (
+    build_model,
+    random_hlc_model,
+    random_tree_model,
+    reference_prune_latent_leaves,
+    reference_regularize,
+)
+from treedim import RankPolicy, TreeModel, Variable, decompose, model
+from treedim.decompose import effective_dimension, prune_latent_leaves
+from treedim.model import regularize
+
+
+def _path(specs) -> TreeModel:
+    """(cardinality, observed) pairs joined in a path, ids in order."""
+    names = [f"V{i}" for i in range(len(specs))]
+    return build_model(
+        [(name, card, observed) for name, (card, observed) in zip(names, specs)],
+        list(zip(names, names[1:])),
+    )
+
+
+def latent_path(cards, ends=(2, 2)) -> TreeModel:
+    """Observed A, latents of ``cards`` in a path, observed B."""
+    return _path([(ends[0], True), *((c, False) for c in cards), (ends[1], True)])
+
+
+def latent_tail(cards) -> TreeModel:
+    """An observed pair, with a path of latents of ``cards`` hung off the second."""
+    return _path([(2, True), (2, True), *((c, False) for c in cards)])
+
+
+def caterpillar(rng: random.Random, n: int) -> TreeModel:
+    """A path of ``n`` latents of large random cardinality, each with 0-2
+    observed leaves of 1-4 states: reductions expose removals and the
+    reverse, and a spine end without leaves is a latent leaf."""
+    specs = [(rng.randint(1, 40), False) for _ in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    for i in range(n):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            edges.append((i, len(specs)))
+            specs.append((rng.randint(1, 4), True))
+    if len(specs) == n:
+        edges.append((0, n))
+        specs.append((2, True))
+    # shuffle the ids, so that the lowest acting id wanders along the spine
+    perm = list(range(len(specs)))
+    rng.shuffle(perm)
+    variables = tuple(
+        Variable(perm[i], f"V{perm[i]}", card, observed)
+        for i, (card, observed) in enumerate(specs)
+    )
+    return TreeModel(variables, tuple((perm[a], perm[b]) for a, b in edges))
+
+
+def adversarial_models():
+    rng = random.Random(16)
+    models = [latent_path([2] * n) for n in (1, 2, 7, 60)]
+    for _ in range(20):
+        models.append(latent_path([rng.randint(1, 9) for _ in range(40)], (3, 5)))
+    models += [latent_tail([2] * n) for n in (1, 2, 7, 60)]
+    models += [latent_tail([rng.randint(1, 9) for _ in range(30)]) for _ in range(10)]
+    models += [caterpillar(rng, rng.randint(1, 40)) for _ in range(150)]
+    return models
+
+
+def random_models():
+    rng = random.Random(1616)
+    models = [random_hlc_model(rng) for _ in range(100)]
+    models += [
+        random_tree_model(
+            rng,
+            max_vars=rng.randint(2, 30),
+            max_latent=rng.randint(1, 25),
+            max_card=rng.choice((2, 3, 5, 9)),
+        )
+        for _ in range(1500)
+    ]
+    return models
+
+
+class TestEqualToTheReferencePasses:
+    @pytest.mark.parametrize("models", [adversarial_models, random_models])
+    def test_prune_model_and_log(self, models):
+        removed = 0
+        for tree in models():
+            got = prune_latent_leaves(tree)
+            assert got == reference_prune_latent_leaves(tree)
+            assert got[1] or got[0] is tree
+            removed += len(got[1])
+        assert removed > 400  # coverage floor
+
+    @pytest.mark.parametrize("models", [adversarial_models, random_models])
+    def test_regularize_model_and_log(self, models):
+        cascades = steps = 0
+        for tree in models():
+            for piece in (tree, prune_latent_leaves(tree)[0]):
+                got = regularize(piece)
+                assert got == reference_regularize(piece)
+                assert got[1] or got[0] is piece
+                steps += len(got[1])
+                kinds = [step.kind for step in got[1]]
+                cascades += ("reduce", "remove") in zip(kinds, kinds[1:])
+        # coverage floors: many steps, and reductions right before a removal
+        assert steps > 4000 and cascades > 200
+
+    def test_regular_pieces_come_back_as_is(self):
+        for tree in (latent_path([]), latent_tail([])):
+            assert regularize(tree) == (tree, ())
+            assert prune_latent_leaves(tree) == (tree, ())
+
+
+class TestOneModelPerCall:
+    def test_each_pass_builds_at_most_one_model(self, monkeypatch):
+        built = []
+        post_init = TreeModel.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        trees = adversarial_models()[::5] + random_models()[::20]
+        monkeypatch.setattr(TreeModel, "__post_init__", counted)
+        for tree in trees:
+            for rewrite in (prune_latent_leaves, regularize):
+                built.clear()
+                out, log = rewrite(tree)
+                assert len(built) == (1 if log else 0)
+                assert not log or built[0] is out
+
+
+class TestLinearTime:
+    # Before the worklists, each prune layer and each regularize step
+    # rebuilt the model: about 3 s at 2,000 latents, and minutes at 20,000.
+    N = 20_000
+
+    def test_effective_dimension_of_a_long_latent_path(self):
+        tree = latent_path([2] * self.N)
+        start = time.perf_counter()
+        result = effective_dimension(tree, RankPolicy(trials=1))
+        assert time.perf_counter() - start < 5
+        assert result.effective_dimension == 3
+        assert len(result.ledger.regularization_log) == self.N
+
+    def test_prune_of_a_long_latent_tail(self):
+        tree = latent_tail([2] * self.N)
+        start = time.perf_counter()
+        pruned, removed = prune_latent_leaves(tree)
+        assert time.perf_counter() - start < 5
+        assert removed == tuple(range(self.N + 1, 1, -1))
+        assert pruned.edges == ((0, 1),)
+
+
+# The scans read model._by_id and model._adjacency: a per-node method call
+# costs more than the lookup it wraps.
+SCANS = {
+    model: ("regularize", "check_regular"),
+    decompose: (
+        "prune_latent_leaves",
+        "split_at_observed",
+        "_is_latent_internal_hierarchy",
+        "decompose_hlc",
+    ),
+}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _functions(module, names):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+    assert sorted(found) == sorted(names)
+    return found
+
+
+def _calls(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+
+def test_scans_make_no_per_node_method_calls():
+    methods = {"variable", "neighbors", "degree"}
+    for module, names in SCANS.items():
+        for name, function in _functions(module, names).items():
+            used = [
+                call.func.attr
+                for call in _calls(function)
+                if isinstance(call.func, ast.Attribute) and call.func.attr in methods
+            ]
+            assert used == [], name
+
+
+def test_rewrites_build_their_model_outside_loops():
+    def builds(node):
+        return [
+            call
+            for call in _calls(node)
+            if isinstance(call.func, ast.Name) and call.func.id == "TreeModel"
+        ]
+
+    functions = {
+        **_functions(model, ["regularize"]),
+        **_functions(decompose, ["prune_latent_leaves"]),
+    }
+    for name, function in functions.items():
+        assert len(builds(function)) == 1, name
+        loops = [n for n in ast.walk(function) if isinstance(n, LOOPS)]
+        assert [b for loop in loops for b in builds(loop)] == [], name
