@@ -142,7 +142,6 @@ def prune_latent_leaves(model: TreeModel) -> tuple[TreeModel, tuple[int, ...]]:
     removed: list[int] = []
     while layer:
         removed.extend(layer)
-        degree.update(dict.fromkeys(layer, 0))
         exposed = []
         for vid in layer:
             for x in adjacency[vid]:
@@ -208,7 +207,7 @@ def split_at_observed(
     pieces = []
     for edge_subset in groups.values():
         ids = sorted({v for e in edge_subset for v in e})
-        pieces.append(TreeModel(tuple([by_id[i] for i in ids]), tuple(edge_subset)))
+        pieces.append(TreeModel(tuple(by_id[i] for i in ids), tuple(edge_subset)))
     return tuple(pieces), tuple(corrections)
 
 
@@ -243,8 +242,8 @@ def decompose_hlc(
     components, corrections = [], []
     for var in latents:
         nbrs = [by_id[x] for x in adjacency[var.id]]
-        neighbors = tuple([(x.id, x.cardinality) for x in nbrs])
-        flags = tuple([not x.observed for x in nbrs])
+        neighbors = tuple((x.id, x.cardinality) for x in nbrs)
+        flags = tuple(not x.observed for x in nbrs)
         components.append(LcComponent(var.id, var.cardinality, neighbors, flags))
         # Latents and neighbors ascend, so each latent-latent edge, taken at
         # its lower end, comes in the model's sorted edge order.
@@ -297,8 +296,12 @@ def effective_dimension(
         regular, steps = regularize(piece)
         reg_log.extend(steps)
         if not regular.latent_variables:
-            ids = tuple(v.id for v in regular.variables)
-            free_parts.append(LatentFreePart(ids, standard_dimension(regular)))
+            free_parts.append(
+                LatentFreePart(
+                    tuple(v.id for v in regular.variables),
+                    standard_dimension(regular),
+                )
+            )
             continue
         components, corrections = decompose_hlc(regular)
         lc_components.extend(components)
@@ -322,7 +325,7 @@ def effective_dimension(
     by_signature: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     trial_ranks = []
     for component in ledger.lc_components:
-        cards = tuple(sorted([card for _, card in component.neighbors]))
+        cards = tuple(sorted(card for _, card in component.neighbors))
         signature = (component.latent_cardinality, cards)
         if signature not in by_signature:
             canonical = LcComponent(

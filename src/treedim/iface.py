@@ -57,9 +57,10 @@ def parse_model(text: str) -> TreeModel:
     edges: list[tuple[int, int]] = []
 
     for line_number, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
+        tokens = line.split()
         kind = tokens[0]
         if kind == "var":
             if len(tokens) != 4:
@@ -153,9 +154,13 @@ def report_lines(
         lines.append(f"correction.latent_edge.{i}={correction.shared_parameters}")
     for i, correction in enumerate(ledger.observed_cut_corrections):
         lines.append(f"correction.observed_cut.{i}={correction.amount}")
-    lines.append("pruned=" + ",".join(names[v] for v in ledger.pruned_latent_leaves))
-    entries = _regularization_entries(ledger.regularization_log, names)
-    lines.append("regularized=" + ";".join(entries))
+    lines.append(
+        "pruned=" + ",".join(names[vid] for vid in ledger.pruned_latent_leaves)
+    )
+    lines.append(
+        "regularized="
+        + ";".join(_regularization_entries(ledger.regularization_log, names))
+    )
     lines.append(f"seed={seed}")
     lines.append(f"trials={trials}")
     return lines
@@ -219,9 +224,14 @@ def _build_parser() -> _Parser:
     score = sub.add_parser("score", help="penalized-likelihood scores")
     score.add_argument("model", help="model file path")
     score.add_argument("--loglik", type=_finite_float, required=True)
-    score.add_argument("--n", type=_int_at_least(1), required=True, help="sample size")
     score.add_argument(
-        "--de", type=_int_at_least(0), help="effective dimension, if already known"
+        "--n", type=_int_at_least(1), required=True, help="sample size"
+    )
+    score.add_argument(
+        "--de",
+        type=_int_at_least(0),
+        default=None,
+        help="effective dimension, if already known",
     )
 
     reg = sub.add_parser("regularize", help="print the regularized model")
@@ -251,19 +261,25 @@ def _run_dims(args, model: TreeModel) -> int:
         return 1
     if not args.report:
         lines = lines[:2]
-    code, error = 0, None
+    code = 0
     if args.oracle:
+        # The error: line goes first, as main writes it out: main holds stdout.
         try:
-            oracle_de = oracle_effective_dimension(model, args.trials, args.seed)
+            oracle_de = oracle_effective_dimension(
+                model, trials=args.trials, seed=args.seed
+            )
         except OracleLimitError as exc:
-            code, error = 2, str(exc)
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
         else:
             lines.insert(2, f"oracle_de={oracle_de}")
-            pair = (result.effective_dimension, oracle_de)
-            if pair[0] != pair[1]:
-                code, error = 3, "decomposition and oracle disagree (%d vs %d)" % pair
-    if error:  # ahead of the report, the order main keeps by holding stdout
-        print(f"error: {error}", file=sys.stderr)
+            if oracle_de != result.effective_dimension:
+                print(
+                    "error: decomposition and oracle disagree "
+                    f"({result.effective_dimension} vs {oracle_de})",
+                    file=sys.stderr,
+                )
+                code = 3
     print("\n".join(lines))
     return code
 
@@ -320,13 +336,18 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     # stdout waits for the command's code, which a closed stdout keeps if nonzero
-    with contextlib.redirect_stdout(io.StringIO()) as held:
-        code = run(sys.argv[1:])
+    held, code = io.StringIO(), 1
     try:
-        print(held.getvalue(), end="", flush=True)
-    except BrokenPipeError:
-        # Python flushes stdout again at exit: point it at devnull first.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout closed before the output was written", file=sys.stderr)
-        code = code or 1
+        with contextlib.redirect_stdout(held):
+            code = run(sys.argv[1:])
+    except SystemExit as exc:  # argparse exits from inside run after --help
+        code = exc.code
+    finally:  # what was printed goes out even when run raised
+        try:
+            print(held.getvalue(), end="", flush=True)
+        except BrokenPipeError:
+            # Python flushes stdout again at exit: point it at devnull first.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: stdout closed before the output was written", file=sys.stderr)
+            code = code or 1
     sys.exit(code)

@@ -102,6 +102,9 @@ class TreeModel:
         """Neighbor ids in ascending order."""
         return self._adjacency.get(var_id, ())
 
+    def degree(self, var_id: int) -> int:
+        return len(self.neighbors(var_id))
+
     @cached_property
     def observed_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if v.observed)
@@ -191,9 +194,11 @@ def standard_dimension(model: TreeModel) -> int:
     minus the sum of ``|v| * (deg v - 1)`` over the nodes, minus one.
     """
     require_valid(model)
-    by_id, adj = model._by_id, model._adjacency
+    by_id, adjacency = model._by_id, model._adjacency
     pairs = sum(by_id[a].cardinality * by_id[b].cardinality for a, b in model.edges)
-    shared = sum(v.cardinality * (len(adj.get(v.id, ())) - 1) for v in model.variables)
+    shared = sum(
+        v.cardinality * (len(adjacency.get(v.id, ())) - 1) for v in model.variables
+    )
     return pairs - shared - 1
 
 
@@ -261,9 +266,11 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
     input and never has more parameters.
 
     Cost: a model that needs no step costs one read-only scan and is
-    returned as is.  Otherwise candidate ids wait in a min-heap, a step
-    costs O(degree + log n) plus the bound's product, and one model is
-    built at the end.
+    returned as is.  Otherwise candidate ids wait in a min-heap, each pop
+    costs O(degree of the popped node + log n) plus the bound's product,
+    and one model is built at the end.  A step pushes the node's latent
+    neighbors again, so a latent hub rewritten through many of its latent
+    neighbors is re-checked once per step and still costs O(degree^2).
     """
     require_valid(model)
     var, nbrs = model._by_id, model._adjacency  # copied at the first step

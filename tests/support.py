@@ -466,8 +466,7 @@ def reference_prune_latent_leaves(model: TreeModel):
     require_valid(model)
     removed: list[int] = []
     while True:
-        latents = model.latent_variables
-        leaves = {v.id for v in latents if len(model.neighbors(v.id)) <= 1}
+        leaves = {v.id for v in model.latent_variables if model.degree(v.id) <= 1}
         if not leaves:
             return model, tuple(removed)
         model = TreeModel(

@@ -211,7 +211,7 @@ def test_criterion_3c_oracle_keystone_beyond_the_old_state_limit(capsys):
         latent = {v.id for v in model.latent_variables}
         latent_edges += sum(a in latent and b in latent for a, b in model.edges)
         observed_internal += sum(
-            len(model.neighbors(v.id)) > 1 for v in model.observed_variables
+            model.degree(v.id) > 1 for v in model.observed_variables
         )
     assert latent_edges and observed_internal
     start = time.perf_counter()

@@ -420,6 +420,33 @@ class TestCli:
         assert first.startswith("error: ") and "735 parameters" in first
         assert second == CLOSED_STDOUT
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: treedim [-h]"), (["dims", "--help"], "usage: treedim dims")],
+    )
+    def test_main_prints_help_and_exits_0(self, argv, usage, monkeypatch, capsys):
+        # argparse prints the help to the held stdout and exits from inside
+        # run; main must still write it out.
+        monkeypatch.setattr(sys, "argv", ["treedim", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            treedim.iface.main()
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage)
+        assert captured.err == ""
+
+    def test_main_writes_what_was_printed_before_an_exception(
+        self, monkeypatch, capsys
+    ):
+        def failing(argv):
+            print("partial")
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(treedim.iface, "run", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            treedim.iface.main()
+        assert capsys.readouterr().out == "partial\n"
+
     def test_hub_report_prunes_and_cuts(self, capsys):
         code = run(["dims", str(FIXTURES / "hub.model"), "--report"])
         out = capsys.readouterr().out

@@ -34,7 +34,7 @@ class TestTreeModel:
             assert model.variables == vs
             assert model.neighbors(2) == (0, 1, 3, 4)
             assert model.neighbors(4) == (2,)
-            assert len(model.neighbors(2)) == 4
+            assert model.degree(2) == 4
 
     def test_unknown_variable_id_raises_key_error(self):
         model = two_branch_hierarchy()

@@ -127,7 +127,7 @@ class TestJacobian:
             latent = {v.id for v in model.latent_variables}
             latent_edges += sum(a in latent and b in latent for a, b in model.edges)
             observed_internal += sum(
-                len(model.neighbors(v.id)) > 1 for v in model.observed_variables
+                model.degree(v.id) > 1 for v in model.observed_variables
             )
             point = sample_full_point(model, rng)
             jac = full_jacobian(model, point)
@@ -175,7 +175,7 @@ class TestSketch:
             latent = {v.id for v in model.latent_variables}
             latent_edges += sum(a in latent and b in latent for a, b in model.edges)
             observed_internal += sum(
-                len(model.neighbors(v.id)) > 1 for v in model.observed_variables
+                model.degree(v.id) > 1 for v in model.observed_variables
             )
             observed = model.observed_variables
             n = standard_dimension(model)
@@ -241,7 +241,7 @@ class TestPackedKernels:
         for _ in range(50):
             model = random_tree_model(rng, max_vars=7, max_card=3)
             observed = model.observed_variables
-            observed_internal += sum(len(model.neighbors(v.id)) > 1 for v in observed)
+            observed_internal += sum(model.degree(v.id) > 1 for v in observed)
             unit_cards += sum(v.cardinality == 1 for v in model.variables)
             _, children, _ = model._rooting
             latent_leaves = [v for v in model.latent_variables if not children[v.id]]
