@@ -9,9 +9,9 @@ identical inputs and flags.
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
 validation error, a score beyond float range, a ds too long to print or
 a stdout closed before the output was written;
-2 oracle parameter limit exceeded under ``--oracle``; 3 oracle/decomposition
-mismatch; 4 a latent-class rank over the cell limit (see
-``treedim.rank._trial_rank``).  A closed stdout leaves a code of 2 or 3
+2 an oracle over the cell limit under ``--oracle``; 3
+oracle/decomposition mismatch; 4 a latent-class rank over the same limit,
+``treedim.rank.CELL_LIMIT``.  A closed stdout leaves a code of 2 or 3
 as it is: the command's ``error:`` line comes first, then the
 closed-stdout line.
 """

@@ -14,27 +14,27 @@ parameters' columns are exact zeros: rank J <= k = min(n_live, states -
 1).  The oracle ranks the nonzero columns (rank J = rank J^T) of the
 gradients of ``k`` functionals with random entries in GF(p), the rows of
 a projection ``R J``, at a point drawn in GF(p); by the argument in
-:mod:`treedim.rank` the error stays one-sided.  Elimination is cubic in
-the parameter count, so models beyond a fixed parameter limit are
-refused.
+:mod:`treedim.rank` the error stays one-sided.  A model is refused
+before any draw when ``max(k, 1)`` times its point's entry count, the
+cells the passes carry, exceeds :data:`treedim.rank.CELL_LIMIT`.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
-from .model import TreeModel, require_valid, standard_dimension
+from .model import TreeModel, require_valid
 from .rank import (
+    CELL_LIMIT,
     DEFAULT_TRIALS,
+    _figure,
     _functionals,
+    _shapes,
     derive_seed,
     draw_point,
     exact_rank,
     jacobian,
 )
-
-PARAMETER_LIMIT = 256
 
 
 class OracleLimitError(RuntimeError):
@@ -61,18 +61,6 @@ def observed_joint_jacobian(
     return jacobian(model, point, weights)
 
 
-def _live_parameters(model: TreeModel) -> int:
-    """Free parameters of the observed variables and those with a live child."""
-    parents, children, order = model._rooting
-    card = {v.id: v.cardinality for v in model.variables}
-    live, count = set(), 0
-    for v in reversed(order):
-        if model.variable(v).observed or live.intersection(children[v]):
-            live.add(v)
-            count += (card[v] - 1) * card.get(parents.get(v), 1)  # root: 1 block
-    return count
-
-
 def oracle_effective_dimension(
     model: TreeModel,
     trials: int = DEFAULT_TRIALS,
@@ -83,20 +71,31 @@ def oracle_effective_dimension(
     Each trial ranks the nonzero columns of the gradients of
     ``k = min(live parameters, states - 1)`` random functionals at one
     random point of GF(PRIME); the trials stop at the first that reaches
-    ``k``.  Raises :class:`OracleLimitError` when the parameter count is
-    too large for a dense exact elimination.
+    ``k``.  Raises :class:`OracleLimitError` before any draw when
+    ``max(k, 1)`` times the point's entry count exceeds
+    :data:`treedim.rank.CELL_LIMIT`.
     """
     require_valid(model)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n_params = standard_dimension(model)
-    if n_params > PARAMETER_LIMIT:
+    _, children, order = model._rooting
+    live: set[int] = set()
+    for v in reversed(order):  # children first
+        if model.variable(v).observed or live.intersection(children[v]):
+            live.add(v)
+    tables = list(zip(model.variables, _shapes(model)))
+    n_live = sum(b * (c - 1) for v, (b, c) in tables if v.id in live)
+    cards, states = [v.cardinality for v in model.observed_variables], 1
+    for card in cards:  # states only as far as k needs them
+        states *= card
+        if states > n_live:
+            break
+    k, entries = min(n_live, states - 1), sum(b * c for _, (b, c) in tables)
+    if max(k, 1) * entries > CELL_LIMIT:
         raise OracleLimitError(
-            f"model has {n_params} parameters (limit {PARAMETER_LIMIT}); "
-            "use the decomposition pipeline"
+            f"oracle needs {_figure(max(k, 1))} x {_figure(entries)} cells"
+            f" > {CELL_LIMIT}"
         )
-    cards = [v.cardinality for v in model.observed_variables]
-    k = min(_live_parameters(model), math.prod(cards) - 1)
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))

@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 DEFAULT_TRIALS = 3
 # Ranks are taken in GF(PRIME), a Mersenne prime.
 PRIME = 2**61 - 1
-# No latent-class rank builds a Jacobian of more entries than this.
+# No latent-class Jacobian, nor the oracle's k rows over its point, has more cells.
 CELL_LIMIT = 2**18
 
 log = logging.getLogger(__name__)
@@ -330,7 +330,8 @@ def _figure(x: int) -> str:
     """``x`` in digits below 10**12, else as ``m.me<exponent>``, which needs
     no ``str`` of a huge int.  ``x`` is positive."""
     e = math.log10(x)
-    return str(x) if e < 12 else f"{10 ** (e % 1):.1f}e{int(e)}"
+    mantissa, carry = f"{10 ** (e % 1):.1e}".split("e")  # 9.96 gives 1.0e+01
+    return str(x) if e < 12 else f"{mantissa}e{int(e) + int(carry)}"
 
 
 def _trial_rank(component: "LcComponent", rng: random.Random) -> int:

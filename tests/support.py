@@ -107,16 +107,20 @@ def random_tree_model(
     return TreeModel(variables, edges)
 
 
-def random_hlc_model(rng: random.Random) -> TreeModel:
+def random_hlc_model(
+    rng: random.Random, latents: tuple[int, int] = (2, 6), max_card: int = 4
+) -> TreeModel:
     """Random hierarchical latent class (HLC) shaped tree.
 
-    A random skeleton of 2-6 latents of cardinality 2-4; about one
-    skeleton edge in six runs through an observed node of cardinality 2-3,
-    so the split step has work too.  Each latent then gets observed
-    leaves of cardinality 2-3, mostly enough to reach degree 3, though
-    one latent in five may stop short of it (and be regularized away).
+    A random skeleton of ``latents`` (by default 2-6) latents of
+    cardinality 2 to ``max_card``; about one skeleton edge in six runs
+    through an observed node of cardinality 2-3, so the split step has
+    work too.  Each latent then gets observed leaves of cardinality 2-3,
+    mostly enough to reach degree 3, though one latent in five may stop
+    short of it (and be regularized away).
     """
-    specs = [(f"H{i}", rng.randint(2, 4), False) for i in range(rng.randint(2, 6))]
+    count = rng.randint(*latents)
+    specs = [(f"H{i}", rng.randint(2, max_card), False) for i in range(count)]
     edges = []
     for i in range(1, len(specs)):
         a, b = f"H{rng.randrange(i)}", f"H{i}"

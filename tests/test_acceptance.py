@@ -56,6 +56,9 @@ LARGE_KEYSTONE_COUNT = 100
 # Fourth keystone set: hierarchical latent class (HLC) shaped trees.
 HLC_KEYSTONE_SEED = 20261019
 HLC_KEYSTONE_COUNT = 50
+# Fifth keystone set: HLC trees past the oracle's former 256-parameter cap.
+WIDE_HLC_KEYSTONE_SEED = 20261023
+WIDE_HLC_KEYSTONE_COUNT = 5
 
 
 @functools.cache
@@ -94,6 +97,17 @@ def hlc_keystone_models():
     while len(models) < HLC_KEYSTONE_COUNT:
         model = random_hlc_model(rng)
         if standard_dimension(model) <= 160:
+            models.append(model)
+    return models
+
+
+@functools.cache
+def wide_hlc_keystone_models():
+    rng = random.Random(WIDE_HLC_KEYSTONE_SEED)
+    models = []
+    while len(models) < WIDE_HLC_KEYSTONE_COUNT:
+        model = random_hlc_model(rng, latents=(8, 20), max_card=6)
+        if 256 < standard_dimension(model) <= 400:
             models.append(model)
     return models
 
@@ -261,20 +275,17 @@ def test_criterion_3d_oracle_rows_match_the_reference_passes(capsys):
     assert ok, mismatches
 
 
-def test_criterion_3e_hlc_oracle_keystone(capsys):
-    # Zhang & Kocka (JAIR 2004): de of an HLC model is the sum of its
-    # latent-class components' dimensions minus one correction per
-    # latent-latent edge.  The set must keep exercising that, regularization
-    # and rank-deficient components, whatever the generator draws.
-    start = time.perf_counter()
-    models = hlc_keystone_models()
+def _hlc_keystone(models, oracle_de):
+    """HLC models checked against ``oracle_de(index)``: the mismatches as
+    (index, decomposition de, oracle de), whether the coverage floors hold,
+    and the coverage counts as text."""
     mismatches = []
     two_edges = regularized = deficient = split = 0
     for i, model in enumerate(models):
         result = effective_dimension(model, RankPolicy(trials=2, seed=i))
-        de, oracle_de = result.effective_dimension, keystone_oracle("hlc", i)
-        if de != oracle_de:
-            mismatches.append((i, de, oracle_de))
+        de, expected = result.effective_dimension, oracle_de(i)
+        if de != expected:
+            mismatches.append((i, de, expected))
         ledger = result.ledger
         two_edges += len(ledger.latent_edge_corrections) >= 2
         regularized += bool(ledger.regularization_log)
@@ -283,16 +294,54 @@ def test_criterion_3e_hlc_oracle_keystone(capsys):
             de < min(c.standard_dimension(), math.prod(k for _, k in c.neighbors) - 1)
             for c, de in zip(ledger.lc_components, result.component_dimensions)
         )
-    elapsed = time.perf_counter() - start
     floors = 2 * two_edges >= len(models) and regularized and deficient and split
+    detail = (
+        f"{two_edges} with two or more latent-edge corrections, {regularized} "
+        f"regularized, {deficient} deficient, {split} split"
+    )
+    return mismatches, floors, detail
+
+
+def test_criterion_3e_hlc_oracle_keystone(capsys):
+    # Zhang & Kocka (JAIR 2004): de of an HLC model is the sum of its
+    # latent-class components' dimensions minus one correction per
+    # latent-latent edge.  The set must keep exercising that, regularization
+    # and rank-deficient components, whatever the generator draws.
+    start = time.perf_counter()
+    models = hlc_keystone_models()
+    oracle_de = functools.partial(keystone_oracle, "hlc")
+    mismatches, floors, detail = _hlc_keystone(models, oracle_de)
+    elapsed = time.perf_counter() - start
     ok = not mismatches and floors and elapsed < 300.0
     _report(
         capsys,
         3,
         ok,
-        f"{len(models)} HLC models ({two_edges} with two or more latent-edge "
-        f"corrections, {regularized} regularized, {deficient} deficient, "
-        f"{split} split), {len(mismatches)} mismatches in {elapsed:.1f}s",
+        f"{len(models)} HLC models ({detail}), {len(mismatches)} mismatches "
+        f"in {elapsed:.1f}s",
+    )
+    assert ok, mismatches
+
+
+def test_criterion_3g_hlc_oracle_keystone_past_the_old_parameter_cap(capsys):
+    # The oracle's cost is k rows over the point's entries, bounded by
+    # rank.CELL_LIMIT, so HLC models with ds over 256 are checked too.
+    start = time.perf_counter()
+    models = wide_hlc_keystone_models()
+
+    def oracle_de(i):
+        return oracle_effective_dimension(models[i], trials=1, seed=i)
+
+    mismatches, floors, detail = _hlc_keystone(models, oracle_de)
+    elapsed = time.perf_counter() - start
+    sizes = sorted(standard_dimension(model) for model in models)
+    ok = not mismatches and floors and elapsed < 300.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(models)} HLC models of ds {sizes[0]}-{sizes[-1]} ({detail}), "
+        f"{len(mismatches)} mismatches in {elapsed:.1f}s",
     )
     assert ok, mismatches
 

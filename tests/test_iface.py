@@ -142,16 +142,18 @@ class TestCli:
         assert code == 0
         assert "oracle_de=44" in out
 
-    def test_dims_oracle_parameter_limit_exit_code(self, capsys, tmp_path):
-        lines = [f"var Y{i} 16 observed" for i in range(3)]  # 495 parameters
-        lines += [f"edge Y{i} Y{i + 1}" for i in range(2)]
+    def test_dims_oracle_cell_limit_exit_code(self, capsys, tmp_path):
+        # Four observed 16-state variables in a chain: k = ds = 735 rows over
+        # the point's 784 entries.
+        lines = [f"var Y{i} 16 observed" for i in range(4)]
+        lines += [f"edge Y{i} Y{i + 1}" for i in range(3)]
         big = tmp_path / "big.model"
         big.write_text("\n".join(lines) + "\n")
         code = run(["dims", str(big), "--oracle"])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "495 parameters (limit 256)" in err
+        assert captured.out == "ds=735\nde=735\n"
+        assert captured.err == "error: oracle needs 735 x 784 cells > 262144\n"
 
     def test_dims_oracle_mismatch_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -268,6 +270,22 @@ class TestCli:
                 "error: rank of latent cardinality 1.0e4000 over 3 neighbors of "
                 "cardinalities {1.0e4000} needs 3.0e8000 x 3.0e8000 cells > 262144\n"
             )
+
+    def test_cell_limit_message_rounds_into_the_next_decade(self, capsys, tmp_path):
+        # b = n = 10**13 - 1: a mantissa of 9.99... is printed as 1.0e13.
+        model = tmp_path / "wide.model"
+        model.write_text(
+            "var H 2 latent\n"
+            + "".join(
+                f"var {name} {card} observed\nedge H {name}\n"
+                for name, card in [("A", 2), ("B", 2), ("C", 4_999_999_999_998)]
+            )
+        )
+        assert run(["dims", str(model)]) == 4
+        assert capsys.readouterr().err == (
+            "error: rank of latent cardinality 2 over 3 neighbors of "
+            "cardinalities {2, 5.0e12} needs 1.0e13 x 1.0e13 cells > 262144\n"
+        )
 
     def test_wide_latent_class_components(self, capsys, monkeypatch, tmp_path):
         def lc_file(leaves):
@@ -408,7 +426,7 @@ class TestCli:
         assert done.stderr == CLOSED_STDOUT
 
     def test_closed_stdout_keeps_the_oracle_limit_code(self, tmp_path):
-        # Four observed 16-state variables in a chain: 735 parameters, over
+        # Four observed 16-state variables in a chain: 735 x 784 cells, over
         # the oracle's limit.  Its code 2 wins over the closed stdout's 1.
         lines = [f"var Y{i} 16 observed" for i in range(4)]
         lines += [f"edge Y{i} Y{i + 1}" for i in range(3)]
@@ -417,7 +435,7 @@ class TestCli:
         done = _main_into_a_closed_pipe(["dims", str(big), "--oracle"])
         assert done.returncode == 2
         first, second = done.stderr.splitlines(keepends=True)
-        assert first.startswith("error: ") and "735 parameters" in first
+        assert first == "error: oracle needs 735 x 784 cells > 262144\n"
         assert second == CLOSED_STDOUT
 
     @pytest.mark.parametrize(

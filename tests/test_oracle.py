@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -366,9 +367,21 @@ class TestOracleEffectiveDimension:
         de = effective_dimension(big, RankPolicy(trials=2)).effective_dimension
         assert oracle_effective_dimension(big, trials=1) == de == 43
 
-    def test_parameter_limit(self):
-        model = latent_class_model(100, (4, 4))  # 699 parameters, 16 states
-        with pytest.raises(OracleLimitError, match="parameters"):
+    def test_cheap_model_past_the_former_parameter_cap(self):
+        # 699 parameters but 16 states: k = 15 rows, 10,485 cells.
+        model = latent_class_model(100, (4, 4))
+        de = effective_dimension(model, RankPolicy(trials=1)).effective_dimension
+        assert oracle_effective_dimension(model, trials=1) == de == 15
+
+    def test_cell_limit(self):
+        # Four observed 16-state variables in a chain: k = ds = 735 rows over
+        # the point's 16 + 3 * 256 = 784 entries.
+        model = build_model(
+            [(f"Y{i}", 16, True) for i in range(4)],
+            [(f"Y{i}", f"Y{i + 1}") for i in range(3)],
+        )
+        message = "^oracle needs 735 x 784 cells > 262144$"
+        with pytest.raises(OracleLimitError, match=message):
             oracle_effective_dimension(model)
 
     def test_trials_stop_once_one_reaches_k(self, monkeypatch):
@@ -494,3 +507,83 @@ class TestLiveParameters:
             policy = RankPolicy(trials=2, seed=i)
             assert de == effective_dimension(model, policy).effective_dimension
         assert roots_in_chain >= 10
+
+
+class TestCellLimitBeforeAnyDraw:
+    """The oracle refuses exactly when max(k, 1) times the point's entry
+    count exceeds rank.CELL_LIMIT, and refuses before any draw."""
+
+    class Drawn(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def drawn(rng, count):
+            raise self.Drawn(count)
+
+        monkeypatch.setattr(rank, "field_draws", drawn)
+
+    @staticmethod
+    def latent_with_leaves(latent, leaves):
+        specs = [("L", latent, False)]
+        specs += [(f"Y{i}", card, True) for i, card in enumerate(leaves)]
+        return build_model(specs, [("L", f"Y{i}") for i in range(len(leaves))])
+
+    def test_exactly_at_the_limit_reaches_the_draw(self):
+        # A latent of 2**15 states over one ternary leaf: k = 2 rows over
+        # 2**15 * (1 + 3) entries, exactly 2**18 cells.
+        model = self.latent_with_leaves(2**15, [3])
+        with pytest.raises(self.Drawn):
+            oracle_effective_dimension(model)
+
+    def test_one_latent_state_more_raises(self):
+        model = self.latent_with_leaves(2**15 + 1, [3])
+        with pytest.raises(OracleLimitError, match="^oracle needs 2 x 131076 cells"):
+            oracle_effective_dimension(model)
+
+    def test_observed_variable_of_512_states_reaches_the_draw(self):
+        # k = ds = 511 rows over 512 entries: 261,632 cells.
+        model = build_model([("A", 512, True)], [])
+        with pytest.raises(self.Drawn):
+            oracle_effective_dimension(model)
+
+    def test_observed_variable_of_513_states_raises(self):
+        # k = ds = 512 rows over 513 entries: 262,656 cells.
+        model = build_model([("A", 513, True)], [])
+        with pytest.raises(OracleLimitError, match="^oracle needs 512 x 513 cells"):
+            oracle_effective_dimension(model)
+
+    def test_no_live_rows_still_counts_the_point(self):
+        # k = 0, yet the point alone would hold 10**40 + 1 entries.
+        model = build_model([("A", 1, True), ("L", 10**40, False)], [("A", "L")])
+        with pytest.raises(OracleLimitError, match=r"^oracle needs 1 x 1\.0e40 cells"):
+            oracle_effective_dimension(model)
+
+    def test_one_state_leaves_count_their_blocks(self):
+        # ds = 2**18 - 1 and k = 1, but each one-state leaf has one entry per
+        # latent state: 103 * 2**17 entries in all.
+        model = self.latent_with_leaves(2**17, [2] + [1] * 100)
+        with pytest.raises(OracleLimitError, match="^oracle needs 1 x 13500416 cells"):
+            oracle_effective_dimension(model)
+
+    def test_message_past_the_digit_limit(self):
+        # About 10**4400 entries, past the 4,300 digits str() of an int allows.
+        card = 10**2200
+        model = build_model([("A", card, True), ("B", card, True)], [("A", "B")])
+        with pytest.raises(
+            OracleLimitError, match=r"^oracle needs 1\.0e4400 x 1\.0e4400 cells"
+        ):
+            oracle_effective_dimension(model)
+
+    def test_many_huge_observed_variables_are_refused_at_once(self):
+        # The product of the observed cardinalities stops once it passes the
+        # live parameter count, so 1,000 of 10**1000 states each cost little.
+        card = 10**1000
+        model = build_model(
+            [(f"Y{i}", card, True) for i in range(1000)],
+            [(f"Y{i}", f"Y{i + 1}") for i in range(999)],
+        )
+        start = time.perf_counter()
+        with pytest.raises(OracleLimitError):
+            oracle_effective_dimension(model)
+        assert time.perf_counter() - start < 1.0

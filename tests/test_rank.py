@@ -21,7 +21,7 @@ from support import (
 
 from treedim import oracle, rank
 from treedim.decompose import LcComponent
-from treedim.oracle import PARAMETER_LIMIT, observed_joint_jacobian, sample_full_point
+from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     PRIME,
     RowLimitError,
@@ -174,11 +174,11 @@ class TestPackedEliminationMatchesReference:
             # Dense entries near p - 1: every row meets every earlier pivot.
             self._check([[PRIME - 1 - (i == j) for j in range(n)] for i in range(m)])
 
-    def test_full_rank_at_the_oracle_parameter_limit(self):
+    def test_full_rank_of_256_columns(self):
         # Entries p - 1 off the diagonal and p - 3 on it make -(J + 2I) mod p,
         # with determinant +-2**(n-1) * (n + 2) != 0.  Row i is updated by
         # all i earlier pivots, up to n - 1 updates, the most any row meets.
-        n = PARAMETER_LIMIT
+        n = 256
         mat = [[PRIME - 1 - 2 * (i == j) for j in range(n)] for i in range(n)]
         assert exact_rank(mat) == n
         # n I - J mod p has the all-ones vector in its kernel: rank n - 1.
@@ -194,6 +194,26 @@ class TestFieldDraws:
             assert len(draws) == count
             assert all(type(x) is int and 0 <= x < PRIME for x in draws)
         assert len(set(field_draws(random.Random(1), 1000))) == 1000
+
+
+class TestFigure:
+    def test_a_mantissa_that_rounds_to_ten_carries(self):
+        for x, text in [
+            (1, "1"),
+            (10**12 - 1, "999999999999"),
+            (10**12, "1.0e12"),
+            (9_940_000_000_000, "9.9e12"),
+            (9_960_000_000_000, "1.0e13"),
+            (10**13 - 1, "1.0e13"),
+            (10**13, "1.0e13"),
+            (10**13 + 1, "1.0e13"),
+            (10**40, "1.0e40"),
+            (2 * 10**40, "2.0e40"),
+            (10**41 - 1, "1.0e41"),
+            (3 * 10**8000, "3.0e8000"),
+            (10**8000 - 1, "1.0e8000"),
+        ]:
+            assert rank._figure(x) == text, text
 
 
 def _component(card, leaves):

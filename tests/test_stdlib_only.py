@@ -87,3 +87,32 @@ def test_points_are_drawn_and_passed_only_in_rank():
     uses = {p.name: sorted(_names(p) & private) for p in sources if p.name != "rank.py"}
     assert {name: found for name, found in uses.items() if found} == {}
     assert {"_inside", "_gradient", "field_draws"} <= _names(PACKAGE / "rank.py")
+
+
+def _module_limits(path: Path) -> set[str]:
+    """Module-level names ending in ``_LIMIT`` that a source file assigns."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.endswith("_LIMIT")}
+
+
+def test_one_cost_limit_shared_by_both_engines():
+    # The latent-class ranks and the oracle refuse by Jacobian cells, under
+    # one constant that the oracle binds from rank.
+    sources = sorted(PACKAGE.glob("*.py"))
+    limits = {p.name: sorted(_module_limits(p)) for p in sources}
+    assert {name: found for name, found in limits.items() if found} == {
+        "rank.py": ["CELL_LIMIT"]
+    }
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    from_rank = {
+        (alias.name, alias.asname)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "rank")
+        for alias in node.names
+    }
+    assert ("CELL_LIMIT", None) in from_rank
