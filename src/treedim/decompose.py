@@ -26,7 +26,6 @@ from .model import (
     RegularizationStep,
     TreeModel,
     Variable,
-    check_regular,
     regularize,
     require_valid,
     standard_dimension,
@@ -36,23 +35,12 @@ from .rank import DEFAULT_TRIALS, derive_seed, lc_rank_trials
 
 @dataclass(frozen=True)
 class LcComponent:
-    """A single latent variable with its neighbors treated as observed."""
+    """A single latent variable with its neighbors treated as observed;
+    built from a latent of a valid, pruned piece, so nothing checks it."""
 
     latent_id: int
     latent_cardinality: int
     neighbors: tuple[tuple[int, int], ...]  # (variable id, cardinality)
-    neighbor_was_latent: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.latent_cardinality < 1:
-            raise ValueError("latent cardinality must be >= 1")
-        if not self.neighbors:
-            raise ValueError("a latent-class component needs at least one neighbor")
-        for _, card in self.neighbors:
-            if card < 1:
-                raise ValueError("neighbor cardinalities must be >= 1")
-        if len(self.neighbor_was_latent) != len(self.neighbors):
-            raise ValueError("one latent flag per neighbor required")
 
     def standard_dimension(self) -> int:
         c = self.latent_cardinality
@@ -166,15 +154,11 @@ def split_at_observed(
     are leaves, hence each piece containing a latent node is a latent-
     internal hierarchy.  The correction for a degree-d observed node of
     cardinality r is (d - 1) * (r - 1).  A tree that does not split is
-    returned as its own single piece.
+    returned as its own single piece.  Precondition, not checked: no
+    latent leaf, as :func:`prune_latent_leaves` leaves the model.
     """
     require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
-    for var in model.latent_variables:
-        if len(adjacency[var.id]) <= 1:
-            raise ValueError(
-                f"latent leaf {var.name!r} present; prune latent leaves first"
-            )
 
     corrections = [
         ObservedCutCorrection(v.id, (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
@@ -211,11 +195,6 @@ def split_at_observed(
     return tuple(pieces), tuple(corrections)
 
 
-def _is_latent_internal_hierarchy(model: TreeModel) -> bool:
-    adj = model._adjacency
-    return all((len(adj.get(v.id, ())) >= 2) != v.observed for v in model.variables)
-
-
 def decompose_hlc(
     hlc: TreeModel,
 ) -> tuple[tuple[LcComponent, ...], tuple[LatentEdgeCorrection, ...]]:
@@ -224,27 +203,17 @@ def decompose_hlc(
     Cutting a latent-latent edge separates the tree into two halves that
     share exactly the joint table of the edge's pair, i.e. |X|*|Z| - 1
     parameters; iterating over all such edges isolates every latent node
-    together with its full neighbor set.  The input must be regular so
-    that every intermediate cut stays regular as well.
+    together with its full neighbor set.  Not checked: the input is
+    regular, so every intermediate cut stays regular, and has a latent,
+    observed leaves and latent internal nodes, as regularized pieces do.
     """
     require_valid(hlc)
-    latents = hlc.latent_variables
-    if not latents:
-        raise ValueError("expected at least one latent node")
-    if not _is_latent_internal_hierarchy(hlc):
-        raise ValueError(
-            "expected a tree with observed leaves and latent internal nodes"
-        )
-    if check_regular(hlc):
-        raise ValueError("model is not regular; regularize it first")
-
     by_id, adjacency = hlc._by_id, hlc._adjacency
     components, corrections = [], []
-    for var in latents:
+    for var in hlc.latent_variables:
         nbrs = [by_id[x] for x in adjacency[var.id]]
         neighbors = tuple((x.id, x.cardinality) for x in nbrs)
-        flags = tuple(not x.observed for x in nbrs)
-        components.append(LcComponent(var.id, var.cardinality, neighbors, flags))
+        components.append(LcComponent(var.id, var.cardinality, neighbors))
         # Latents and neighbors ascend, so each latent-latent edge, taken at
         # its lower end, comes in the model's sorted edge order.
         for x in nbrs:
@@ -255,16 +224,9 @@ def decompose_hlc(
 
 
 def combine(component_dimensions, ledger: DecompositionLedger) -> int:
-    """Assemble the model's effective dimension from its pieces."""
-    dims = tuple(int(d) for d in component_dimensions)
-    if len(dims) != len(ledger.lc_components):
-        raise ValueError(
-            f"need one dimension per component: got {len(dims)} for "
-            f"{len(ledger.lc_components)} components"
-        )
-    if any(d < 0 for d in dims):
-        raise ValueError("component dimensions must be non-negative")
-    total = sum(dims)
+    """Assemble the model's effective dimension from its pieces.  Not
+    checked: one dimension >= 0 per ledger component, in ledger order."""
+    total = sum(component_dimensions)
     total += sum(part.contribution for part in ledger.latent_free_parts)
     total -= sum(c.shared_parameters for c in ledger.latent_edge_corrections)
     total -= sum(c.amount for c in ledger.observed_cut_corrections)
@@ -332,7 +294,6 @@ def effective_dimension(
                 component.latent_id,
                 component.latent_cardinality,
                 tuple(enumerate(cards)),
-                (False,) * len(cards),
             )
             seed = derive_seed(policy.seed, "component", *signature)
             by_signature[signature] = lc_rank_trials(canonical, policy.trials, seed)

@@ -15,7 +15,6 @@ something returns a new model.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -202,6 +201,16 @@ def standard_dimension(model: TreeModel) -> int:
     return pairs - shared - 1
 
 
+def capped_product(values, cap: int) -> int:
+    """Product of ``values`` (each >= 1), exact up to ``cap``, else above it."""
+    product = 1
+    for x in values:
+        product *= x
+        if product > cap:
+            break
+    return product
+
+
 def check_regular(model: TreeModel) -> list[RegularityViolation]:
     """Report every latent node whose cardinality exceeds its bound.
 
@@ -216,7 +225,8 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     for var in model.latent_variables:  # every one has a neighbor: n >= 2
         nbrs = [by_id[x] for x in adjacency[var.id]]
         cards = [x.cardinality for x in nbrs]
-        bound = math.prod(cards) // max(cards)  # exact: max(cards) divides
+        # exact whenever var can break it, and always for two neighbors
+        bound = capped_product(cards, var.cardinality * max(cards)) // max(cards)
         if var.cardinality > bound:
             violations.append(RegularityViolation(var.id, "bound", bound))
         elif var.cardinality == bound and len(nbrs) == 2:
@@ -243,7 +253,7 @@ def _rewrite(var: Variable, nbrs: list[Variable]) -> Optional[int]:
     cards = [x.cardinality for x in nbrs]
     if len(cards) == 2 and var.cardinality >= min(cards):
         return 0
-    bound = math.prod(cards) // max(cards)
+    bound = capped_product(cards, var.cardinality * max(cards)) // max(cards)
     return bound if var.cardinality > bound else None
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .model import TreeModel, require_valid
+from .model import TreeModel, capped_product, require_valid
 from .rank import (
     CELL_LIMIT,
     DEFAULT_TRIALS,
@@ -85,11 +85,8 @@ def oracle_effective_dimension(
             live.add(v)
     tables = list(zip(model.variables, _shapes(model)))
     n_live = sum(b * (c - 1) for v, (b, c) in tables if v.id in live)
-    cards, states = [v.cardinality for v in model.observed_variables], 1
-    for card in cards:  # states only as far as k needs them
-        states *= card
-        if states > n_live:
-            break
+    cards = [v.cardinality for v in model.observed_variables]
+    states = capped_product(cards, n_live)  # only as far as k needs it
     k, entries = min(n_live, states - 1), sum(b * c for _, (b, c) in tables)
     if max(k, 1) * entries > CELL_LIMIT:
         raise OracleLimitError(

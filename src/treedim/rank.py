@@ -41,6 +41,8 @@ import struct
 from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
+from .model import capped_product
+
 if TYPE_CHECKING:
     from .decompose import LcComponent
 
@@ -348,7 +350,7 @@ def _trial_rank(component: "LcComponent", rng: random.Random) -> int:
     n = component.standard_dimension()
     if component.latent_cardinality == 1:
         return n
-    bound = min(n, math.prod(cards) - 1)
+    bound = min(n, capped_product(cards, n + 1) - 1)
     if bound * n > CELL_LIMIT:
         distinct = ", ".join(map(_figure, sorted(set(cards))))
         raise RowLimitError(

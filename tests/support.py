@@ -11,7 +11,12 @@ from operator import mul
 from typing import Sequence
 
 from treedim import TreeModel, Variable
-from treedim.model import RegularizationStep, require_valid, standard_dimension
+from treedim.model import (
+    RegularityViolation,
+    RegularizationStep,
+    require_valid,
+    standard_dimension,
+)
 from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     CELL_LIMIT,
@@ -478,6 +483,24 @@ def reference_prune_latent_leaves(model: TreeModel):
             tuple(e for e in model.edges if leaves.isdisjoint(e)),
         )
         removed.extend(sorted(leaves))
+
+
+def reference_check_regular(model: TreeModel):
+    """``treedim.model.check_regular`` with the bound's full product, as it
+    was before the product stopped past the node's cardinality times the
+    largest neighbor's."""
+    require_valid(model)
+    violations = []
+    for var in model.latent_variables:
+        nbrs = [model.variable(x) for x in model.neighbors(var.id)]
+        cards = [x.cardinality for x in nbrs]
+        bound = math.prod(cards) // max(cards)
+        if var.cardinality > bound:
+            violations.append(RegularityViolation(var.id, "bound", bound))
+        elif var.cardinality == bound and len(nbrs) == 2:
+            if not (nbrs[0].observed and nbrs[1].observed):
+                violations.append(RegularityViolation(var.id, "strict", bound))
+    return violations
 
 
 def reference_regularize(model: TreeModel):

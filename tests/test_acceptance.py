@@ -165,7 +165,7 @@ def test_criterion_1_reference_dimensions(capsys):
 def test_criterion_2_combination_arithmetic(capsys):
     ledger = DecompositionLedger(
         lc_components=tuple(
-            LcComponent(i, 2, ((10 + i, 2),), (False,)) for i in range(5)
+            LcComponent(i, 2, ((10 + i, 2),)) for i in range(5)
         ),
         latent_edge_corrections=(
             LatentEdgeCorrection((0, 1), 5 * 3 - 1),
@@ -395,9 +395,7 @@ def test_criterion_5_two_observed_sweep(capsys):
         for y1 in range(2, 6):
             for y2 in range(2, 6):
                 seed = latent_card * 100 + y1 * 10 + y2
-                component = LcComponent(
-                    0, latent_card, ((1, y1), (2, y2)), (False, False)
-                )
+                component = LcComponent(0, latent_card, ((1, y1), (2, y2)))
                 lc = max(lc_rank_trials(component, trials=2, seed=seed))
                 oracle_de = oracle_effective_dimension(
                     latent_class_model(latent_card, (y1, y2)), trials=1, seed=seed

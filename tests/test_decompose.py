@@ -10,6 +10,7 @@ from support import (
     build_model,
     collapsed_hierarchy,
     latent_class_model,
+    random_hlc_model,
     random_tree_model,
     two_branch_hierarchy,
 )
@@ -29,7 +30,7 @@ from treedim.decompose import (
     prune_latent_leaves,
     split_at_observed,
 )
-from treedim.model import regularize
+from treedim.model import check_regular, regularize
 
 
 def empty_ledger(components=(), latent_edges=(), cuts=(), free_parts=()):
@@ -45,7 +46,7 @@ def empty_ledger(components=(), latent_edges=(), cuts=(), free_parts=()):
 
 def dummy_components(count):
     return tuple(
-        LcComponent(i, 2, ((100 + i, 2),), (False,)) for i in range(count)
+        LcComponent(i, 2, ((100 + i, 2),)) for i in range(count)
     )
 
 
@@ -141,11 +142,6 @@ class TestSplitAtObserved:
         assert sizes == [2, 4, 4]  # the bare Y1-Y2 edge plus two hierarchies
         assert [(c.variable_id, c.amount) for c in corrections] == [(0, 1), (1, 2)]
 
-    def test_latent_leaf_rejected(self):
-        model = build_model([("Y", 2, True), ("L", 2, False)], [("Y", "L")])
-        with pytest.raises(ValueError, match="latent leaf"):
-            split_at_observed(model)
-
 
 class TestDecomposeHlc:
     def test_two_branch_hierarchy_components(self):
@@ -154,11 +150,6 @@ class TestDecomposeHlc:
             (c.latent_id, c.latent_cardinality, tuple(card for _, card in c.neighbors))
             for c in components
         ] == [(0, 2, (3, 3)), (1, 3, (2, 3, 3, 3)), (2, 3, (2, 3, 3, 3))]
-        assert [c.neighbor_was_latent for c in components] == [
-            (True, True),
-            (True, False, False, False),
-            (True, False, False, False),
-        ]
         assert [(c.edge, c.shared_parameters) for c in corrections] == [
             ((0, 1), 5),
             ((0, 2), 5),
@@ -194,29 +185,6 @@ class TestDecomposeHlc:
         assert len(components) == 1
         assert corrections == ()
 
-    def test_irregular_input_rejected(self):
-        with pytest.raises(ValueError, match="not regular"):
-            decompose_hlc(two_branch_hierarchy(root_cardinality=3))
-
-    def test_observed_internal_node_rejected(self):
-        model = build_model(
-            [
-                ("Y1", 2, True),
-                ("M", 2, True),
-                ("L", 2, False),
-                ("Y2", 2, True),
-                ("Y3", 2, True),
-            ],
-            [("Y1", "M"), ("M", "L"), ("L", "Y2"), ("L", "Y3")],
-        )
-        with pytest.raises(ValueError, match="latent internal"):
-            decompose_hlc(model)
-
-    def test_latent_free_input_rejected(self):
-        model = build_model([("A", 2, True), ("B", 2, True)], [("A", "B")])
-        with pytest.raises(ValueError, match="latent"):
-            decompose_hlc(model)
-
 
 class TestCombine:
     def test_five_component_assembly(self):
@@ -242,16 +210,6 @@ class TestCombine:
     def test_single_component_identity(self):
         ledger = empty_ledger(components=dummy_components(1))
         assert combine((17,), ledger) == 17
-
-    def test_length_mismatch_rejected(self):
-        ledger = empty_ledger(components=dummy_components(2))
-        with pytest.raises(ValueError, match="one dimension per component"):
-            combine((5,), ledger)
-
-    def test_negative_dimension_rejected(self):
-        ledger = empty_ledger(components=dummy_components(1))
-        with pytest.raises(ValueError):
-            combine((-1,), ledger)
 
 
 class TestEffectiveDimension:
@@ -425,6 +383,64 @@ class TestEffectiveDimension:
                 )
             assert {c.latent_id for c in ledger.lc_components} == expected_latents
             assert len(ledger.latent_edge_corrections) == expected_edges
+
+
+class TestStagePreconditions:
+    """The stages after pruning check nothing but validity: the pipeline
+    hands each one what the stage before it guarantees."""
+
+    def test_each_stage_gets_what_the_one_before_guarantees(self, monkeypatch):
+        real_split = decompose.split_at_observed
+        real_decompose = decompose.decompose_hlc
+        real_combine = decompose.combine
+        split_pieces = []
+        seen = {"cut": 0, "rewritten": 0, "multi-latent": 0, "combine": 0}
+
+        def split(model):
+            adjacency = model._adjacency
+            for v in model.latent_variables:
+                assert len(adjacency[v.id]) >= 2, "latent leaf reached the split"
+            pieces, corrections = real_split(model)
+            split_pieces[:] = pieces
+            seen["cut"] += bool(corrections)
+            return pieces, corrections
+
+        def decompose_piece(hlc):
+            adjacency = hlc._adjacency
+            assert hlc.latent_variables
+            assert all(len(adjacency[v.id]) == 1 for v in hlc.observed_variables)
+            assert all(len(adjacency[v.id]) >= 2 for v in hlc.latent_variables)
+            assert check_regular(hlc) == []
+            seen["rewritten"] += all(hlc is not piece for piece in split_pieces)
+            seen["multi-latent"] += len(hlc.latent_variables) > 1
+            return real_decompose(hlc)
+
+        def combine(dims, ledger):
+            assert len(dims) == len(ledger.lc_components)
+            assert all(type(d) is int and d >= 0 for d in dims)
+            seen["combine"] += 1
+            return real_combine(dims, ledger)
+
+        monkeypatch.setattr(decompose, "split_at_observed", split)
+        monkeypatch.setattr(decompose, "decompose_hlc", decompose_piece)
+        monkeypatch.setattr(decompose, "combine", combine)
+        rng = random.Random(1919)
+        models = [random_hlc_model(rng) for _ in range(60)]
+        models += [
+            random_tree_model(
+                rng,
+                max_vars=rng.randint(2, 14),
+                max_latent=rng.randint(1, 8),
+                max_card=rng.choice((2, 3, 5, 9)),
+            )
+            for _ in range(500)
+        ]
+        for i, model in enumerate(models):
+            effective_dimension(model, RankPolicy(trials=1, seed=i))
+        # coverage floors: cut trees, regularized pieces, latent-latent edges
+        assert seen["combine"] == len(models)
+        assert seen["cut"] > 150 and seen["rewritten"] > 30
+        assert seen["multi-latent"] > 50
 
 
 def _signature(component):

@@ -287,6 +287,33 @@ class TestCli:
             "cardinalities {2, 5.0e12} needs 1.0e13 x 1.0e13 cells > 262144\n"
         )
 
+    def test_hub_of_huge_leaves_fails_fast(self, capsys, tmp_path):
+        # A binary latent over 1,000 leaves of 10**1000 states: no bound on
+        # the way to the cell limit multiplies out every cardinality.
+        hub = tmp_path / "hub.model"
+        leaves = range(1000)
+        hub.write_text(
+            "var Z 2 latent\n"
+            + "".join(f"var Y{i} {10**1000} observed\nedge Z Y{i}\n" for i in leaves)
+        )
+        refusal = (
+            "error: rank of latent cardinality 2 over 1000 neighbors of "
+            "cardinalities {1.0e1000} needs 2.0e1003 x 2.0e1003 cells > 262144\n"
+        )
+        for argv, code in [
+            (["dims", str(hub)], 4),
+            (["score", str(hub), "--loglik", "-10", "--n", "100"], 4),
+            (["regularize", str(hub)], 0),
+        ]:
+            start = time.perf_counter()
+            assert run(argv) == code, argv
+            assert time.perf_counter() - start < 1.0, argv
+            captured = capsys.readouterr()
+            if code:
+                assert (captured.out, captured.err) == ("", refusal)
+            else:
+                assert captured.out.startswith("# no changes\nvar Z 2 latent\n")
+
     def test_wide_latent_class_components(self, capsys, monkeypatch, tmp_path):
         def lc_file(leaves):
             path = tmp_path / f"lc{leaves}.model"

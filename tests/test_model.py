@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import replace
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -10,6 +14,8 @@ from support import (
     build_model,
     collapsed_hierarchy,
     random_tree_model,
+    reference_check_regular,
+    reference_regularize,
     rooted_standard_dimension,
     structural_signature,
     two_branch_hierarchy,
@@ -22,7 +28,13 @@ from treedim import (
     effective_dimension,
     oracle_effective_dimension,
 )
-from treedim.model import check_regular, regularize, standard_dimension, validate
+from treedim.model import (
+    capped_product,
+    check_regular,
+    regularize,
+    standard_dimension,
+    validate,
+)
 
 
 class TestTreeModel:
@@ -191,6 +203,60 @@ class TestCheckRegular:
         )
         violations = check_regular(model)
         assert violations and violations[0].allowed_max == 1
+
+
+def _huge_cardinalities(rng: random.Random, count: int):
+    """Random valid trees whose cardinalities mix 1-6 with hundreds of digits."""
+    for _ in range(count):
+        size, latents = rng.randint(2, 12), rng.randint(1, 6)
+        tree = random_tree_model(rng, max_vars=size, max_latent=latents, max_card=6)
+        yield TreeModel(
+            tuple(
+                replace(v, cardinality=rng.choice((10, 2, 3)) ** rng.randint(40, 900))
+                if rng.random() < 0.5
+                else v
+                for v in tree.variables
+            ),
+            tree.edges,
+        )
+
+
+class TestCappedProduct:
+    def test_exact_up_to_the_cap_and_a_prefix_product_past_it(self):
+        rng = random.Random(1900)
+        for _ in range(500):
+            values = [
+                rng.randint(1, 6) if rng.random() < 0.7 else 7 ** rng.randint(1, 300)
+                for _ in range(rng.randint(1, 8))
+            ]
+            full = math.prod(values)
+            cap = rng.choice((0, 1, full - 1, full, full + 1))
+            cap = rng.choice((cap, rng.randint(0, 2 * full)))
+            got = capped_product(values, cap)
+            if full <= cap:
+                assert got == full
+            else:  # the first partial product past the cap
+                assert got == next(p for p in accumulate(values, mul) if p > cap)
+
+    def test_check_regular_equals_the_full_product(self):
+        rng = random.Random(1901)
+        found = huge = 0
+        for tree in _huge_cardinalities(rng, 1000):
+            violations = check_regular(tree)
+            assert violations == reference_check_regular(tree)
+            found += len(violations)
+            huge += sum(v.allowed_max > 2**64 for v in violations)
+        assert found > 500 and huge > 30  # coverage floors
+
+    def test_regularize_equals_the_full_product(self):
+        rng = random.Random(1902)
+        steps = huge = 0
+        for tree in _huge_cardinalities(rng, 1000):
+            got = regularize(tree)
+            assert got == reference_regularize(tree)
+            steps += len(got[1])
+            huge += sum((s.new_cardinality or 0) > 2**64 for s in got[1])
+        assert steps > 500 and huge > 15  # coverage floors
 
 
 class TestRegularize:

@@ -107,7 +107,7 @@ class TestJacobian:
         # component's.  The component's passes on its star agree too.
         for card, leaves in [(2, (2, 2)), (3, (2, 3)), (2, (3, 3)), (2, (1, 3))]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
-            component = LcComponent(0, card, neighbors, (False,) * len(leaves))
+            component = LcComponent(0, card, neighbors)
             rng = random.Random(card * 7 + len(leaves))
             model = latent_class_model(card, leaves)
             point = sample_full_point(model, rng)

@@ -218,7 +218,7 @@ class TestFigure:
 
 def _component(card, leaves):
     neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
-    return LcComponent(0, card, neighbors, (False,) * len(leaves))
+    return LcComponent(0, card, neighbors)
 
 
 def _random_weights(rng, cards, k):
@@ -348,7 +348,7 @@ class TestLcEffectiveDimension:
     def test_single_class_is_sum_of_leaf_dimensions(self):
         for cards in [(2,), (3, 4), (2, 2, 5)]:
             neighbors = tuple((i + 1, c) for i, c in enumerate(cards))
-            component = LcComponent(0, 1, neighbors, (False,) * len(cards))
+            component = LcComponent(0, 1, neighbors)
             assert max(lc_rank_trials(component, trials=2)) == sum(
                 c - 1 for c in cards
             )
@@ -369,7 +369,7 @@ class TestLcEffectiveDimension:
     )
     def test_reference_components(self, card, leaves, expected):
         neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
-        component = LcComponent(0, card, neighbors, (False,) * len(leaves))
+        component = LcComponent(0, card, neighbors)
         assert max(lc_rank_trials(component, trials=3)) == expected
 
     def test_bounded_by_parameters_and_joint_size(self):
@@ -378,7 +378,7 @@ class TestLcEffectiveDimension:
             card = rng.randint(1, 4)
             leaves = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
             neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
-            component = LcComponent(0, card, neighbors, (False,) * len(leaves))
+            component = LcComponent(0, card, neighbors)
             dim = max(lc_rank_trials(component, trials=2, seed=rng.randint(0, 99)))
             joint = 1
             for c in leaves:
@@ -391,7 +391,7 @@ class TestLcEffectiveDimension:
             dims = [
                 max(
                     lc_rank_trials(
-                        LcComponent(0, card, neighbors, (False,) * len(leaves)),
+                        LcComponent(0, card, neighbors),
                         trials=2,
                     )
                 )
@@ -400,17 +400,17 @@ class TestLcEffectiveDimension:
             assert dims == sorted(dims)
 
     def test_trials_are_stable(self):
-        component = LcComponent(0, 3, ((1, 2), (2, 3), (3, 3)), (False, False, False))
+        component = LcComponent(0, 3, ((1, 2), (2, 3), (3, 3)))
         ranks = lc_rank_trials(component, trials=3, seed=11)
         assert len(set(ranks)) == 1
 
     def test_trials_must_be_positive(self):
-        component = LcComponent(0, 2, ((1, 2),), (False,))
+        component = LcComponent(0, 2, ((1, 2),))
         with pytest.raises(ValueError):
             lc_rank_trials(component, trials=0)
 
     def test_deterministic_for_seed(self):
-        component = LcComponent(0, 2, ((1, 3), (2, 3)), (False, False))
+        component = LcComponent(0, 2, ((1, 3), (2, 3)))
         a = lc_rank_trials(component, trials=3, seed=42)
         b = lc_rank_trials(component, trials=3, seed=42)
         assert a == b
@@ -507,7 +507,7 @@ class TestOnePointFormat:
     def test_a_component_is_ranked_as_its_latent_class_model(self, card, leaves):
         # Any ids: the star numbers the latent 0 and the neighbors 1, 2, ...
         neighbors = tuple(enumerate(leaves, 5))
-        component = LcComponent(9, card, neighbors, (False,) * len(leaves))
+        component = LcComponent(9, card, neighbors)
         model = latent_class_model(card, leaves)
         shape = [
             ([(v.id, v.cardinality, v.observed) for v in m.variables], m.edges)

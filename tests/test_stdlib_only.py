@@ -38,19 +38,19 @@ def test_no_rationals_in_the_runtime():
     assert [p.name for p in sources if "fractions" in _absolute_imports(p)] == []
 
 
-def _product_uses(path: Path) -> list[int]:
-    """Lines that name ``itertools.product`` or import it from itertools."""
+def _uses(path: Path, module: str, name: str) -> list[int]:
+    """Lines that name ``module.name`` or import ``name`` from ``module``."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if (
             isinstance(node, ast.Attribute)
-            and node.attr == "product"
+            and node.attr == name
             and isinstance(node.value, ast.Name)
-            and node.value.id == "itertools"
+            and node.value.id == module
         ) or (
             isinstance(node, ast.ImportFrom)
-            and node.module == "itertools"
-            and any(alias.name == "product" for alias in node.names)
+            and node.module == module
+            and any(alias.name == name for alias in node.names)
         ):
             lines.append(node.lineno)
     return lines
@@ -60,7 +60,15 @@ def test_no_joint_state_enumeration_in_the_runtime():
     # The oracle sketches its Jacobian and a latent-class rank builds only
     # the rows it ranks: no code path lists every joint state.
     sources = sorted(PACKAGE.glob("*.py"))
-    uses = {path.name: _product_uses(path) for path in sources}
+    uses = {path.name: _uses(path, "itertools", "product") for path in sources}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_every_cardinality_product_is_capped():
+    # A full product of huge cardinalities takes seconds: every bound goes
+    # through model.capped_product, which stops once the answer is settled.
+    sources = sorted(PACKAGE.glob("*.py"))
+    uses = {path.name: _uses(path, "math", "prod") for path in sources}
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 

@@ -169,7 +169,6 @@ SCANS = {
     decompose: (
         "prune_latent_leaves",
         "split_at_observed",
-        "_is_latent_internal_hierarchy",
         "decompose_hlc",
     ),
 }
