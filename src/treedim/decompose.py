@@ -1,17 +1,18 @@
 """Reduction of a tree model to latent-class components plus corrections.
 
-The effective dimension of a tree model is assembled from pieces that
-are each cheap to rank:
+The effective dimension of a tree model is assembled from parts that
+are each cheap to rank, all read off one pruned, regularized tree:
 
 * latent leaves contribute nothing to the observed joint and are pruned;
-* every observed internal node splits the tree into per-edge pieces,
-  over-counting the node's own distribution once per extra piece, which
-  the observed-cut correction subtracts back out;
-* inside a regular latent-internal piece, each latent node becomes one
-  latent-class component over its neighbors, and each latent-latent edge
-  contributes a shared-parameter correction equal to the size of the
-  pair's joint table minus one;
-* pieces without latent nodes contribute their standard dimension as is.
+* regularizing removes or shrinks latent nodes without changing the
+  observed joints the model can represent;
+* cutting at an observed internal node of degree d would over-count
+  the node's own distribution d - 1 times, which the observed-cut
+  correction subtracts back out, and each observed-observed edge is a
+  latent-free part contributing its standard dimension;
+* each latent node becomes one latent-class component over its
+  neighbors, and each latent-latent edge contributes a shared-parameter
+  correction equal to the size of the pair's joint table minus one.
 
 ``effective_dimension`` runs the whole pipeline and keeps an audit trail
 of every component and correction in a :class:`DecompositionLedger`.
@@ -36,7 +37,7 @@ from .rank import DEFAULT_TRIALS, derive_seed, lc_rank_trials
 @dataclass(frozen=True)
 class LcComponent:
     """A single latent variable with its neighbors treated as observed;
-    built from a latent of a valid, pruned piece, so nothing checks it."""
+    built from a latent of a valid, pruned model, so nothing checks it."""
 
     latent_id: int
     latent_cardinality: int
@@ -68,7 +69,7 @@ class LatentEdgeCorrection:
 
 @dataclass(frozen=True)
 class ObservedCutCorrection:
-    """Over-count at a split observed node: (pieces - 1) * (card - 1)."""
+    """Over-count at an observed internal node: (degree - 1) * (card - 1)."""
 
     variable_id: int
     amount: int
@@ -76,7 +77,8 @@ class ObservedCutCorrection:
 
 @dataclass(frozen=True)
 class LatentFreePart:
-    """A piece with no latent node; contributes its standard dimension."""
+    """An observed-observed edge, or the one variable of an edgeless model;
+    contributes its standard dimension."""
 
     variable_ids: tuple[int, ...]
     contribution: int
@@ -145,67 +147,47 @@ def prune_latent_leaves(model: TreeModel) -> tuple[TreeModel, tuple[int, ...]]:
 
 def split_at_observed(
     model: TreeModel,
-) -> tuple[tuple[TreeModel, ...], tuple[ObservedCutCorrection, ...]]:
-    """Cut the tree at every observed internal node.
+) -> tuple[tuple[ObservedCutCorrection, ...], tuple[LatentFreePart, ...]]:
+    """Corrections and latent-free parts of cutting at observed internal nodes.
 
-    Each observed node of degree d is copied into the d pieces holding
-    its incident edges, so edges sharing only an observed endpoint land
-    in different pieces.  In every resulting piece all observed nodes
-    are leaves, hence each piece containing a latent node is a latent-
-    internal hierarchy.  The correction for a degree-d observed node of
-    cardinality r is (d - 1) * (r - 1).  A tree that does not split is
-    returned as its own single piece.  Precondition, not checked: no
-    latent leaf, as :func:`prune_latent_leaves` leaves the model.
+    Cutting a degree-d observed node of cardinality r into one copy per
+    incident edge would over-count its distribution by (d - 1) * (r - 1).
+    In a regular tree, a part of the cut tree without latent nodes is one
+    observed-observed edge (a, b), with standard dimension |a| * |b| - 1;
+    :func:`decompose_hlc` accounts for the parts with latents.  An edgeless
+    model is one part: its variable, with cardinality - 1.  Precondition,
+    not checked: regular and pruned, as ``regularize`` leaves the output
+    of :func:`prune_latent_leaves`.
     """
     require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
-
-    corrections = [
+    corrections = tuple(
         ObservedCutCorrection(v.id, (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
         for v in model.observed_variables
         if len(adjacency.get(v.id, ())) >= 2
-    ]
-    if not corrections:  # no observed internal node: nothing to cut
-        return (model,), ()
-
-    # Label every latent node with the lowest id of its connected latent
-    # cluster; an edge belongs to the piece of its latent endpoint, and an
-    # observed-observed edge is a piece of its own.
-    cluster: dict[int, int] = {}
-    for var in model.latent_variables:
-        if var.id in cluster:
-            continue
-        cluster[var.id] = var.id
-        stack = [var.id]
-        while stack:
-            for other in adjacency[stack.pop()]:
-                if other not in cluster and not by_id[other].observed:
-                    cluster[other] = var.id
-                    stack.append(other)
-    groups: dict[object, list[tuple[int, int]]] = {}
-    for a, b in model.edges:
-        key = cluster.get(a, cluster.get(b, (a, b)))
-        groups.setdefault(key, []).append((a, b))
-
-    # Edges are sorted, so the groups come in the order of their lowest edge.
-    pieces = []
-    for edge_subset in groups.values():
-        ids = sorted({v for e in edge_subset for v in e})
-        pieces.append(TreeModel(tuple(by_id[i] for i in ids), tuple(edge_subset)))
-    return tuple(pieces), tuple(corrections)
+    )
+    if not model.edges:
+        (var,) = model.variables
+        return corrections, (LatentFreePart((var.id,), var.cardinality - 1),)
+    parts = tuple(
+        LatentFreePart((a, b), by_id[a].cardinality * by_id[b].cardinality - 1)
+        for a, b in model.edges
+        if by_id[a].observed and by_id[b].observed
+    )
+    return corrections, parts
 
 
 def decompose_hlc(
     hlc: TreeModel,
 ) -> tuple[tuple[LcComponent, ...], tuple[LatentEdgeCorrection, ...]]:
-    """Split a regular latent-internal hierarchy into latent-class parts.
+    """Split a regular tree into latent-class parts.
 
     Cutting a latent-latent edge separates the tree into two halves that
     share exactly the joint table of the edge's pair, i.e. |X|*|Z| - 1
     parameters; iterating over all such edges isolates every latent node
     together with its full neighbor set.  Not checked: the input is
-    regular, so every intermediate cut stays regular, and has a latent,
-    observed leaves and latent internal nodes, as regularized pieces do.
+    regular and pruned, so every intermediate cut stays regular; observed
+    nodes may be internal.
     """
     require_valid(hlc)
     by_id, adjacency = hlc._by_id, hlc._adjacency
@@ -224,7 +206,7 @@ def decompose_hlc(
 
 
 def combine(component_dimensions, ledger: DecompositionLedger) -> int:
-    """Assemble the model's effective dimension from its pieces.  Not
+    """Assemble the model's effective dimension from its ledger.  Not
     checked: one dimension >= 0 per ledger component, in ledger order."""
     total = sum(component_dimensions)
     total += sum(part.contribution for part in ledger.latent_free_parts)
@@ -238,48 +220,24 @@ def effective_dimension(
 ) -> DimensionResult:
     """Standard and effective dimension of a tree model, with audit trail.
 
-    Pipeline: prune latent leaves, split at observed internal nodes,
-    regularize each piece, then either record its standard dimension (no
-    latents left) or decompose it into latent-class components; rank
-    each component signature once at random points of GF(p); combine.
+    Pipeline: prune latent leaves, regularize the pruned tree, count its
+    observed cuts and observed-observed edges, decompose it into latent-
+    class components; rank each component signature once at random
+    points of GF(p); combine.
     """
     require_valid(model)
     ds = standard_dimension(model)
     pruned, removed = prune_latent_leaves(model)
-    pieces, cut_corrections = split_at_observed(pruned)
-
-    lc_components: list[LcComponent] = []
-    edge_corrections: list[LatentEdgeCorrection] = []
-    free_parts: list[LatentFreePart] = []
-    reg_log: list[RegularizationStep] = []
-
-    for piece in pieces:
-        # Regularizing returns a latent-free piece as is, and can leave one.
-        regular, steps = regularize(piece)
-        reg_log.extend(steps)
-        if not regular.latent_variables:
-            free_parts.append(
-                LatentFreePart(
-                    tuple(v.id for v in regular.variables),
-                    standard_dimension(regular),
-                )
-            )
-            continue
-        components, corrections = decompose_hlc(regular)
-        lc_components.extend(components)
-        edge_corrections.extend(corrections)
-
-    lc_components.sort(key=lambda c: c.latent_id)
-    edge_corrections.sort(key=lambda c: c.edge)
-    free_parts.sort(key=lambda p: p.variable_ids)
-
+    regular, steps = regularize(pruned)
+    cut_corrections, free_parts = split_at_observed(regular)
+    components, edge_corrections = decompose_hlc(regular)
     ledger = DecompositionLedger(
-        lc_components=tuple(lc_components),
-        latent_edge_corrections=tuple(edge_corrections),
-        observed_cut_corrections=tuple(cut_corrections),
-        latent_free_parts=tuple(free_parts),
-        pruned_latent_leaves=tuple(removed),
-        regularization_log=tuple(reg_log),
+        lc_components=components,
+        latent_edge_corrections=edge_corrections,
+        observed_cut_corrections=cut_corrections,
+        latent_free_parts=free_parts,
+        pruned_latent_leaves=removed,
+        regularization_log=steps,
     )
 
     # Permuting neighbors permutes Jacobian rows and columns, so a rank depends

@@ -73,9 +73,10 @@ def parse_model(text: str) -> TreeModel:
             try:
                 cardinality = int(card_text)
             except ValueError:
-                raise ModelParseError(
-                    line_number, f"cardinality must be an integer, got {card_text!r}"
-                ) from None
+                problem = f"must be an integer, got {card_text!r}"
+                if card_text.isdecimal():  # int() refuses it only past the digit limit
+                    problem = f"has more than {sys.get_int_max_str_digits()} digits"
+                raise ModelParseError(line_number, f"cardinality {problem}") from None
             if cardinality < 1:
                 raise ModelParseError(line_number, "cardinality must be >= 1")
             if flag not in ("observed", "latent"):

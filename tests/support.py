@@ -11,9 +11,17 @@ from operator import mul
 from typing import Sequence
 
 from treedim import TreeModel, Variable
+from treedim.decompose import (
+    DecompositionLedger,
+    LatentFreePart,
+    ObservedCutCorrection,
+    decompose_hlc,
+    prune_latent_leaves,
+)
 from treedim.model import (
     RegularityViolation,
     RegularizationStep,
+    regularize,
     require_valid,
     standard_dimension,
 )
@@ -543,3 +551,71 @@ def reference_regularize(model: TreeModel):
                 break
         else:
             return model, tuple(log)
+
+
+def reference_split_at_observed(model: TreeModel):
+    """``treedim.decompose.split_at_observed`` as it was while the pipeline
+    worked piece by piece: cut the pruned tree at every observed internal
+    node into piece models, one per latent cluster (with the observed
+    nodes around it) and one per observed-observed edge, plus the
+    ``(degree - 1) * (card - 1)`` correction of each cut node."""
+    require_valid(model)
+    by_id, adjacency = model._by_id, model._adjacency
+    corrections = [
+        ObservedCutCorrection(v.id, (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
+        for v in model.observed_variables
+        if len(adjacency.get(v.id, ())) >= 2
+    ]
+    if not corrections:
+        return (model,), ()
+    cluster: dict[int, int] = {}
+    for var in model.latent_variables:
+        if var.id in cluster:
+            continue
+        cluster[var.id] = var.id
+        stack = [var.id]
+        while stack:
+            for other in adjacency[stack.pop()]:
+                if other not in cluster and not by_id[other].observed:
+                    cluster[other] = var.id
+                    stack.append(other)
+    groups: dict[object, list[tuple[int, int]]] = {}
+    for a, b in model.edges:
+        key = cluster.get(a, cluster.get(b, (a, b)))
+        groups.setdefault(key, []).append((a, b))
+    pieces = []
+    for edge_subset in groups.values():
+        ids = sorted({v for e in edge_subset for v in e})
+        pieces.append(TreeModel(tuple(by_id[i] for i in ids), tuple(edge_subset)))
+    return tuple(pieces), tuple(corrections)
+
+
+def reference_decomposition(model: TreeModel) -> DecompositionLedger:
+    """The ledger of ``treedim.decompose.effective_dimension`` as it was
+    built piece by piece: prune, cut into pieces, regularize each piece
+    and either record it as a latent-free part or decompose it, then sort
+    the components, latent-edge corrections and free parts."""
+    pruned, removed = prune_latent_leaves(model)
+    pieces, cut_corrections = reference_split_at_observed(pruned)
+    components, edge_corrections, free_parts, log = [], [], [], []
+    for piece in pieces:
+        regular, steps = regularize(piece)
+        log.extend(steps)
+        if regular.latent_variables:
+            piece_components, piece_corrections = decompose_hlc(regular)
+            components.extend(piece_components)
+            edge_corrections.extend(piece_corrections)
+        else:
+            ids = tuple(v.id for v in regular.variables)
+            free_parts.append(LatentFreePart(ids, standard_dimension(regular)))
+    components.sort(key=lambda c: c.latent_id)
+    edge_corrections.sort(key=lambda c: c.edge)
+    free_parts.sort(key=lambda p: p.variable_ids)
+    return DecompositionLedger(
+        lc_components=tuple(components),
+        latent_edge_corrections=tuple(edge_corrections),
+        observed_cut_corrections=cut_corrections,
+        latent_free_parts=tuple(free_parts),
+        pruned_latent_leaves=removed,
+        regularization_log=tuple(log),
+    )

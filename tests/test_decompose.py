@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ from support import (
     latent_class_model,
     random_hlc_model,
     random_tree_model,
+    reference_decomposition,
+    reference_split_at_observed,
     two_branch_hierarchy,
 )
 from treedim import (
@@ -24,13 +28,17 @@ from treedim import (
 from treedim.decompose import (
     DecompositionLedger,
     LatentEdgeCorrection,
+    LatentFreePart,
     LcComponent,
     combine,
     decompose_hlc,
     prune_latent_leaves,
     split_at_observed,
 )
-from treedim.model import check_regular, regularize
+from treedim.iface import parse_model
+from treedim.model import check_regular, regularize, standard_dimension
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def empty_ledger(components=(), latent_edges=(), cuts=(), free_parts=()):
@@ -88,19 +96,16 @@ class TestSplitAtObserved:
             ],
             [("Y1", "X"), ("X", "Y2"), ("Y2", "Z"), ("Z", "Y3")],
         )
-        pieces, corrections = split_at_observed(model)
-        assert len(pieces) == 2
-        assert [sorted(v.name for v in p.variables) for p in pieces] == [
-            ["X", "Y1", "Y2"],
-            ["Y2", "Y3", "Z"],
-        ]
+        corrections, parts = split_at_observed(model)
         assert [(c.variable_id, c.amount) for c in corrections] == [(2, 3)]
+        assert parts == ()
 
-    def test_no_observed_internal_node_is_identity(self):
-        model = two_branch_hierarchy()
-        pieces, corrections = split_at_observed(model)
-        assert len(pieces) == 1 and pieces[0] is model
-        assert corrections == ()
+    def test_no_observed_internal_node_has_nothing_to_count(self):
+        assert split_at_observed(two_branch_hierarchy()) == ((), ())
+
+    def test_edgeless_model_is_one_latent_free_part(self):
+        model = build_model([("Y", 5, True)], [])
+        assert split_at_observed(model) == ((), (LatentFreePart((0,), 4),))
 
     def test_observed_hub_with_three_branches(self):
         specs = [("H", 2, True)]
@@ -109,11 +114,11 @@ class TestSplitAtObserved:
             specs += [(f"L{i}", 2, False), (f"A{i}", 3, True), (f"B{i}", 3, True)]
             edges += [("H", f"L{i}"), (f"L{i}", f"A{i}"), (f"L{i}", f"B{i}")]
         model = build_model(specs, edges)
-        pieces, corrections = split_at_observed(model)
-        assert len(pieces) == 3
+        corrections, parts = split_at_observed(model)
         assert [(c.variable_id, c.amount) for c in corrections] == [(0, 2)]
+        assert parts == ()
 
-    def test_adjacent_observed_internal_nodes_give_latent_free_piece(self):
+    def test_adjacent_observed_internal_nodes_give_latent_free_part(self):
         # a bare Y1-Y2 edge plus one latent branch off each end
         model = build_model(
             [
@@ -136,11 +141,9 @@ class TestSplitAtObserved:
                 ("L2", "D"),
             ],
         )
-        pieces, corrections = split_at_observed(model)
-        assert len(pieces) == 3
-        sizes = sorted(len(p.variables) for p in pieces)
-        assert sizes == [2, 4, 4]  # the bare Y1-Y2 edge plus two hierarchies
+        corrections, parts = split_at_observed(model)
         assert [(c.variable_id, c.amount) for c in corrections] == [(0, 1), (1, 2)]
+        assert parts == (LatentFreePart((0, 1), 5),)  # the bare Y1-Y2 edge
 
 
 class TestDecomposeHlc:
@@ -369,18 +372,13 @@ class TestEffectiveDimension:
             result = effective_dimension(model, RankPolicy(trials=1, seed=i))
             ledger = result.ledger
             # reconstruct the pruned, regularized latent set from the ledger
-            pruned, _ = prune_latent_leaves(model)
-            pieces, _ = split_at_observed(pruned)
-            expected_latents = set()
-            expected_edges = 0
-            for piece in pieces:
-                regular, _ = regularize(piece)
-                expected_latents.update(v.id for v in regular.latent_variables)
-                expected_edges += sum(
-                    1
-                    for a, b in regular.edges
-                    if regular.variable(a).latent and regular.variable(b).latent
-                )
+            regular, _ = regularize(prune_latent_leaves(model)[0])
+            expected_latents = {v.id for v in regular.latent_variables}
+            expected_edges = sum(
+                1
+                for a, b in regular.edges
+                if regular.variable(a).latent and regular.variable(b).latent
+            )
             assert {c.latent_id for c in ledger.lc_components} == expected_latents
             assert len(ledger.latent_edge_corrections) == expected_edges
 
@@ -390,42 +388,53 @@ class TestStagePreconditions:
     hands each one what the stage before it guarantees."""
 
     def test_each_stage_gets_what_the_one_before_guarantees(self, monkeypatch):
+        real_regularize = decompose.regularize
         real_split = decompose.split_at_observed
         real_decompose = decompose.decompose_hlc
         real_combine = decompose.combine
-        split_pieces = []
-        seen = {"cut": 0, "rewritten": 0, "multi-latent": 0, "combine": 0}
+        calls = []
+        seen = {"cut": 0, "rewritten": 0, "multi-latent": 0}
 
-        def split(model):
+        def check_pruned_and_regular(model):
             adjacency = model._adjacency
             for v in model.latent_variables:
-                assert len(adjacency[v.id]) >= 2, "latent leaf reached the split"
-            pieces, corrections = real_split(model)
-            split_pieces[:] = pieces
-            seen["cut"] += bool(corrections)
-            return pieces, corrections
+                assert len(adjacency[v.id]) >= 2, "latent leaf after pruning"
+            assert check_regular(model) == []
 
-        def decompose_piece(hlc):
-            adjacency = hlc._adjacency
-            assert hlc.latent_variables
-            assert all(len(adjacency[v.id]) == 1 for v in hlc.observed_variables)
-            assert all(len(adjacency[v.id]) >= 2 for v in hlc.latent_variables)
-            assert check_regular(hlc) == []
-            seen["rewritten"] += all(hlc is not piece for piece in split_pieces)
-            seen["multi-latent"] += len(hlc.latent_variables) > 1
-            return real_decompose(hlc)
+        def regularize_tree(pruned):
+            calls.append("regularize")
+            regular, steps = real_regularize(pruned)
+            seen["rewritten"] += regular is not pruned
+            return regular, steps
+
+        def split(model):
+            calls.append("split")
+            check_pruned_and_regular(model)
+            corrections, parts = real_split(model)
+            seen["cut"] += bool(corrections)
+            return corrections, parts
+
+        def decompose_tree(model):
+            calls.append("decompose")
+            check_pruned_and_regular(model)
+            seen["multi-latent"] += len(model.latent_variables) > 1
+            return real_decompose(model)
 
         def combine(dims, ledger):
+            calls.append("combine")
             assert len(dims) == len(ledger.lc_components)
             assert all(type(d) is int and d >= 0 for d in dims)
-            seen["combine"] += 1
             return real_combine(dims, ledger)
 
+        monkeypatch.setattr(decompose, "regularize", regularize_tree)
         monkeypatch.setattr(decompose, "split_at_observed", split)
-        monkeypatch.setattr(decompose, "decompose_hlc", decompose_piece)
+        monkeypatch.setattr(decompose, "decompose_hlc", decompose_tree)
         monkeypatch.setattr(decompose, "combine", combine)
+        # The piece-by-piece pipeline cut the hub into three pieces.
+        hub = parse_model((FIXTURES / "hub.model").read_text())
+        assert len(reference_split_at_observed(prune_latent_leaves(hub)[0])[0]) == 3
         rng = random.Random(1919)
-        models = [random_hlc_model(rng) for _ in range(60)]
+        models = [hub] + [random_hlc_model(rng) for _ in range(60)]
         models += [
             random_tree_model(
                 rng,
@@ -436,11 +445,63 @@ class TestStagePreconditions:
             for _ in range(500)
         ]
         for i, model in enumerate(models):
+            calls.clear()
             effective_dimension(model, RankPolicy(trials=1, seed=i))
-        # coverage floors: cut trees, regularized pieces, latent-latent edges
-        assert seen["combine"] == len(models)
+            # each stage once per model, on the whole tree, never per piece
+            assert calls == ["regularize", "split", "decompose", "combine"]
+        # coverage floors: cut trees, regularized trees, latent-latent edges
         assert seen["cut"] > 150 and seen["rewritten"] > 30
         assert seen["multi-latent"] > 50
+
+
+class TestReferenceDecomposition:
+    def test_whole_tree_ledger_equals_the_piece_by_piece_one(self, monkeypatch):
+        # Every latent's neighbors lie in its own piece, so regularizing and
+        # decomposing the whole pruned tree reads and rewrites the same
+        # values as doing it piece by piece; only the log order can differ.
+        real = decompose.lc_rank_trials
+        ranks = {}  # one policy for every model: memoize ranks across them
+
+        def memoized(component, trials, seed):
+            key = (component.latent_cardinality, component.neighbors, trials, seed)
+            if key not in ranks:
+                ranks[key] = real(component, trials, seed)
+            return ranks[key]
+
+        monkeypatch.setattr(decompose, "lc_rank_trials", memoized)
+        rng = random.Random(7)
+        seen = {"cut": 0, "free": 0, "reordered": 0}
+        for i in range(2000):
+            if i % 2:
+                model = random_hlc_model(rng)
+            else:
+                model = random_tree_model(
+                    rng,
+                    max_vars=rng.randint(1, 14),
+                    max_latent=rng.randint(1, 8),
+                    max_card=rng.choice((2, 3, 5, 9)),
+                )
+            result = effective_dimension(model, RankPolicy(trials=1))
+            ledger, reference = result.ledger, reference_decomposition(model)
+            assert result.standard_dimension == standard_dimension(model)
+            assert result.effective_dimension == combine(
+                result.component_dimensions, reference
+            )
+            for field in (
+                "lc_components",
+                "latent_edge_corrections",
+                "observed_cut_corrections",
+                "latent_free_parts",
+                "pruned_latent_leaves",
+            ):
+                assert getattr(ledger, field) == getattr(reference, field), (i, field)
+            log = ledger.regularization_log
+            assert Counter(log) == Counter(reference.regularization_log)
+            assert log == regularize(prune_latent_leaves(model)[0])[1]
+            seen["cut"] += bool(ledger.observed_cut_corrections)
+            seen["free"] += bool(ledger.latent_free_parts)
+            seen["reordered"] += log != reference.regularization_log
+        assert seen["cut"] > 500 and seen["free"] > 500 and seen["reordered"] > 0
 
 
 def _signature(component):

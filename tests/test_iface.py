@@ -164,6 +164,19 @@ class TestCli:
         assert code == 3
         assert "disagree" in err
 
+    def test_cardinality_past_the_digit_limit(self, capsys, tmp_path):
+        # int() refuses a decimal token longer than the limit: the message
+        # names the limit instead of calling it no integer and echoing it.
+        limit = sys.get_int_max_str_digits()
+        bad = tmp_path / "bad.model"
+        bad.write_text(f"var A {'9' * 5000} observed\n")
+        assert run(["dims", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 1: cardinality has more than {limit} digits\n"
+        )
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("var A 0 observed\n")
@@ -498,6 +511,24 @@ class TestCli:
         assert code == 0
         assert "pruned=D" in out
         assert "correction.observed_cut.0=2" in out
+
+    def test_report_lists_regularization_steps_as_regularize_prints_them(
+        self, capsys, tmp_path
+    ):
+        # V1 is an observed internal node; its latent neighbors V0 and V2 lie
+        # in different pieces, so a piece-by-piece log would list V0, V3, V2.
+        path = tmp_path / "cut.model"
+        path.write_text(
+            "var V0 3 latent\nvar V1 3 observed\nvar V2 3 latent\n"
+            "var V3 3 latent\nvar V4 1 observed\nvar V5 2 observed\n"
+            "edge V0 V1\nedge V0 V3\nedge V1 V2\nedge V2 V5\nedge V3 V4\n"
+        )
+        steps = ["remove:V0:join=V1-V3", "remove:V2:join=V1-V5", "remove:V3:join=V1-V4"]
+        assert run(["dims", str(path), "--report"]) == 0
+        assert f"regularized={';'.join(steps)}\n" in capsys.readouterr().out
+        assert run(["regularize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert [line[2:] for line in out.splitlines() if line.startswith("#")] == steps
 
 
 class TestCliFuzz:
