@@ -7,9 +7,9 @@ Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
 Exit codes: 0 success; 1 usage error, unreadable model file, parse or
-validation error, a score beyond float range, a ds too long to print or
-a stdout closed before the output was written;
-2 an oracle over the cell limit under ``--oracle``; 3
+validation error, a score beyond float range, a ds (or under ``--report``
+any report value) too long to print or a stdout closed before the output
+was written; 2 an oracle over the cell limit under ``--oracle``; 3
 oracle/decomposition mismatch; 4 a latent-class rank over the same limit,
 ``treedim.rank.CELL_LIMIT``.  A closed stdout leaves a code of 2 or 3
 as it is: the command's ``error:`` line comes first, then the
@@ -43,10 +43,11 @@ from .score import ScoreInput, bic, bice
 
 
 class ModelParseError(ValueError):
-    """Syntax or declaration error in a model file, with its line number."""
+    """Error in a model file at a line; a message past 150 characters is cut."""
 
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        cut = message if len(message) <= 150 else message[:147] + "..."
+        super().__init__(f"line {line_number}: {cut}")
         self.line_number = line_number
 
 
@@ -254,14 +255,16 @@ def _load_model(path_text: str) -> TreeModel:
 def _run_dims(args, model: TreeModel) -> int:
     policy = RankPolicy(trials=args.trials, seed=args.seed)
     result = effective_dimension(model, policy)
-    try:  # its first two lines are ds= and de=
-        lines = report_lines(model, result, args.seed, args.trials)
-    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+    what = "ds"  # de <= ds: it prints when ds does
+    try:  # str() refuses an int past sys.get_int_max_str_digits()
+        lines = [f"ds={result.standard_dimension}", f"de={result.effective_dimension}"]
+        what = "a report value"
+        if args.report:
+            lines = report_lines(model, result, args.seed, args.trials)
+    except ValueError:
         limit = sys.get_int_max_str_digits()
-        print(f"error: ds has more than {limit} digits to print", file=sys.stderr)
+        print(f"error: {what} has more than {limit} digits to print", file=sys.stderr)
         return 1
-    if not args.report:
-        lines = lines[:2]
     code = 0
     if args.oracle:
         # The error: line goes first, as main writes it out: main holds stdout.

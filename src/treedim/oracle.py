@@ -4,16 +4,16 @@ Ground truth for the decomposition: the Jacobian rank of the observed
 joint in every free weight of the rooted model, without splitting the
 tree or enumerating joint states.  The parameter point and the
 gradients of random functionals of the joint come from
-:func:`treedim.rank.draw_point` and :func:`treedim.rank.jacobian`, called
-here on the whole tree; the latent-class ranks of the decomposition call
-them on each component's star.  A parameter is *live* when its variable
-is observed or has a live child.
-Each completed block sums to one mod p, so a subtree without observed
-variables sums to exactly one at every parent state, and the other
-parameters' columns are exact zeros: rank J <= k = min(n_live, states -
-1).  The oracle ranks the nonzero columns (rank J = rank J^T) of the
-gradients of ``k`` functionals with random entries in GF(p), the rows of
-a projection ``R J``, at a point drawn in GF(p); by the argument in
+:func:`treedim.rank.draw_point` and :func:`treedim.rank.jacobian`; the
+latent-class ranks of the decomposition call them on each component's
+star.  A parameter is *live* when its variable is observed or has a
+live child.  Each completed block sums to one mod p, so a subtree
+without observed variables sums to exactly one at every parent state,
+and the other parameters' columns are exact zeros: rank J <= k =
+min(n_live, states - 1).  The oracle draws a point of the whole tree in
+GF(p) and runs the passes on its live part alone, so it ranks the live
+columns of the gradients of ``k`` functionals with random entries in
+GF(p), the rows of a projection ``R J``; by the argument in
 :mod:`treedim.rank` the error stays one-sided.  A model is refused
 before any draw when ``max(k, 1)`` times its point's entry count, the
 cells the passes carry, exceeds :data:`treedim.rank.CELL_LIMIT`.
@@ -68,7 +68,7 @@ def oracle_effective_dimension(
 ) -> int:
     """Effective dimension by direct Jacobian rank, without decomposition.
 
-    Each trial ranks the nonzero columns of the gradients of
+    Each trial ranks the live columns of the gradients of
     ``k = min(live parameters, states - 1)`` random functionals at one
     random point of GF(PRIME); the trials stop at the first that reaches
     ``k``.  Raises :class:`OracleLimitError` before any draw when
@@ -93,13 +93,18 @@ def oracle_effective_dimension(
             f"oracle needs {_figure(max(k, 1))} x {_figure(entries)} cells"
             f" > {CELL_LIMIT}"
         )
+    # The live variables hold the root and each one's parent: same tables.
+    part = TreeModel(
+        tuple(v for v in model.variables if v.id in live),
+        tuple(edge for edge in model.edges if live.issuperset(edge)),
+    )
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))
         point = sample_full_point(model, rng)
         weights = _functionals(rng, cards, k)
-        rows = observed_joint_jacobian(model, point, weights)
-        ranks.append(exact_rank([col for col in zip(*rows) if any(col)]))
+        kept = [t for v, t in zip(model.variables, point) if v.id in live]
+        ranks.append(exact_rank(observed_joint_jacobian(part, kept, weights)))
         if ranks[-1] == k:  # k rows: no later trial can rank higher
             break
     return max(ranks)

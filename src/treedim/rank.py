@@ -206,14 +206,13 @@ def _inside(order, children, tables, weights, k):
     ``tables[v][p]`` is ``v``'s completed block at parent state ``p`` (the
     root has one), and ``weights[v][x][j]`` functional ``j``'s weight of
     an observed ``v`` at ``x``.  The factors of ``v``, arrays ``[x][j]``,
-    are its children's messages in order, then its weights;
-    ``partial[v][i]`` is the entrywise product of the first ``i + 1``,
-    ``beta[v] = partial[v][-1]``.  The message to the parent at state
-    ``p``, ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]``, is one
-    packed sum (:func:`_sums`), a slot per functional, its entries below
-    2p; ``up[root][0][j]`` is functional ``j``'s ``S``.  A subtree without
-    observed variables sums to one at every parent state, so it gets
-    neither ``partial`` nor ``up``.  Returns the slots too.
+    are its children's messages in order, then its weights, all ones for
+    a latent leaf; ``partial[v][i]`` is the entrywise product of the first
+    ``i + 1``, ``beta[v] = partial[v][-1]``.  The message to the parent at
+    state ``p``, ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]``,
+    is one packed sum (:func:`_sums`), a slot per functional, its entries
+    below 2p; ``up[root][0][j]`` is functional ``j``'s ``S``.  Returns the
+    slots too.
     """
     # A sum in _sums adds at most c products of a table entry, below p, and
     # a vector entry, below 2p, c the largest cardinality: below c * 2**123.
@@ -221,12 +220,11 @@ def _inside(order, children, tables, weights, k):
     slots = _Slots(k, 123 + card.bit_length())
     partial, up = {}, {}
     for v in reversed(order):
-        factors = [up[c] for c in children[v] if c in up]
-        if v in weights:
-            factors.append(weights[v])
-        if factors:
-            partial[v] = list(itertools.accumulate(factors, _times))
-            up[v] = _sums(slots, tables[v], partial[v][-1])
+        factors = [up[c] for c in children[v]]
+        if v in weights or not factors:
+            factors.append(weights.get(v, [[1] * k] * len(tables[v][0])))
+        partial[v] = list(itertools.accumulate(factors, _times))
+        up[v] = _sums(slots, tables[v], partial[v][-1])
     return partial, up, slots
 
 
@@ -234,31 +232,23 @@ def _gradient(order, children, tables, weights, partial, up, slots):
     """Gradient columns of the scalars ``S``, mod PRIME, per variable.
 
     ``outer[v][p]`` is the weight outside ``v``'s subtree and table at
-    parent state ``p`` (one at the root, where no product is taken).  A
-    free weight moves its entry up and its block's last entry down, so
-    its column is ``outer[v][p] * (beta[v][x] - beta[v][last])``, zero
-    without ``beta``.  ``down[x] = sum_p tables[v][p][x] * outer[v][p]``
-    is a packed sum, as in :func:`_inside`; a child's outer weight is
-    ``down`` times the messages of the children after it, taken from the
-    right, times ``partial`` of those before it.
+    parent state ``p``, one at the root.  A free weight moves its entry up
+    and its block's last entry down, so its column is ``outer[v][p] *
+    (beta[v][x] - beta[v][last])``.  ``down[x] = sum_p tables[v][p][x] *
+    outer[v][p]`` is a packed sum, as in :func:`_inside`; a child's outer
+    weight is ``down`` times the messages of the children after it, taken
+    from the right, times ``partial`` of those before it.
     """
-    outer = {order[0]: None}  # None: the root's outer weight is one
+    outer = {order[0]: [slots.unpack(slots.ones)]}
     grad = {}
     for v in order:
-        if v not in partial:
-            grad[v] = [slots.unpack(0)] * (len(tables[v]) * (len(tables[v][0]) - 1))
-            continue
-        b, out = partial[v][-1], outer[v]
+        b, out, kids = partial[v][-1], outer[v], children[v]
         diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
-        if out is None:
-            grad[v] = [[d % PRIME for d in dx] for dx in diffs]
-        else:
-            grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
-        kids = [c for c in children[v] if c in partial]
+        grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
         if not kids:
             continue
         # down[x]: the weight outside the subtrees of v's children at v = x
-        down = _sums(slots, zip(*tables[v]), out or [slots.unpack(slots.ones)])
+        down = _sums(slots, zip(*tables[v]), out)
         if v in weights:
             down = _times(down, weights[v])
         for i in range(len(kids) - 1, 0, -1):
@@ -292,9 +282,8 @@ def draw_point(model, rng: random.Random) -> list:
 def jacobian(model, point, weights) -> tuple[tuple[int, ...], ...]:
     """Gradients of functionals of a tree model's observed joint, mod PRIME.
 
-    ``point`` holds completed tables (:func:`draw_point`), any integers;
-    the passes take the messages of a subtree without observed variables
-    to be one, so its blocks must sum to one mod PRIME.  ``weights[i][x][j]``
+    ``point`` holds completed tables (:func:`draw_point`) at any integer
+    point: the passes read no block as summing to one.  ``weights[i][x][j]``
     is functional ``j``'s weight of observed variable ``i``, in ascending
     id order, at state ``x``, any integers.  Row ``j`` is functional
     ``j``'s gradient from the passes; columns are the free weights in the
@@ -307,8 +296,6 @@ def jacobian(model, point, weights) -> tuple[tuple[int, ...], ...]:
     observed = [(v.id, v.cardinality) for v in model.observed_variables]
     weights, k = _weights(observed, weights)
     partial, up, slots = _inside(order, children, tables, weights, k)
-    if any(sum(b) % PRIME != 1 for v in order if v not in partial for b in tables[v]):
-        raise ValueError("a block of an unobserved subtree does not sum to one")
     grad = _gradient(order, children, tables, weights, partial, up, slots)
     return tuple(zip(*(column for v in model.variables for column in grad[v.id])))
 

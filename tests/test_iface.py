@@ -17,6 +17,7 @@ from treedim import InvalidModelError, ModelParseError, parse_model, rank, run
 from treedim.iface import serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
+LONG = "x" * 5000
 
 
 class TestParseModel:
@@ -176,6 +177,29 @@ class TestCli:
         assert captured.err == (
             f"error: line 1: cardinality has more than {limit} digits\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, start",
+        [
+            (f"var A {LONG} observed\n", "line 1: cardinality must be an integer"),
+            (f"var A -{'9' * 5000} observed\n", "line 1: cardinality must be an"),
+            (f"var A 2 {LONG}\n", "line 1: flag must be 'observed' or 'latent'"),
+            (f"{LONG} A\n", "line 1: unknown directive 'xxx"),
+            (f"var A 2 observed\nedge A {LONG}\n", "line 2: unknown variable xxx"),
+            (f"var {LONG} 2 observed\n" * 2, "line 2: duplicate variable name"),
+        ],
+        ids=["non-decimal", "signed", "flag", "directive", "variable", "duplicate"],
+    )
+    def test_a_long_token_is_cut(self, text, start, capsys, tmp_path):
+        # A 5,000-character token is not echoed whole: one short line.
+        bad = tmp_path / "bad.model"
+        bad.write_text(text)
+        assert run(["dims", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {start}")
+        assert captured.err.endswith("...\n") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.model"
@@ -372,6 +396,30 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: ds has more than {limit} digits to print\n"
+
+    def test_report_value_past_the_digit_limit(self, capsys, tmp_path):
+        # r = 6 * 10**(limit - 1): ds = r + 2 and de print, but the cut
+        # correction 2 * (r - 1) at O has one digit more than the limit.
+        limit = sys.get_int_max_str_digits()
+        r = 6 * 10 ** (limit - 1)
+        model = tmp_path / "cut.model"
+        model.write_text(
+            f"var O {r} observed\n"
+            + "".join(
+                f"var L{i} 1 latent\nvar Y{i} 2 observed\nedge O L{i}\nedge L{i} Y{i}\n"
+                for i in range(1, 4)
+            )
+        )
+        assert run(["dims", str(model)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [f"ds={r + 2}", f"de={r + 2}"]
+        assert run(["dims", str(model), "--report"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a report value has more than {limit} digits to print\n"
+        )
 
     def test_score_beyond_float_range(self, capsys, tmp_path):
         # ds = de = 10**400 - 1: both scores are computed before any output.

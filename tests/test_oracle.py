@@ -433,6 +433,17 @@ def _hang_latent_chain(model: TreeModel, rng: random.Random) -> TreeModel:
     return TreeModel(tuple(variables + chain), tuple(edges))
 
 
+def _live_ids(model: TreeModel) -> set[int]:
+    """The observed variables and their ancestors toward the lowest id."""
+    parents, live = model._rooting[0], set()
+    for v in model.observed_variables:
+        node = v.id
+        while node not in live:
+            live.add(node)
+            node = parents.get(node, node)
+    return live
+
+
 class TestLiveParameters:
     # A (3) - L (2) - {B (3), C (3)}, with the latent chain L - D (3) - E (2)
     # hanging off L.  Rooted at A: 20 parameters, of which D's 4 and E's 3
@@ -469,7 +480,7 @@ class TestLiveParameters:
         assert standard_dimension(model) == 20
         assert oracle_effective_dimension(model, trials=1) == 13
         # The point draws all 20 parameters; the functionals k = min(13, 26)
-        # times 9 observed states; the 13 nonzero columns of 13 rows are ranked.
+        # times 9 observed states; 13 rows of the 13 live columns are ranked.
         assert draws == [20, 13 * 9]
         assert shapes == [(13, 13)]
         # Before: k = min(20, 26) functionals, all 20 columns.
@@ -480,21 +491,77 @@ class TestLiveParameters:
         assert shapes == [(20, 20)]
         assert effective_dimension(model).effective_dimension == 13
 
-    def test_unobserved_blocks_must_sum_to_one(self):
-        # The passes take the message of D and E's subtree to be one.
-        model = self.DEAD_CHAIN
-        weights = jacobian_weights([3, 3, 3])
-        point = sample_full_point(model, random.Random(2))
-        observed_joint_jacobian(model, point, weights)
-        for vid in (4, 5):
-            bad = [[list(b) for b in table] for table in point]
-            bad[vid][-1][0] += 1
-            with pytest.raises(ValueError, match="does not sum to one"):
-                observed_joint_jacobian(model, bad, weights)
-        # An observed variable's blocks need not sum to one.
-        bad = [[list(b) for b in table] for table in point]
-        bad[2][0][0] += 1
-        observed_joint_jacobian(model, bad, weights)
+    def test_any_integer_point_matches_the_reference(self):
+        # The passes read no block as summing to one: at integer points
+        # whose dead-subtree blocks do not, with entries below 0 or at least
+        # p, they equal the list-based passes.
+        rng = random.Random(2)
+        draws = [
+            lambda: rng.randint(-4, 4),
+            lambda: rng.randrange(-4 * PRIME, 0),
+            lambda: rng.randrange(PRIME, 4 * PRIME),
+            lambda: rng.randrange(PRIME),
+        ]
+        points = unbalanced = 0
+        for model in [self.DEAD_CHAIN] * 20 + [
+            _hang_latent_chain(random_tree_model(rng, max_vars=5), rng)
+            for _ in range(280)
+        ]:
+            dead = [v.id not in _live_ids(model) for v in model.variables]
+            for _ in range(10):
+                point = [
+                    [[rng.choice(draws)() for _ in b] for b in t]
+                    for t in sample_full_point(model, rng)
+                ]
+                k = rng.randint(1, 3)
+                weights = _random_weights(rng, model.observed_variables, k)
+                jac = observed_joint_jacobian(model, point, weights)
+                assert jac == reference_observed_joint_jacobian(model, point, weights)
+                points += 1
+                unbalanced += any(
+                    sum(b) % PRIME != 1
+                    for t, is_dead in zip(point, dead)
+                    if is_dead
+                    for b in t
+                )
+        assert points == 3000 and unbalanced >= 2000
+
+    def test_oracle_ranks_the_live_columns_as_rows(self, monkeypatch):
+        # The matrix the oracle ranks is the live columns, as rows, of the
+        # whole model's Jacobian at the same point, and its rank is that of
+        # the whole Jacobian's nonzero columns.
+        record = {}
+
+        def recorded(name, real):
+            def call(*args):
+                record[name] = args, real(*args)
+                return record[name][1]
+
+            return call
+
+        for name in ("sample_full_point", "_functionals", "exact_rank"):
+            monkeypatch.setattr(oracle, name, recorded(name, getattr(oracle, name)))
+        rng = random.Random(77)
+        with_dead = 0
+        for i in range(240):
+            model = random_tree_model(rng, max_vars=6)
+            if i % 2:
+                model = _hang_latent_chain(model, rng)
+            de = oracle_effective_dimension(model, trials=1, seed=i)
+            point = record["sample_full_point"][1]
+            weights = record["_functionals"][1]
+            (rows,), rank_found = record["exact_rank"]
+            live = _live_ids(model)
+            shapes = zip(model.variables, rank._shapes(model))
+            kept = [v.id in live for v, (b, c) in shapes for _ in range(b * (c - 1))]
+            whole = reference_observed_joint_jacobian(model, point, weights)
+            columns = list(zip(*whole))
+            assert rows == tuple(zip(*itertools.compress(columns, kept)))
+            dead = [col for col, keep in zip(columns, kept) if not keep]
+            assert not any(map(any, dead))
+            assert de == rank_found == rank.exact_rank([c for c in columns if any(c)])
+            with_dead += len(live) < len(model.variables)
+        assert with_dead >= 100
 
     def test_hanging_latent_chains_match_the_reference(self):
         rng = random.Random(4242)
