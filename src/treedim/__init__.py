@@ -14,7 +14,8 @@ and ``score``.
 from .decompose import RankPolicy, effective_dimension
 from .iface import ModelParseError, parse_model, report_lines, run
 from .model import InvalidModelError, TreeModel, Variable
-from .oracle import OracleLimitError, oracle_effective_dimension
+from .oracle import oracle_effective_dimension
+from .rank import CellLimitError
 from .score import ScoreInput, bic, bice
 
 __all__ = [
@@ -31,5 +32,5 @@ __all__ = [
     "bice",
     "InvalidModelError",
     "ModelParseError",
-    "OracleLimitError",
+    "CellLimitError",
 ]

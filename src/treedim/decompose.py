@@ -15,7 +15,7 @@ are each cheap to rank, all read off one pruned, regularized tree:
   correction equal to the size of the pair's joint table minus one.
 
 ``effective_dimension`` runs the whole pipeline and keeps an audit trail
-of every component and correction in a :class:`DecompositionLedger`.
+of every component and :class:`Term` in a :class:`DecompositionLedger`.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class LcComponent:
     latent_cardinality: int
     neighbors: tuple[tuple[int, int], ...]  # (variable id, cardinality)
 
-    def standard_dimension(self) -> int:
-        c = self.latent_cardinality
-        return (c - 1) + c * sum(card - 1 for _, card in self.neighbors)
-
     @cached_property
     def star(self) -> TreeModel:
         """The component as a tree model: the latent at id 0, the root, and
@@ -60,36 +56,26 @@ class LcComponent:
 
 
 @dataclass(frozen=True)
-class LatentEdgeCorrection:
-    """Shared parameters of a cut latent-latent edge: |X|*|Z| - 1."""
+class Term:
+    """One ledger entry: the variable ids it stands for and its amount."""
 
-    edge: tuple[int, int]
-    shared_parameters: int
-
-
-@dataclass(frozen=True)
-class ObservedCutCorrection:
-    """Over-count at an observed internal node: (degree - 1) * (card - 1)."""
-
-    variable_id: int
+    ids: tuple[int, ...]
     amount: int
 
 
 @dataclass(frozen=True)
-class LatentFreePart:
-    """An observed-observed edge, or the one variable of an edgeless model;
-    contributes its standard dimension."""
-
-    variable_ids: tuple[int, ...]
-    contribution: int
-
-
-@dataclass(frozen=True)
 class DecompositionLedger:
+    """The effective dimension's terms: the component ranks, plus each
+    latent-free part, minus each correction.  A latent edge (X, Z) takes
+    ``|X| * |Z| - 1``; an observed cut at v, of degree d and cardinality
+    r, takes ``(d - 1) * (r - 1)``; a latent-free part, an observed-
+    observed edge (A, B) or the one variable v of an edgeless model, adds
+    ``|A| * |B| - 1`` or ``|v| - 1``."""
+
     lc_components: tuple[LcComponent, ...]
-    latent_edge_corrections: tuple[LatentEdgeCorrection, ...]
-    observed_cut_corrections: tuple[ObservedCutCorrection, ...]
-    latent_free_parts: tuple[LatentFreePart, ...]
+    latent_edge_corrections: tuple[Term, ...]
+    observed_cut_corrections: tuple[Term, ...]
+    latent_free_parts: tuple[Term, ...]
     pruned_latent_leaves: tuple[int, ...]
     regularization_log: tuple[RegularizationStep, ...]
 
@@ -145,9 +131,7 @@ def prune_latent_leaves(model: TreeModel) -> tuple[TreeModel, tuple[int, ...]]:
     return TreeModel(variables, edges), tuple(removed)
 
 
-def split_at_observed(
-    model: TreeModel,
-) -> tuple[tuple[ObservedCutCorrection, ...], tuple[LatentFreePart, ...]]:
+def split_at_observed(model: TreeModel) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     """Corrections and latent-free parts of cutting at observed internal nodes.
 
     Cutting a degree-d observed node of cardinality r into one copy per
@@ -162,24 +146,22 @@ def split_at_observed(
     require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     corrections = tuple(
-        ObservedCutCorrection(v.id, (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
+        Term((v.id,), (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
         for v in model.observed_variables
         if len(adjacency.get(v.id, ())) >= 2
     )
     if not model.edges:
         (var,) = model.variables
-        return corrections, (LatentFreePart((var.id,), var.cardinality - 1),)
+        return corrections, (Term((var.id,), var.cardinality - 1),)
     parts = tuple(
-        LatentFreePart((a, b), by_id[a].cardinality * by_id[b].cardinality - 1)
+        Term((a, b), by_id[a].cardinality * by_id[b].cardinality - 1)
         for a, b in model.edges
         if by_id[a].observed and by_id[b].observed
     )
     return corrections, parts
 
 
-def decompose_hlc(
-    hlc: TreeModel,
-) -> tuple[tuple[LcComponent, ...], tuple[LatentEdgeCorrection, ...]]:
+def decompose_hlc(hlc: TreeModel) -> tuple[tuple[LcComponent, ...], tuple[Term, ...]]:
     """Split a regular tree into latent-class parts.
 
     Cutting a latent-latent edge separates the tree into two halves that
@@ -201,18 +183,16 @@ def decompose_hlc(
         for x in nbrs:
             if not x.observed and x.id > var.id:
                 shared = var.cardinality * x.cardinality - 1
-                corrections.append(LatentEdgeCorrection((var.id, x.id), shared))
+                corrections.append(Term((var.id, x.id), shared))
     return tuple(components), tuple(corrections)
 
 
 def combine(component_dimensions, ledger: DecompositionLedger) -> int:
     """Assemble the model's effective dimension from its ledger.  Not
     checked: one dimension >= 0 per ledger component, in ledger order."""
-    total = sum(component_dimensions)
-    total += sum(part.contribution for part in ledger.latent_free_parts)
-    total -= sum(c.shared_parameters for c in ledger.latent_edge_corrections)
-    total -= sum(c.amount for c in ledger.observed_cut_corrections)
-    return total
+    corrections = ledger.latent_edge_corrections + ledger.observed_cut_corrections
+    total = sum(component_dimensions) + sum(t.amount for t in ledger.latent_free_parts)
+    return total - sum(t.amount for t in corrections)
 
 
 def effective_dimension(
@@ -226,6 +206,8 @@ def effective_dimension(
     points of GF(p); combine.
     """
     require_valid(model)
+    if policy.trials < 1:
+        raise ValueError("trials must be >= 1")
     ds = standard_dimension(model)
     pruned, removed = prune_latent_leaves(model)
     regular, steps = regularize(pruned)

@@ -11,9 +11,9 @@ validation error, a score beyond float range, a ds (or under ``--report``
 any report value) too long to print or a stdout closed before the output
 was written; 2 an oracle over the cell limit under ``--oracle``; 3
 oracle/decomposition mismatch; 4 a latent-class rank over the same limit,
-``treedim.rank.CELL_LIMIT``.  A closed stdout leaves a code of 2 or 3
-as it is: the command's ``error:`` line comes first, then the
-closed-stdout line.
+``treedim.rank.CELL_LIMIT``; both limits raise ``CellLimitError``.  A
+closed stdout leaves a code of 2 or 3 as it is: the command's ``error:``
+line comes first, then the closed-stdout line.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .model import (
     require_valid,
     standard_dimension,
 )
-from .oracle import OracleLimitError, oracle_effective_dimension
-from .rank import DEFAULT_TRIALS, RowLimitError
+from .oracle import oracle_effective_dimension
+from .rank import DEFAULT_TRIALS, CellLimitError
 from .score import ScoreInput, bic, bice
 
 
@@ -75,7 +75,8 @@ def parse_model(text: str) -> TreeModel:
                 cardinality = int(card_text)
             except ValueError:
                 problem = f"must be an integer, got {card_text!r}"
-                if card_text.isdecimal():  # int() refuses it only past the digit limit
+                # int() refuses digits, after at most one sign, only past the limit
+                if card_text[card_text[0] in "+-" :].isdecimal():
                     problem = f"has more than {sys.get_int_max_str_digits()} digits"
                 raise ModelParseError(line_number, f"cardinality {problem}") from None
             if cardinality < 1:
@@ -152,10 +153,10 @@ def report_lines(
             + ",".join(str(card) for _, card in component.neighbors)
         )
         lines.append(f"component.{i}.de={dim}")
-    for i, correction in enumerate(ledger.latent_edge_corrections):
-        lines.append(f"correction.latent_edge.{i}={correction.shared_parameters}")
-    for i, correction in enumerate(ledger.observed_cut_corrections):
-        lines.append(f"correction.observed_cut.{i}={correction.amount}")
+    for i, term in enumerate(ledger.latent_edge_corrections):
+        lines.append(f"correction.latent_edge.{i}={term.amount}")
+    for i, term in enumerate(ledger.observed_cut_corrections):
+        lines.append(f"correction.observed_cut.{i}={term.amount}")
     lines.append(
         "pruned=" + ",".join(names[vid] for vid in ledger.pruned_latent_leaves)
     )
@@ -272,7 +273,7 @@ def _run_dims(args, model: TreeModel) -> int:
             oracle_de = oracle_effective_dimension(
                 model, trials=args.trials, seed=args.seed
             )
-        except OracleLimitError as exc:
+        except CellLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
         else:
@@ -333,7 +334,7 @@ def run(argv: Sequence[str]) -> int:
     commands = {"dims": _run_dims, "score": _run_score, "regularize": _run_regularize}
     try:
         return commands[args.command](args, model)
-    except RowLimitError as exc:
+    except CellLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -25,20 +25,15 @@ import random
 
 from .model import TreeModel, capped_product, require_valid
 from .rank import (
-    CELL_LIMIT,
     DEFAULT_TRIALS,
-    _figure,
     _functionals,
     _shapes,
+    check_cells,
     derive_seed,
     draw_point,
     exact_rank,
     jacobian,
 )
-
-
-class OracleLimitError(RuntimeError):
-    """The model is too large for the brute force; use the decomposition."""
 
 
 def sample_full_point(model: TreeModel, rng: random.Random) -> list:
@@ -71,8 +66,8 @@ def oracle_effective_dimension(
     Each trial ranks the live columns of the gradients of
     ``k = min(live parameters, states - 1)`` random functionals at one
     random point of GF(PRIME); the trials stop at the first that reaches
-    ``k``.  Raises :class:`OracleLimitError` before any draw when
-    ``max(k, 1)`` times the point's entry count exceeds
+    ``k``.  Raises :class:`treedim.rank.CellLimitError` before any draw
+    when ``max(k, 1)`` times the point's entry count exceeds
     :data:`treedim.rank.CELL_LIMIT`.
     """
     require_valid(model)
@@ -88,11 +83,7 @@ def oracle_effective_dimension(
     cards = [v.cardinality for v in model.observed_variables]
     states = capped_product(cards, n_live)  # only as far as k needs it
     k, entries = min(n_live, states - 1), sum(b * c for _, (b, c) in tables)
-    if max(k, 1) * entries > CELL_LIMIT:
-        raise OracleLimitError(
-            f"oracle needs {_figure(max(k, 1))} x {_figure(entries)} cells"
-            f" > {CELL_LIMIT}"
-        )
+    check_cells("oracle", max(k, 1), entries)
     # The live variables hold the root and each one's parent: same tables.
     part = TreeModel(
         tuple(v for v in model.variables if v.id in live),

@@ -55,8 +55,26 @@ CELL_LIMIT = 2**18
 log = logging.getLogger(__name__)
 
 
-class RowLimitError(ValueError):
-    """A latent-class rank needs a Jacobian of over ``CELL_LIMIT`` cells."""
+class CellLimitError(ValueError):
+    """A rank, of a latent-class component or the oracle's whole model,
+    needs a Jacobian of over ``CELL_LIMIT`` cells."""
+
+
+def _figure(x: int) -> str:
+    """``x`` in digits below 10**12, else as ``m.me<exponent>``, which needs
+    no ``str`` of a huge int.  ``x`` is positive."""
+    e = math.log10(x)
+    mantissa, carry = f"{10 ** (e % 1):.1e}".split("e")  # 9.96 gives 1.0e+01
+    return str(x) if e < 12 else f"{mantissa}e{int(e) + int(carry)}"
+
+
+def check_cells(what: str, rows: int, width: int) -> None:
+    """Raise :class:`CellLimitError` if ``rows`` x ``width`` exceeds
+    ``CELL_LIMIT``; ``what`` names the rank in the message."""
+    if rows * width > CELL_LIMIT:
+        raise CellLimitError(
+            f"{what} needs {_figure(rows)} x {_figure(width)} cells > {CELL_LIMIT}"
+        )
 
 
 def derive_seed(*parts) -> int:
@@ -315,36 +333,26 @@ def lc_jacobian_at(
     return jacobian(component.star, point, weights)
 
 
-def _figure(x: int) -> str:
-    """``x`` in digits below 10**12, else as ``m.me<exponent>``, which needs
-    no ``str`` of a huge int.  ``x`` is positive."""
-    e = math.log10(x)
-    mantissa, carry = f"{10 ** (e % 1):.1e}".split("e")  # 9.96 gives 1.0e+01
-    return str(x) if e < 12 else f"{mantissa}e{int(e) + int(carry)}"
-
-
 def _trial_rank(component: "LcComponent", rng: random.Random) -> int:
     """Jacobian rank at a point drawn from ``rng``, from ``b`` functionals.
 
     No rank exceeds b = min(columns n, joint states - 1), so the gradients
     of b random functionals keep the rank of the whole Jacobian but with
     probability at most deg * mu (see the module docstring).  A component
-    of b * n cells over ``CELL_LIMIT`` raises :class:`RowLimitError`
+    of b * n cells over ``CELL_LIMIT`` raises :class:`CellLimitError`
     before any draw.  A one-state latent makes its neighbors independent,
-    each with a free marginal, so that rank is n, returned without a draw.
+    each with a free marginal, so that rank is b = n; a Jacobian with no
+    rows, b = 0, has rank 0.  Both are returned without a draw.
     """
     cards = [card for _, card in component.neighbors]
-    n = component.standard_dimension()
-    if component.latent_cardinality == 1:
-        return n
+    n = sum(b * (c - 1) for b, c in _shapes(component.star))
     bound = min(n, capped_product(cards, n + 1) - 1)
-    if bound * n > CELL_LIMIT:
-        distinct = ", ".join(map(_figure, sorted(set(cards))))
-        raise RowLimitError(
-            f"rank of latent cardinality {_figure(component.latent_cardinality)} "
-            f"over {len(cards)} neighbors of cardinalities {{{distinct}}} needs "
-            f"{_figure(bound)} x {_figure(n)} cells > {CELL_LIMIT}"
-        )
+    if component.latent_cardinality == 1 or bound == 0:
+        return bound
+    what = f"rank of latent cardinality {_figure(component.latent_cardinality)}"
+    distinct = ", ".join(map(_figure, sorted(set(cards))))
+    what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
+    check_cells(what, bound, n)
     point = sample_lc_point(component, rng)
     weights = _functionals(rng, cards, bound)
     return exact_rank(lc_jacobian_at(component, point, weights))

@@ -13,8 +13,7 @@ from typing import Sequence
 from treedim import TreeModel, Variable
 from treedim.decompose import (
     DecompositionLedger,
-    LatentFreePart,
-    ObservedCutCorrection,
+    Term,
     decompose_hlc,
     prune_latent_leaves,
 )
@@ -29,7 +28,7 @@ from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     CELL_LIMIT,
     PRIME,
-    RowLimitError,
+    CellLimitError,
     _functionals,
     _inside,
     _weights,
@@ -449,13 +448,13 @@ def reference_lc_rank(component, rng: random.Random) -> int:
     min(n, m) rows and doubles, building only the new rows, while its rank
     is below b and it is shorter than m.  A prefix over
     ``REFERENCE_ROW_LIMIT`` rows, or a first prefix of b * n cells over
-    ``CELL_LIMIT``, raises ``RowLimitError``, the second before any draw.
+    ``CELL_LIMIT``, raises ``CellLimitError``, the second before any draw.
     """
     cards = [card for _, card in component.neighbors]
-    m, n = math.prod(cards) - 1, component.standard_dimension()
+    m, n = math.prod(cards) - 1, standard_dimension(component.star)
     bound = min(n, m)
     if bound * n > CELL_LIMIT:
-        raise RowLimitError(f"needs {bound} x {n} cells > {CELL_LIMIT}")
+        raise CellLimitError(f"needs {bound} x {n} cells > {CELL_LIMIT}")
     point = sample_lc_point(component, rng)
     step = (math.isqrt(20 * m * m) - 2 * m + 2) // 4
     while math.gcd(step, m) != 1:
@@ -473,7 +472,7 @@ def reference_lc_rank(component, rng: random.Random) -> int:
         if rank == bound or size == m:
             return rank
         size = min(2 * size, m)
-    raise RowLimitError(f"needs {size} rows > {REFERENCE_ROW_LIMIT}")
+    raise CellLimitError(f"needs {size} rows > {REFERENCE_ROW_LIMIT}")
 
 
 def reference_prune_latent_leaves(model: TreeModel):
@@ -562,7 +561,7 @@ def reference_split_at_observed(model: TreeModel):
     require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     corrections = [
-        ObservedCutCorrection(v.id, (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
+        Term((v.id,), (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
         for v in model.observed_variables
         if len(adjacency.get(v.id, ())) >= 2
     ]
@@ -607,10 +606,10 @@ def reference_decomposition(model: TreeModel) -> DecompositionLedger:
             edge_corrections.extend(piece_corrections)
         else:
             ids = tuple(v.id for v in regular.variables)
-            free_parts.append(LatentFreePart(ids, standard_dimension(regular)))
+            free_parts.append(Term(ids, standard_dimension(regular)))
     components.sort(key=lambda c: c.latent_id)
-    edge_corrections.sort(key=lambda c: c.edge)
-    free_parts.sort(key=lambda p: p.variable_ids)
+    edge_corrections.sort(key=lambda c: c.ids)
+    free_parts.sort(key=lambda p: p.ids)
     return DecompositionLedger(
         lc_components=tuple(components),
         latent_edge_corrections=tuple(edge_corrections),

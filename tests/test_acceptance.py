@@ -35,8 +35,8 @@ from treedim import (
 )
 from treedim.decompose import (
     DecompositionLedger,
-    LatentEdgeCorrection,
     LcComponent,
+    Term,
     combine,
 )
 from treedim.model import check_regular, regularize, standard_dimension
@@ -168,10 +168,10 @@ def test_criterion_2_combination_arithmetic(capsys):
             LcComponent(i, 2, ((10 + i, 2),)) for i in range(5)
         ),
         latent_edge_corrections=(
-            LatentEdgeCorrection((0, 1), 5 * 3 - 1),
-            LatentEdgeCorrection((1, 2), 3 * 6 - 1),
-            LatentEdgeCorrection((2, 3), 6 * 3 - 1),
-            LatentEdgeCorrection((3, 4), 3 * 5 - 1),
+            Term((0, 1), 5 * 3 - 1),
+            Term((1, 2), 3 * 6 - 1),
+            Term((2, 3), 6 * 3 - 1),
+            Term((3, 4), 3 * 5 - 1),
         ),
         observed_cut_corrections=(),
         latent_free_parts=(),
@@ -291,7 +291,8 @@ def _hlc_keystone(models, oracle_de):
         regularized += bool(ledger.regularization_log)
         split += bool(ledger.observed_cut_corrections)
         deficient += any(
-            de < min(c.standard_dimension(), math.prod(k for _, k in c.neighbors) - 1)
+            de
+            < min(standard_dimension(c.star), math.prod(k for _, k in c.neighbors) - 1)
             for c, de in zip(ledger.lc_components, result.component_dimensions)
         )
     floors = 2 * two_edges >= len(models) and regularized and deficient and split
@@ -403,7 +404,7 @@ def test_criterion_5_two_observed_sweep(capsys):
                 if lc != oracle_de:
                     lc_vs_oracle_failures.append((latent_card, y1, y2, lc, oracle_de))
                 closed_form = min(
-                    component.standard_dimension(),
+                    standard_dimension(component.star),
                     y1 * y2 - 1,
                     latent_card * (y1 + y2 - latent_card) - 1,
                 )

@@ -27,9 +27,8 @@ from treedim import (
 )
 from treedim.decompose import (
     DecompositionLedger,
-    LatentEdgeCorrection,
-    LatentFreePart,
     LcComponent,
+    Term,
     combine,
     decompose_hlc,
     prune_latent_leaves,
@@ -97,7 +96,7 @@ class TestSplitAtObserved:
             [("Y1", "X"), ("X", "Y2"), ("Y2", "Z"), ("Z", "Y3")],
         )
         corrections, parts = split_at_observed(model)
-        assert [(c.variable_id, c.amount) for c in corrections] == [(2, 3)]
+        assert [(c.ids, c.amount) for c in corrections] == [((2,), 3)]
         assert parts == ()
 
     def test_no_observed_internal_node_has_nothing_to_count(self):
@@ -105,7 +104,7 @@ class TestSplitAtObserved:
 
     def test_edgeless_model_is_one_latent_free_part(self):
         model = build_model([("Y", 5, True)], [])
-        assert split_at_observed(model) == ((), (LatentFreePart((0,), 4),))
+        assert split_at_observed(model) == ((), (Term((0,), 4),))
 
     def test_observed_hub_with_three_branches(self):
         specs = [("H", 2, True)]
@@ -115,7 +114,7 @@ class TestSplitAtObserved:
             edges += [("H", f"L{i}"), (f"L{i}", f"A{i}"), (f"L{i}", f"B{i}")]
         model = build_model(specs, edges)
         corrections, parts = split_at_observed(model)
-        assert [(c.variable_id, c.amount) for c in corrections] == [(0, 2)]
+        assert [(c.ids, c.amount) for c in corrections] == [((0,), 2)]
         assert parts == ()
 
     def test_adjacent_observed_internal_nodes_give_latent_free_part(self):
@@ -142,8 +141,8 @@ class TestSplitAtObserved:
             ],
         )
         corrections, parts = split_at_observed(model)
-        assert [(c.variable_id, c.amount) for c in corrections] == [(0, 1), (1, 2)]
-        assert parts == (LatentFreePart((0, 1), 5),)  # the bare Y1-Y2 edge
+        assert [(c.ids, c.amount) for c in corrections] == [((0,), 1), ((1,), 2)]
+        assert parts == (Term((0, 1), 5),)  # the bare Y1-Y2 edge
 
 
 class TestDecomposeHlc:
@@ -153,7 +152,7 @@ class TestDecomposeHlc:
             (c.latent_id, c.latent_cardinality, tuple(card for _, card in c.neighbors))
             for c in components
         ] == [(0, 2, (3, 3)), (1, 3, (2, 3, 3, 3)), (2, 3, (2, 3, 3, 3))]
-        assert [(c.edge, c.shared_parameters) for c in corrections] == [
+        assert [(c.ids, c.amount) for c in corrections] == [
             ((0, 1), 5),
             ((0, 2), 5),
         ]
@@ -181,7 +180,7 @@ class TestDecomposeHlc:
             ]
             _, corrections = decompose_hlc(hlc)
             assert len(expected) == hubs - 1
-            assert [(c.edge, c.shared_parameters) for c in corrections] == expected
+            assert [(c.ids, c.amount) for c in corrections] == expected
 
     def test_single_latent_has_no_corrections(self):
         components, corrections = decompose_hlc(latent_class_model(3, (2, 2, 2)))
@@ -194,7 +193,7 @@ class TestCombine:
         ledger = empty_ledger(
             components=dummy_components(5),
             latent_edges=tuple(
-                LatentEdgeCorrection((i, i + 1), k)
+                Term((i, i + 1), k)
                 for i, k in enumerate((14, 17, 17, 14))
             ),
         )
@@ -204,8 +203,8 @@ class TestCombine:
         ledger = empty_ledger(
             components=dummy_components(3),
             latent_edges=(
-                LatentEdgeCorrection((0, 1), 5),
-                LatentEdgeCorrection((0, 2), 5),
+                Term((0, 1), 5),
+                Term((0, 2), 5),
             ),
         )
         assert combine((7, 23, 23), ledger) == 43
@@ -233,6 +232,16 @@ class TestEffectiveDimension:
             model = random_tree_model(rng, max_vars=6, max_latent=0)
             result = effective_dimension(model, RankPolicy(trials=1))
             assert result.effective_dimension == result.standard_dimension
+
+    @pytest.mark.parametrize("latent", [False, True])
+    def test_zero_trials_are_refused_with_or_without_a_latent(self, latent):
+        # The policy is checked before any stage, not by the first rank call.
+        if latent:
+            model = latent_class_model(2, (2, 2, 2))
+        else:
+            model = build_model([("A", 2, True), ("B", 3, True)], [("A", "B")])
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            effective_dimension(model, RankPolicy(trials=0))
 
     def test_ledger_counts_match_structure(self):
         result = effective_dimension(two_branch_hierarchy())

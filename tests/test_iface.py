@@ -178,11 +178,29 @@ class TestCli:
             f"error: line 1: cardinality has more than {limit} digits\n"
         )
 
+    @pytest.mark.parametrize("sign", ["-", "+"])
+    def test_signed_cardinality_past_the_digit_limit(self, sign, capsys, tmp_path):
+        # int() takes one sign, so a signed decimal past the limit is refused
+        # for its length too: same message as unsigned, not "must be an integer".
+        limit = sys.get_int_max_str_digits()
+        bad = tmp_path / "bad.model"
+        bad.write_text(f"var A {sign}{'9' * 5000} observed\n")
+        assert run(["dims", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 1: cardinality has more than {limit} digits\n"
+        )
+        # Two signs are no integer at any length.
+        bad.write_text(f"var A {sign}{sign}{'9' * 5000} observed\n")
+        assert run(["dims", str(bad)]) == 1
+        assert "cardinality must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, start",
         [
             (f"var A {LONG} observed\n", "line 1: cardinality must be an integer"),
-            (f"var A -{'9' * 5000} observed\n", "line 1: cardinality must be an"),
+            (f"var A -{LONG} observed\n", "line 1: cardinality must be an integer"),
             (f"var A 2 {LONG}\n", "line 1: flag must be 'observed' or 'latent'"),
             (f"{LONG} A\n", "line 1: unknown directive 'xxx"),
             (f"var A 2 observed\nedge A {LONG}\n", "line 2: unknown variable xxx"),

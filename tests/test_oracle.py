@@ -27,7 +27,7 @@ from support import (
     two_branch_hierarchy,
 )
 from treedim import (
-    OracleLimitError,
+    CellLimitError,
     RankPolicy,
     TreeModel,
     Variable,
@@ -381,7 +381,7 @@ class TestOracleEffectiveDimension:
             [(f"Y{i}", f"Y{i + 1}") for i in range(3)],
         )
         message = "^oracle needs 735 x 784 cells > 262144$"
-        with pytest.raises(OracleLimitError, match=message):
+        with pytest.raises(CellLimitError, match=message):
             oracle_effective_dimension(model)
 
     def test_trials_stop_once_one_reaches_k(self, monkeypatch):
@@ -605,7 +605,7 @@ class TestCellLimitBeforeAnyDraw:
 
     def test_one_latent_state_more_raises(self):
         model = self.latent_with_leaves(2**15 + 1, [3])
-        with pytest.raises(OracleLimitError, match="^oracle needs 2 x 131076 cells"):
+        with pytest.raises(CellLimitError, match="^oracle needs 2 x 131076 cells"):
             oracle_effective_dimension(model)
 
     def test_observed_variable_of_512_states_reaches_the_draw(self):
@@ -617,20 +617,20 @@ class TestCellLimitBeforeAnyDraw:
     def test_observed_variable_of_513_states_raises(self):
         # k = ds = 512 rows over 513 entries: 262,656 cells.
         model = build_model([("A", 513, True)], [])
-        with pytest.raises(OracleLimitError, match="^oracle needs 512 x 513 cells"):
+        with pytest.raises(CellLimitError, match="^oracle needs 512 x 513 cells"):
             oracle_effective_dimension(model)
 
     def test_no_live_rows_still_counts_the_point(self):
         # k = 0, yet the point alone would hold 10**40 + 1 entries.
         model = build_model([("A", 1, True), ("L", 10**40, False)], [("A", "L")])
-        with pytest.raises(OracleLimitError, match=r"^oracle needs 1 x 1\.0e40 cells"):
+        with pytest.raises(CellLimitError, match=r"^oracle needs 1 x 1\.0e40 cells"):
             oracle_effective_dimension(model)
 
     def test_one_state_leaves_count_their_blocks(self):
         # ds = 2**18 - 1 and k = 1, but each one-state leaf has one entry per
         # latent state: 103 * 2**17 entries in all.
         model = self.latent_with_leaves(2**17, [2] + [1] * 100)
-        with pytest.raises(OracleLimitError, match="^oracle needs 1 x 13500416 cells"):
+        with pytest.raises(CellLimitError, match="^oracle needs 1 x 13500416 cells"):
             oracle_effective_dimension(model)
 
     def test_message_past_the_digit_limit(self):
@@ -638,7 +638,7 @@ class TestCellLimitBeforeAnyDraw:
         card = 10**2200
         model = build_model([("A", card, True), ("B", card, True)], [("A", "B")])
         with pytest.raises(
-            OracleLimitError, match=r"^oracle needs 1\.0e4400 x 1\.0e4400 cells"
+            CellLimitError, match=r"^oracle needs 1\.0e4400 x 1\.0e4400 cells"
         ):
             oracle_effective_dimension(model)
 
@@ -651,6 +651,6 @@ class TestCellLimitBeforeAnyDraw:
             [(f"Y{i}", f"Y{i + 1}") for i in range(999)],
         )
         start = time.perf_counter()
-        with pytest.raises(OracleLimitError):
+        with pytest.raises(CellLimitError):
             oracle_effective_dimension(model)
         assert time.perf_counter() - start < 1.0

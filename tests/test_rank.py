@@ -21,10 +21,11 @@ from support import (
 
 from treedim import oracle, rank
 from treedim.decompose import LcComponent
+from treedim.model import standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
     PRIME,
-    RowLimitError,
+    CellLimitError,
     derive_seed,
     exact_rank,
     field_draws,
@@ -340,7 +341,7 @@ class TestLcRankMatchesReference:
             trial_rng = random.Random(derive_seed(seed, "lc-trial", 0))
             assert found == reference_lc_rank(component, trial_rng), (component, seed)
             joint = math.prod(leaves) - 1
-            deficient += found < min(component.standard_dimension(), joint)
+            deficient += found < min(standard_dimension(component.star), joint)
         assert deficient
 
 
@@ -383,7 +384,7 @@ class TestLcEffectiveDimension:
             joint = 1
             for c in leaves:
                 joint *= c
-            assert dim <= min(component.standard_dimension(), joint - 1)
+            assert dim <= min(standard_dimension(component.star), joint - 1)
 
     def test_latent_cardinality_monotone(self):
         for leaves in [(2, 2), (3, 3), (2, 3, 2)]:
@@ -464,14 +465,14 @@ class TestOneBuildPerTrial:
             r"^rank of latent cardinality 2 over 20 neighbors of cardinalities "
             r"\{2\} needs 41 x 41 cells > 1680$"
         )
-        with pytest.raises(RowLimitError, match=message):
+        with pytest.raises(CellLimitError, match=message):
             lc_rank_trials(component, trials=1)
         monkeypatch.setattr(rank, "sample_lc_point", real_draw)
         monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41)
         assert lc_rank_trials(component, trials=1) == (41,)
         # Deficient components are bounded by the same b x n cells.
         monkeypatch.setattr(rank, "CELL_LIMIT", 14 * 14 - 1)
-        with pytest.raises(RowLimitError, match=r"\{2\} needs 14 x 14 cells"):
+        with pytest.raises(CellLimitError, match=r"\{2\} needs 14 x 14 cells"):
             lc_rank_trials(_component(3, (2,) * 4), trials=1)
 
 
@@ -520,7 +521,7 @@ class TestOnePointFormat:
             weights = _random_weights(random.Random(s + 10), leaves, 4)
             rows = lc_jacobian_at(component, point, weights)
             assert rows == observed_joint_jacobian(model, point, weights)
-            assert len(rows[0]) == component.standard_dimension()
+            assert len(rows[0]) == standard_dimension(component.star)
 
 
 class TestOneStateLatent:
@@ -533,6 +534,18 @@ class TestOneStateLatent:
         for leaves in [(300, 7), (2,), (1, 5), (2**40, 3), (2,) * 1100]:
             n = sum(card - 1 for card in leaves)
             assert lc_rank_trials(_component(1, leaves), trials=2) == (n, n)
+
+    def test_no_rows_give_rank_zero_without_a_draw(self, monkeypatch):
+        # One-state neighbors leave one joint state: b = 0 rows, rank 0 at
+        # any latent cardinality, with no point drawn however wide the latent.
+        assert oracle.oracle_effective_dimension(latent_class_model(2, (1,) * 3)) == 0
+
+        def no_draw(component, rng):
+            raise AssertionError("a parameter point was drawn")
+
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        for card in (2, 2**16, 2**18 + 2, 10**40):
+            assert lc_rank_trials(_component(card, (1,) * 3), trials=2) == (0, 0)
 
     def test_equals_the_generic_rank_on_small_shapes(self):
         rng = random.Random(11)

@@ -110,17 +110,33 @@ def _module_limits(path: Path) -> set[str]:
 
 def test_one_cost_limit_shared_by_both_engines():
     # The latent-class ranks and the oracle refuse by Jacobian cells, under
-    # one constant that the oracle binds from rank.
+    # one constant and one error class, both in rank; the oracle refuses
+    # through rank.check_cells, so it names neither the constant nor the
+    # helper that writes the message's figures.
     sources = sorted(PACKAGE.glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
     limits = {p.name: sorted(_module_limits(p)) for p in sources}
     assert {name: found for name, found in limits.items() if found} == {
         "rank.py": ["CELL_LIMIT"]
     }
-    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
-    from_rank = {
-        (alias.name, alias.asname)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "rank")
-        for alias in node.names
+    errors = {
+        name: sorted(
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name.endswith("LimitError")
+        )
+        for name, tree in trees.items()
     }
-    assert ("CELL_LIMIT", None) in from_rank
+    assert {name: found for name, found in errors.items() if found} == {
+        "rank.py": ["CellLimitError"]
+    }
+    named = set()
+    for node in ast.walk(trees["oracle.py"]):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name for alias in node.names)
+    assert "check_cells" in named
+    assert named.isdisjoint({"CELL_LIMIT", "_figure"})
