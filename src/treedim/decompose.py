@@ -28,7 +28,6 @@ from .model import (
     TreeModel,
     Variable,
     regularize,
-    require_valid,
     standard_dimension,
 )
 from .rank import DEFAULT_TRIALS, derive_seed, lc_rank_trials
@@ -36,8 +35,7 @@ from .rank import DEFAULT_TRIALS, derive_seed, lc_rank_trials
 
 @dataclass(frozen=True)
 class LcComponent:
-    """A single latent variable with its neighbors treated as observed;
-    built from a latent of a valid, pruned model, so nothing checks it."""
+    """A single latent variable with its neighbors treated as observed."""
 
     latent_id: int
     latent_cardinality: int
@@ -109,7 +107,6 @@ def prune_latent_leaves(model: TreeModel) -> tuple[TreeModel, tuple[int, ...]]:
     read-only scan and is returned as is; otherwise degree counters find
     each layer, linear in the tree, and one model is built at the end.
     """
-    require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     layer = [v.id for v in model.latent_variables if len(adjacency[v.id]) <= 1]
     if not layer:
@@ -143,7 +140,6 @@ def split_at_observed(model: TreeModel) -> tuple[tuple[Term, ...], tuple[Term, .
     not checked: regular and pruned, as ``regularize`` leaves the output
     of :func:`prune_latent_leaves`.
     """
-    require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     corrections = tuple(
         Term((v.id,), (len(adjacency[v.id]) - 1) * (v.cardinality - 1))
@@ -171,7 +167,6 @@ def decompose_hlc(hlc: TreeModel) -> tuple[tuple[LcComponent, ...], tuple[Term, 
     regular and pruned, so every intermediate cut stays regular; observed
     nodes may be internal.
     """
-    require_valid(hlc)
     by_id, adjacency = hlc._by_id, hlc._adjacency
     components, corrections = [], []
     for var in hlc.latent_variables:
@@ -205,7 +200,6 @@ def effective_dimension(
     class components; rank each component signature once at random
     points of GF(p); combine.
     """
-    require_valid(model)
     if policy.trials < 1:
         raise ValueError("trials must be >= 1")
     ds = standard_dimension(model)

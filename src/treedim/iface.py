@@ -34,7 +34,6 @@ from .model import (
     TreeModel,
     Variable,
     regularize,
-    require_valid,
     standard_dimension,
 )
 from .oracle import oracle_effective_dimension
@@ -99,9 +98,7 @@ def parse_model(text: str) -> TreeModel:
         else:
             raise ModelParseError(line_number, f"unknown directive {kind!r}")
 
-    model = TreeModel(tuple(variables), tuple(edges))
-    require_valid(model)
-    return model
+    return TreeModel(tuple(variables), tuple(edges))
 
 
 def serialize_model(model: TreeModel) -> str:
@@ -243,7 +240,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_model(path_text: str) -> TreeModel:
-    data = Path(path_text).read_bytes()
+    data = Path(path_text).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -321,8 +318,12 @@ def _run_regularize(args, model: TreeModel) -> int:
 
 def run(argv: Sequence[str]) -> int:
     """Run the command line; returns the process exit code."""
+    argv = list(argv)  # argparse reads a token like -1.5e4 as an option name
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--loglik":
+            argv[i : i + 2] = [f"--loglik={argv[i + 1]}"]
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

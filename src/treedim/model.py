@@ -1,8 +1,9 @@
 """Tree-structured models of observed and latent variables.
 
 A model is an undirected tree whose nodes carry a cardinality and an
-observed/latent flag.  This module provides structural validation, the
-standard (parameter-count) dimension of the rooted parameterization, the
+observed/latent flag; it is valid by construction, as building one runs
+the structural validation.  This module also provides the standard
+(parameter-count) dimension of the rooted parameterization, the
 latent-cardinality regularity check, and the regularization transform
 that shrinks a model without changing the set of joint distributions it
 can represent over its observed variables.
@@ -21,7 +22,7 @@ from typing import Optional
 
 
 class InvalidModelError(ValueError):
-    """Raised when an operation requires a structurally valid model."""
+    """Raised when variables and edges do not form a valid tree model."""
 
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
@@ -51,6 +52,8 @@ class TreeModel:
     equal regardless of the order used at construction time.  Variable ids
     are stable across transformations: removed ids are retired, never
     reused.  Lookups by id go through an index built on first use.
+    Construction raises :class:`InvalidModelError`, with every error
+    :func:`validate` finds, unless the model is a tree with an observed node.
     """
 
     variables: tuple[Variable, ...]
@@ -61,11 +64,11 @@ class TreeModel:
         object.__setattr__(self, "variables", tuple(ordered))
         normalized = sorted((a, b) if a < b else (b, a) for a, b in self.edges)
         object.__setattr__(self, "edges", tuple(normalized))
+        require_valid(self)
 
     @cached_property
     def _by_id(self) -> dict[int, Variable]:
-        # reversed: with a duplicate id (an invalid model) the first one wins
-        return {v.id: v for v in reversed(self.variables)}
+        return {v.id: v for v in self.variables}
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -85,11 +88,6 @@ class TreeModel:
             parents.update(dict.fromkeys(children[node], node))
             order.extend(children[node])
         return parents, children, order
-
-    @cached_property
-    def _errors(self) -> tuple[str, ...]:
-        # The model is immutable, so one validation serves every check.
-        return tuple(validate(self))
 
     def variable(self, var_id: int) -> Variable:
         try:
@@ -179,8 +177,9 @@ def validate(model: TreeModel) -> list[str]:
 
 
 def require_valid(model: TreeModel) -> None:
-    if model._errors:
-        raise InvalidModelError(list(model._errors))
+    errors = validate(model)
+    if errors:
+        raise InvalidModelError(errors)
 
 
 def standard_dimension(model: TreeModel) -> int:
@@ -192,7 +191,6 @@ def standard_dimension(model: TreeModel) -> int:
     so the count needs no root: the sum of ``|a| * |b|`` over the edges
     minus the sum of ``|v| * (deg v - 1)`` over the nodes, minus one.
     """
-    require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     pairs = sum(by_id[a].cardinality * by_id[b].cardinality for a, b in model.edges)
     shared = sum(
@@ -219,7 +217,6 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     at least one of them is latent the inequality must be strict.
     Observed nodes are never checked.
     """
-    require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     violations: list[RegularityViolation] = []
     for var in model.latent_variables:  # every one has a neighbor: n >= 2
@@ -282,7 +279,6 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
     neighbors again, so a latent hub rewritten through many of its latent
     neighbors is re-checked once per step and still costs O(degree^2).
     """
-    require_valid(model)
     var, nbrs = model._by_id, model._adjacency  # copied at the first step
     heap = [v.id for v in model.latent_variables]  # ascending ids: a heap
     log: list[RegularizationStep] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .model import TreeModel, capped_product, require_valid
+from .model import TreeModel, capped_product
 from .rank import (
     DEFAULT_TRIALS,
     _functionals,
@@ -37,22 +37,20 @@ from .rank import (
 
 
 def sample_full_point(model: TreeModel, rng: random.Random) -> list:
-    """:func:`treedim.rank.draw_point` of a valid model."""
-    require_valid(model)
+    """:func:`treedim.rank.draw_point` of the oracle's whole model."""
     return draw_point(model, rng)
 
 
 def observed_joint_jacobian(
     model: TreeModel, point, weights
 ) -> tuple[tuple[int, ...], ...]:
-    """:func:`treedim.rank.jacobian` of a valid model.
+    """:func:`treedim.rank.jacobian` of the oracle's live part.
 
     Functional ``j`` stands for ``S = sum_x prod_v a_v(x_v) P(x)``, with
     ``weights[i][x][j]`` its weight of observed variable ``i`` at ``x``,
     and row ``j`` is its gradient in every free parameter.  Columns follow
     the point: ascending ids, each with one block per parent state.
     """
-    require_valid(model)
     return jacobian(model, point, weights)
 
 
@@ -70,7 +68,6 @@ def oracle_effective_dimension(
     when ``max(k, 1)`` times the point's entry count exceeds
     :data:`treedim.rank.CELL_LIMIT`.
     """
-    require_valid(model)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _, children, order = model._rooting
@@ -84,11 +81,12 @@ def oracle_effective_dimension(
     states = capped_product(cards, n_live)  # only as far as k needs it
     k, entries = min(n_live, states - 1), sum(b * c for _, (b, c) in tables)
     check_cells("oracle", max(k, 1), entries)
-    # The live variables hold the root and each one's parent: same tables.
-    part = TreeModel(
-        tuple(v for v in model.variables if v.id in live),
-        tuple(edge for edge in model.edges if live.issuperset(edge)),
-    )
+    part = model  # a live part keeps the root and each one's parent: same tables
+    if len(live) < len(model.variables):
+        part = TreeModel(
+            tuple(v for v in model.variables if v.id in live),
+            tuple(edge for edge in model.edges if live.issuperset(edge)),
+        )
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "oracle-trial", trial))

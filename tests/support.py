@@ -21,7 +21,6 @@ from treedim.model import (
     RegularityViolation,
     RegularizationStep,
     regularize,
-    require_valid,
     standard_dimension,
 )
 from treedim.oracle import observed_joint_jacobian, sample_full_point
@@ -479,7 +478,6 @@ def reference_prune_latent_leaves(model: TreeModel):
     """Latent-leaf pruning as ``treedim.decompose.prune_latent_leaves`` did
     it before its layered worklist: one pass per layer of latent leaves,
     rebuilding the model after each."""
-    require_valid(model)
     removed: list[int] = []
     while True:
         leaves = {v.id for v in model.latent_variables if model.degree(v.id) <= 1}
@@ -496,7 +494,6 @@ def reference_check_regular(model: TreeModel):
     """``treedim.model.check_regular`` with the bound's full product, as it
     was before the product stopped past the node's cardinality times the
     largest neighbor's."""
-    require_valid(model)
     violations = []
     for var in model.latent_variables:
         nbrs = [model.variable(x) for x in model.neighbors(var.id)]
@@ -514,7 +511,6 @@ def reference_regularize(model: TreeModel):
     """Regularization as ``treedim.model.regularize`` did it before its
     min-heap: scan the latents in ascending id, apply the first rule that
     acts, rebuild the model and restart the scan."""
-    require_valid(model)
     log: list[RegularizationStep] = []
     while True:
         for var in model.latent_variables:
@@ -558,7 +554,6 @@ def reference_split_at_observed(model: TreeModel):
     node into piece models, one per latent cluster (with the observed
     nodes around it) and one per observed-observed edge, plus the
     ``(degree - 1) * (card - 1)`` correction of each cut node."""
-    require_valid(model)
     by_id, adjacency = model._by_id, model._adjacency
     corrections = [
         Term((v.id,), (len(adjacency[v.id]) - 1) * (v.cardinality - 1))

@@ -393,8 +393,9 @@ class TestEffectiveDimension:
 
 
 class TestStagePreconditions:
-    """The stages after pruning check nothing but validity: the pipeline
-    hands each one what the stage before it guarantees."""
+    """The stages after pruning check nothing, as every model is valid by
+    construction: the pipeline hands each one what the stage before it
+    guarantees."""
 
     def test_each_stage_gets_what_the_one_before_guarantees(self, monkeypatch):
         real_regularize = decompose.regularize

@@ -227,11 +227,26 @@ class TestCli:
 
     def test_non_utf8_file_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.model"
-        bad.write_bytes(b"var A 2 observed\n\xff\n")
-        assert run(["dims", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: line 2: not UTF-8 text (byte 0xff)\n"
+        # A byte-order mark is dropped before decoding, so the byte still counts.
+        for bom in (b"", b"\xef\xbb\xbf"):
+            bad.write_bytes(bom + b"var A 2 observed\nvar B 2 \xfe\xff\n")
+            assert run(["dims", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: line 2: not UTF-8 text (byte 0xfe)\n"
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # A file saved with a UTF-8 byte-order mark reads as the file without.
+        for path in sorted(FIXTURES.glob("*.model")):
+            marked = tmp_path / path.name
+            marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            for name, *flags in (["dims", "--report"], ["regularize"]):
+                outputs = []
+                for model in (path, marked):
+                    code = run([name, str(model), *flags])
+                    outputs.append((code, capsys.readouterr()))
+                assert outputs[0] == outputs[1], (path.name, name)
+                assert outputs[0][0] == 0
 
     def test_missing_file_exit_code(self, capsys):
         assert run(["dims", "no-such-file.model"]) == 1
@@ -253,6 +268,28 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_loglik_in_any_float_syntax(self, capsys):
+        # argparse reads a negative number with an exponent as an option name.
+        m1 = str(FIXTURES / "m1.model")
+        expected = None
+        for value in ("-15000", "-1.5e4", "-1.5E+04", "-15e3", "-.15e5"):
+            for loglik in (["--loglik", value], [f"--loglik={value}"]):
+                args = ["score", m1, "--n", "100", *loglik, "--de", "43"]
+                assert run(args) == 0, args
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                expected = expected or captured.out
+                assert captured.out == expected, args
+        assert "bic=-15103.6" in expected
+        for value in ("-inf", "nan", "-Infinity", "1e999"):
+            assert run(["score", m1, "--n", "100", "--loglik", value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            message = f"argument --loglik: must be finite, got {value}"
+            assert captured.err == f"error: {message}\n"
+        assert run(["score", m1, "--n", "100", "--loglik"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_cell_limit_exit_code(self, capsys, monkeypatch, tmp_path):
         model = tmp_path / "strassen.model"

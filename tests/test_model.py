@@ -57,40 +57,52 @@ class TestTreeModel:
 
 
 class TestValidate:
+    """A model is valid by construction: ``TreeModel(...)`` raises
+    :class:`InvalidModelError` carrying every error :func:`validate` finds."""
+
     def test_reference_hierarchy_is_valid(self):
         assert validate(two_branch_hierarchy()) == []
 
     def test_two_nodes_no_edges_is_disconnected(self):
-        model = build_model([("A", 2, True), ("B", 2, True)], [])
-        assert any("disconnected" in e for e in validate(model))
+        with pytest.raises(InvalidModelError) as caught:
+            build_model([("A", 2, True), ("B", 2, True)], [])
+        assert any("disconnected" in e for e in caught.value.errors)
 
     def test_all_latent_is_rejected(self):
-        model = build_model([("A", 2, False), ("B", 2, False)], [("A", "B")])
-        assert any("no observed variable" in e for e in validate(model))
+        with pytest.raises(InvalidModelError) as caught:
+            build_model([("A", 2, False), ("B", 2, False)], [("A", "B")])
+        assert any("no observed variable" in e for e in caught.value.errors)
 
     def test_bad_cardinality(self):
-        model = build_model([("A", 0, True)], [])
-        assert any("cardinality" in e for e in validate(model))
+        with pytest.raises(InvalidModelError) as caught:
+            build_model([("A", 0, True)], [])
+        assert any("cardinality" in e for e in caught.value.errors)
 
     def test_self_loop_and_duplicate_edge(self):
         vs = (Variable(0, "A", 2, True), Variable(1, "B", 2, True))
-        loop = TreeModel(vs, ((0, 0), (0, 1)))
-        assert any("self-loop" in e for e in validate(loop))
-        dup = TreeModel(vs, ((0, 1), (1, 0)))
-        assert any("duplicate edge" in e for e in validate(dup))
+        with pytest.raises(InvalidModelError) as loop:
+            TreeModel(vs, ((0, 0), (0, 1)))
+        assert any("self-loop" in e for e in loop.value.errors)
+        with pytest.raises(InvalidModelError) as dup:
+            TreeModel(vs, ((0, 1), (1, 0)))
+        assert any("duplicate edge" in e for e in dup.value.errors)
 
     def test_cycle_is_rejected(self):
         vs = tuple(Variable(i, f"V{i}", 2, True) for i in range(3))
-        cyc = TreeModel(vs, ((0, 1), (1, 2), (0, 2)))
-        assert validate(cyc)
+        with pytest.raises(InvalidModelError) as caught:
+            TreeModel(vs, ((0, 1), (1, 2), (0, 2)))
+        assert caught.value.errors
 
     def test_unknown_edge_endpoint(self):
-        model = TreeModel((Variable(0, "A", 2, True),), ((0, 5),))
-        assert any("unknown variable id" in e for e in validate(model))
+        with pytest.raises(InvalidModelError) as caught:
+            TreeModel((Variable(0, "A", 2, True),), ((0, 5),))
+        assert any("unknown variable id" in e for e in caught.value.errors)
 
     def test_duplicate_names(self):
         vs = (Variable(0, "A", 2, True), Variable(1, "A", 2, True))
-        assert any("duplicate variable name" in e for e in validate(TreeModel(vs, ((0, 1),))))
+        with pytest.raises(InvalidModelError) as caught:
+            TreeModel(vs, ((0, 1),))
+        assert any("duplicate variable name" in e for e in caught.value.errors)
 
     def test_whole_error_lists(self):
         # The reachability walk follows only edges between declared ids: an
@@ -123,12 +135,59 @@ class TestValidate:
             ),
         ]
         for edges, errors in cases:
-            assert validate(TreeModel(vs, edges)) == errors, edges
+            with pytest.raises(InvalidModelError) as caught:
+                TreeModel(vs, edges)
+            assert caught.value.errors == errors, edges
         dup_id = (Variable(0, "A", 2, True), Variable(0, "B", 2, False))
-        assert validate(TreeModel(dup_id, ((0, 0),))) == [
+        with pytest.raises(InvalidModelError) as caught:
+            TreeModel(dup_id, ((0, 0),))
+        assert caught.value.errors == [
             "duplicate variable id 0",
             "self-loop at variable id 0",
         ]
+
+    def test_every_error_list_in_full_and_in_the_message(self):
+        vs = tuple(Variable(i, f"V{i}", 2, True) for i in range(3))
+        same_name = (Variable(0, "A", 2, True), Variable(1, "A", 2, True))
+        cases = [
+            (
+                build_model,
+                ([("A", 2, True), ("B", 2, True)], []),
+                [
+                    "not a tree: 0 distinct edges for 2 variables",
+                    "disconnected: only 1 of 2 variables reachable",
+                ],
+            ),
+            (
+                build_model,
+                ([("A", 2, False), ("B", 2, False)], [("A", "B")]),
+                ["no observed variable"],
+            ),
+            (
+                build_model,
+                ([("A", 0, True)], []),
+                ["variable 'A': cardinality must be >= 1"],
+            ),
+            (TreeModel, (vs[:2], ((0, 0), (0, 1))), ["self-loop at variable id 0"]),
+            (TreeModel, (vs[:2], ((0, 1), (1, 0))), ["duplicate edge (0, 1)"]),
+            (
+                TreeModel,
+                (vs[:1], ((0, 5),)),
+                ["edge (0, 5) references an unknown variable id"],
+            ),
+            (TreeModel, (same_name, ((0, 1),)), ["duplicate variable name 'A'"]),
+            (TreeModel, ((), ()), ["model has no variables"]),
+        ]
+        for build, args, errors in cases:
+            with pytest.raises(InvalidModelError) as caught:
+                build(*args)
+            assert caught.value.errors == errors, args
+            assert str(caught.value) == "; ".join(errors)
+
+    def test_replace_is_checked_too(self):
+        model = two_branch_hierarchy()
+        with pytest.raises(InvalidModelError, match="disconnected"):
+            replace(model, edges=model.edges[1:])
 
 
 class TestStandardDimension:

@@ -491,6 +491,25 @@ class TestLiveParameters:
         assert shapes == [(20, 20)]
         assert effective_dimension(model).effective_dimension == 13
 
+    def test_a_fully_live_model_is_its_own_part(self, monkeypatch):
+        parts = []
+        real = oracle.observed_joint_jacobian
+
+        def spy(part, point, weights):
+            parts.append(part)
+            return real(part, point, weights)
+
+        monkeypatch.setattr(oracle, "observed_joint_jacobian", spy)
+        hierarchy = two_branch_hierarchy()  # every latent has observed leaves
+        assert oracle_effective_dimension(hierarchy, trials=2) == 43
+        assert parts and all(part is hierarchy for part in parts)
+        parts.clear()
+        assert oracle_effective_dimension(self.DEAD_CHAIN, trials=1) == 13
+        (part,) = parts
+        assert part is not self.DEAD_CHAIN
+        assert [v.name for v in part.variables] == ["A", "L", "B", "C"]
+        assert part.edges == ((0, 1), (1, 2), (1, 3))
+
     def test_any_integer_point_matches_the_reference(self):
         # The passes read no block as summing to one: at integer points
         # whose dead-subtree blocks do not, with entries below 0 or at least

@@ -140,3 +140,36 @@ def test_one_cost_limit_shared_by_both_engines():
             named.update(alias.name for alias in node.names)
     assert "check_cells" in named
     assert named.isdisjoint({"CELL_LIMIT", "_figure"})
+
+
+def _callers(tree: ast.AST, name: str) -> list[str]:
+    """Dotted name of the enclosing function of each call to ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func  # a Name has an id, an Attribute an attr
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_validity_is_checked_once_at_construction():
+    # A TreeModel validates itself when built, so no stage asks again: only
+    # model.py names the check, and only TreeModel.__post_init__ runs it.
+    sources = sorted(PACKAGE.glob("*.py"))
+    check = {"require_valid", "validate"}
+    uses = {p.name: sorted(_names(p) & check) for p in sources}
+    assert {name: found for name, found in uses.items() if found} == {
+        "model.py": ["require_valid", "validate"]
+    }
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "require_valid") == ["TreeModel.__post_init__"]
+    assert _callers(tree, "validate") == ["require_valid"]
