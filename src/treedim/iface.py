@@ -6,14 +6,15 @@ declared variables, ``#`` starts a comment, blank lines are ignored.
 Reports are ordered ``key=value`` lines and are byte-identical for
 identical inputs and flags.
 
-Exit codes: 0 success; 1 usage error, unreadable model file, parse or
-validation error, a score beyond float range, a ds (or under ``--report``
-any report value) too long to print or a stdout closed before the output
-was written; 2 an oracle over the cell limit under ``--oracle``; 3
-oracle/decomposition mismatch; 4 a latent-class rank over the same limit,
-``treedim.rank.CELL_LIMIT``; both limits raise ``CellLimitError``.  A
-closed stdout leaves a code of 2 or 3 as it is: the command's ``error:``
-line comes first, then the closed-stdout line.
+Each failure is one ``error:`` line on stderr, cut past 150 characters,
+and each warning one ``warning:`` line.  Exit codes: 0 success; 1 usage
+error, unreadable model file, parse or validation error, a score beyond
+float range, a ds (or under ``--report`` any report value) too long to
+print or a stdout closed before the output was written; 2 an oracle over
+the cell limit under ``--oracle``; 3 oracle/decomposition mismatch; 4 a
+latent-class rank over the same limit, ``treedim.rank.CELL_LIMIT``; both
+limits raise ``CellLimitError``.  A closed stdout leaves a code of 2 or 3
+as it is, and its ``error:`` line follows the command's.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import io
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -42,11 +44,10 @@ from .score import ScoreInput, bic, bice
 
 
 class ModelParseError(ValueError):
-    """Error in a model file at a line; a message past 150 characters is cut."""
+    """Error in a model file at a line."""
 
     def __init__(self, line_number: int, message: str):
-        cut = message if len(message) <= 150 else message[:147] + "..."
-        super().__init__(f"line {line_number}: {cut}")
+        super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -166,13 +167,23 @@ def report_lines(
     return lines
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """A usage error or a refused command: exit code 1 after its error line."""
+
+
+def _error(message: object, code: int) -> int:
+    """Write ``error: <message>`` to stderr as one line; return ``code``."""
+    # Line breaks print as \n (the "." keeps a trailing one a split point),
+    # and a message past 150 characters is cut, so no token is echoed whole.
+    text = "\\n".join(f"{message}.".splitlines())[:-1]
+    text = text if len(text) <= 150 else text[:147] + "..."
+    print(f"error: {text}", file=sys.stderr)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit codes under our control
-        raise _UsageError(message)
+        raise _Failure(message)
 
 
 def _int_at_least(low: int):
@@ -261,8 +272,7 @@ def _run_dims(args, model: TreeModel) -> int:
             lines = report_lines(model, result, args.seed, args.trials)
     except ValueError:
         limit = sys.get_int_max_str_digits()
-        print(f"error: {what} has more than {limit} digits to print", file=sys.stderr)
-        return 1
+        raise _Failure(f"{what} has more than {limit} digits to print") from None
     code = 0
     if args.oracle:
         # The error: line goes first, as main writes it out: main holds stdout.
@@ -271,37 +281,28 @@ def _run_dims(args, model: TreeModel) -> int:
                 model, trials=args.trials, seed=args.seed
             )
         except CellLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
+            code = _error(exc, 2)
         else:
             lines.insert(2, f"oracle_de={oracle_de}")
             if oracle_de != result.effective_dimension:
-                print(
-                    "error: decomposition and oracle disagree "
-                    f"({result.effective_dimension} vs {oracle_de})",
-                    file=sys.stderr,
-                )
-                code = 3
+                pair = f"({result.effective_dimension} vs {oracle_de})"
+                code = _error(f"decomposition and oracle disagree {pair}", 3)
     print("\n".join(lines))
     return code
 
 
 def _run_score(args, model: TreeModel) -> int:
     ds = standard_dimension(model)
-    if args.de is not None:
-        if args.de > ds:
-            message = f"--de {args.de} exceeds the standard dimension {ds}"
-            print(f"error: {message}", file=sys.stderr)
-            return 1
-        de = args.de
-    else:
+    de = args.de
+    if de is None:
         de = effective_dimension(model, RankPolicy()).effective_dimension
+    elif de > ds:
+        raise _Failure(f"--de {de} exceeds the standard dimension {ds}")
     score_input = ScoreInput(loglik=args.loglik, sample_size=args.n)
     try:
         scores = bic(score_input, ds), bice(score_input, de)
     except OverflowError as exc:
-        print(f"error: score out of float range: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure(f"score out of float range: {exc}") from None
     print(f"ds={ds}\nde={de}\nbic={scores[0]}\nbice={scores[1]}")
     return 0
 
@@ -322,29 +323,22 @@ def run(argv: Sequence[str]) -> int:
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--loglik":
             argv[i : i + 2] = [f"--loglik={argv[i + 1]}"]
-    try:
-        args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        model = _load_model(args.model)
-    except (OSError, ModelParseError, InvalidModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     commands = {"dims": _run_dims, "score": _run_score, "regularize": _run_regularize}
     try:
-        return commands[args.command](args, model)
+        args = _build_parser().parse_args(argv)
+        return commands[args.command](args, _load_model(args.model))
     except CellLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _error(exc, 4)
+    except (_Failure, OSError, ModelParseError, InvalidModelError) as exc:
+        return _error(exc, 1)
 
 
 def main() -> None:
     # stdout waits for the command's code, which a closed stdout keeps if nonzero
     held, code = io.StringIO(), 1
     try:
-        with contextlib.redirect_stdout(held):
+        with contextlib.redirect_stdout(held), warnings.catch_warnings():
+            warnings.showwarning = lambda m, *_: print(f"warning: {m}", file=sys.stderr)
             code = run(sys.argv[1:])
     except SystemExit as exc:  # argparse exits from inside run after --help
         code = exc.code
@@ -354,6 +348,5 @@ def main() -> None:
         except BrokenPipeError:
             # Python flushes stdout again at exit: point it at devnull first.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print("error: stdout closed before the output was written", file=sys.stderr)
-            code = code or 1
+            code = _error("stdout closed before the output was written", code or 1)
     sys.exit(code)

@@ -136,7 +136,9 @@ def validate(model: TreeModel) -> list[str]:
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
     for var in model.variables:
-        if var.cardinality < 1:
+        if type(var.cardinality) is not int:  # not isinstance: a bool is no count
+            errors.append(f"variable {var.name!r}: cardinality must be an int")
+        elif var.cardinality < 1:
             errors.append(f"variable {var.name!r}: cardinality must be >= 1")
         if var.id in seen_ids:
             errors.append(f"duplicate variable id {var.id}")

@@ -152,6 +152,48 @@ def random_hlc_model(
     return build_model(specs, edges)
 
 
+def glued_model(
+    pieces: Sequence[TreeModel], rng: random.Random
+) -> tuple[TreeModel, dict[int, int]]:
+    """Glue ``pieces`` into one tree by identifying observed variables.
+
+    Each piece after the first shares one of its observed variables with
+    an observed variable of matching cardinality in an earlier piece, the
+    pair drawn at random; a shared variable keeps the earlier piece's name,
+    and every other variable of piece ``j`` is renamed ``P<j>.<name>``.
+    Returns the glued model and, for each shared variable's id in it, the
+    number ``d`` of pieces that hold it.  By the observed-cut step of the
+    decomposition, the glued model's dimensions are those of the pieces
+    summed, less ``(d - 1) * (cardinality - 1)`` per shared variable.
+    Raises ``IndexError`` if some piece has no observed variable that
+    matches an earlier one.
+    """
+    variables: list[Variable] = []
+    edges: list[tuple[int, int]] = []
+    holders: dict[int, int] = {}  # glued id of each observed variable -> pieces
+    for j, piece in enumerate(pieces):
+        ids = {}
+        if j:
+            matches = [
+                (v.id, glued)
+                for v in piece.observed_variables
+                for glued in holders
+                if variables[glued].cardinality == v.cardinality
+            ]
+            own, glued = rng.choice(matches)
+            ids[own] = glued
+            holders[glued] += 1
+        for v in piece.variables:
+            if v.id not in ids:
+                ids[v.id] = len(variables)
+                variables.append(replace(v, id=len(variables), name=f"P{j}.{v.name}"))
+                if v.observed:
+                    holders[ids[v.id]] = 1
+        edges += [(ids[a], ids[b]) for a, b in piece.edges]
+    shared = {glued: d for glued, d in holders.items() if d > 1}
+    return TreeModel(tuple(variables), tuple(edges)), shared
+
+
 def structural_signature(model: TreeModel):
     """Name-based structure, independent of variable ids."""
     names = {v.id: v.name for v in model.variables}

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from support import (
     collapsed_hierarchy,
+    glued_model,
     latent_class_model,
     jacobian_weights,
     random_hlc_model,
@@ -59,6 +60,9 @@ HLC_KEYSTONE_COUNT = 50
 # Fifth keystone set: HLC trees past the oracle's former 256-parameter cap.
 WIDE_HLC_KEYSTONE_SEED = 20261023
 WIDE_HLC_KEYSTONE_COUNT = 5
+# Sixth keystone set: HLC pieces glued at observed variables into one model.
+GLUED_KEYSTONE_SEED = 20261020
+GLUED_PIECES = 50
 
 
 @functools.cache
@@ -345,6 +349,54 @@ def test_criterion_3g_hlc_oracle_keystone_past_the_old_parameter_cap(capsys):
         f"{len(mismatches)} mismatches in {elapsed:.1f}s",
     )
     assert ok, mismatches
+
+
+def test_criterion_3h_glued_keystone_past_the_oracle_reach(capsys):
+    # Identifying an observed variable of cardinality r across d pieces
+    # subtracts (d - 1)(r - 1) from the summed dimensions (the observed-cut
+    # step), so the oracle checks a model of ds about 3,500, far past its
+    # own reach, one piece at a time; the pipeline never sees the pieces.
+    start = time.perf_counter()
+    rng = random.Random(GLUED_KEYSTONE_SEED)
+    pieces = [random_hlc_model(rng, latents=(2, 8)) for _ in range(GLUED_PIECES)]
+    model, shared = glued_model(pieces, rng)
+    cut = sum((d - 1) * (model.variable(v).cardinality - 1) for v, d in shared.items())
+    oracle_de = sum(
+        oracle_effective_dimension(piece, trials=1, seed=i)
+        for i, piece in enumerate(pieces)
+    )
+    result = effective_dimension(model, RankPolicy(trials=2))
+    ds = sum(standard_dimension(piece) for piece in pieces) - cut
+    ledger = result.ledger
+    deficient = sum(
+        de < min(standard_dimension(c.star), math.prod(k for _, k in c.neighbors) - 1)
+        for c, de in zip(ledger.lc_components, result.component_dimensions)
+    )
+    floors = {
+        "shared by three or more pieces": sum(d >= 3 for d in shared.values()),
+        "shared and internal to a piece": sum(
+            model.degree(v) > d for v, d in shared.items()
+        ),
+        "pieces that regularize": sum(bool(regularize(p)[1]) for p in pieces),
+        "deficient components": deficient,
+    }
+    elapsed = time.perf_counter() - start
+    ok = (
+        result.effective_dimension == oracle_de - cut
+        and result.standard_dimension == ds
+        and all(floors.values())
+        and elapsed < 60.0
+    )
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(pieces)} glued HLC pieces, ds {result.standard_dimension}, de "
+        f"{result.effective_dimension} vs {oracle_de} - {cut} from the oracle; "
+        + ", ".join(f"{count} {what}" for what, count in floors.items())
+        + f", in {elapsed:.1f}s",
+    )
+    assert ok, (result.effective_dimension, oracle_de - cut, floors)
 
 
 def test_criterion_3f_oracle_equals_the_reference_oracle(capsys):

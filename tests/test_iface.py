@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -18,6 +19,9 @@ from treedim.iface import serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LONG = "x" * 5000
+DIGITS = "9" * 5001
+M1 = str(FIXTURES / "m1.model")
+SCORE = ["score", M1, "--loglik", "-5", "--n", "9", "--de", "43"]
 
 
 class TestParseModel:
@@ -290,6 +294,64 @@ class TestCli:
             assert captured.err == f"error: {message}\n"
         assert run(["score", m1, "--n", "100", "--loglik"]) == 1
         assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, start",
+        [
+            (["dims", M1, "--seed", DIGITS], "argument --seed: invalid int value"),
+            (["dims", M1, "--trials", DIGITS], "argument --trials: invalid integer"),
+            ([*SCORE, "--n", DIGITS], "argument --n: invalid integer '999"),
+            ([*SCORE, "--loglik", DIGITS], "argument --loglik: must be finite"),
+            ([*SCORE, "--de", DIGITS], "argument --de: invalid integer '999"),
+            (["dims", M1, f"--bogus{DIGITS}"], "unrecognized arguments: --bogus999"),
+            (["dims", DIGITS], "[Errno "),
+        ],
+        ids=["seed", "trials", "n", "loglik", "de", "bogus", "path"],
+    )
+    def test_a_long_flag_value_is_cut(self, args, start, capsys):
+        # A 5,001-digit token is not echoed whole, whatever message echoes it.
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {start}")
+        assert captured.err.endswith("...\n") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
+
+    @pytest.mark.parametrize(
+        "args, end",
+        [
+            (["dims", M1, "x\ny"], "unrecognized arguments: x\\ny"),
+            (["dims", M1, "x\r\ny\r"], "unrecognized arguments: x\\ny\\n"),
+            ([*SCORE, "--loglik", "inf\n"], "must be finite, got inf\\n"),
+            ([*SCORE, "--loglik", "\n-inf"], "must be finite, got \\n-inf"),
+        ],
+        ids=["argument", "crlf", "loglik-after", "loglik-before"],
+    )
+    def test_a_line_break_in_a_message_is_escaped(self, args, end, capsys):
+        # float() strips whitespace, but the message echoes the raw token:
+        # each line break in it prints as \n, on the one error: line.
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f"{end}\n")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_positive_loglik_is_one_warning_line(self, monkeypatch, capsys):
+        # API callers, run included, get ScoreInput's UserWarning; main, as
+        # a user runs it, prints it as one warning: line.
+        args = ["score", M1, "--n", "3", "--loglik", "5"]
+        message = "positive log-likelihood is impossible for discrete data"
+        with pytest.warns(UserWarning, match=message):
+            assert run(args) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["treedim", *args])
+        with pytest.raises(SystemExit) as exit_info:
+            treedim.iface.main()
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and expected.startswith("ds=45\nde=43\n")
+        assert captured.err == f"warning: {message}\n"
 
     def test_cell_limit_exit_code(self, capsys, monkeypatch, tmp_path):
         model = tmp_path / "strassen.model"
@@ -668,3 +730,39 @@ class TestCliFuzz:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
             codes.add(code)
         assert codes == {0, 1, 2, 4}
+
+    # Invalid values only: a valid --trials of thousands of digits runs for as
+    # long as it is let.  Each ends in exit 1 after one short error: line.
+    BAD = {
+        "--seed": ("x", "1.5", "0x10", DIGITS),
+        "--trials": ("0", "-3", "x", "2.5", DIGITS),
+        "--n": ("0", "-1", "x", "1e3", DIGITS),
+        "--loglik": ("inf", "-inf", "nan", "x", "1e999", DIGITS),
+        "--de": ("-1", "x", "46", DIGITS),
+        "--bogus": ("", "x", DIGITS),
+        "path": ("no-such.model", "", ".", DIGITS),
+    }
+    BREAKS = (" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x85", "\u2028")
+
+    def test_malformed_flag_values_end_in_one_error_line(self, capsys):
+        rng = random.Random(0)
+        for flag, cores in self.BAD.items():
+            for core, space in itertools.product(cores, ("", *self.BREAKS)):
+                at = rng.choice((0, len(core), rng.randint(0, len(core))))
+                token = core[:at] + space + core[at:]
+                if flag in SCORE:
+                    i = SCORE.index(flag) + 1
+                    args = [*SCORE[:i], token, *SCORE[i + 1 :]]
+                elif flag == "--bogus":
+                    args = ["dims", M1, f"--bogus{token}"]
+                elif flag == "path":
+                    args = [rng.choice(("dims", "regularize")), token]
+                else:
+                    args = ["dims", M1, flag, token]
+                code = run(args)
+                captured = capsys.readouterr()
+                assert code == 1, args
+                assert captured.out == ""
+                err = captured.err
+                assert err.startswith("error: ") and err.endswith("\n"), args
+                assert len(err.splitlines()) == 1 and len(err) < 200, args

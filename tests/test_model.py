@@ -189,6 +189,28 @@ class TestValidate:
         with pytest.raises(InvalidModelError, match="disconnected"):
             replace(model, edges=model.edges[1:])
 
+    def test_a_cardinality_that_is_not_an_int_is_refused(self):
+        # A float, str, None or bool is no count of states: the model is
+        # refused as invalid, never with a TypeError from a comparison.
+        ab = (Variable(0, "A", 2.5, True), Variable(1, "B", 2, True))
+        with pytest.raises(InvalidModelError) as caught:
+            TreeModel(ab, ((0, 1),))
+        assert caught.value.errors == ["variable 'A': cardinality must be an int"]
+        bad = (2.5, 2.0, "3", None, True, False, 3 + 0j, b"2", [2])
+        rng = random.Random(26)
+        for _ in range(300):
+            model = random_tree_model(rng, max_vars=9, max_latent=4)
+            victim = rng.choice(model.variables)
+            card = rng.choice(bad)
+            variables = tuple(
+                replace(v, cardinality=card) if v is victim else v
+                for v in model.variables
+            )
+            with pytest.raises(InvalidModelError) as caught:
+                TreeModel(variables, model.edges)
+            message = f"variable {victim.name!r}: cardinality must be an int"
+            assert caught.value.errors == [message], (model, card)
+
 
 class TestStandardDimension:
     def test_two_branch_hierarchy(self):

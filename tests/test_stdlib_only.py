@@ -142,8 +142,8 @@ def test_one_cost_limit_shared_by_both_engines():
     assert named.isdisjoint({"CELL_LIMIT", "_figure"})
 
 
-def _callers(tree: ast.AST, name: str) -> list[str]:
-    """Dotted name of the enclosing function of each call to ``name``."""
+def _scopes(tree: ast.AST, match) -> list[str]:
+    """Dotted name of the enclosing scope of each node that ``match`` accepts."""
     found = []
 
     def visit(node, scope):
@@ -151,14 +151,24 @@ def _callers(tree: ast.AST, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, [*scope, child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func  # a Name has an id, an Attribute an attr
-                if getattr(func, "id", getattr(func, "attr", None)) == name:
-                    found.append(".".join(scope))
+            if match(child):
+                found.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, [])
     return found
+
+
+def _callers(tree: ast.AST, name: str) -> list[str]:
+    """Dotted name of the enclosing function of each call to ``name``."""
+
+    def calls(node):  # a Name has an id, an Attribute an attr
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name == getattr(
+            func, "id", getattr(func, "attr", None)
+        )
+
+    return _scopes(tree, calls)
 
 
 def test_validity_is_checked_once_at_construction():
@@ -173,3 +183,20 @@ def test_validity_is_checked_once_at_construction():
     tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
     assert _callers(tree, "require_valid") == ["TreeModel.__post_init__"]
     assert _callers(tree, "validate") == ["require_valid"]
+
+
+def test_one_writer_of_error_lines():
+    # Every CLI failure goes through iface._error, which escapes line breaks
+    # and cuts a long message: no other code spells out an error: line.
+    def spells(node):  # an f-string's literal parts are constants too
+        value = getattr(node, "value", None)
+        return isinstance(value, str) and value.startswith("error: ")
+
+    sources = sorted(PACKAGE.glob("*.py"))
+    found = {
+        p.name: _scopes(ast.parse(p.read_text(encoding="utf-8")), spells)
+        for p in sources
+    }
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "iface.py": ["_error"]
+    }
