@@ -58,10 +58,9 @@ def parse_model(text: str) -> TreeModel:
     edges: list[tuple[int, int]] = []
 
     for line_number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "var":
             if len(tokens) != 4:
@@ -251,7 +250,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_model(path_text: str) -> TreeModel:
-    data = Path(path_text).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
+    try:  # a NUL or a lone surrogate in the path is a ValueError, not an OSError
+        data = Path(path_text).read_bytes().removeprefix(b"\xef\xbb\xbf")  # UTF-8 BOM
+    except ValueError as exc:
+        raise _Failure(f"cannot read {path_text!r}: {exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -333,45 +333,39 @@ def lc_jacobian_at(
     return jacobian(component.star, point, weights)
 
 
-def _trial_rank(component: "LcComponent", rng: random.Random) -> int:
-    """Jacobian rank at a point drawn from ``rng``, from ``b`` functionals.
-
-    No rank exceeds b = min(columns n, joint states - 1), so the gradients
-    of b random functionals keep the rank of the whole Jacobian but with
-    probability at most deg * mu (see the module docstring).  A component
-    of b * n cells over ``CELL_LIMIT`` raises :class:`CellLimitError`
-    before any draw.  A one-state latent makes its neighbors independent,
-    each with a free marginal, so that rank is b = n; a Jacobian with no
-    rows, b = 0, has rank 0.  Both are returned without a draw.
-    """
-    cards = [card for _, card in component.neighbors]
-    n = sum(b * (c - 1) for b, c in _shapes(component.star))
-    bound = min(n, capped_product(cards, n + 1) - 1)
-    if component.latent_cardinality == 1 or bound == 0:
-        return bound
-    what = f"rank of latent cardinality {_figure(component.latent_cardinality)}"
-    distinct = ", ".join(map(_figure, sorted(set(cards))))
-    what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
-    check_cells(what, bound, n)
-    point = sample_lc_point(component, rng)
-    weights = _functionals(rng, cards, bound)
-    return exact_rank(lc_jacobian_at(component, point, weights))
-
-
 def lc_rank_trials(
     component: "LcComponent", trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> tuple[int, ...]:
     """Jacobian rank at one random point of GF(PRIME) per trial.
 
-    A specific point can only under-estimate the almost-everywhere rank,
-    so callers take the maximum; disagreeing trials are logged.
+    No rank exceeds b = min(columns n, joint states - 1), so each trial
+    ranks the gradients of b random functionals, which keep the rank of
+    the whole Jacobian but with probability at most deg * mu (see the
+    module docstring).  A component of b * n cells over ``CELL_LIMIT``
+    raises :class:`CellLimitError` before any draw.  A one-state latent
+    makes its neighbors independent, each with a free marginal, so that
+    rank is b = n; a Jacobian with no rows, b = 0, has rank 0.  Both are
+    returned for every trial without a draw.  A specific point can only
+    under-estimate the almost-everywhere rank, so callers take the
+    maximum; disagreeing trials are logged.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cards = [card for _, card in component.neighbors]
+    n = sum(b * (c - 1) for b, c in _shapes(component.star))
+    bound = min(n, capped_product(cards, n + 1) - 1)
+    if component.latent_cardinality == 1 or bound == 0:
+        return (bound,) * trials
+    what = f"rank of latent cardinality {_figure(component.latent_cardinality)}"
+    distinct = ", ".join(map(_figure, sorted(set(cards))))
+    what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
+    check_cells(what, bound, n)
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        ranks.append(_trial_rank(component, rng))
+        point = sample_lc_point(component, rng)
+        weights = _functionals(rng, cards, bound)
+        ranks.append(exact_rank(lc_jacobian_at(component, point, weights)))
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",

@@ -516,6 +516,30 @@ def reference_lc_rank(component, rng: random.Random) -> int:
     raise CellLimitError(f"needs {size} rows > {REFERENCE_ROW_LIMIT}")
 
 
+def flattening_bound(latent_card: int, cards: Sequence[int]) -> int:
+    """Upper bound on a latent-class component's dimension from flattenings.
+
+    Grouping the neighbors into two sides with joint state counts k1 and k2
+    writes the joint as a k1 x k2 matrix of rank at most m = min(c, k1, k2),
+    ``c`` the latent cardinality.  Such matrices form a variety of dimension
+    m(k1 + k2 - m), and entries that sum to one lose one more, so the
+    dimension is at most m(k1 + k2 - m) - 1 for every split of the neighbors
+    of two or more states.  Returns the minimum over those splits; the split
+    with an empty side gives the joint-state bound k1 * k2 - 1, and is the
+    only one when fewer than two neighbors have two or more states.  Shares
+    no code with the rank engines.
+    """
+    first, *rest = [card for card in cards if card >= 2] or [1]
+    bounds = []
+    # The first neighbor stays on the left, so each split is taken once.
+    for mask in range(2 ** len(rest)):
+        k1 = first * math.prod(c for i, c in enumerate(rest) if mask >> i & 1)
+        k2 = first * math.prod(rest) // k1
+        m = min(latent_card, k1, k2)
+        bounds.append(m * (k1 + k2 - m) - 1)
+    return min(bounds)
+
+
 def reference_prune_latent_leaves(model: TreeModel):
     """Latent-leaf pruning as ``treedim.decompose.prune_latent_leaves`` did
     it before its layered worklist: one pass per layer of latent leaves,

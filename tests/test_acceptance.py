@@ -15,6 +15,7 @@ from pathlib import Path
 
 from support import (
     collapsed_hierarchy,
+    flattening_bound,
     glued_model,
     latent_class_model,
     jacobian_weights,
@@ -39,6 +40,8 @@ from treedim.decompose import (
     LcComponent,
     Term,
     combine,
+    decompose_hlc,
+    prune_latent_leaves,
 )
 from treedim.model import check_regular, regularize, standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
@@ -397,6 +400,45 @@ def test_criterion_3h_glued_keystone_past_the_oracle_reach(capsys):
         + f", in {elapsed:.1f}s",
     )
     assert ok, (result.effective_dimension, oracle_de - cut, floors)
+
+
+def test_criterion_3i_lc_ranks_within_the_flattening_bound(capsys):
+    # A latent-class component's joint, flattened along any split of its
+    # neighbors, is a matrix of rank at most c, so its dimension is at most
+    # support.flattening_bound, a bound that shares no code with the engines.
+    # Every distinct signature in the keystone sets is checked against it,
+    # after prune and regularize as the pipeline ranks them.
+    start = time.perf_counter()
+    signatures = set()
+    for models in [*KEYSTONE_SETS.values(), wide_hlc_keystone_models]:
+        for model in models():
+            regular, _ = regularize(prune_latent_leaves(model)[0])
+            signatures.update(
+                (c.latent_cardinality, tuple(sorted(k for _, k in c.neighbors)))
+                for c in decompose_hlc(regular)[0]
+                if c.latent_cardinality >= 2
+            )
+    over, deficient, proven = [], 0, 0
+    for card, cards in sorted(signatures):
+        component = LcComponent(0, card, tuple(enumerate(cards)))
+        b = min(standard_dimension(component.star), math.prod(cards) - 1)
+        bound = flattening_bound(card, cards)
+        de = max(lc_rank_trials(component, trials=2))
+        if de > min(b, bound):
+            over.append((card, cards, de, b, bound))
+        deficient += de < b
+        proven += de == bound < b
+    elapsed = time.perf_counter() - start
+    ok = not over and len(signatures) >= 100 and proven and elapsed < 60.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{len(signatures)} keystone signatures with c >= 2 within the flattening "
+        f"bound; {deficient} deficient, {proven} of them proven by it, in "
+        f"{elapsed:.1f}s",
+    )
+    assert ok, over
 
 
 def test_criterion_3f_oracle_equals_the_reference_oracle(capsys):

@@ -256,6 +256,20 @@ class TestCli:
         assert run(["dims", "no-such-file.model"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["a\x00b.model", "a\ud800b.model"])
+    @pytest.mark.parametrize(
+        "command", [["dims"], ["score", "--loglik", "-5", "--n", "9"], ["regularize"]]
+    )
+    def test_an_unusable_model_path_is_one_error_line(self, command, path, capsys):
+        # Path.read_bytes raises ValueError on a NUL or a lone surrogate; a
+        # shell passes neither, but an API caller of run can.
+        name, *flags = command
+        assert run([name, path, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path!r}: ")
+        assert err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         m1 = str(FIXTURES / "m1.model")
         for args in [

@@ -10,6 +10,7 @@ import pytest
 from support import (
     all_states,
     bumped_points,
+    flattening_bound,
     full_lc_jacobian,
     indicator_weights,
     latent_class_model,
@@ -372,6 +373,17 @@ class TestLcEffectiveDimension:
         neighbors = tuple((i + 1, c) for i, c in enumerate(leaves))
         component = LcComponent(0, card, neighbors)
         assert max(lc_rank_trials(component, trials=3)) == expected
+
+    @pytest.mark.parametrize(
+        "card,leaves,expected",
+        [(4, (2, 3, 5), 27), (5, (2, 4, 6), 44), (3, (2, 2, 4), 14)],
+    )
+    def test_ranks_proven_by_a_flattening(self, card, leaves, expected):
+        # Below the row bound b, and equal to support.flattening_bound.
+        component = LcComponent(0, card, tuple(enumerate(leaves)))
+        b = min(standard_dimension(component.star), math.prod(leaves) - 1)
+        assert flattening_bound(card, leaves) == expected < b
+        assert max(lc_rank_trials(component, trials=2)) == expected
 
     def test_bounded_by_parameters_and_joint_size(self):
         rng = random.Random(777)

@@ -185,6 +185,25 @@ def test_validity_is_checked_once_at_construction():
     assert _callers(tree, "validate") == ["require_valid"]
 
 
+def test_each_engine_ranks_in_one_function():
+    # Each engine settles its row bound and the cell-limit refusal once per
+    # call, before any draw, in the function that runs its trials.
+    callers = {}
+    for name in ("rank.py", "oracle.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        callers[name] = {f: _callers(tree, f) for f in ("exact_rank", "check_cells")}
+    assert callers == {
+        "rank.py": {
+            "exact_rank": ["lc_rank_trials"],
+            "check_cells": ["lc_rank_trials"],
+        },
+        "oracle.py": {
+            "exact_rank": ["oracle_effective_dimension"],
+            "check_cells": ["oracle_effective_dimension"],
+        },
+    }
+
+
 def test_one_writer_of_error_lines():
     # Every CLI failure goes through iface._error, which escapes line breaks
     # and cuts a long message: no other code spells out an error: line.
