@@ -323,7 +323,7 @@ def run(argv: Sequence[str]) -> int:
     """Run the command line; returns the process exit code."""
     argv = list(argv)  # argparse reads a token like -1.5e4 as an option name
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--loglik":
+        if len(argv[i]) > 2 and "--loglik".startswith(argv[i]):  # or a prefix
             argv[i : i + 2] = [f"--loglik={argv[i + 1]}"]
     commands = {"dims": _run_dims, "score": _run_score, "regularize": _run_regularize}
     try:

@@ -211,6 +211,20 @@ def capped_product(values, cap: int) -> int:
     return product
 
 
+def neighbor_bound(card: int, cards) -> int:
+    """``prod(cards) // max(cards)`` if at most ``card``, else above ``card``.
+
+    A prefix's bound never falls as a neighbor joins, so ``cards`` (each >= 1)
+    is read only until the bound passes ``card``; two neighbors are exact.
+    """
+    product = top = 1
+    for x in cards:
+        product, top = product * x, x if x > top else top
+        if product > card * top:
+            break
+    return product // top
+
+
 def check_regular(model: TreeModel) -> list[RegularityViolation]:
     """Report every latent node whose cardinality exceeds its bound.
 
@@ -223,9 +237,7 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     violations: list[RegularityViolation] = []
     for var in model.latent_variables:  # every one has a neighbor: n >= 2
         nbrs = [by_id[x] for x in adjacency[var.id]]
-        cards = [x.cardinality for x in nbrs]
-        # exact whenever var can break it, and always for two neighbors
-        bound = capped_product(cards, var.cardinality * max(cards)) // max(cards)
+        bound = neighbor_bound(var.cardinality, (x.cardinality for x in nbrs))
         if var.cardinality > bound:
             violations.append(RegularityViolation(var.id, "bound", bound))
         elif var.cardinality == bound and len(nbrs) == 2:
@@ -244,16 +256,6 @@ class RegularizationStep:
     joined: Optional[tuple[int, int]] = None
     old_cardinality: Optional[int] = None
     new_cardinality: Optional[int] = None
-
-
-def _rewrite(var: Variable, nbrs: list[Variable]) -> Optional[int]:
-    """The cardinality a latent is rewritten to: 0 for a removal, its
-    neighbor bound for a reduction, None when neither rule acts."""
-    cards = [x.cardinality for x in nbrs]
-    if len(cards) == 2 and var.cardinality >= min(cards):
-        return 0
-    bound = capped_product(cards, var.cardinality * max(cards)) // max(cards)
-    return bound if var.cardinality > bound else None
 
 
 def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, ...]]:
@@ -276,31 +278,32 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
 
     Cost: a model that needs no step costs one read-only scan and is
     returned as is.  Otherwise candidate ids wait in a min-heap, each pop
-    costs O(degree of the popped node + log n) plus the bound's product,
-    and one model is built at the end.  A step pushes the node's latent
-    neighbors again, so a latent hub rewritten through many of its latent
-    neighbors is re-checked once per step and still costs O(degree^2).
+    costs O(log n) plus the neighbors :func:`neighbor_bound` reads, and
+    one model is built at the end.  A latent hub re-checked after each
+    step of a neighbor reads few neighbors, unless most have one state.
     """
     var, nbrs = model._by_id, model._adjacency  # copied at the first step
     heap = [v.id for v in model.latent_variables]  # ascending ids: a heap
     log: list[RegularizationStep] = []
     while heap:
         vid = heapq.heappop(heap)
-        new = _rewrite(var[vid], [var[x] for x in nbrs[vid]]) if vid in var else None
-        if new is None:
+        if vid not in var:
             continue
+        v, touched = var[vid], nbrs[vid]  # no step edits the set of vid itself
+        bound = neighbor_bound(v.cardinality, (var[x].cardinality for x in touched))
+        if v.cardinality < bound or v.cardinality == bound and len(touched) != 2:
+            continue  # neither rule acts
         if not log:
             var, nbrs = dict(var), {x: set(others) for x, others in nbrs.items()}
-        v, touched = var[vid], nbrs[vid]
-        if new == 0:
+        if len(touched) == 2:  # two neighbors: the bound is the smaller one
             a, b = sorted(touched)
             nbrs[a] ^= {vid, b}  # a swaps vid for b, and b swaps vid for a
             nbrs[b] ^= {vid, a}
             del var[vid], nbrs[vid]
             step = RegularizationStep("remove", vid, v.name, joined=(a, b))
         else:
-            var[vid] = replace(v, cardinality=new)
-            step = RegularizationStep("reduce", vid, v.name, None, v.cardinality, new)
+            var[vid] = replace(v, cardinality=bound)
+            step = RegularizationStep("reduce", vid, v.name, None, v.cardinality, bound)
         log.append(step)
         # Only these can start to act (a reduced node stays at its bound),
         # so the first pop that acts is always the lowest-id acting node.

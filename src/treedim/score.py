@@ -30,21 +30,17 @@ class ScoreInput:
             )
 
 
-def _penalized(score_input: ScoreInput, dimension: int) -> float:
-    if dimension < 0:
+def bic(score_input: ScoreInput, model_dimension: int) -> float:
+    """Log-likelihood penalized by the standard (parameter-count) dimension."""
+    if model_dimension < 0:
         raise ValueError("model dimension must be >= 0")
     log_n = math.log(score_input.sample_size)
-    penalty = dimension * log_n / 2.0 if log_n else 0.0  # OverflowError past 2**1024
+    penalty = model_dimension * log_n / 2 if log_n else 0.0  # OverflowError > 2**1024
     if penalty == math.inf:  # the dimension fits a float, the product does not
         raise OverflowError("dimension times log N overflows")
     return score_input.loglik - penalty
 
 
-def bic(score_input: ScoreInput, model_dimension: int) -> float:
-    """Log-likelihood penalized by the standard (parameter-count) dimension."""
-    return _penalized(score_input, model_dimension)
-
-
 def bice(score_input: ScoreInput, effective_dimension: int) -> float:
     """Log-likelihood penalized by the effective (Jacobian-rank) dimension."""
-    return _penalized(score_input, effective_dimension)
+    return bic(score_input, effective_dimension)

@@ -292,7 +292,11 @@ class TestCli:
         m1 = str(FIXTURES / "m1.model")
         expected = None
         for value in ("-15000", "-1.5e4", "-1.5E+04", "-15e3", "-.15e5"):
-            for loglik in (["--loglik", value], [f"--loglik={value}"]):
+            for loglik in (
+                ["--loglik", value],
+                [f"--loglik={value}"],
+                ["--logl", value],  # argparse takes a prefix of an option name
+            ):
                 args = ["score", m1, "--n", "100", *loglik, "--de", "43"]
                 assert run(args) == 0, args
                 captured = capsys.readouterr()

@@ -31,6 +31,7 @@ from treedim import (
 from treedim.model import (
     capped_product,
     check_regular,
+    neighbor_bound,
     regularize,
     standard_dimension,
     validate,
@@ -338,6 +339,54 @@ class TestCappedProduct:
             steps += len(got[1])
             huge += sum((s.new_cardinality or 0) > 2**64 for s in got[1])
         assert steps > 500 and huge > 15  # coverage floors
+
+
+def _settled_at(card: int, cards: list[int]):
+    """Length of the shortest prefix whose bound passes ``card``, if any."""
+    for k in range(1, len(cards) + 1):
+        if math.prod(cards[:k]) > card * max(cards[:k]):
+            return k
+    return None
+
+
+class TestNeighborBound:
+    def _cases(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            cards = [
+                rng.choice((1, 1, 2, 3, 4, 6, 7 ** rng.randint(1, 60)))
+                for _ in range(rng.randint(1, 9))
+            ]
+            exact = math.prod(cards) // max(cards)
+            near = (exact - 1, exact, exact + 1, rng.randint(1, 2 * exact))
+            yield max(rng.choice((*near, rng.randint(1, 12))), 1), cards, exact
+
+    def test_exact_up_to_card_and_above_it_otherwise(self):
+        short = above = 0
+        for card, cards, exact in self._cases(2800, 3000):
+            got = neighbor_bound(card, iter(cards))
+            if exact <= card or len(cards) <= 2:
+                assert got == exact, (card, cards)
+                short += len(cards) <= 2 and exact > card
+            else:
+                assert card < got <= exact, (card, cards)
+                above += got < exact
+        assert short > 30 and above > 250  # coverage floors
+
+    def test_reads_no_neighbor_past_the_one_that_settles_it(self):
+        def feed(cards, k):
+            yield from cards[:k]
+            raise AssertionError("read past the settling neighbor")
+
+        early = 0
+        for card, cards, exact in self._cases(2801, 3000):
+            k = _settled_at(card, cards)
+            if k is None:
+                assert neighbor_bound(card, iter(cards)) == exact
+                continue
+            assert neighbor_bound(card, feed(cards, k)) > card, (card, cards)
+            early += k < len(cards)
+        assert early > 400  # coverage floor
 
 
 class TestRegularize:

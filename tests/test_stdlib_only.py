@@ -66,7 +66,8 @@ def test_no_joint_state_enumeration_in_the_runtime():
 
 def test_every_cardinality_product_is_capped():
     # A full product of huge cardinalities takes seconds: every bound goes
-    # through model.capped_product, which stops once the answer is settled.
+    # through model.capped_product or model.neighbor_bound, which stop once
+    # the answer is settled.
     sources = sorted(PACKAGE.glob("*.py"))
     uses = {path.name: _uses(path, "math", "prod") for path in sources}
     assert {name: lines for name, lines in uses.items() if lines} == {}
@@ -202,6 +203,15 @@ def test_each_engine_ranks_in_one_function():
             "check_cells": ["oracle_effective_dimension"],
         },
     }
+
+
+def test_one_neighbor_bound():
+    # check_regular and regularize share one neighbor bound: no other code
+    # in model.py takes a max of cardinalities or multiplies them out.
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "neighbor_bound") == ["check_regular", "regularize"]
+    assert _callers(tree, "max") == []
+    assert _callers(tree, "capped_product") == []
 
 
 def test_one_writer_of_error_lines():
