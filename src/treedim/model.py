@@ -51,7 +51,8 @@ class TreeModel:
     pairs in sorted order, so models built from the same structure compare
     equal regardless of the order used at construction time.  Variable ids
     are stable across transformations: removed ids are retired, never
-    reused.  Lookups by id go through an index built on first use.
+    reused.  Construction builds the indexes by id, the adjacency and the
+    observed and latent variables once, before validating.
     Construction raises :class:`InvalidModelError`, with every error
     :func:`validate` finds, unless the model is a tree with an observed node.
     """
@@ -60,33 +61,30 @@ class TreeModel:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ordered = sorted(self.variables, key=lambda v: v.id)
-        object.__setattr__(self, "variables", tuple(ordered))
-        normalized = sorted((a, b) if a < b else (b, a) for a, b in self.edges)
-        object.__setattr__(self, "edges", tuple(normalized))
+        ordered = tuple(sorted(self.variables, key=lambda v: v.id))
+        edges = tuple(sorted((a, b) if a < b else (b, a) for a, b in self.edges))
+        adjacency: dict[int, list[int]] = {v.id: [] for v in ordered}
+        for a, b in edges:  # sorted (low, high) pairs: every list fills ascending
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        self.__dict__.update(  # a frozen dataclass: set past __setattr__
+            variables=ordered,
+            edges=edges,
+            _by_id={v.id: v for v in ordered},
+            _adjacency={vid: tuple(nbrs) for vid, nbrs in adjacency.items()},
+            observed_variables=tuple(v for v in ordered if v.observed),
+            latent_variables=tuple(v for v in ordered if not v.observed),
+        )
         require_valid(self)
-
-    @cached_property
-    def _by_id(self) -> dict[int, Variable]:
-        return {v.id: v for v in self.variables}
-
-    @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        # Edges are sorted (low, high) pairs, so every list fills ascending.
-        out: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            out.setdefault(a, []).append(b)
-            out.setdefault(b, []).append(a)
-        return {vid: tuple(nbrs) for vid, nbrs in out.items()}
 
     @cached_property
     def _rooting(self):
         """Parent map, child lists and breadth-first order from the lowest id."""
         order, parents, children = [self.variables[0].id], {}, {}
-        for node in order:  # order grows as the search reaches new nodes
-            children[node] = [c for c in self.neighbors(node) if c != parents.get(node)]
-            parents.update(dict.fromkeys(children[node], node))
-            order.extend(children[node])
+        for vid in order:  # order grows as the search reaches new nodes
+            children[vid] = [c for c in self._adjacency[vid] if c != parents.get(vid)]
+            parents.update(dict.fromkeys(children[vid], vid))
+            order.extend(children[vid])
         return parents, children, order
 
     def variable(self, var_id: int) -> Variable:
@@ -101,14 +99,6 @@ class TreeModel:
 
     def degree(self, var_id: int) -> int:
         return len(self.neighbors(var_id))
-
-    @cached_property
-    def observed_variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if v.observed)
-
-    @cached_property
-    def latent_variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if v.latent)
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,7 @@ def validate(model: TreeModel) -> list[str]:
     if len(reached) < n:
         errors.append(f"disconnected: only {len(reached)} of {n} variables reachable")
 
-    if not any(v.observed for v in model.variables):
+    if not model.observed_variables:
         errors.append("no observed variable")
     return errors
 
@@ -279,10 +269,12 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
     Cost: a model that needs no step costs one read-only scan and is
     returned as is.  Otherwise candidate ids wait in a min-heap, each pop
     costs O(log n) plus the neighbors :func:`neighbor_bound` reads, and
-    one model is built at the end.  A latent hub re-checked after each
-    step of a neighbor reads few neighbors, unless most have one state.
+    one model is built at the end.  From the first step on, a bound reads
+    only the neighbors of two or more states (``wide``), so a latent hub
+    re-checked after each step of a neighbor reads few of them.
     """
     var, nbrs = model._by_id, model._adjacency  # copied at the first step
+    wide = nbrs  # copied too: then each node's neighbors of two or more states
     heap = [v.id for v in model.latent_variables]  # ascending ids: a heap
     log: list[RegularizationStep] = []
     while heap:
@@ -290,15 +282,18 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
         if vid not in var:
             continue
         v, touched = var[vid], nbrs[vid]  # no step edits the set of vid itself
-        bound = neighbor_bound(v.cardinality, (var[x].cardinality for x in touched))
+        bound = neighbor_bound(v.cardinality, (var[x].cardinality for x in wide[vid]))
         if v.cardinality < bound or v.cardinality == bound and len(touched) != 2:
             continue  # neither rule acts
         if not log:
             var, nbrs = dict(var), {x: set(others) for x, others in nbrs.items()}
+            wide = {x: {y for y in nbrs[x] if var[y].cardinality > 1} for x in nbrs}
         if len(touched) == 2:  # two neighbors: the bound is the smaller one
             a, b = sorted(touched)
-            nbrs[a] ^= {vid, b}  # a swaps vid for b, and b swaps vid for a
-            nbrs[b] ^= {vid, a}
+            for x, y in ((a, b), (b, a)):
+                nbrs[x] ^= {vid, y}  # x swaps vid for y
+                if var[y].cardinality > 1:
+                    wide[x].add(y)
             del var[vid], nbrs[vid]
             step = RegularizationStep("remove", vid, v.name, joined=(a, b))
         else:
@@ -308,6 +303,8 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
         # Only these can start to act (a reduced node stays at its bound),
         # so the first pop that acts is always the lowest-id acting node.
         for x in touched:
+            if vid not in var or bound == 1:  # vid is gone or has one state
+                wide[x].discard(vid)
             if not var[x].observed:
                 heapq.heappush(heap, x)
     if not log:

@@ -4,7 +4,7 @@ Ranks are exact, taken in GF(p), p = 2**61 - 1, of matrices given as
 rows of integers.  Elimination packs each row into one int, one
 fixed-width slot per column, wide enough that no carry crosses a slot,
 so a pivot is applied to a whole row by one big-int multiply-add;
-pivots are kept un-normalised, their slots only folded below 2p.
+pivots have unit leads, and a wide matrix is ranked as its transpose.
 
 No Jacobian is written out state by state.  A functional with one weight
 vector ``a_v`` per observed variable contracts the observed joint to
@@ -27,11 +27,14 @@ projection ``R J``, which can only lower the rank, and rank-one
 functionals span the dual of the joint space.  Each draw has point mass
 at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R``
 lose a rank up to ``k`` with probability at most deg * mu.  An unlucky
-draw can only err low; the maximum over trials is reported.
+draw can only err low; the maximum over trials is reported.  The
+elimination adds no error: scaling a pivot by the inverse of its non-zero
+lead, or transposing, keeps the rank over GF(p) exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -121,6 +124,7 @@ class _Slots:
         self.layout = struct.Struct("<" + f"Q{self.width // 8 - 8}x" * count)
         ones = self.ones = self.pack([1] * count)
         self.low, self.high = ones * PRIME, ones * ((1 << (self.width - 61)) - 1)
+        self.twop, self.mask = ones * 2 * PRIME, (1 << self.width) - 1
 
     def pack(self, values: Sequence[int]) -> int:
         return int.from_bytes(self.layout.pack(*values), "little")
@@ -133,50 +137,56 @@ class _Slots:
         return (vec & self.low) + ((vec >> 61) & self.high)
 
 
+@functools.lru_cache(maxsize=64)  # each: four ints of count * W bits and a struct
+def _layout(count: int, bits: int) -> _Slots:
+    return _Slots(count, bits)  # built once per shape, not per call
+
+
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over GF(PRIME) of a matrix given as rows of integers.
 
-    Entries must be integers.  Each row, reduced mod PRIME, is packed into
-    one int with a :class:`_Slots` slot per column, column 0 lowest, and
-    reduced left to right: the low slot is read mod PRIME, a pivot leading
-    there is applied to every slot at once by one multiply-add
-    ``vec += g * neg``, and the finished slot is shifted out.  A row whose
-    low slot survives becomes a pivot, stored un-normalised as the inverse
-    of its lead and ``neg = 2p - row`` per slot, its slots folded below 2p
-    so that ``neg`` slots lie in ``(0, 2**62)``.  Stops early once the
-    rank reaches min(m, n).
+    Entries must be integers.  A matrix with more columns than rows is
+    ranked as its transpose: ``n`` below is min(m, n).  Each row, reduced
+    mod PRIME, is packed into one int with a :class:`_Slots` slot per
+    column, column 0 lowest, and reduced left to right: the low slot is
+    read mod PRIME as ``f``, a pivot leading there is applied to every
+    slot at once by ``vec += f * neg``, and the finished slot is shifted
+    out.  A row whose low slot survives becomes a pivot, scaled to a unit
+    lead: ``neg = 2p - fold(fold(row) * f**-1)`` per slot, in ``(0, 2p]``,
+    with lead -1 mod PRIME.  Returns at the ``n``-th pivot, unscaled.
 
     No carry crosses a slot: a row starts below 2**61 per slot and sees
-    at most n updates, each adding ``g * neg < 2**61 * 2**62``, so slots
-    stay below ``2**(124 + n.bit_length())``.  Exact integer arithmetic
-    congruent mod PRIME gives the rank over GF(PRIME).
+    at most n updates, each adding ``f * neg < 2**61 * 2**62``, so slots
+    stay below ``2**(124 + n.bit_length())``, and a folded row times
+    ``f**-1`` below ``2**123``.  Exact integer arithmetic congruent mod
+    PRIME gives the rank over GF(PRIME).
     """
     n = len(rows[0]) if rows else 0
     for row in rows:
         if len(row) != n:
             raise ValueError(f"ragged matrix: row of length {len(row)}, expected {n}")
-    cap = min(len(rows), n)
-    if cap == 0:
+    if n > len(rows):  # after the check: zip would cut ragged rows short
+        rows, n = list(zip(*rows)), len(rows)
+    if n == 0:
         return 0
-    slots = _Slots(n, 124 + n.bit_length())
-    width, twop, mask = slots.width, slots.ones * 2 * PRIME, (1 << slots.width) - 1
-    basis: dict[int, tuple[int, int]] = {}  # lead column -> (1 / lead, 2p - pivot)
+    slots = _layout(n, 124 + n.bit_length())
+    width, twop, mask, fold = slots.width, slots.twop, slots.mask, slots.fold
+    basis: list[int | None] = [None] * n  # by lead: 2p - pivot, its lead scaled to 1
     for row in rows:
         vec = slots.pack(_residues(row))
         for lead in range(n):
             f = (vec & mask) % PRIME
             if f:
-                pivot = basis.get(lead)
-                if pivot is None:
-                    neg = (twop >> lead * width) - slots.fold(vec)
-                    basis[lead] = (pow(f, -1, PRIME), neg)
+                neg = basis[lead]
+                if neg is None:
+                    if basis.count(None) == 1:  # rank n: no row needs this pivot
+                        return n
+                    unit = fold(fold(vec) * pow(f, -1, PRIME))
+                    basis[lead] = (twop >> lead * width) - unit
                     break
-                inv, neg = pivot
-                vec += f * inv % PRIME * neg
+                vec += f * neg
             vec >>= width
-        if len(basis) == cap:
-            break
-    return len(basis)
+    return n - basis.count(None)
 
 
 def _functionals(rng: random.Random, cards: Sequence[int], k: int):
@@ -213,7 +223,7 @@ def _times(a, b):
 
 def _sums(slots, rows, vectors):
     """Packed ``sum_i row[i] * vectors[i]`` per row, slots folded below 2p."""
-    packed = [slots.pack(x) for x in vectors]
+    packed = list(map(slots.pack, vectors))
     return [slots.unpack(slots.fold(sum(map(mul, row, packed)))) for row in rows]
 
 
@@ -235,12 +245,12 @@ def _inside(order, children, tables, weights, k):
     # A sum in _sums adds at most c products of a table entry, below p, and
     # a vector entry, below 2p, c the largest cardinality: below c * 2**123.
     card = max(len(blocks[0]) for blocks in tables.values())
-    slots = _Slots(k, 123 + card.bit_length())
+    slots = _layout(k, 123 + card.bit_length())
     partial, up = {}, {}
     for v in reversed(order):
         factors = [up[c] for c in children[v]]
         if v in weights or not factors:
-            factors.append(weights.get(v, [[1] * k] * len(tables[v][0])))
+            factors.append(weights.get(v) or [[1] * k] * len(tables[v][0]))
         partial[v] = list(itertools.accumulate(factors, _times))
         up[v] = _sums(slots, tables[v], partial[v][-1])
     return partial, up, slots
@@ -262,7 +272,7 @@ def _gradient(order, children, tables, weights, partial, up, slots):
     for v in order:
         b, out, kids = partial[v][-1], outer[v], children[v]
         diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
-        grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
+        grad[v] = [[x * y % PRIME for x, y in zip(ox, d)] for ox in out for d in diffs]
         if not kids:
             continue
         # down[x]: the weight outside the subtrees of v's children at v = x

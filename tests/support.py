@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from treedim import TreeModel, Variable
@@ -30,6 +30,10 @@ from treedim.rank import (
     CellLimitError,
     _functionals,
     _inside,
+    _residues,
+    _Slots,
+    _sums,
+    _times,
     _weights,
     derive_seed,
     exact_rank,
@@ -225,6 +229,42 @@ def reference_rank(rows) -> int:
     return len(basis)
 
 
+def reference_packed_rank(rows) -> int:
+    """Rank over GF(PRIME) by the packed elimination with un-normalised pivots.
+
+    The version of ``treedim.rank.exact_rank`` before unit-lead pivots:
+    each pivot is stored as the inverse of its lead and ``2p - pivot``, a
+    step costs ``f * inv % PRIME`` on top of the multiply-add, the pivots
+    sit in a dict and a wide matrix is ranked as it is.
+    """
+    n = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"ragged matrix: row of length {len(row)}, expected {n}")
+    cap = min(len(rows), n)
+    if cap == 0:
+        return 0
+    slots = _Slots(n, 124 + n.bit_length())
+    width, twop, mask = slots.width, slots.ones * 2 * PRIME, (1 << slots.width) - 1
+    basis: dict[int, tuple[int, int]] = {}  # lead column -> (1 / lead, 2p - pivot)
+    for row in rows:
+        vec = slots.pack(_residues(row))
+        for lead in range(n):
+            f = (vec & mask) % PRIME
+            if f:
+                pivot = basis.get(lead)
+                if pivot is None:
+                    neg = (twop >> lead * width) - slots.fold(vec)
+                    basis[lead] = (pow(f, -1, PRIME), neg)
+                    break
+                inv, neg = pivot
+                vec += f * inv % PRIME * neg
+            vec >>= width
+        if len(basis) == cap:
+            break
+    return len(basis)
+
+
 def residues(values: Sequence[Fraction | int]) -> list[int]:
     """Exact images ``a * b**-1 mod PRIME`` of the rationals ``a/b``.
 
@@ -317,6 +357,27 @@ def reference_gradient(order, children, tables, weights, beta, up, k):
     return grad
 
 
+def reference_packed_gradient(order, children, tables, weights, partial, up, slots):
+    """``treedim.rank._gradient`` before its columns were built in one
+    comprehension: one ``_times([ox] * len(diffs), diffs)`` per parent state."""
+    outer = {order[0]: [slots.unpack(slots.ones)]}
+    grad = {}
+    for v in order:
+        b, out, kids = partial[v][-1], outer[v], children[v]
+        diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
+        grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
+        if not kids:
+            continue
+        down = _sums(slots, zip(*tables[v]), out)
+        if v in weights:
+            down = _times(down, weights[v])
+        for i in range(len(kids) - 1, 0, -1):
+            outer[kids[i]] = _times(down, partial[v][i - 1])
+            down = _times(down, up[kids[i]])
+        outer[kids[0]] = down
+    return grad
+
+
 def all_states(cards: Sequence[int]) -> list[tuple[int, ...]]:
     """Every joint state over the given cardinalities, in lexicographic order."""
     return list(itertools.product(*(range(card) for card in cards)))
@@ -402,6 +463,17 @@ def reference_observed_joint_jacobian(model: TreeModel, point, weights):
     beta, up = reference_inside(order, children, tables, weights, k)
     grad = reference_gradient(order, children, tables, weights, beta, up, k)
     return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
+
+
+def reference_packed_jacobian(model: TreeModel, point, weights):
+    """``treedim.rank.jacobian`` with the packed inside pass and
+    ``reference_packed_gradient``."""
+    _, children, order = model._rooting
+    tables = _tables(model, point)
+    weights, k = _weights(_observed(model), weights)
+    passes = _inside(order, children, tables, weights, k)
+    grad = reference_packed_gradient(order, children, tables, weights, *passes)
+    return tuple(zip(*(column for v in model.variables for column in grad[v.id])))
 
 
 def reference_joint_observed_distribution(model: TreeModel, point):

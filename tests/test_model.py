@@ -56,6 +56,27 @@ class TestTreeModel:
             model.variable(99)
         assert model.neighbors(99) == ()
 
+    def test_a_replaced_model_carries_the_indexes_of_its_own_fields(self):
+        # The indexes are built at construction: a model made by replace
+        # must not keep those of the model it came from.  X3 (id 2) turns
+        # observed and Y6 (id 8) moves from X3 to X2 (id 1).
+        model = two_branch_hierarchy()
+        assert model.variable(2).latent and model._rooting[0][8] == 2
+        flipped = list(model.variables)
+        flipped[2] = replace(flipped[2], observed=True)
+        edges = [(b, a) if b != 8 else (1, 8) for a, b in model.edges]
+        moved = replace(model, variables=tuple(flipped[::-1]), edges=tuple(edges))
+        rebuilt = TreeModel(moved.variables, moved.edges)
+        for built in (moved, rebuilt):
+            assert built.variable(2).observed and built._by_id[2] is flipped[2]
+            assert built.neighbors(2) == (0, 6, 7)
+            assert built.neighbors(1) == (0, 3, 4, 5, 8)
+            assert [v.id for v in built.observed_variables] == list(range(2, 9))
+            assert [v.id for v in built.latent_variables] == [0, 1]
+            assert built._rooting[0][8] == 1
+        assert moved == rebuilt and moved._adjacency == rebuilt._adjacency
+        assert model.neighbors(2) == (0, 6, 7, 8) and model.variable(2).latent
+
 
 class TestValidate:
     """A model is valid by construction: ``TreeModel(...)`` raises

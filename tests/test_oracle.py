@@ -24,6 +24,8 @@ from support import (
     reference_lc_jacobian_at,
     reference_observed_joint_jacobian,
     reference_oracle_effective_dimension,
+    reference_packed_jacobian,
+    reference_packed_rank,
     two_branch_hierarchy,
 )
 from treedim import (
@@ -252,6 +254,8 @@ class TestPackedKernels:
                 weights = _random_weights(rng, observed, k)
                 jac = observed_joint_jacobian(model, point, weights)
                 assert jac == reference_observed_joint_jacobian(model, point, weights)
+                assert jac == reference_packed_jacobian(model, point, weights)
+                assert rank.exact_rank(jac) == reference_packed_rank(jac)
                 # one column per free parameter, in every row
                 assert {len(row) for row in jac} == {standard_dimension(model)}
             indicators = jacobian_weights([v.cardinality for v in observed])
@@ -536,6 +540,8 @@ class TestLiveParameters:
                 weights = _random_weights(rng, model.observed_variables, k)
                 jac = observed_joint_jacobian(model, point, weights)
                 assert jac == reference_observed_joint_jacobian(model, point, weights)
+                assert jac == reference_packed_jacobian(model, point, weights)
+                assert rank.exact_rank(jac) == reference_packed_rank(jac)
                 points += 1
                 unbalanced += any(
                     sum(b) % PRIME != 1
@@ -579,6 +585,7 @@ class TestLiveParameters:
             dead = [col for col, keep in zip(columns, kept) if not keep]
             assert not any(map(any, dead))
             assert de == rank_found == rank.exact_rank([c for c in columns if any(c)])
+            assert rank_found == reference_packed_rank(rows)
             with_dead += len(live) < len(model.variables)
         assert with_dead >= 100
 

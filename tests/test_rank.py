@@ -16,6 +16,8 @@ from support import (
     latent_class_model,
     reference_lc_jacobian_at,
     reference_lc_rank,
+    reference_packed_jacobian,
+    reference_packed_rank,
     reference_rank,
     residues,
 )
@@ -129,8 +131,9 @@ class TestPackedEliminationMatchesReference:
     @staticmethod
     def _check(mat):
         rank_of_mat = exact_rank(mat)
-        assert rank_of_mat == reference_rank(mat)
+        assert rank_of_mat == reference_rank(mat) == reference_packed_rank(mat)
         transposed = [list(col) for col in zip(*mat)]
+        assert exact_rank(transposed) == reference_packed_rank(transposed)
         assert exact_rank(transposed) == reference_rank(transposed)
         return rank_of_mat
 
@@ -186,6 +189,53 @@ class TestPackedEliminationMatchesReference:
         # n I - J mod p has the all-ones vector in its kernel: rank n - 1.
         mat = [[PRIME - 1 + (n + PRIME) * (i == j) for j in range(n)] for i in range(n)]
         assert exact_rank(mat) == n - 1
+
+
+class TestNarrowSide:
+    """A matrix with more columns than rows is ranked as its transpose,
+    with one slot per row."""
+
+    @staticmethod
+    def _slot_counts(monkeypatch, mat):
+        counts = []
+        layout = rank._layout
+
+        def recorded(count, bits):
+            counts.append(count)
+            return layout(count, bits)
+
+        monkeypatch.setattr(rank, "_layout", recorded)
+        found = exact_rank(mat)
+        monkeypatch.undo()
+        assert found == reference_rank(mat) == reference_packed_rank(mat)
+        return counts
+
+    def test_wide_tall_and_square_matrices(self, monkeypatch):
+        rng = random.Random(29)
+        pool = [0, 1, -1, PRIME, -PRIME, PRIME - 1, PRIME + 1, 2**64, -(2**70)]
+        for _ in range(120):
+            m, n = rng.randint(1, 30), rng.randint(1, 30)
+            r = rng.randint(1, min(m, n))  # rank-deficient unless r = min(m, n)
+            mat = random_product_matrix(rng, m, r, n, rng.choice((10, PRIME - 1)))
+            assert self._slot_counts(monkeypatch, mat) == [min(m, n)]
+            odd = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+            assert self._slot_counts(monkeypatch, odd) == [min(m, n)]
+
+    def test_one_row_one_column_and_all_zero(self, monkeypatch):
+        for n in (1, 2, 17, 300):
+            row = [[PRIME - 1 - j for j in range(n)]]
+            assert self._slot_counts(monkeypatch, row) == [1]
+            assert self._slot_counts(monkeypatch, [list(c) for c in zip(*row)]) == [1]
+            for m in (1, 3, 40):
+                assert exact_rank([[0] * n for _ in range(m)]) == 0
+                assert exact_rank([[PRIME] * n for _ in range(m)]) == 0
+        assert exact_rank([]) == exact_rank([[]]) == exact_rank([[], []]) == 0
+
+    def test_ragged_rows_are_refused_before_any_transpose(self):
+        # zip(*rows) would cut both to the shortest row without a word.
+        for rows in ([[1, 2, 3, 4], [1, 2]], [[1, 2], [1, 2, 3, 4, 5]], [[1] * 5, []]):
+            with pytest.raises(ValueError, match="ragged matrix"):
+                exact_rank(rows)
 
 
 class TestFieldDraws:
@@ -299,8 +349,11 @@ class TestLcJacobianMatchesReference:
     @staticmethod
     def _check(component, point, states):
         cards = [c for _, c in component.neighbors]
-        rows = lc_jacobian_at(component, point, indicator_weights(cards, states))
+        weights = indicator_weights(cards, states)
+        rows = lc_jacobian_at(component, point, weights)
         assert rows == reference_lc_jacobian_at(component, point, states)
+        assert rows == reference_packed_jacobian(component.star, point, weights)
+        return rows
 
     def test_random_components(self):
         rng = random.Random(1729)
@@ -313,7 +366,8 @@ class TestLcJacobianMatchesReference:
             point = sample_lc_point(component, rng)
             top = [[[PRIME - 1] * len(b) for b in t] for t in point]
             for p in (point, top):
-                self._check(component, p, all_states(leaves))
+                rows = self._check(component, p, all_states(leaves))
+                assert exact_rank(rows) == reference_packed_rank(rows)
         assert unit_leaves and single_class
 
     @pytest.mark.parametrize("card", [2**13 - 1, 2**13 + 1])

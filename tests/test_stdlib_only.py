@@ -229,3 +229,18 @@ def test_one_writer_of_error_lines():
     assert {name: scopes for name, scopes in found.items() if scopes} == {
         "iface.py": ["_error"]
     }
+
+
+def test_one_layout_per_shape_from_a_bounded_memo():
+    # A _Slots layout compiles a struct and builds ints as wide as a row:
+    # only the bounded memo builds one, so no kernel pays for it per call.
+    tree = ast.parse((PACKAGE / "rank.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "_Slots") == ["_layout"]
+    (memo,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_layout"
+    ]
+    (cache,) = memo.decorator_list
+    assert ast.unparse(cache.func) == "functools.lru_cache"
+    (size,) = cache.keywords
+    assert size.arg == "maxsize" and isinstance(size.value.value, int)
