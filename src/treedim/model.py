@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 
@@ -61,8 +62,8 @@ class TreeModel:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.variables, key=lambda v: v.id))
-        edges = tuple(sorted((a, b) if a < b else (b, a) for a, b in self.edges))
+        ordered = tuple(sorted(self.variables, key=attrgetter("id")))
+        edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in self.edges]))
         adjacency: dict[int, list[int]] = {v.id: [] for v in ordered}
         for a, b in edges:  # sorted (low, high) pairs: every list fills ascending
             adjacency.setdefault(a, []).append(b)
@@ -72,19 +73,21 @@ class TreeModel:
             edges=edges,
             _by_id={v.id: v for v in ordered},
             _adjacency={vid: tuple(nbrs) for vid, nbrs in adjacency.items()},
-            observed_variables=tuple(v for v in ordered if v.observed),
-            latent_variables=tuple(v for v in ordered if not v.observed),
+            observed_variables=tuple([v for v in ordered if v.observed]),
+            latent_variables=tuple([v for v in ordered if not v.observed]),
         )
         require_valid(self)
 
     @cached_property
     def _rooting(self):
         """Parent map, child lists and breadth-first order from the lowest id."""
-        order, parents, children = [self.variables[0].id], {}, {}
+        adjacency, root = self._adjacency, self.variables[0].id
+        order, parents, children = [root], {}, {root: list(adjacency[root])}
         for vid in order:  # order grows as the search reaches new nodes
-            children[vid] = [c for c in self._adjacency[vid] if c != parents.get(vid)]
-            parents.update(dict.fromkeys(children[vid], vid))
             order.extend(children[vid])
+            for c in children[vid]:
+                parents[c] = vid
+                children[c] = [x for x in adjacency[c] if x != vid]
         return parents, children, order
 
     def variable(self, var_id: int) -> Variable:
@@ -236,6 +239,20 @@ def check_regular(model: TreeModel) -> list[RegularityViolation]:
     return violations
 
 
+def _cards(ids: list[int], var: dict[int, Variable]):
+    """Cardinalities of the ``ids`` still in ``var`` with two or more states;
+    each stale id met, gone or down to one state for good, is swapped out."""
+    i = 0
+    while i < len(ids):
+        x = var.get(ids[i])
+        if x is None or x.cardinality == 1:
+            ids[i] = ids[-1]
+            ids.pop()
+        else:
+            yield x.cardinality
+            i += 1
+
+
 @dataclass(frozen=True)
 class RegularizationStep:
     """One applied transformation: a node removal or a cardinality cut."""
@@ -270,11 +287,11 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
     returned as is.  Otherwise candidate ids wait in a min-heap, each pop
     costs O(log n) plus the neighbors :func:`neighbor_bound` reads, and
     one model is built at the end.  From the first step on, a bound reads
-    only the neighbors of two or more states (``wide``), so a latent hub
-    re-checked after each step of a neighbor reads few of them.
+    a list per node (``wide``) that drops each id it meets gone or of one
+    state, so a latent hub re-checked after each step reads few of them.
     """
     var, nbrs = model._by_id, model._adjacency  # copied at the first step
-    wide = nbrs  # copied too: then each node's neighbors of two or more states
+    wide: dict[int, list[int]] = {}  # then each node's neighbors, pruned as read
     heap = [v.id for v in model.latent_variables]  # ascending ids: a heap
     log: list[RegularizationStep] = []
     while heap:
@@ -282,18 +299,18 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
         if vid not in var:
             continue
         v, touched = var[vid], nbrs[vid]  # no step edits the set of vid itself
-        bound = neighbor_bound(v.cardinality, (var[x].cardinality for x in wide[vid]))
+        cards = _cards(wide[vid], var) if log else (var[x].cardinality for x in touched)
+        bound = neighbor_bound(v.cardinality, cards)
         if v.cardinality < bound or v.cardinality == bound and len(touched) != 2:
             continue  # neither rule acts
         if not log:
             var, nbrs = dict(var), {x: set(others) for x, others in nbrs.items()}
-            wide = {x: {y for y in nbrs[x] if var[y].cardinality > 1} for x in nbrs}
+            wide = {x: list(others) for x, others in nbrs.items()}
         if len(touched) == 2:  # two neighbors: the bound is the smaller one
             a, b = sorted(touched)
             for x, y in ((a, b), (b, a)):
                 nbrs[x] ^= {vid, y}  # x swaps vid for y
-                if var[y].cardinality > 1:
-                    wide[x].add(y)
+                wide[x].append(y)
             del var[vid], nbrs[vid]
             step = RegularizationStep("remove", vid, v.name, joined=(a, b))
         else:
@@ -303,8 +320,6 @@ def regularize(model: TreeModel) -> tuple[TreeModel, tuple[RegularizationStep, .
         # Only these can start to act (a reduced node stays at its bound),
         # so the first pop that acts is always the lowest-id acting node.
         for x in touched:
-            if vid not in var or bound == 1:  # vid is gone or has one state
-                wide[x].discard(vid)
             if not var[x].observed:
                 heapq.heappush(heap, x)
     if not log:

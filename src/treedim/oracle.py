@@ -70,10 +70,10 @@ def oracle_effective_dimension(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _, children, order = model._rooting
+    (_, children, order), by_id = model._rooting, model._by_id
     live: set[int] = set()
     for v in reversed(order):  # children first
-        if model.variable(v).observed or live.intersection(children[v]):
+        if by_id[v].observed or live.intersection(children[v]):
             live.add(v)
     tables = list(zip(model.variables, _shapes(model)))
     n_live = sum(b * (c - 1) for v, (b, c) in tables if v.id in live)

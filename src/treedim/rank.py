@@ -221,12 +221,6 @@ def _times(a, b):
     return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
 
 
-def _sums(slots, rows, vectors):
-    """Packed ``sum_i row[i] * vectors[i]`` per row, slots folded below 2p."""
-    packed = list(map(slots.pack, vectors))
-    return [slots.unpack(slots.fold(sum(map(mul, row, packed)))) for row in rows]
-
-
 def _inside(order, children, tables, weights, k):
     """Inside vectors and upward messages of all functionals at once.
 
@@ -238,21 +232,23 @@ def _inside(order, children, tables, weights, k):
     a latent leaf; ``partial[v][i]`` is the entrywise product of the first
     ``i + 1``, ``beta[v] = partial[v][-1]``.  The message to the parent at
     state ``p``, ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]``,
-    is one packed sum (:func:`_sums`), a slot per functional, its entries
-    below 2p; ``up[root][0][j]`` is functional ``j``'s ``S``.  Returns the
-    slots too.
+    is one packed sum, a slot per functional, its slots folded below 2p;
+    ``up[root][0][j]`` is functional ``j``'s ``S``.  Returns the slots too.
     """
-    # A sum in _sums adds at most c products of a table entry, below p, and
+    # A packed sum adds at most c products of a table entry, below p, and
     # a vector entry, below 2p, c the largest cardinality: below c * 2**123.
     card = max(len(blocks[0]) for blocks in tables.values())
     slots = _layout(k, 123 + card.bit_length())
+    pack, unpack, fold = slots.pack, slots.unpack, slots.fold
     partial, up = {}, {}
     for v in reversed(order):
         factors = [up[c] for c in children[v]]
         if v in weights or not factors:
             factors.append(weights.get(v) or [[1] * k] * len(tables[v][0]))
-        partial[v] = list(itertools.accumulate(factors, _times))
-        up[v] = _sums(slots, tables[v], partial[v][-1])
+        if len(factors) > 1:
+            factors = list(itertools.accumulate(factors, _times))
+        partial[v], beta = factors, [*map(pack, factors[-1])]
+        up[v] = [unpack(fold(sum(map(mul, row, beta)))) for row in tables[v]]
     return partial, up, slots
 
 
@@ -260,29 +256,37 @@ def _gradient(order, children, tables, weights, partial, up, slots):
     """Gradient columns of the scalars ``S``, mod PRIME, per variable.
 
     ``outer[v][p]`` is the weight outside ``v``'s subtree and table at
-    parent state ``p``, one at the root.  A free weight moves its entry up
-    and its block's last entry down, so its column is ``outer[v][p] *
-    (beta[v][x] - beta[v][last])``.  ``down[x] = sum_p tables[v][p][x] *
-    outer[v][p]`` is a packed sum, as in :func:`_inside`; a child's outer
-    weight is ``down`` times the messages of the children after it, taken
-    from the right, times ``partial`` of those before it.
+    parent state ``p``.  A free weight moves its entry up and its block's
+    last entry down, so its column is ``outer[v][p] * (beta[v][x] -
+    beta[v][last])``.  ``down[x] = sum_p tables[v][p][x] * outer[v][p]`` is
+    a packed sum, as in :func:`_inside`; a child's outer weight is ``down``
+    times the messages of the children after it, taken from the right,
+    times ``partial`` of those before it.  The root's outer weight is one.
     """
-    outer = {order[0]: [slots.unpack(slots.ones)]}
-    grad = {}
+    pack, unpack, fold = slots.pack, slots.unpack, slots.fold
+    outer, grad = {}, {}
     for v in order:
-        b, out, kids = partial[v][-1], outer[v], children[v]
+        b, kids = partial[v][-1], children[v]
         diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
-        grad[v] = [[x * y % PRIME for x, y in zip(ox, d)] for ox in out for d in diffs]
-        if not kids:
-            continue
-        # down[x]: the weight outside the subtrees of v's children at v = x
-        down = _sums(slots, zip(*tables[v]), out)
+        if v not in outer:  # the root: down[x] is its entry x in every slot
+            grad[v] = [[x % PRIME for x in d] for d in diffs]
+            down = [[x] * len(b[0]) for x in tables[v][0]]
+        else:
+            out = outer[v]
+            grad[v] = [
+                [x * y % PRIME for x, y in zip(ox, d)] for ox in out for d in diffs
+            ]
+            if not kids:
+                continue
+            out = [*map(pack, out)]
+            down = [unpack(fold(sum(map(mul, col, out)))) for col in zip(*tables[v])]
         if v in weights:
             down = _times(down, weights[v])
         for i in range(len(kids) - 1, 0, -1):
             outer[kids[i]] = _times(down, partial[v][i - 1])
             down = _times(down, up[kids[i]])
-        outer[kids[0]] = down
+        if kids:
+            outer[kids[0]] = down
     return grad
 
 
@@ -299,12 +303,18 @@ def _shapes(model) -> list[tuple[int, int]]:
 def draw_point(model, rng: random.Random) -> list:
     """Completed tables of a tree model, in GF(PRIME): one per variable in
     ascending id order, one block per parent state (the root has one).
-    The free weights come from one :func:`field_draws` call in that order;
-    each block's last weight is one minus the rest, mod PRIME."""
+    The free weights come from one :func:`field_draws` call in that order,
+    a slice per block; each block's last weight is one minus the rest."""
     shapes = _shapes(model)
-    draws = iter(field_draws(rng, sum(b * (card - 1) for b, card in shapes)))
-    free = [[[*itertools.islice(draws, c - 1)] for _ in range(b)] for b, c in shapes]
-    return [[[*f, (1 - sum(f)) % PRIME] for f in table] for table in free]
+    draws = field_draws(rng, sum(b * (card - 1) for b, card in shapes))
+    point, end = [], 0
+    for blocks, card in shapes:
+        point.append(table := [])
+        for _ in range(blocks):
+            block, end = draws[end : end + card - 1], end + card - 1
+            block.append((1 - sum(block)) % PRIME)
+            table.append(block)
+    return point
 
 
 def jacobian(model, point, weights) -> tuple[tuple[int, ...], ...]:

@@ -30,13 +30,15 @@ from treedim.rank import (
     CellLimitError,
     _functionals,
     _inside,
+    _layout,
+    _shapes,
     _residues,
     _Slots,
-    _sums,
     _times,
     _weights,
     derive_seed,
     exact_rank,
+    field_draws,
     lc_jacobian_at,
     sample_lc_point,
 )
@@ -357,6 +359,59 @@ def reference_gradient(order, children, tables, weights, beta, up, k):
     return grad
 
 
+def reference_sums(slots, rows, vectors):
+    """Packed ``sum_i row[i] * vectors[i]`` per row, slots folded below 2p:
+    the helper the packed passes shared before each pass inlined it."""
+    packed = list(map(slots.pack, vectors))
+    return [slots.unpack(slots.fold(sum(map(mul, row, packed)))) for row in rows]
+
+
+def reference_sums_inside(order, children, tables, weights, k):
+    """``treedim.rank._inside`` before it inlined its packed sum: every node's
+    factors go through ``itertools.accumulate``, even a single one."""
+    card = max(len(blocks[0]) for blocks in tables.values())
+    slots = _layout(k, 123 + card.bit_length())
+    partial, up = {}, {}
+    for v in reversed(order):
+        factors = [up[c] for c in children[v]]
+        if v in weights or not factors:
+            factors.append(weights.get(v) or [[1] * k] * len(tables[v][0]))
+        partial[v] = list(itertools.accumulate(factors, _times))
+        up[v] = reference_sums(slots, tables[v], partial[v][-1])
+    return partial, up, slots
+
+
+def reference_sums_gradient(order, children, tables, weights, partial, up, slots):
+    """``treedim.rank._gradient`` before it inlined its packed sum and took
+    the root apart: the root's outer weight is a block of packed ones, its
+    columns products by one and its ``down`` a packed sum over them."""
+    outer = {order[0]: [slots.unpack(slots.ones)]}
+    grad = {}
+    for v in order:
+        b, out, kids = partial[v][-1], outer[v], children[v]
+        diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
+        grad[v] = [[x * y % PRIME for x, y in zip(ox, d)] for ox in out for d in diffs]
+        if not kids:
+            continue
+        down = reference_sums(slots, zip(*tables[v]), out)
+        if v in weights:
+            down = _times(down, weights[v])
+        for i in range(len(kids) - 1, 0, -1):
+            outer[kids[i]] = _times(down, partial[v][i - 1])
+            down = _times(down, up[kids[i]])
+        outer[kids[0]] = down
+    return grad
+
+
+def reference_draw_point(model: TreeModel, rng: random.Random) -> list:
+    """``treedim.rank.draw_point`` before it sliced each block from the
+    draws: one ``islice`` iterator over them, read block by block."""
+    shapes = _shapes(model)
+    draws = iter(field_draws(rng, sum(b * (card - 1) for b, card in shapes)))
+    free = [[[*itertools.islice(draws, c - 1)] for _ in range(b)] for b, c in shapes]
+    return [[[*f, (1 - sum(f)) % PRIME] for f in table] for table in free]
+
+
 def reference_packed_gradient(order, children, tables, weights, partial, up, slots):
     """``treedim.rank._gradient`` before its columns were built in one
     comprehension: one ``_times([ox] * len(diffs), diffs)`` per parent state."""
@@ -368,7 +423,7 @@ def reference_packed_gradient(order, children, tables, weights, partial, up, slo
         grad[v] = [col for ox in out for col in _times([ox] * len(diffs), diffs)]
         if not kids:
             continue
-        down = _sums(slots, zip(*tables[v]), out)
+        down = reference_sums(slots, zip(*tables[v]), out)
         if v in weights:
             down = _times(down, weights[v])
         for i in range(len(kids) - 1, 0, -1):

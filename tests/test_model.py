@@ -76,6 +76,9 @@ class TestTreeModel:
             assert built._rooting[0][8] == 1
         assert moved == rebuilt and moved._adjacency == rebuilt._adjacency
         assert model.neighbors(2) == (0, 6, 7, 8) and model.variable(2).latent
+        # model was rooted above: replace roots its own fields, not a copy
+        assert moved._rooting == rebuilt._rooting != model._rooting
+        assert replace(model)._rooting == model._rooting
 
 
 class TestValidate:

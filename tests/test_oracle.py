@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -20,12 +21,15 @@ from support import (
     joint_observed_distribution,
     latent_class_model,
     random_tree_model,
+    reference_draw_point,
     reference_joint_observed_distribution,
     reference_lc_jacobian_at,
     reference_observed_joint_jacobian,
     reference_oracle_effective_dimension,
     reference_packed_jacobian,
     reference_packed_rank,
+    reference_sums_gradient,
+    reference_sums_inside,
     two_branch_hierarchy,
 )
 from treedim import (
@@ -40,7 +44,7 @@ from treedim import oracle, rank
 from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
-from treedim.rank import PRIME
+from treedim.rank import PRIME, derive_seed
 
 
 def _inverse(n):
@@ -235,6 +239,52 @@ def _mapped(point, f):
     return [[complete([f(w) for w in b[:-1]]) for b in table] for table in point]
 
 
+def _keystone_models() -> list[TreeModel]:
+    """The keystone benchmark's models: the acceptance suite's keystone set
+    (seed 20260801) and the two-branch hierarchy."""
+    rng = random.Random(20260801)
+    models = [random_tree_model(rng, max_vars=7, max_latent=3) for _ in range(100)]
+    return models + [two_branch_hierarchy()]
+
+
+def _lc_wide_stars() -> list[TreeModel]:
+    """The stars of the lc_wide benchmark's four signatures."""
+    signatures = ((4, (3,) * 6), (3, (2,) * 11), (6, (3,) * 3), (4, (2,) * 4))
+    return [LcComponent(0, c, tuple(enumerate(cards))).star for c, cards in signatures]
+
+
+# sha256 of the points and functionals drawn in the pin test below, as
+# draw_point and _functionals drew them before draw_point sliced its blocks.
+DRAWS_DIGEST = "2feceef452a27e3703c9b7eb449e8e93ce1dd233775e2f7d7c0dccda46f7888a"
+
+
+def _drawn_point(model, rng):
+    """``sample_full_point``, checked against the sampler it replaced: the
+    same tables from a copy of the stream, which both leave in one state."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    point = sample_full_point(model, rng)
+    assert point == reference_draw_point(model, twin)
+    assert rng.getstate() == twin.getstate()
+    return point
+
+
+def _passes_match_their_parents(model, point, weights) -> bool:
+    """Whether ``partial``, ``up`` and the gradient columns of the passes
+    equal those of the passes before they inlined their packed sums."""
+    _, children, order = model._rooting
+    ids = [v.id for v in model.variables]
+    tables = {vid: [rank._residues(b) for b in t] for vid, t in zip(ids, point)}
+    observed = [(v.id, v.cardinality) for v in model.observed_variables]
+    weights, k = rank._weights(observed, weights)
+    passes = rank._inside(order, children, tables, weights, k)
+    parents = reference_sums_inside(order, children, tables, weights, k)
+    grad = rank._gradient(order, children, tables, weights, *passes)
+    return passes == parents and grad == reference_sums_gradient(
+        order, children, tables, weights, *parents
+    )
+
+
 class TestPackedKernels:
     """The packed passes against the list-based reference passes."""
 
@@ -249,12 +299,13 @@ class TestPackedKernels:
             _, children, _ = model._rooting
             latent_leaves = [v for v in model.latent_variables if not children[v.id]]
             unobserved_subtrees += len(latent_leaves)
-            point = sample_full_point(model, rng)
+            point = _drawn_point(model, rng)
             for k in (1, 2, 3, 64):
                 weights = _random_weights(rng, observed, k)
                 jac = observed_joint_jacobian(model, point, weights)
                 assert jac == reference_observed_joint_jacobian(model, point, weights)
                 assert jac == reference_packed_jacobian(model, point, weights)
+                assert _passes_match_their_parents(model, point, weights)
                 assert rank.exact_rank(jac) == reference_packed_rank(jac)
                 # one column per free parameter, in every row
                 assert {len(row) for row in jac} == {standard_dimension(model)}
@@ -272,7 +323,7 @@ class TestPackedKernels:
             model = random_tree_model(rng, max_vars=7, max_card=3)
             observed = model.observed_variables
             top = [[[PRIME - 1] * 3] * v.cardinality for v in observed]
-            sampled = sample_full_point(model, rng)
+            sampled = _drawn_point(model, rng)
             for point in (
                 sampled,
                 _mapped(sampled, lambda w: PRIME - 1),
@@ -282,6 +333,48 @@ class TestPackedKernels:
                     assert observed_joint_jacobian(
                         model, point, weights
                     ) == reference_observed_joint_jacobian(model, point, weights)
+                    assert _passes_match_their_parents(model, point, weights)
+
+    def test_keystone_live_parts_and_lc_wide_stars_match_the_parent_kernels(
+        self, monkeypatch
+    ):
+        # The oracle's inputs to the passes on every keystone model's live
+        # part, as its first trial draws them, and the four lc_wide
+        # signatures' stars over three trials.
+        seen = []
+        real = oracle.observed_joint_jacobian
+
+        def spy(part, point, weights):
+            seen.append((part, point, weights))
+            return real(part, point, weights)
+
+        monkeypatch.setattr(oracle, "observed_joint_jacobian", spy)
+        models = _keystone_models()
+        for seed, model in enumerate(models):
+            oracle_effective_dimension(model, trials=1, seed=seed)
+            _drawn_point(model, random.Random(derive_seed(seed, "oracle-trial", 0)))
+        assert len(seen) == len(models)
+        for star in _lc_wide_stars():
+            cards = [v.cardinality for v in star.observed_variables]
+            for trial in range(3):
+                rng = random.Random(derive_seed(0, "lc-trial", trial))
+                point = _drawn_point(star, rng)
+                n = sum(b * (c - 1) for b, c in rank._shapes(star))
+                k = min(n, math.prod(cards) - 1)
+                seen.append((star, point, rank._functionals(rng, cards, k)))
+        for part, point, weights in seen:
+            assert _passes_match_their_parents(part, point, weights)
+
+    def test_drawn_points_and_functionals_are_pinned(self):
+        # For fixed seeds, draw_point then _functionals give the values
+        # they gave when draw_point read its blocks through an islice.
+        digest = hashlib.sha256()
+        for seed, model in enumerate(_keystone_models() + _lc_wide_stars()):
+            rng = random.Random(derive_seed(seed, "oracle-trial", 0))
+            point = rank.draw_point(model, rng)
+            cards = [v.cardinality for v in model.observed_variables]
+            digest.update(repr((point, rank._functionals(rng, cards, 3))).encode())
+        assert digest.hexdigest() == DRAWS_DIGEST
 
     def test_indicator_joint_matches_the_reference(self):
         rng = random.Random(6)
@@ -534,13 +627,14 @@ class TestLiveParameters:
             for _ in range(10):
                 point = [
                     [[rng.choice(draws)() for _ in b] for b in t]
-                    for t in sample_full_point(model, rng)
+                    for t in _drawn_point(model, rng)
                 ]
                 k = rng.randint(1, 3)
                 weights = _random_weights(rng, model.observed_variables, k)
                 jac = observed_joint_jacobian(model, point, weights)
                 assert jac == reference_observed_joint_jacobian(model, point, weights)
                 assert jac == reference_packed_jacobian(model, point, weights)
+                assert _passes_match_their_parents(model, point, weights)
                 assert rank.exact_rank(jac) == reference_packed_rank(jac)
                 points += 1
                 unbalanced += any(
