@@ -30,7 +30,7 @@ from .model import (
     regularize,
     standard_dimension,
 )
-from .rank import DEFAULT_TRIALS, derive_seed, lc_rank_trials
+from .rank import DEFAULT_TRIALS, check_trials, derive_seed, lc_rank_trials
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,9 @@ class RankPolicy:
 
     trials: int = DEFAULT_TRIALS
     seed: int = 0
+
+    def __post_init__(self):
+        check_trials(self.trials)
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,6 @@ def effective_dimension(
     class components; rank each component signature once at random
     points of GF(p); combine.
     """
-    if policy.trials < 1:
-        raise ValueError("trials must be >= 1")
     ds = standard_dimension(model)
     pruned, removed = prune_latent_leaves(model)
     regular, steps = regularize(pruned)

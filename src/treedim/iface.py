@@ -264,7 +264,10 @@ def _load_model(path_text: str) -> TreeModel:
 
 
 def _run_dims(args, model: TreeModel) -> int:
-    policy = RankPolicy(trials=args.trials, seed=args.seed)
+    try:
+        policy = RankPolicy(trials=args.trials, seed=args.seed)
+    except ValueError as exc:  # trials past rank.MAX_TRIALS
+        raise _Failure(exc) from None
     result = effective_dimension(model, policy)
     what = "ds"  # de <= ds: it prints when ds does
     try:  # str() refuses an int past sys.get_int_max_str_digits()

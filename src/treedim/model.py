@@ -39,10 +39,6 @@ class Variable:
     cardinality: int
     observed: bool
 
-    @property
-    def latent(self) -> bool:
-        return not self.observed
-
 
 @dataclass(frozen=True)
 class TreeModel:
@@ -99,9 +95,6 @@ class TreeModel:
     def neighbors(self, var_id: int) -> tuple[int, ...]:
         """Neighbor ids in ascending order."""
         return self._adjacency.get(var_id, ())
-
-    def degree(self, var_id: int) -> int:
-        return len(self.neighbors(var_id))
 
 
 @dataclass(frozen=True)

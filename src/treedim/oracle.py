@@ -29,6 +29,7 @@ from .rank import (
     _functionals,
     _shapes,
     check_cells,
+    check_trials,
     derive_seed,
     draw_point,
     exact_rank,
@@ -68,8 +69,7 @@ def oracle_effective_dimension(
     when ``max(k, 1)`` times the point's entry count exceeds
     :data:`treedim.rank.CELL_LIMIT`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     (_, children, order), by_id = model._rooting, model._by_id
     live: set[int] = set()
     for v in reversed(order):  # children first

@@ -1,7 +1,7 @@
 """Prime-field rank engine and the packed Jacobian passes of tree models.
 
-Ranks are exact, taken in GF(p), p = 2**61 - 1, of matrices given as
-rows of integers.  Elimination packs each row into one int, one
+Ranks are exact, taken in GF(p), p = 2**61 - 1 or 2**31 - 1, of matrices
+given as rows of integers.  Elimination packs each row into one int, one
 fixed-width slot per column, wide enough that no carry crosses a slot,
 so a pivot is applied to a whole row by one big-int multiply-add;
 pivots have unit leads, and a wide matrix is ranked as its transpose.
@@ -17,19 +17,21 @@ completed table per variable, ascending ids, a block per parent state;
 free weights and functional entries are residues drawn by
 :func:`field_draws`, and each block's last weight is one minus the rest.
 
-The error is one-sided.  Jacobian entries are integer polynomials in
-the free weights, so a minor that is non-zero mod p at any field point
-is a non-zero polynomial over the rationals: the rank mod p there is at
-most the generic rank over the rationals, which the open simplex, being
-Zariski-dense, attains almost everywhere, so a point need be neither
-rational nor interior.  ``k`` functionals' gradients are the rows of a
-projection ``R J``, which can only lower the rank, and rank-one
-functionals span the dual of the joint space.  Each draw has point mass
-at most mu = 9/2**64, so by Schwartz-Zippel a random point and ``R``
-lose a rank up to ``k`` with probability at most deg * mu.  An unlucky
-draw can only err low; the maximum over trials is reported.  The
-elimination adds no error: scaling a pivot by the inverse of its non-zero
-lead, or transposing, keeps the rank over GF(p) exactly.
+The error is one-sided, in either field.  Jacobian entries are integer
+polynomials in the free weights, so a minor that is non-zero mod p at
+any field point is a non-zero polynomial over the rationals: the rank
+mod p there is at most the generic rank over the rationals, which the
+open simplex, being Zariski-dense, attains almost everywhere, so a point
+need be neither rational nor interior.  ``k`` functionals' gradients are
+the rows of a projection ``R J``, which can only lower the rank, and
+rank-one functionals span the dual of the joint space.  Each draw has
+point mass at most mu, 9/2**64 for p = 2**61 - 1 and about 2**-31 for
+2**31 - 1, so by Schwartz-Zippel a random point and ``R`` lose a rank
+up to ``k`` with probability at most deg * mu.  An unlucky draw can only
+err low: the maximum over trials is reported, and a rank that reaches
+``k`` is proven in either field, the one case in which a small-field rank
+is kept.  The elimination adds no error: scaling a pivot by the inverse
+of its non-zero lead, or transposing, keeps the rank over GF(p) exactly.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ if TYPE_CHECKING:
     from .decompose import LcComponent
 
 DEFAULT_TRIALS = 3
-# Ranks are taken in GF(PRIME), a Mersenne prime.
-PRIME = 2**61 - 1
+MAX_TRIALS = 100  # more add nothing: each trial errs with probability below deg * mu
+# Ranks are taken in GF(PRIME), or first in GF(SMALL_PRIME) for a latent-class
+# Jacobian of at least _SMALL_FIELD_CELLS cells; both are Mersenne primes.
+PRIME, SMALL_PRIME, _SMALL_FIELD_CELLS = 2**61 - 1, 2**31 - 1, 2**8
 # No latent-class Jacobian, nor the oracle's k rows over its point, has more cells.
 CELL_LIMIT = 2**18
 
@@ -80,6 +84,14 @@ def check_cells(what: str, rows: int, width: int) -> None:
         )
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a trial count outside [1, ``MAX_TRIALS``] with a ValueError."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}")
+
+
 def derive_seed(*parts) -> int:
     """Derive an independent integer seed from a tuple of labels.
 
@@ -90,23 +102,23 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def field_draws(rng: random.Random, count: int) -> list[int]:
-    """``count`` random field elements in [0, PRIME), from one bulk draw.
+def field_draws(rng: random.Random, count: int, p: int = PRIME) -> list[int]:
+    """``count`` random elements of GF(p), from one bulk draw.
 
-    Each is a uniform 64-bit word reduced mod PRIME.  As 2**64 = 8p + 8,
-    the values 0..7 have nine preimages and the rest eight, so no value
-    has point mass above 9/2**64: close enough to uniform for the
-    Schwartz-Zippel bound d * 9/2**64 on a degree-d minor.
+    Each is a uniform 64-bit word reduced mod p, so no value has point
+    mass above ceil(2**64 / p) / 2**64: close enough to uniform for the
+    Schwartz-Zippel bound d * mu on a degree-d minor.  As 2**64 = 8p + 8
+    for PRIME, mu = 9/2**64; for SMALL_PRIME, mu = (2**33 + 5)/2**64.
     """
     words = struct.unpack(f"<{count}Q", rng.randbytes(8 * count))
-    return [w % PRIME for w in words]
+    return [w % p for w in words]
 
 
-def _residues(values: Sequence[int]) -> Sequence[int]:
-    """``values`` mod PRIME; values all in [0, PRIME) come back as they are."""
-    if values and 0 <= min(values) and max(values) < PRIME:
+def _residues(values: Sequence[int], p: int = PRIME) -> Sequence[int]:
+    """``values`` mod p; values all in [0, p) come back as they are."""
+    if values and 0 <= min(values) and max(values) < p:
         return values
-    return [x % PRIME for x in values]
+    return [x % p for x in values]
 
 
 class _Slots:
@@ -114,17 +126,19 @@ class _Slots:
 
     W is ``bits`` rounded up to whole bytes; a caller picks ``bits`` so that
     no slot of a sum it forms reaches ``2**bits``: no carry crosses a slot,
-    and one big-int multiply-add acts on every slot.  Two rounds of the
-    Mersenne fold ``(v & low) + ((v >> 61) & high)`` take every slot below
-    ``2**61 + 2**(W-61)``, then below ``2**61 + 2**(W-122) < 2p`` (W <= 182).
+    and one big-int multiply-add acts on every slot.  For the field prime
+    p = 2**e - 1, two rounds of the Mersenne fold ``(v & low) + ((v >> e)
+    & high)`` take every slot below ``2**e + 2**(W-e)``, then below
+    ``2**e + 2**(W-2e) < 2p``, which needs W <= 3e - 1: 182 bits for PRIME
+    and 92 for SMALL_PRIME.
     """
 
-    def __init__(self, count: int, bits: int):
-        self.width = 8 * -(-bits // 8)
+    def __init__(self, count: int, bits: int, p: int = PRIME):
+        self.width, self.e = 8 * -(-bits // 8), p.bit_length()
         self.layout = struct.Struct("<" + f"Q{self.width // 8 - 8}x" * count)
         ones = self.ones = self.pack([1] * count)
-        self.low, self.high = ones * PRIME, ones * ((1 << (self.width - 61)) - 1)
-        self.twop, self.mask = ones * 2 * PRIME, (1 << self.width) - 1
+        self.low, self.high = ones * p, ones * ((1 << (self.width - self.e)) - 1)
+        self.twop, self.mask = ones * 2 * p, (1 << self.width) - 1
 
     def pack(self, values: Sequence[int]) -> int:
         return int.from_bytes(self.layout.pack(*values), "little")
@@ -133,33 +147,33 @@ class _Slots:
         return self.layout.unpack(vec.to_bytes(self.layout.size, "little"))
 
     def fold(self, vec: int) -> int:
-        vec = (vec & self.low) + ((vec >> 61) & self.high)
-        return (vec & self.low) + ((vec >> 61) & self.high)
+        vec = (vec & self.low) + ((vec >> self.e) & self.high)
+        return (vec & self.low) + ((vec >> self.e) & self.high)
 
 
 @functools.lru_cache(maxsize=64)  # each: four ints of count * W bits and a struct
-def _layout(count: int, bits: int) -> _Slots:
-    return _Slots(count, bits)  # built once per shape, not per call
+def _layout(count: int, bits: int, p: int = PRIME) -> _Slots:
+    return _Slots(count, bits, p)  # built once per shape, not per call
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(PRIME) of a matrix given as rows of integers.
+def exact_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
+    """Rank over GF(p) of a matrix given as rows of integers.
 
     Entries must be integers.  A matrix with more columns than rows is
     ranked as its transpose: ``n`` below is min(m, n).  Each row, reduced
-    mod PRIME, is packed into one int with a :class:`_Slots` slot per
-    column, column 0 lowest, and reduced left to right: the low slot is
-    read mod PRIME as ``f``, a pivot leading there is applied to every
-    slot at once by ``vec += f * neg``, and the finished slot is shifted
-    out.  A row whose low slot survives becomes a pivot, scaled to a unit
-    lead: ``neg = 2p - fold(fold(row) * f**-1)`` per slot, in ``(0, 2p]``,
-    with lead -1 mod PRIME.  Returns at the ``n``-th pivot, unscaled.
+    mod p, is packed into one int with a :class:`_Slots` slot per column,
+    column 0 lowest, and reduced left to right: the low slot is read mod
+    p as ``f``, a pivot leading there is applied to every slot at once by
+    ``vec += f * neg``, and the finished slot is shifted out.  A row whose
+    low slot survives becomes a pivot, scaled to a unit lead: ``neg = 2p -
+    fold(fold(row) * f**-1)`` per slot, in ``(0, 2p]``, with lead -1 mod p.
+    Returns at the ``n``-th pivot, unscaled.
 
-    No carry crosses a slot: a row starts below 2**61 per slot and sees
-    at most n updates, each adding ``f * neg < 2**61 * 2**62``, so slots
-    stay below ``2**(124 + n.bit_length())``, and a folded row times
-    ``f**-1`` below ``2**123``.  Exact integer arithmetic congruent mod
-    PRIME gives the rank over GF(PRIME).
+    No carry crosses a slot: with p = 2**e - 1, a row starts below 2**e
+    per slot and sees at most n updates, each adding ``f * neg < 2**e *
+    2**(e+1)``, so slots stay below ``2**(2e + 2 + n.bit_length())``, and
+    a folded row times ``f**-1`` below ``2**(2e + 1)``.  Exact integer
+    arithmetic congruent mod p gives the rank over GF(p).
     """
     n = len(rows[0]) if rows else 0
     for row in rows:
@@ -169,19 +183,19 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
         rows, n = list(zip(*rows)), len(rows)
     if n == 0:
         return 0
-    slots = _layout(n, 124 + n.bit_length())
+    slots = _layout(n, 2 * p.bit_length() + 2 + n.bit_length(), p)
     width, twop, mask, fold = slots.width, slots.twop, slots.mask, slots.fold
     basis: list[int | None] = [None] * n  # by lead: 2p - pivot, its lead scaled to 1
     for row in rows:
-        vec = slots.pack(_residues(row))
+        vec = slots.pack(_residues(row, p))
         for lead in range(n):
-            f = (vec & mask) % PRIME
+            f = (vec & mask) % p
             if f:
                 neg = basis[lead]
                 if neg is None:
                     if basis.count(None) == 1:  # rank n: no row needs this pivot
                         return n
-                    unit = fold(fold(vec) * pow(f, -1, PRIME))
+                    unit = fold(fold(vec) * pow(f, -1, p))
                     basis[lead] = (twop >> lead * width) - unit
                     break
                 vec += f * neg
@@ -189,7 +203,7 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     return n - basis.count(None)
 
 
-def _functionals(rng: random.Random, cards: Sequence[int], k: int):
+def _functionals(rng: random.Random, cards: Sequence[int], k: int, p: int = PRIME):
     """Weights of ``k`` random functionals from one :func:`field_draws` call.
 
     Returns ``weights[i][x][j]``, functional ``j``'s weight of variable
@@ -198,67 +212,57 @@ def _functionals(rng: random.Random, cards: Sequence[int], k: int):
     ``j * sum(cards) + s`` is that weight for ``s = sum(cards[:i]) + x``.
     """
     width = sum(cards)
-    draws = field_draws(rng, k * width)
+    draws = field_draws(rng, k * width, p)
     starts = itertools.accumulate(cards, initial=0)
     return [
         [draws[s::width] for s in range(a, a + card)] for a, card in zip(starts, cards)
     ]
 
 
-def _weights(variables, weights) -> tuple[dict, int]:
-    """Check ``weights[i][x][j]`` against ``variables``, (key, cardinality)
-    pairs, and return its tables by key, entries mod PRIME, and the count k."""
-    k = len(weights[0][0]) if weights and weights[0] else 0
-    shape = [[k] * card for _, card in variables]
-    if [[len(row) for row in t] for t in weights] != shape:
-        raise ValueError("weights need a cardinality x k table per observed variable")
-    rows = [[_residues(row) for row in t] for t in weights]
-    return {key: t for (key, _), t in zip(variables, rows)}, k
+def _times(a, b, p: int = PRIME):
+    """Entrywise product mod p of two ``[state][functional]`` arrays."""
+    return [[x * y % p for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
 
 
-def _times(a, b):
-    """Entrywise product mod PRIME of two ``[state][functional]`` arrays."""
-    return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
-
-
-def _inside(order, children, tables, weights, k):
+def _inside(order, children, tables, weights, k, p: int = PRIME):
     """Inside vectors and upward messages of all functionals at once.
 
     ``order`` lists the variables root first, each before its children;
-    ``tables[v][p]`` is ``v``'s completed block at parent state ``p`` (the
+    ``tables[v][u]`` is ``v``'s completed block at parent state ``u`` (the
     root has one), and ``weights[v][x][j]`` functional ``j``'s weight of
     an observed ``v`` at ``x``.  The factors of ``v``, arrays ``[x][j]``,
     are its children's messages in order, then its weights, all ones for
     a latent leaf; ``partial[v][i]`` is the entrywise product of the first
     ``i + 1``, ``beta[v] = partial[v][-1]``.  The message to the parent at
-    state ``p``, ``up[v][p][j] = sum_x tables[v][p][x] * beta[v][x][j]``,
+    state ``u``, ``up[v][u][j] = sum_x tables[v][u][x] * beta[v][x][j]``,
     is one packed sum, a slot per functional, its slots folded below 2p;
-    ``up[root][0][j]`` is functional ``j``'s ``S``.  Returns the slots too.
+    ``up[root][0][j]`` is functional ``j``'s ``S``, mod the field prime
+    p = 2**e - 1.  Returns the slots too.
     """
     # A packed sum adds at most c products of a table entry, below p, and
-    # a vector entry, below 2p, c the largest cardinality: below c * 2**123.
+    # a vector entry, below 2p, c the largest cardinality: below c * 2**(2e+1).
     card = max(len(blocks[0]) for blocks in tables.values())
-    slots = _layout(k, 123 + card.bit_length())
+    slots = _layout(k, 2 * p.bit_length() + 1 + card.bit_length(), p)
     pack, unpack, fold = slots.pack, slots.unpack, slots.fold
-    partial, up = {}, {}
+    times, partial, up = functools.partial(_times, p=p), {}, {}
     for v in reversed(order):
         factors = [up[c] for c in children[v]]
         if v in weights or not factors:
             factors.append(weights.get(v) or [[1] * k] * len(tables[v][0]))
         if len(factors) > 1:
-            factors = list(itertools.accumulate(factors, _times))
+            factors = list(itertools.accumulate(factors, times))
         partial[v], beta = factors, [*map(pack, factors[-1])]
         up[v] = [unpack(fold(sum(map(mul, row, beta)))) for row in tables[v]]
     return partial, up, slots
 
 
-def _gradient(order, children, tables, weights, partial, up, slots):
-    """Gradient columns of the scalars ``S``, mod PRIME, per variable.
+def _gradient(order, children, tables, weights, partial, up, slots, p: int = PRIME):
+    """Gradient columns of the scalars ``S``, mod p, per variable.
 
-    ``outer[v][p]`` is the weight outside ``v``'s subtree and table at
-    parent state ``p``.  A free weight moves its entry up and its block's
-    last entry down, so its column is ``outer[v][p] * (beta[v][x] -
-    beta[v][last])``.  ``down[x] = sum_p tables[v][p][x] * outer[v][p]`` is
+    ``outer[v][u]`` is the weight outside ``v``'s subtree and table at
+    parent state ``u``.  A free weight moves its entry up and its block's
+    last entry down, so its column is ``outer[v][u] * (beta[v][x] -
+    beta[v][last])``.  ``down[x] = sum_u tables[v][u][x] * outer[v][u]`` is
     a packed sum, as in :func:`_inside`; a child's outer weight is ``down``
     times the messages of the children after it, taken from the right,
     times ``partial`` of those before it.  The root's outer weight is one.
@@ -269,22 +273,22 @@ def _gradient(order, children, tables, weights, partial, up, slots):
         b, kids = partial[v][-1], children[v]
         diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
         if v not in outer:  # the root: down[x] is its entry x in every slot
-            grad[v] = [[x % PRIME for x in d] for d in diffs]
+            grad[v] = [[x % p for x in d] for d in diffs]
             down = [[x] * len(b[0]) for x in tables[v][0]]
         else:
             out = outer[v]
             grad[v] = [
-                [x * y % PRIME for x, y in zip(ox, d)] for ox in out for d in diffs
+                [x * y % p for x, y in zip(ox, d)] for ox in out for d in diffs
             ]
             if not kids:
                 continue
             out = [*map(pack, out)]
             down = [unpack(fold(sum(map(mul, col, out)))) for col in zip(*tables[v])]
         if v in weights:
-            down = _times(down, weights[v])
+            down = _times(down, weights[v], p)
         for i in range(len(kids) - 1, 0, -1):
-            outer[kids[i]] = _times(down, partial[v][i - 1])
-            down = _times(down, up[kids[i]])
+            outer[kids[i]] = _times(down, partial[v][i - 1], p)
+            down = _times(down, up[kids[i]], p)
         if kids:
             outer[kids[0]] = down
     return grad
@@ -300,63 +304,69 @@ def _shapes(model) -> list[tuple[int, int]]:
     ]
 
 
-def draw_point(model, rng: random.Random) -> list:
-    """Completed tables of a tree model, in GF(PRIME): one per variable in
+def draw_point(model, rng: random.Random, p: int = PRIME) -> list:
+    """Completed tables of a tree model, in GF(p): one per variable in
     ascending id order, one block per parent state (the root has one).
     The free weights come from one :func:`field_draws` call in that order,
     a slice per block; each block's last weight is one minus the rest."""
     shapes = _shapes(model)
-    draws = field_draws(rng, sum(b * (card - 1) for b, card in shapes))
+    draws = field_draws(rng, sum(b * (card - 1) for b, card in shapes), p)
     point, end = [], 0
     for blocks, card in shapes:
         point.append(table := [])
         for _ in range(blocks):
             block, end = draws[end : end + card - 1], end + card - 1
-            block.append((1 - sum(block)) % PRIME)
+            block.append((1 - sum(block)) % p)
             table.append(block)
     return point
 
 
-def jacobian(model, point, weights) -> tuple[tuple[int, ...], ...]:
-    """Gradients of functionals of a tree model's observed joint, mod PRIME.
+def jacobian(model, point, weights, p: int = PRIME) -> tuple[tuple[int, ...], ...]:
+    """Gradients of functionals of a tree model's observed joint, mod p.
 
     ``point`` holds completed tables (:func:`draw_point`) at any integer
     point: the passes read no block as summing to one.  ``weights[i][x][j]``
     is functional ``j``'s weight of observed variable ``i``, in ascending
     id order, at state ``x``, any integers.  Row ``j`` is functional
     ``j``'s gradient from the passes; columns are the free weights in the
-    point's order.  Entries lie in [0, PRIME).
+    point's order.  Entries lie in [0, p).
     """
     if [[len(b) for b in t] for t in point] != [[c] * b for b, c in _shapes(model)]:
         raise ValueError("point does not match the model's tables")
     _, children, order = model._rooting
-    tables = {v.id: [_residues(b) for b in t] for v, t in zip(model.variables, point)}
-    observed = [(v.id, v.cardinality) for v in model.observed_variables]
-    weights, k = _weights(observed, weights)
-    partial, up, slots = _inside(order, children, tables, weights, k)
-    grad = _gradient(order, children, tables, weights, partial, up, slots)
-    return tuple(zip(*(column for v in model.variables for column in grad[v.id])))
+    variables, observed = model.variables, model.observed_variables
+    k = len(weights[0][0]) if weights and weights[0] else 0
+    shape = [[k] * v.cardinality for v in observed]
+    if [[len(row) for row in t] for t in weights] != shape:
+        raise ValueError("weights need a cardinality x k table per observed variable")
+    tables = {v.id: [_residues(b, p) for b in t] for v, t in zip(variables, point)}
+    weights = {v.id: [_residues(r, p) for r in t] for v, t in zip(observed, weights)}
+    partial, up, slots = _inside(order, children, tables, weights, k, p)
+    grad = _gradient(order, children, tables, weights, partial, up, slots, p)
+    return tuple(zip(*(column for v in variables for column in grad[v.id])))
 
 
-def sample_lc_point(component: "LcComponent", rng: random.Random) -> list:
+def sample_lc_point(
+    component: "LcComponent", rng: random.Random, p: int = PRIME
+) -> list:
     """:func:`draw_point` of the component's star: ``point[0]`` holds the
     class weights, ``point[1 + i][z]`` neighbor ``i``'s block given class ``z``."""
-    return draw_point(component.star, rng)
+    return draw_point(component.star, rng, p)
 
 
 def lc_jacobian_at(
-    component: "LcComponent", point, weights
+    component: "LcComponent", point, weights, p: int = PRIME
 ) -> tuple[tuple[int, ...], ...]:
     """:func:`jacobian` of the component's star; ``weights[i]`` is neighbor
     ``i``'s table.  Columns are the free class weights, then the free
     conditional weights by neighbor, class and state."""
-    return jacobian(component.star, point, weights)
+    return jacobian(component.star, point, weights, p)
 
 
 def lc_rank_trials(
     component: "LcComponent", trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> tuple[int, ...]:
-    """Jacobian rank at one random point of GF(PRIME) per trial.
+    """Jacobian rank at one random point of a prime field per trial.
 
     No rank exceeds b = min(columns n, joint states - 1), so each trial
     ranks the gradients of b random functionals, which keep the rank of
@@ -368,9 +378,13 @@ def lc_rank_trials(
     returned for every trial without a draw.  A specific point can only
     under-estimate the almost-everywhere rank, so callers take the
     maximum; disagreeing trials are logged.
+
+    Each trial ranks in GF(PRIME) from the seed ``(seed, "lc-trial", trial)``.
+    From b * n = 2**8 cells on, it first ranks a point of GF(SMALL_PRIME),
+    from its own seed, and keeps that rank only if it reaches b, which proves
+    it; after a shortfall the component's trials run in GF(PRIME) alone.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     cards = [card for _, card in component.neighbors]
     n = sum(b * (c - 1) for b, c in _shapes(component.star))
     bound = min(n, capped_product(cards, n + 1) - 1)
@@ -380,12 +394,19 @@ def lc_rank_trials(
     distinct = ", ".join(map(_figure, sorted(set(cards))))
     what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
     check_cells(what, bound, n)
+    fields = (SMALL_PRIME, PRIME) if bound * n >= _SMALL_FIELD_CELLS else (PRIME,)
     ranks = []
     for trial in range(trials):
-        rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        point = sample_lc_point(component, rng)
-        weights = _functionals(rng, cards, bound)
-        ranks.append(exact_rank(lc_jacobian_at(component, point, weights)))
+        for p in fields:
+            label = "lc-trial" if p == PRIME else "lc-small-trial"
+            rng = random.Random(derive_seed(seed, label, trial))
+            point = sample_lc_point(component, rng, p)
+            weights = _functionals(rng, cards, bound, p)
+            found = exact_rank(lc_jacobian_at(component, point, weights, p), p)
+            if found == bound:
+                break  # proven, in either field
+            fields = (PRIME,)  # a shortfall: GF(PRIME) now and for later trials
+        ranks.append(found)
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",

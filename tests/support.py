@@ -35,7 +35,6 @@ from treedim.rank import (
     _residues,
     _Slots,
     _times,
-    _weights,
     derive_seed,
     exact_rank,
     field_draws,
@@ -209,8 +208,8 @@ def structural_signature(model: TreeModel):
     )
 
 
-def reference_rank(rows) -> int:
-    """Rank over GF(PRIME) by plain row reduction, one entry at a time.
+def reference_rank(rows, p: int = PRIME) -> int:
+    """Rank over GF(p) by plain row reduction, one entry at a time.
 
     The list-based elimination ``treedim.rank.exact_rank`` replaced; each
     pivot row is normalised to a leading 1.
@@ -219,13 +218,13 @@ def reference_rank(rows) -> int:
     basis: dict[int, list[int]] = {}
     for vec in rows:
         for lead in range(n):
-            f = vec[lead] % PRIME
+            f = vec[lead] % p
             if not f:
                 continue
             pivot = basis.get(lead)
             if pivot is None:
-                inv = pow(f, -1, PRIME)
-                basis[lead] = [x * inv % PRIME for x in vec]
+                inv = pow(f, -1, p)
+                basis[lead] = [x * inv % p for x in vec]
                 break
             vec = [a - f * b for a, b in zip(vec, pivot)]
     return len(basis)
@@ -370,7 +369,7 @@ def reference_sums_inside(order, children, tables, weights, k):
     """``treedim.rank._inside`` before it inlined its packed sum: every node's
     factors go through ``itertools.accumulate``, even a single one."""
     card = max(len(blocks[0]) for blocks in tables.values())
-    slots = _layout(k, 123 + card.bit_length())
+    slots = _layout(k, 123 + card.bit_length(), PRIME)  # the kernels' memo key
     partial, up = {}, {}
     for v in reversed(order):
         factors = [up[c] for c in children[v]]
@@ -462,6 +461,18 @@ def _observed(model: TreeModel):
     return [(v.id, v.cardinality) for v in model.observed_variables]
 
 
+def reference_weights(variables, weights) -> tuple[dict, int]:
+    """``treedim.rank._weights``, which ``jacobian`` took in: checks
+    ``weights[i][x][j]`` against ``variables``, (key, cardinality) pairs,
+    and returns its tables by key, entries mod PRIME, and the count k."""
+    k = len(weights[0][0]) if weights and weights[0] else 0
+    shape = [[k] * card for _, card in variables]
+    if [[len(row) for row in t] for t in weights] != shape:
+        raise ValueError("weights need a cardinality x k table per observed variable")
+    rows = [[_residues(row) for row in t] for t in weights]
+    return {key: t for (key, _), t in zip(variables, rows)}, k
+
+
 def _tables(model: TreeModel, point):
     """A point's completed tables by variable id, entries mod PRIME."""
     ids = [v.id for v in model.variables]
@@ -502,7 +513,8 @@ def joint_observed_distribution(model: TreeModel, point) -> tuple[int, ...]:
     _, children, order = model._rooting
     tables = _tables(model, point)
     observed = _observed(model)
-    weights, k = _weights(observed, indicator_weights([c for _, c in observed]))
+    weights = indicator_weights([c for _, c in observed])
+    weights, k = reference_weights(observed, weights)
     _, up, _ = _inside(order, children, tables, weights, k)
     return tuple(s % PRIME for s in up[order[0]][0])
 
@@ -512,7 +524,7 @@ def reference_observed_joint_jacobian(model: TreeModel, point, weights):
     one product and one ``% PRIME`` per functional and table entry."""
     _, children, order = model._rooting
     tables = _tables(model, point)
-    weights, k = _weights(_observed(model), weights)
+    weights, k = reference_weights(_observed(model), weights)
     if not k:
         return ()
     beta, up = reference_inside(order, children, tables, weights, k)
@@ -525,7 +537,7 @@ def reference_packed_jacobian(model: TreeModel, point, weights):
     ``reference_packed_gradient``."""
     _, children, order = model._rooting
     tables = _tables(model, point)
-    weights, k = _weights(_observed(model), weights)
+    weights, k = reference_weights(_observed(model), weights)
     passes = _inside(order, children, tables, weights, k)
     grad = reference_packed_gradient(order, children, tables, weights, *passes)
     return tuple(zip(*(column for v in model.variables for column in grad[v.id])))
@@ -537,7 +549,8 @@ def reference_joint_observed_distribution(model: TreeModel, point):
     _, children, order = model._rooting
     tables = _tables(model, point)
     observed = _observed(model)
-    weights, k = _weights(observed, indicator_weights([c for _, c in observed]))
+    weights = indicator_weights([c for _, c in observed])
+    weights, k = reference_weights(observed, weights)
     _, up = reference_inside(order, children, tables, weights, k)
     return tuple(up[order[0]][0])
 
@@ -643,6 +656,23 @@ def reference_lc_rank(component, rng: random.Random) -> int:
     raise CellLimitError(f"needs {size} rows > {REFERENCE_ROW_LIMIT}")
 
 
+def reference_trial_ranks(component, trials: int, seed: int) -> tuple[int, ...]:
+    """``treedim.rank.lc_rank_trials`` before it tried GF(2**31 - 1) first:
+    every trial ranks ``b`` functionals at a point of GF(PRIME) drawn from
+    ``derive_seed(seed, "lc-trial", trial)``.  For components of two or
+    more classes and at least one row."""
+    cards = [card for _, card in component.neighbors]
+    n = standard_dimension(component.star)
+    bound = min(n, math.prod(cards) - 1)
+    ranks = []
+    for trial in range(trials):
+        rng = random.Random(derive_seed(seed, "lc-trial", trial))
+        point = sample_lc_point(component, rng)
+        weights = _functionals(rng, cards, bound)
+        ranks.append(exact_rank(lc_jacobian_at(component, point, weights)))
+    return tuple(ranks)
+
+
 def flattening_bound(latent_card: int, cards: Sequence[int]) -> int:
     """Upper bound on a latent-class component's dimension from flattenings.
 
@@ -673,7 +703,8 @@ def reference_prune_latent_leaves(model: TreeModel):
     rebuilding the model after each."""
     removed: list[int] = []
     while True:
-        leaves = {v.id for v in model.latent_variables if model.degree(v.id) <= 1}
+        latents = model.latent_variables
+        leaves = {v.id for v in latents if len(model.neighbors(v.id)) <= 1}
         if not leaves:
             return model, tuple(removed)
         model = TreeModel(

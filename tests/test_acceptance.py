@@ -23,6 +23,7 @@ from support import (
     random_tree_model,
     reference_observed_joint_jacobian,
     reference_oracle_effective_dimension,
+    reference_trial_ranks,
     structural_signature,
     two_branch_hierarchy,
 )
@@ -45,7 +46,8 @@ from treedim.decompose import (
 )
 from treedim.model import check_regular, regularize, standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
-from treedim.rank import PRIME, exact_rank, lc_rank_trials
+from treedim import rank
+from treedim.rank import PRIME, SMALL_PRIME, exact_rank, lc_rank_trials
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,6 +127,23 @@ KEYSTONE_SETS = {
     "large": large_keystone_models,
     "hlc": hlc_keystone_models,
 }
+
+
+@functools.cache
+def keystone_signatures() -> frozenset:
+    """(latent cardinality, sorted neighbor cardinalities) of every
+    component with c >= 2 in the keystone sets, after prune and regularize
+    as the pipeline ranks them."""
+    signatures = set()
+    for models in [*KEYSTONE_SETS.values(), wide_hlc_keystone_models]:
+        for model in models():
+            regular, _ = regularize(prune_latent_leaves(model)[0])
+            signatures.update(
+                (c.latent_cardinality, tuple(sorted(k for _, k in c.neighbors)))
+                for c in decompose_hlc(regular)[0]
+                if c.latent_cardinality >= 2
+            )
+    return frozenset(signatures)
 
 
 @functools.cache
@@ -232,7 +251,7 @@ def test_criterion_3c_oracle_keystone_beyond_the_old_state_limit(capsys):
         latent = {v.id for v in model.latent_variables}
         latent_edges += sum(a in latent and b in latent for a, b in model.edges)
         observed_internal += sum(
-            model.degree(v.id) > 1 for v in model.observed_variables
+            len(model.neighbors(v.id)) > 1 for v in model.observed_variables
         )
     assert latent_edges and observed_internal
     start = time.perf_counter()
@@ -378,7 +397,7 @@ def test_criterion_3h_glued_keystone_past_the_oracle_reach(capsys):
     floors = {
         "shared by three or more pieces": sum(d >= 3 for d in shared.values()),
         "shared and internal to a piece": sum(
-            model.degree(v) > d for v, d in shared.items()
+            len(model.neighbors(v)) > d for v, d in shared.items()
         ),
         "pieces that regularize": sum(bool(regularize(p)[1]) for p in pieces),
         "deficient components": deficient,
@@ -409,15 +428,7 @@ def test_criterion_3i_lc_ranks_within_the_flattening_bound(capsys):
     # Every distinct signature in the keystone sets is checked against it,
     # after prune and regularize as the pipeline ranks them.
     start = time.perf_counter()
-    signatures = set()
-    for models in [*KEYSTONE_SETS.values(), wide_hlc_keystone_models]:
-        for model in models():
-            regular, _ = regularize(prune_latent_leaves(model)[0])
-            signatures.update(
-                (c.latent_cardinality, tuple(sorted(k for _, k in c.neighbors)))
-                for c in decompose_hlc(regular)[0]
-                if c.latent_cardinality >= 2
-            )
+    signatures = keystone_signatures()
     over, deficient, proven = [], 0, 0
     for card, cards in sorted(signatures):
         component = LcComponent(0, card, tuple(enumerate(cards)))
@@ -439,6 +450,43 @@ def test_criterion_3i_lc_ranks_within_the_flattening_bound(capsys):
         f"{elapsed:.1f}s",
     )
     assert ok, over
+
+
+def test_criterion_3j_both_fields_agree_on_every_large_signature(capsys):
+    # Every keystone and lc_wide signature of at least 2**8 Jacobian cells
+    # tries GF(2**31 - 1) first.  One trial in each field finds the same
+    # rank, and the trial tuples equal those of GF(2**61 - 1) alone.
+    start = time.perf_counter()
+    lc_wide = {(4, (3,) * 6), (3, (2,) * 11), (6, (3,) * 3), (4, (2,) * 4)}
+    large, differ, deficient = 0, [], 0
+    for card, cards in sorted(keystone_signatures() | lc_wide):
+        component = LcComponent(0, card, tuple(enumerate(cards)))
+        n = standard_dimension(component.star)
+        b = min(n, math.prod(cards) - 1)
+        if b * n < rank._SMALL_FIELD_CELLS:
+            continue
+        large += 1
+        ranks = []
+        for p in (PRIME, SMALL_PRIME):
+            rng = random.Random(card)
+            point = rank.sample_lc_point(component, rng, p)
+            weights = rank._functionals(rng, cards, b, p)
+            rows = rank.lc_jacobian_at(component, point, weights, p)
+            ranks.append(exact_rank(rows, p))
+        found = lc_rank_trials(component, trials=2, seed=card)
+        if ranks[0] != ranks[1] or found != reference_trial_ranks(component, 2, card):
+            differ.append((card, cards, ranks, found))
+        deficient += ranks[0] < b
+    elapsed = time.perf_counter() - start
+    ok = not differ and large >= 75 and deficient and elapsed < 30.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{large} signatures of >= 2**8 cells rank alike in both fields, "
+        f"{deficient} of them deficient, in {elapsed:.1f}s",
+    )
+    assert ok, differ
 
 
 def test_criterion_3f_oracle_equals_the_reference_oracle(capsys):

@@ -243,6 +243,16 @@ class TestEffectiveDimension:
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             effective_dimension(model, RankPolicy(trials=0))
 
+    def test_a_policy_past_the_trials_cap_is_refused_when_built(self):
+        # One check serves the policy, the CLI that builds it and the oracle.
+        message = f"^trials must be <= {rank.MAX_TRIALS}$"
+        for trials in (rank.MAX_TRIALS + 1, 10**20):
+            with pytest.raises(ValueError, match=message):
+                RankPolicy(trials=trials)
+        model = latent_class_model(2, (2, 2, 2))
+        result = effective_dimension(model, RankPolicy(trials=rank.MAX_TRIALS))
+        assert result.component_trial_ranks == ((7,) * rank.MAX_TRIALS,)
+
     def test_ledger_counts_match_structure(self):
         result = effective_dimension(two_branch_hierarchy())
         ledger = result.ledger
@@ -386,7 +396,7 @@ class TestEffectiveDimension:
             expected_edges = sum(
                 1
                 for a, b in regular.edges
-                if regular.variable(a).latent and regular.variable(b).latent
+                if not regular.variable(a).observed and not regular.variable(b).observed
             )
             assert {c.latent_id for c in ledger.lc_components} == expected_latents
             assert len(ledger.latent_edge_corrections) == expected_edges

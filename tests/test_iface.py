@@ -16,12 +16,17 @@ import treedim.iface
 from support import structural_signature
 from treedim import InvalidModelError, ModelParseError, parse_model, rank, run
 from treedim.iface import serialize_model
+from treedim.rank import MAX_TRIALS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LONG = "x" * 5000
 DIGITS = "9" * 5001
 M1 = str(FIXTURES / "m1.model")
 SCORE = ["score", M1, "--loglik", "-5", "--n", "9", "--de", "43"]
+# A one-state latent over three binary leaves: ds = de = 3, with no draw.
+ONE_STATE = "var Z 1 latent\n" + "".join(
+    f"var Y{i} 2 observed\nedge Z Y{i}\n" for i in range(3)
+)
 
 
 class TestParseModel:
@@ -29,7 +34,7 @@ class TestParseModel:
         model = parse_model((FIXTURES / "m1.model").read_text())
         assert len(model.variables) == 9
         by_name = {v.name: v for v in model.variables}
-        assert by_name["X1"].latent
+        assert not by_name["X1"].observed
         assert by_name["Y4"].observed
 
     def test_round_trip_identity(self):
@@ -286,6 +291,35 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_trials_past_the_cap_end_in_one_error_line_at_once(self, capsys, tmp_path):
+        # 10**20 trials ran m1 until it was killed and ended the one-state
+        # model in an OverflowError from (bound,) * trials.
+        one_state = tmp_path / "one_state.model"
+        one_state.write_text(ONE_STATE)
+        huge = str(10**20)
+        for args in [
+            ["dims", M1, "--trials", huge],
+            ["dims", M1, "--oracle", "--trials", huge],
+            ["dims", str(one_state), "--trials", huge],
+            ["dims", str(one_state), "--report", "--trials", str(MAX_TRIALS + 1)],
+        ]:
+            start = time.perf_counter()
+            assert run(args) == 1, args
+            assert time.perf_counter() - start < 1.0, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: trials must be <= {MAX_TRIALS}\n"
+
+    def test_the_largest_allowed_trials_runs(self, capsys, tmp_path):
+        one_state = tmp_path / "one_state.model"
+        one_state.write_text(ONE_STATE)
+        for flags in (["--report"], ["--oracle"]):
+            args = ["dims", str(one_state), *flags, "--trials", str(MAX_TRIALS)]
+            assert run(args) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("ds=3\nde=3\n")
+            assert f"trials={MAX_TRIALS}\n" in out or "oracle_de=3\n" in out
 
     def test_loglik_in_any_float_syntax(self, capsys):
         # argparse reads a negative number with an exponent as an option name.
@@ -749,11 +783,10 @@ class TestCliFuzz:
             codes.add(code)
         assert codes == {0, 1, 2, 4}
 
-    # Invalid values only: a valid --trials of thousands of digits runs for as
-    # long as it is let.  Each ends in exit 1 after one short error: line.
+    # Invalid values only.  Each ends in exit 1 after one short error: line.
     BAD = {
         "--seed": ("x", "1.5", "0x10", DIGITS),
-        "--trials": ("0", "-3", "x", "2.5", DIGITS),
+        "--trials": ("0", "-3", "x", "2.5", str(MAX_TRIALS + 1), "9" * 4000, DIGITS),
         "--n": ("0", "-1", "x", "1e3", DIGITS),
         "--loglik": ("inf", "-inf", "nan", "x", "1e999", DIGITS),
         "--de": ("-1", "x", "46", DIGITS),
@@ -761,6 +794,29 @@ class TestCliFuzz:
         "path": ("no-such.model", "", ".", DIGITS),
     }
     BREAKS = (" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x85", "\u2028")
+
+    def test_huge_trials_on_one_state_models_end_in_one_error_line(
+        self, capsys, tmp_path
+    ):
+        # A one-state latent ranks without a draw, so nothing but the cap
+        # stops a huge --trials there.
+        rng = random.Random(1)
+        path = tmp_path / "one_state.model"
+        for _ in range(40):
+            leaves = rng.randint(1, 6)
+            text = "var Z 1 latent\n" + "".join(
+                f"var Y{i} {rng.choice(self.CARDS)} observed\nedge Z Y{i}\n"
+                for i in range(leaves)
+            )
+            path.write_text(text)
+            command, *flags = rng.choice(self.COMMANDS[:3])
+            trials = str(rng.choice((MAX_TRIALS + 1, 10**9, 10**20, 10**4000)))
+            start = time.perf_counter()
+            assert run([command, str(path), *flags, "--trials", trials]) == 1
+            assert time.perf_counter() - start < 1.0, text
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: trials must be <= {MAX_TRIALS}\n"
 
     def test_malformed_flag_values_end_in_one_error_line(self, capsys):
         rng = random.Random(0)

@@ -47,7 +47,7 @@ class TestTreeModel:
             assert model.variables == vs
             assert model.neighbors(2) == (0, 1, 3, 4)
             assert model.neighbors(4) == (2,)
-            assert model.degree(2) == 4
+            assert len(model.neighbors(2)) == 4
 
     def test_unknown_variable_id_raises_key_error(self):
         model = two_branch_hierarchy()
@@ -61,7 +61,7 @@ class TestTreeModel:
         # must not keep those of the model it came from.  X3 (id 2) turns
         # observed and Y6 (id 8) moves from X3 to X2 (id 1).
         model = two_branch_hierarchy()
-        assert model.variable(2).latent and model._rooting[0][8] == 2
+        assert not model.variable(2).observed and model._rooting[0][8] == 2
         flipped = list(model.variables)
         flipped[2] = replace(flipped[2], observed=True)
         edges = [(b, a) if b != 8 else (1, 8) for a, b in model.edges]
@@ -75,7 +75,7 @@ class TestTreeModel:
             assert [v.id for v in built.latent_variables] == [0, 1]
             assert built._rooting[0][8] == 1
         assert moved == rebuilt and moved._adjacency == rebuilt._adjacency
-        assert model.neighbors(2) == (0, 6, 7, 8) and model.variable(2).latent
+        assert model.neighbors(2) == (0, 6, 7, 8) and not model.variable(2).observed
         # model was rooted above: replace roots its own fields, not a copy
         assert moved._rooting == rebuilt._rooting != model._rooting
         assert replace(model)._rooting == model._rooting

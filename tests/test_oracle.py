@@ -30,6 +30,7 @@ from support import (
     reference_packed_rank,
     reference_sums_gradient,
     reference_sums_inside,
+    reference_weights,
     two_branch_hierarchy,
 )
 from treedim import (
@@ -134,7 +135,7 @@ class TestJacobian:
             latent = {v.id for v in model.latent_variables}
             latent_edges += sum(a in latent and b in latent for a, b in model.edges)
             observed_internal += sum(
-                model.degree(v.id) > 1 for v in model.observed_variables
+                len(model.neighbors(v.id)) > 1 for v in model.observed_variables
             )
             point = sample_full_point(model, rng)
             jac = full_jacobian(model, point)
@@ -182,7 +183,7 @@ class TestSketch:
             latent = {v.id for v in model.latent_variables}
             latent_edges += sum(a in latent and b in latent for a, b in model.edges)
             observed_internal += sum(
-                model.degree(v.id) > 1 for v in model.observed_variables
+                len(model.neighbors(v.id)) > 1 for v in model.observed_variables
             )
             observed = model.observed_variables
             n = standard_dimension(model)
@@ -276,7 +277,7 @@ def _passes_match_their_parents(model, point, weights) -> bool:
     ids = [v.id for v in model.variables]
     tables = {vid: [rank._residues(b) for b in t] for vid, t in zip(ids, point)}
     observed = [(v.id, v.cardinality) for v in model.observed_variables]
-    weights, k = rank._weights(observed, weights)
+    weights, k = reference_weights(observed, weights)
     passes = rank._inside(order, children, tables, weights, k)
     parents = reference_sums_inside(order, children, tables, weights, k)
     grad = rank._gradient(order, children, tables, weights, *passes)
@@ -294,7 +295,7 @@ class TestPackedKernels:
         for _ in range(50):
             model = random_tree_model(rng, max_vars=7, max_card=3)
             observed = model.observed_variables
-            observed_internal += sum(model.degree(v.id) > 1 for v in observed)
+            observed_internal += sum(len(model.neighbors(v.id)) > 1 for v in observed)
             unit_cards += sum(v.cardinality == 1 for v in model.variables)
             _, children, _ = model._rooting
             latent_leaves = [v for v in model.latent_variables if not children[v.id]]
@@ -561,9 +562,9 @@ class TestLiveParameters:
         draws, shapes = [], []
         real_draws, real_rank = rank.field_draws, oracle.exact_rank
 
-        def recording_draws(rng, count):
+        def recording_draws(rng, count, p):
             draws.append(count)
-            return real_draws(rng, count)
+            return real_draws(rng, count, p)
 
         def recording_rank(rows):
             shapes.append((len(rows), len(rows[0])))
@@ -688,7 +689,7 @@ class TestLiveParameters:
         roots_in_chain = 0
         for i in range(40):
             model = _hang_latent_chain(random_tree_model(rng, max_vars=5), rng)
-            roots_in_chain += model.variables[0].latent
+            roots_in_chain += not model.variables[0].observed
             de = oracle_effective_dimension(model, trials=1, seed=i)
             assert de == reference_oracle_effective_dimension(model, trials=1, seed=i)
             policy = RankPolicy(trials=2, seed=i)
@@ -705,7 +706,7 @@ class TestCellLimitBeforeAnyDraw:
 
     @pytest.fixture(autouse=True)
     def no_draw(self, monkeypatch):
-        def drawn(rng, count):
+        def drawn(rng, count, p):
             raise self.Drawn(count)
 
         monkeypatch.setattr(rank, "field_draws", drawn)

@@ -19,6 +19,7 @@ from support import (
     reference_packed_jacobian,
     reference_packed_rank,
     reference_rank,
+    reference_trial_ranks,
     residues,
 )
 
@@ -27,7 +28,10 @@ from treedim.decompose import LcComponent
 from treedim.model import standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
+    CELL_LIMIT,
+    MAX_TRIALS,
     PRIME,
+    SMALL_PRIME,
     CellLimitError,
     derive_seed,
     exact_rank,
@@ -200,9 +204,9 @@ class TestNarrowSide:
         counts = []
         layout = rank._layout
 
-        def recorded(count, bits):
+        def recorded(count, bits, p):
             counts.append(count)
-            return layout(count, bits)
+            return layout(count, bits, p)
 
         monkeypatch.setattr(rank, "_layout", recorded)
         found = exact_rank(mat)
@@ -504,13 +508,13 @@ class TestOneBuildPerTrial:
     ):
         built, eliminated = [], []
 
-        def build(component, point, weights):
-            built.append(len(rows := lc_jacobian_at(component, point, weights)))
+        def build(component, point, weights, p):
+            built.append(len(rows := lc_jacobian_at(component, point, weights, p)))
             return rows
 
-        def rank_of(rows):
+        def rank_of(rows, p):
             eliminated.append(len(rows))
-            return exact_rank(rows)
+            return exact_rank(rows, p)
 
         monkeypatch.setattr(rank, "lc_jacobian_at", build)
         monkeypatch.setattr(rank, "exact_rank", rank_of)
@@ -550,9 +554,9 @@ class TestOneEngine:
         assert oracle.jacobian is rank.jacobian
         real, calls = rank.jacobian, []
 
-        def counted(model, point, weights):
+        def counted(model, point, weights, p=PRIME):
             calls.append(len(model.variables))
-            return real(model, point, weights)
+            return real(model, point, weights, p)
 
         for module in (rank, oracle):
             monkeypatch.setattr(module, "jacobian", counted)
@@ -624,3 +628,195 @@ class TestOneStateLatent:
             assert found == reference_lc_rank(component, trial_rng)
             point = sample_lc_point(component, rng)
             assert found == exact_rank(full_lc_jacobian(component, point))
+
+
+BOTH_FIELDS = pytest.mark.parametrize(
+    "p", [PRIME, SMALL_PRIME], ids=["2^61-1", "2^31-1"]
+)
+
+
+class TestBothFields:
+    """The packed elimination's carry and fold edge cases in GF(2**31 - 1),
+    and in GF(2**61 - 1) where TestPackedEliminationMatchesReference does
+    not reach, against the list-based reference in the same field."""
+
+    @staticmethod
+    def _check(mat, p):
+        transposed = [list(col) for col in zip(*mat)]
+        assert exact_rank(mat, p) == reference_rank(mat, p)
+        assert exact_rank(transposed, p) == reference_rank(transposed, p)
+        return exact_rank(mat, p)
+
+    def test_entries_negative_above_the_prime_or_multiples_of_it(self):
+        p, rng = SMALL_PRIME, random.Random(9)
+        pool = [0, 1, -1, p, -p, 2 * p, p - 1, p + 1,
+                1 - p, 3 * p + 5, 2**64, -(2**70), 7, -7]
+        for _ in range(60):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            self._check([[rng.choice(pool) for _ in range(n)] for _ in range(m)], p)
+        for _ in range(20):
+            mat = random_product_matrix(rng, 8, rng.randint(1, 8), 8)
+            shifted = [[x + rng.randint(-5, 5) * p for x in row] for row in mat]
+            assert exact_rank(shifted, p) == self._check(mat, p)
+        assert exact_rank([[p, -3 * p], [2 * p, 0]], p) == 0
+
+    @BOTH_FIELDS
+    @pytest.mark.parametrize("n", [15, 16, 255, 256])
+    def test_square_matrices_around_the_slot_width_steps(self, p, n):
+        # Slots are 2e + 2 + n.bit_length() bits, rounded up to bytes: 128
+        # to 136 between n = 15 and 16 for e = 61, 72 to 80 between n = 255
+        # and 256 for e = 31; a wide matrix has min(m, n) slots, so only a
+        # square one reaches them.  -(J + 2I) mod p has determinant
+        # +-2**(n-1) * (n + 2) != 0, and row i meets all i earlier pivots.
+        mat = [[p - 1 - 2 * (i == j) for j in range(n)] for i in range(n)]
+        assert exact_rank(mat, p) == n
+        # n I - J mod p has the all-ones vector in its kernel: rank n - 1.
+        mat = [[p - 1 + (n + p) * (i == j) for j in range(n)] for i in range(n)]
+        assert exact_rank(mat, p) == n - 1
+        if n < 20:
+            rng = random.Random(n)
+            odd = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+            self._check(odd, p)
+            self._check(random_product_matrix(rng, n, n // 2, n, p - 1), p)
+
+    @BOTH_FIELDS
+    def test_draws_and_jacobian_entries_lie_in_the_field(self, p):
+        component = _component(3, (2, 3, 4))
+        rng = random.Random(4)
+        draws = field_draws(rng, 500, p)
+        assert all(0 <= x < p for x in draws) and max(draws) > p // 2
+        point = sample_lc_point(component, rng, p)
+        assert all(0 <= x < p for t in point for b in t for x in b)
+        assert all(sum(b) % p == 1 for t in point for b in t)
+        weights = rank._functionals(rng, (2, 3, 4), 5, p)
+        rows = lc_jacobian_at(component, point, weights, p)
+        assert all(0 <= x < p for row in rows for x in row)
+
+    def test_the_widest_small_field_slots_fold_below_2p(self, monkeypatch):
+        # The fold needs W <= 3e - 1 bits, 92 for e = 31.  Under CELL_LIMIT
+        # the LC engine's widest layouts are exact_rank's narrow side of 512
+        # (b <= n and b * n <= 512**2), recorded below, and the passes' at a
+        # cardinality of 2**18: every star variable has at most n + 1 states.
+        e, requested = SMALL_PRIME.bit_length(), []
+        layout = rank._layout
+
+        def recorded(count, bits, p):
+            requested.append((count, bits, p))
+            return layout(count, bits, p)
+
+        monkeypatch.setattr(rank, "_layout", recorded)
+        assert 512**2 == CELL_LIMIT
+        assert exact_rank([[0] * 512] * 512, SMALL_PRIME) == 0
+        assert requested == [(512, 2 * e + 2 + (512).bit_length(), SMALL_PRIME)]
+        inside = 2 * e + 1 + (2**18).bit_length()
+        for bits in (requested[0][1], inside):
+            slots = layout(3, bits, SMALL_PRIME)
+            assert slots.width <= 3 * e - 1 == 92
+            # Every slot value below 2**W folds below 2p, congruent mod p.
+            top, rng = (1 << slots.width) - 1, random.Random(bits)
+            for values in ([top] * 3, [SMALL_PRIME, 2 * SMALL_PRIME - 1, 0],
+                           [rng.randrange(top) for _ in range(3)]):
+                vec = sum(v << i * slots.width for i, v in enumerate(values))
+                folded = slots.fold(vec)
+                out = [folded >> i * slots.width & top for i in range(3)]
+                assert folded >> 3 * slots.width == 0
+                assert all(o < 2 * SMALL_PRIME for o in out)
+                assert all((o - v) % SMALL_PRIME == 0 for o, v in zip(out, values))
+
+
+class TestSmallFieldFirst:
+    """A component of at least 2**8 Jacobian cells ranks each trial in
+    GF(2**31 - 1) first and keeps that rank only when it reaches b."""
+
+    @staticmethod
+    def _fields(monkeypatch):
+        fields = []
+
+        def rank_of(rows, p):
+            fields.append(p)
+            return exact_rank(rows, p)
+
+        monkeypatch.setattr(rank, "exact_rank", rank_of)
+        return fields
+
+    @pytest.mark.parametrize(
+        "card,leaves", [(2, (2, 2, 2)), (2, (3, 3)), (3, (2,) * 4), (2, (2,) * 7)]
+    )
+    def test_small_components_rank_in_the_wide_field_only(
+        self, monkeypatch, card, leaves
+    ):
+        # 49, 72, 196 and 225 cells: the pinned model and the canaries.
+        fields = self._fields(monkeypatch)
+        component = _component(card, leaves)
+        found = lc_rank_trials(component, trials=2, seed=3)
+        assert found == reference_trial_ranks(component, 2, 3)
+        assert fields == [PRIME, PRIME]
+
+    @pytest.mark.parametrize(
+        "card,leaves", [(4, (2,) * 4), (2, (2,) * 8), (3, (2,) * 11), (4, (3,) * 6)]
+    )
+    def test_a_proven_small_field_rank_is_kept(self, monkeypatch, card, leaves):
+        # 285, 289, 1,225 and 2,601 cells, each of full rank b.
+        fields = self._fields(monkeypatch)
+        component = _component(card, leaves)
+        found = lc_rank_trials(component, trials=3, seed=3)
+        assert found == reference_trial_ranks(component, 3, 3)
+        assert len(set(found)) == 1 and fields == [SMALL_PRIME] * 3
+
+    def test_a_deficient_component_pays_for_one_small_field_trial(self, monkeypatch):
+        # c = 4 over three ternary leaves: b = 26 over 27 columns, rank 25
+        # (Strassen): the first small-field trial falls short of b.
+        fields = self._fields(monkeypatch)
+        component = _component(4, (3, 3, 3))
+        assert lc_rank_trials(component, trials=3, seed=3) == (25, 25, 25)
+        assert fields == [SMALL_PRIME, PRIME, PRIME, PRIME]
+
+    def test_a_shortfall_falls_back_to_the_wide_field_trial(self, monkeypatch):
+        # Every small-field rank is made to fall one short of b: the
+        # component returns the tuple of its GF(2**61 - 1) trials exactly.
+        fields = []
+
+        def short(rows, p):
+            fields.append(p)
+            return exact_rank(rows, p) - (p == SMALL_PRIME)
+
+        monkeypatch.setattr(rank, "exact_rank", short)
+        for card, leaves in [(4, (2,) * 4), (3, (2,) * 11), (6, (3,) * 3)]:
+            component = _component(card, leaves)
+            fields.clear()
+            found = lc_rank_trials(component, trials=3, seed=7)
+            assert found == reference_trial_ranks(component, 3, 7)
+            assert fields == [SMALL_PRIME, PRIME, PRIME, PRIME]
+
+    def test_the_small_field_has_its_own_seeds(self, monkeypatch):
+        seeds = []
+        real = rank.derive_seed
+
+        def recorded(*parts):
+            seeds.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(rank, "derive_seed", recorded)
+        lc_rank_trials(_component(4, (3, 3, 3)), trials=2, seed=5)
+        assert seeds == [
+            (5, "lc-small-trial", 0), (5, "lc-trial", 0), (5, "lc-trial", 1)
+        ]
+
+
+class TestTrialsCap:
+    def test_trials_past_the_cap_are_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a parameter point was drawn")
+
+        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        for component in (_component(2, (2, 2, 2)), _component(1, (2, 2, 2))):
+            for trials in (MAX_TRIALS + 1, 10**20, 0, -5):
+                with pytest.raises(ValueError, match="^trials must be "):
+                    lc_rank_trials(component, trials=trials)
+        with pytest.raises(ValueError, match=f"^trials must be <= {MAX_TRIALS}$"):
+            oracle.oracle_effective_dimension(latent_class_model(1, (2,) * 3), 10**20)
+
+    def test_the_cap_itself_is_allowed(self):
+        assert lc_rank_trials(_component(1, (2, 2, 2)), MAX_TRIALS) == (3,) * MAX_TRIALS
+        model = latent_class_model(2, (2, 2, 2))
+        assert oracle.oracle_effective_dimension(model, MAX_TRIALS) == 7
