@@ -39,7 +39,7 @@ from .model import (
     standard_dimension,
 )
 from .oracle import oracle_effective_dimension
-from .rank import DEFAULT_TRIALS, CellLimitError
+from .rank import DEFAULT_TRIALS, CellLimitError, check_trials
 from .score import ScoreInput, bic, bice
 
 
@@ -185,17 +185,29 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(message)
 
 
-def _int_at_least(low: int):
+def _integer(check):
+    """An argparse type: an int that ``check`` accepts, or its ValueError's text."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return parse
+
+
+def _int_at_least(low: int):
+    def check(value: int) -> None:
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+
+    return _integer(check)
 
 
 def _finite_float(text: str) -> float:
@@ -219,7 +231,7 @@ def _build_parser() -> _Parser:
     dims.add_argument("model", help="model file path")
     dims.add_argument(
         "--trials",
-        type=_int_at_least(1),
+        type=_integer(check_trials),
         default=DEFAULT_TRIALS,
         help="random rank trials",
     )
@@ -264,11 +276,7 @@ def _load_model(path_text: str) -> TreeModel:
 
 
 def _run_dims(args, model: TreeModel) -> int:
-    try:
-        policy = RankPolicy(trials=args.trials, seed=args.seed)
-    except ValueError as exc:  # trials past rank.MAX_TRIALS
-        raise _Failure(exc) from None
-    result = effective_dimension(model, policy)
+    result = effective_dimension(model, RankPolicy(trials=args.trials, seed=args.seed))
     what = "ds"  # de <= ds: it prints when ds does
     try:  # str() refuses an int past sys.get_int_max_str_digits()
         lines = [f"ds={result.standard_dimension}", f"de={result.effective_dimension}"]

@@ -130,10 +130,12 @@ class _Slots:
     p = 2**e - 1, two rounds of the Mersenne fold ``(v & low) + ((v >> e)
     & high)`` take every slot below ``2**e + 2**(W-e)``, then below
     ``2**e + 2**(W-2e) < 2p``, which needs W <= 3e - 1: 182 bits for PRIME
-    and 92 for SMALL_PRIME.
+    and 92 for SMALL_PRIME.  These two are the only fields; any other p raises.
     """
 
     def __init__(self, count: int, bits: int, p: int = PRIME):
+        if p not in (PRIME, SMALL_PRIME):  # the fold needs 2**e - 1, the layout W >= 64
+            raise ValueError(f"no packed field for p = {p}")
         self.width, self.e = 8 * -(-bits // 8), p.bit_length()
         self.layout = struct.Struct("<" + f"Q{self.width // 8 - 8}x" * count)
         ones = self.ones = self.pack([1] * count)
@@ -157,7 +159,8 @@ def _layout(count: int, bits: int, p: int = PRIME) -> _Slots:
 
 
 def exact_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
-    """Rank over GF(p) of a matrix given as rows of integers.
+    """Rank over GF(p), p being PRIME or SMALL_PRIME, of a matrix given as
+    rows of integers.
 
     Entries must be integers.  A matrix with more columns than rows is
     ranked as its transpose: ``n`` below is min(m, n).  Each row, reduced

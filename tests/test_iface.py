@@ -303,13 +303,15 @@ class TestCli:
             ["dims", M1, "--oracle", "--trials", huge],
             ["dims", str(one_state), "--trials", huge],
             ["dims", str(one_state), "--report", "--trials", str(MAX_TRIALS + 1)],
+            ["dims", str(tmp_path / "missing.model"), "--trials", huge],  # no read
         ]:
             start = time.perf_counter()
             assert run(args) == 1, args
             assert time.perf_counter() - start < 1.0, args
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: trials must be <= {MAX_TRIALS}\n"
+            message = f"argument --trials: trials must be <= {MAX_TRIALS}"
+            assert captured.err == f"error: {message}\n"
 
     def test_the_largest_allowed_trials_runs(self, capsys, tmp_path):
         one_state = tmp_path / "one_state.model"
@@ -816,7 +818,8 @@ class TestCliFuzz:
             assert time.perf_counter() - start < 1.0, text
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: trials must be <= {MAX_TRIALS}\n"
+            message = f"argument --trials: trials must be <= {MAX_TRIALS}"
+            assert captured.err == f"error: {message}\n"
 
     def test_malformed_flag_values_end_in_one_error_line(self, capsys):
         rng = random.Random(0)

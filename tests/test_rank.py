@@ -660,6 +660,14 @@ class TestBothFields:
             assert exact_rank(shifted, p) == self._check(mat, p)
         assert exact_rank([[p, -3 * p], [2 * p, 0]], p) == 0
 
+    def test_only_the_two_mersenne_fields_pack(self):
+        # 2**40 - 87 is prime but not 2**e - 1, so its fold would be wrong;
+        # 7 is 2**3 - 1, but its slots would be narrower than a 64-bit word;
+        # the residues of 2**89 - 1 do not fit the 64-bit word a slot packs.
+        for p in (2**40 - 87, 7, 2**89 - 1):
+            with pytest.raises(ValueError, match=f"^no packed field for p = {p}$"):
+                exact_rank([[1, 2], [3, 4]], p)
+
     @BOTH_FIELDS
     @pytest.mark.parametrize("n", [15, 16, 255, 256])
     def test_square_matrices_around_the_slot_width_steps(self, p, n):

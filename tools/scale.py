@@ -1,19 +1,18 @@
 """Named large shapes that no benchmark workload covers, each timed in a
 fresh interpreter and checked against its known dimensions.
 
-    python3 tools/scale.py [--size small|default|large] [--shape NAME]...
-        [--repeat N] [--src DIR]
+    python3 tools/scale.py [--large] [--shape NAME]... [--src DIR]
 
 A run builds the shape's model text at the chosen size, parses it and
 times ``effective_dimension(model, RankPolicy(trials=3))``, the policy
 ``score`` uses, in a new interpreter with ``--src`` (default: this
 checkout's ``src``) first on its path, so two checkouts can be compared
 with the same shapes.  ``ds`` and ``de`` are checked against the values
-the shape states.  Each run prints one line in unscaled seconds; the
-last output line is one JSON object with every run.  The exit code is 1
-if any answer is wrong.  ``--size small`` runs in well under a second,
-``default`` in a few seconds and ``large`` at the sizes quoted in
-CHANGES.md.  Standard library only; nothing is written.
+the shape states.  Each shape runs once and prints one line in unscaled
+seconds; the last output line is one JSON object with every run.  The
+exit code is 1 if any answer is wrong.  The small sizes run in well
+under a second; ``--large`` picks the sizes quoted in CHANGES.md.
+Standard library only; nothing is written.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -49,33 +47,32 @@ def _chain(leaves) -> str:
     return "\n".join(lines) + "\n"
 
 
-# name -> (sizes small, default, large; model text of a size; (ds, de) of a size).
+# name -> ((small size, large size), model text of a size, (ds, de) of a size).
 # Two-class and binary latent-class dimensions are min(c(L + 1), 2**L) - 1
 # over L binary leaves (Catalisano, Geramita & Gimigliano 2011; its one
 # exception, c = 3 and L = 4, is no shape here).
 SHAPES = {
     # c = 2 over L binary leaves: ds = de = 2L + 1, 511 at L = 255.
     "binary_leaves": (
-        (4, 150, 255),
+        (4, 255),
         lambda leaves: _lc(2, (2,) * leaves),
         lambda leaves: (2 * leaves + 1, 2 * leaves + 1),
     ),
     # c over 8 binary leaves: ds = 9c - 1 and de = min(9c, 256) - 1, so
     # 899 and 255 at c = 100: b = 255 rows over 899 columns.
     "wide_latent": (
-        (2, 50, 100),
+        (2, 100),
         lambda c: _lc(c, (2,) * 8),
         lambda c: (9 * c - 1, min(9 * c, 256) - 1),
     ),
     # Two binary latents over a and a + 1 binary leaves: each component
     # has full rank, so ds = de = 4a + 5, 805 at a = 200.
     "binary_chain": (
-        (3, 100, 200),
+        (3, 200),
         lambda a: _chain((a, a + 1)),
         lambda a: (4 * a + 5, 4 * a + 5),
     ),
 }
-SIZES = ("small", "default", "large")
 
 
 def _worker(shape: str, size: int) -> None:
@@ -101,43 +98,30 @@ def _run(shape: str, size: int, src: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--size", choices=SIZES, default="default")
+    parser.add_argument("--large", action="store_true", help="the large sizes")
     parser.add_argument("--shape", action="append", choices=sorted(SHAPES))
-    parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         _worker(args.worker[0], int(args.worker[1]))
         return 0
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     runs, ok = [], True
     for shape in args.shape or SHAPES:
         sizes, _, answers = SHAPES[shape]
-        size = sizes[SIZES.index(args.size)]
-        found = [_run(shape, size, args.src.resolve()) for _ in range(args.repeat)]
-        dims = sorted({(f["ds"], f["de"]) for f in found})
-        right = dims == [answers(size)]
+        size = sizes[args.large]
+        found = _run(shape, size, args.src.resolve())
+        dims = (found["ds"], found["de"])
+        right = dims == answers(size)
         ok &= right
-        seconds = [f["seconds"] for f in found]
-        median = statistics.median(seconds)
         verdict = "ok" if right else f"WRONG, expected (ds, de) = {answers(size)}"
         print(
-            f"{shape:14} size {size:4}  (ds, de) = {', '.join(map(str, dims))}  "
-            f"{verdict}  {median:.3f} s (median of {len(seconds)})"
+            f"{shape:14} size {size:4}  (ds, de) = {dims}  "
+            f"{verdict}  {found['seconds']:.3f} s"
         )
-        (ds, de), *_ = dims
-        runs.append({
-            "shape": shape,
-            "size": size,
-            "ds": ds,
-            "de": de,
-            "ok": right,
-            "seconds": seconds,
-            "median_s": median,
-        })
-    print(json.dumps({"size": args.size, "ok": ok, "runs": runs}))
+        runs.append({"shape": shape, "size": size, **found, "ok": right})
+    size = "large" if args.large else "small"
+    print(json.dumps({"size": size, "ok": ok, "runs": runs}))
     return 0 if ok else 1
 
 
