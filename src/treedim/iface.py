@@ -12,8 +12,9 @@ error, unreadable model file, parse or validation error, a score beyond
 float range, a ds (or under ``--report`` any report value) too long to
 print or a stdout closed before the output was written; 2 an oracle over
 the cell limit under ``--oracle``; 3 oracle/decomposition mismatch; 4 a
-latent-class rank over the same limit, ``treedim.rank.CELL_LIMIT``; both
-limits raise ``CellLimitError``.  A closed stdout leaves a code of 2 or 3
+latent-class rank over the same limit, ``treedim.rank.CELL_LIMIT``, that
+no theorem settles (``treedim.rank.certified_rank``); both limits raise
+``CellLimitError``.  A closed stdout leaves a code of 2 or 3
 as it is, and its ``error:`` line follows the command's.
 """
 

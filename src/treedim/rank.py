@@ -32,6 +32,13 @@ err low: the maximum over trials is reported, and a rank that reaches
 ``k`` is proven in either field, the one case in which a small-field rank
 is kept.  The elimination adds no error: scaling a pivot by the inverse
 of its non-zero lead, or transposing, keeps the rank over GF(p) exactly.
+
+A latent-class rank is settled in one of three ways: a small-field trial
+that reaches its bound, the maximum of the GF(2**61 - 1) trials or, from
+2**8 Jacobian cells on, a theorem, with no draw (:func:`certified_rank`):
+a determinantal variety (Harris, Algebraic Geometry, Lecture 12), Kruskal's
+uniqueness (Kruskal 1977; Allman, Matias & Rhodes, Ann. Statist. 2009) or
+non-defective binary secants (Catalisano, Geramita & Gimigliano 2011).
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TRIALS = 3
 MAX_TRIALS = 100  # more add nothing: each trial errs with probability below deg * mu
-# Ranks are taken in GF(PRIME), or first in GF(SMALL_PRIME) for a latent-class
-# Jacobian of at least _SMALL_FIELD_CELLS cells; both are Mersenne primes.
+# Ranks are taken in GF(PRIME); from _SMALL_FIELD_CELLS latent-class Jacobian
+# cells on, a certificate or GF(SMALL_PRIME) comes first.  Both are Mersenne.
 PRIME, SMALL_PRIME, _SMALL_FIELD_CELLS = 2**61 - 1, 2**31 - 1, 2**8
 # No latent-class Jacobian, nor the oracle's k rows over its point, has more cells.
 CELL_LIMIT = 2**18
@@ -366,6 +373,32 @@ def lc_jacobian_at(
     return jacobian(component.star, point, weights, p)
 
 
+def certified_rank(c: int, cards: Sequence[int]) -> int | None:
+    """Dimension of ``c`` latent classes over neighbors of ``cards`` states
+    where a theorem fixes it, else None; one-state neighbors are skipped.
+    Two neighbors of r1 and r2 states: a joint of rank m = min(c, r1, r2),
+    and rank-m matrices have dimension m(r1 + r2 - m), less one for the
+    unit sum.  Three or more, in three groups filled in descending order
+    until each product reaches c: Kruskal ranks min(c, product) summing to
+    2c + 2 or more identify the classes, so all parameters count.  L binary
+    neighbors: min(c(L + 1), 2**L) - 1, but for c = 3, L = 4."""
+    big = sorted((r for r in cards if r >= 2), reverse=True)
+    if len(big) == 2:
+        m = min(c, *big)
+        return m * (sum(big) - m) - 1
+    rest, kruskal = iter(big), 0
+    for _ in range(3):  # a product stays below c * r: no full product is taken
+        product = 1
+        while product < c and (r := next(rest, None)):
+            product *= r
+        kruskal += min(c, product)
+    if kruskal >= 2 * c + 2:
+        return c * (1 + sum(big) - len(big)) - 1
+    if set(big) <= {2} and (c, len(big)) != (3, 4):
+        return min(c * (len(big) + 1), 2 ** len(big)) - 1
+    return None
+
+
 def lc_rank_trials(
     component: "LcComponent", trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> tuple[int, ...]:
@@ -374,13 +407,14 @@ def lc_rank_trials(
     No rank exceeds b = min(columns n, joint states - 1), so each trial
     ranks the gradients of b random functionals, which keep the rank of
     the whole Jacobian but with probability at most deg * mu (see the
-    module docstring).  A component of b * n cells over ``CELL_LIMIT``
-    raises :class:`CellLimitError` before any draw.  A one-state latent
-    makes its neighbors independent, each with a free marginal, so that
-    rank is b = n; a Jacobian with no rows, b = 0, has rank 0.  Both are
-    returned for every trial without a draw.  A specific point can only
-    under-estimate the almost-everywhere rank, so callers take the
-    maximum; disagreeing trials are logged.
+    module docstring).  A one-state latent makes its neighbors
+    independent, each with a free marginal, so that rank is b = n; a
+    Jacobian with no rows, b = 0, has rank 0; from b * n = 2**8 cells on,
+    :func:`certified_rank` may settle a rank.  These are returned for every
+    trial without a draw, at any size.  Any other component of b * n cells
+    over ``CELL_LIMIT`` raises :class:`CellLimitError` before any draw.  A
+    specific point can only under-estimate the almost-everywhere rank, so
+    callers take the maximum; disagreeing trials are logged.
 
     Each trial ranks in GF(PRIME) from the seed ``(seed, "lc-trial", trial)``.
     From b * n = 2**8 cells on, it first ranks a point of GF(SMALL_PRIME),
@@ -388,16 +422,20 @@ def lc_rank_trials(
     it; after a shortfall the component's trials run in GF(PRIME) alone.
     """
     check_trials(trials)
-    cards = [card for _, card in component.neighbors]
-    n = sum(b * (c - 1) for b, c in _shapes(component.star))
+    c, cards = component.latent_cardinality, [card for _, card in component.neighbors]
+    n = c * (1 + sum(cards) - len(cards)) - 1  # c - 1 class weights, c(r - 1) each
     bound = min(n, capped_product(cards, n + 1) - 1)
-    if component.latent_cardinality == 1 or bound == 0:
+    if c == 1 or bound == 0:
         return (bound,) * trials
-    what = f"rank of latent cardinality {_figure(component.latent_cardinality)}"
+    large = bound * n >= _SMALL_FIELD_CELLS
+    found = certified_rank(c, cards) if large else None
+    if found is not None:
+        return (found,) * trials
+    what = f"rank of latent cardinality {_figure(c)}"
     distinct = ", ".join(map(_figure, sorted(set(cards))))
     what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
     check_cells(what, bound, n)
-    fields = (SMALL_PRIME, PRIME) if bound * n >= _SMALL_FIELD_CELLS else (PRIME,)
+    fields = (SMALL_PRIME, PRIME) if large else (PRIME,)
     ranks = []
     for trial in range(trials):
         for p in fields:

@@ -453,9 +453,10 @@ def test_criterion_3i_lc_ranks_within_the_flattening_bound(capsys):
 
 
 def test_criterion_3j_both_fields_agree_on_every_large_signature(capsys):
-    # Every keystone and lc_wide signature of at least 2**8 Jacobian cells
-    # tries GF(2**31 - 1) first.  One trial in each field finds the same
-    # rank, and the trial tuples equal those of GF(2**61 - 1) alone.
+    # Every keystone and lc_wide signature of at least 2**8 Jacobian cells is
+    # certified by a theorem or tries GF(2**31 - 1) first.  One trial in each
+    # field finds the same rank, and the trial tuples, a certificate's
+    # included, equal those of GF(2**61 - 1) alone.
     start = time.perf_counter()
     lc_wide = {(4, (3,) * 6), (3, (2,) * 11), (6, (3,) * 3), (4, (2,) * 4)}
     large, differ, deficient = 0, [], 0
@@ -485,6 +486,33 @@ def test_criterion_3j_both_fields_agree_on_every_large_signature(capsys):
         ok,
         f"{large} signatures of >= 2**8 cells rank alike in both fields, "
         f"{deficient} of them deficient, in {elapsed:.1f}s",
+    )
+    assert ok, differ
+
+
+def test_criterion_3k_certificates_equal_the_rank_path(capsys):
+    # rank.certified_rank settles a component by a theorem.  On every keystone
+    # signature it certifies, at any size, it equals the rank path before it
+    # had certificates, two GF(2**61 - 1) trials.
+    start = time.perf_counter()
+    signatures = keystone_signatures()
+    certified, differ = 0, []
+    for card, cards in sorted(signatures):
+        found = rank.certified_rank(card, cards)
+        if found is None:
+            continue
+        certified += 1
+        component = LcComponent(0, card, tuple(enumerate(cards)))
+        if found != max(reference_trial_ranks(component, 2, card)):
+            differ.append((card, cards, found))
+    elapsed = time.perf_counter() - start
+    ok = not differ and certified >= 70 and elapsed < 30.0
+    _report(
+        capsys,
+        3,
+        ok,
+        f"{certified} of {len(signatures)} keystone signatures certified, each "
+        f"equal to the rank path, in {elapsed:.1f}s",
     )
     assert ok, differ
 

@@ -29,6 +29,10 @@ ONE_STATE = "var Z 1 latent\n" + "".join(
 )
 
 
+def _no_draw(*args):
+    raise AssertionError("a parameter point was drawn")
+
+
 class TestParseModel:
     def test_reference_file_dimensions(self):
         model = parse_model((FIXTURES / "m1.model").read_text())
@@ -413,8 +417,11 @@ class TestCli:
             "var H 4 latent\n"
             + "".join(f"var X{i} 3 observed\nedge H X{i}\n" for i in range(3))
         )
-        # b = 26 functionals by n = 27 parameters: 702 cells.
+        # b = 26 functionals by n = 27 parameters: 702 cells.  No theorem
+        # settles the component (Strassen: its rank is 25), and the refusal
+        # comes before any draw.
         monkeypatch.setattr(rank, "CELL_LIMIT", 701)
+        monkeypatch.setattr(rank, "field_draws", _no_draw)
         score = ["score", str(model), "--loglik", "-5", "--n", "9"]
         for args in [["dims", str(model)], score]:
             assert run(args) == 4, args
@@ -426,47 +433,81 @@ class TestCli:
             )
 
     def test_component_beyond_the_cell_limit_fails_fast(self, capsys, tmp_path):
-        # 4 * 10**8 joint states; b = n = 79,997 would be 6.4 * 10**9 cells.
+        # c = 20,001 over three 20,000-state leaves, which no theorem here
+        # settles: 8 * 10**12 joint states; b = n = 1,200,019,997.
         model = tmp_path / "wide.model"
         model.write_text(
-            "var H 2 latent\nvar A 20000 observed\nvar B 20000 observed\n"
-            "edge H A\nedge H B\n"
+            "var H 20001 latent\n"
+            + "".join(f"var {v} 20000 observed\nedge H {v}\n" for v in "ABC")
         )
+        start = time.perf_counter()
         assert run(["dims", str(model)]) == 4
-        assert "{20000} needs 79997 x 79997 cells > 262144" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+        assert "{20000} needs 1200019997 x 1200019997 cells > 262144" in (
+            capsys.readouterr().err
+        )
 
     def test_cell_limit_is_checked_before_any_draw(self, capsys, monkeypatch, tmp_path):
-        # A 10**40-state leaf: its point alone would be 2 * 10**40 draws.
+        # A 10**40-state leaf: its point alone would be 3 * 10**40 draws.
+        # Three classes over it and two binary leaves are not certified.
         model = tmp_path / "huge.model"
         model.write_text(
-            "var H 2 latent\n"
+            "var H 3 latent\n"
             + "".join(
                 f"var {name} {card} observed\nedge H {name}\n"
                 for name, card in [("A", 10**40), ("B", 2), ("C", 2)]
             )
         )
-
-        def no_draw(component, rng):
-            raise AssertionError("a parameter point was drawn")
-
-        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        monkeypatch.setattr(rank, "field_draws", _no_draw)
         score = ["score", str(model), "--loglik", "-5", "--n", "9"]
-        # b = n = 2 * 10**40 + 3.
+        # b = n = 3 * 10**40 + 5.
         for args in [["dims", str(model)], score]:
             assert run(args) == 4, args
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (
-                "error: rank of latent cardinality 2 over 3 neighbors of "
-                "cardinalities {2, 1.0e40} needs 2.0e40 x 2.0e40 cells > 262144\n"
+                "error: rank of latent cardinality 3 over 3 neighbors of "
+                "cardinalities {2, 1.0e40} needs 3.0e40 x 3.0e40 cells > 262144\n"
             )
+
+    def test_certified_components_past_the_cell_limit_answer_without_a_draw(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(rank, "field_draws", _no_draw)
+        model = tmp_path / "certified.model"
+        cases = [
+            # Two neighbors: m = 2, 2 * (40,000 - 2) - 1.
+            (2, (20_000, 20_000), 79_997, 79_995),
+            # Kruskal: three groups of one leaf each, 2 + 2 + 2 >= 6.
+            (2, (10**40, 2, 2), 2 * 10**40 + 3, 2 * 10**40 + 3),
+        ]
+        for card, leaves, ds, de in cases:
+            model.write_text(
+                f"var H {card} latent\n"
+                + "".join(
+                    f"var Y{i} {k} observed\nedge H Y{i}\n"
+                    for i, k in enumerate(leaves)
+                )
+            )
+            assert run(["dims", str(model)]) == 0
+            assert capsys.readouterr().out == f"ds={ds}\nde={de}\n"
+        # Kruskal again, but ds = de = 3 * 10**8000 + ... is too long to print.
+        card = 10**4000
+        model.write_text(
+            f"var H {card} latent\n"
+            + "".join(f"var Y{i} {card} observed\nedge H Y{i}\n" for i in range(3))
+        )
+        assert run(["dims", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ds has more than 4300 digits to print\n"
 
     def test_cell_limit_message_past_the_digit_limit(self, capsys, tmp_path):
         # n = 3 * 10**8000 + ..., past the 4,300 digits str() of an int allows.
+        # One class more than a leaf's states is not certified.
         card = 10**4000
         model = tmp_path / "huge.model"
         model.write_text(
-            f"var H {card} latent\n"
+            f"var H {card + 1} latent\n"
             + "".join(f"var Y{i} {card} observed\nedge H Y{i}\n" for i in range(3))
         )
         score = ["score", str(model), "--loglik", "-5", "--n", "9"]
@@ -483,42 +524,42 @@ class TestCli:
         # b = n = 10**13 - 1: a mantissa of 9.99... is printed as 1.0e13.
         model = tmp_path / "wide.model"
         model.write_text(
-            "var H 2 latent\n"
+            "var H 4 latent\n"
             + "".join(
                 f"var {name} {card} observed\nedge H {name}\n"
-                for name, card in [("A", 2), ("B", 2), ("C", 4_999_999_999_998)]
+                for name, card in [("A", 3), ("B", 3), ("C", 2_499_999_999_996)]
             )
         )
         assert run(["dims", str(model)]) == 4
         assert capsys.readouterr().err == (
-            "error: rank of latent cardinality 2 over 3 neighbors of "
-            "cardinalities {2, 5.0e12} needs 1.0e13 x 1.0e13 cells > 262144\n"
+            "error: rank of latent cardinality 4 over 3 neighbors of "
+            "cardinalities {3, 2.5e12} needs 1.0e13 x 1.0e13 cells > 262144\n"
         )
 
-    def test_hub_of_huge_leaves_fails_fast(self, capsys, tmp_path):
-        # A binary latent over 1,000 leaves of 10**1000 states: no bound on
-        # the way to the cell limit multiplies out every cardinality.
+    def test_hub_of_huge_leaves_is_settled_fast(self, capsys, tmp_path):
+        # A binary latent over 1,000 leaves of 10**1000 states: no bound, nor
+        # the certificate that settles it, multiplies out every cardinality.
         hub = tmp_path / "hub.model"
         leaves = range(1000)
         hub.write_text(
             "var Z 2 latent\n"
             + "".join(f"var Y{i} {10**1000} observed\nedge Z Y{i}\n" for i in leaves)
         )
-        refusal = (
-            "error: rank of latent cardinality 2 over 1000 neighbors of "
-            "cardinalities {1.0e1000} needs 2.0e1003 x 2.0e1003 cells > 262144\n"
-        )
+        ds = 1 + 2 * 1000 * (10**1000 - 1)
         for argv, code in [
-            (["dims", str(hub)], 4),
-            (["score", str(hub), "--loglik", "-10", "--n", "100"], 4),
+            (["dims", str(hub)], 0),
+            (["score", str(hub), "--loglik", "-10", "--n", "100"], 1),
             (["regularize", str(hub)], 0),
         ]:
             start = time.perf_counter()
             assert run(argv) == code, argv
             assert time.perf_counter() - start < 1.0, argv
             captured = capsys.readouterr()
-            if code:
-                assert (captured.out, captured.err) == ("", refusal)
+            if argv[0] == "dims":
+                assert captured.out == f"ds={ds}\nde={ds}\n"
+            elif code:  # ds = de, about 2 * 10**1003, is past float range
+                assert captured.out == ""
+                assert captured.err.startswith("error: score out of float range")
             else:
                 assert captured.out.startswith("# no changes\nvar Z 2 latent\n")
 
@@ -531,29 +572,20 @@ class TestCli:
             )
             return str(path)
 
-        # 80 binary leaves: b = 161 functionals.
-        start = time.perf_counter()
-        assert run(["dims", lc_file(80)]) == 0
-        assert capsys.readouterr().out == "ds=161\nde=161\n"
-        assert time.perf_counter() - start < 5.0
-
-        def no_draw(component, rng):
-            raise AssertionError("a parameter point was drawn")
-
-        # 1,100 binary leaves: a first prefix of 2,201 x 2,201 cells.
-        monkeypatch.setattr(rank, "sample_lc_point", no_draw)
+        # Two classes over L binary leaves are certified: ds = de = 2L + 1,
+        # without a draw, though 1,100 leaves need 2,201 x 2,201 cells.
+        monkeypatch.setattr(rank, "field_draws", _no_draw)
+        for leaves in (80, 1100):
+            start = time.perf_counter()
+            assert run(["dims", lc_file(leaves)]) == 0
+            dims = f"ds={2 * leaves + 1}\nde={2 * leaves + 1}\n"
+            assert capsys.readouterr().out == dims
+            assert time.perf_counter() - start < 1.0
         wide = lc_file(1100)
-        score = ["score", wide, "--loglik", "-5", "--n", "9"]
-        for args in [["dims", wide], ["dims", wide, "--report"], score]:
-            assert run(args) == 4, args
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert len(captured.err) < 200
-            assert captured.err.endswith(
-                "over 1100 neighbors of cardinalities {2} needs 2201 x 2201 cells"
-                " > 262144\n"
-            )
+        assert run(["dims", wide, "--report"]) == 0
+        assert "\nde=2201\n" in capsys.readouterr().out
+        assert run(["score", wide, "--loglik", "-5", "--n", "9"]) == 0
+        assert capsys.readouterr().out.startswith("ds=2201\nde=2201\nbic=")
 
     def test_dimension_past_the_digit_limit(self, capsys, tmp_path):
         # ds = de = 10**8000 - 1, past the digits str() of an int allows.

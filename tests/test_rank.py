@@ -33,6 +33,7 @@ from treedim.rank import (
     PRIME,
     SMALL_PRIME,
     CellLimitError,
+    certified_rank,
     derive_seed,
     exact_rank,
     field_draws,
@@ -518,28 +519,34 @@ class TestOneBuildPerTrial:
 
         monkeypatch.setattr(rank, "lc_jacobian_at", build)
         monkeypatch.setattr(rank, "exact_rank", rank_of)
+        # All but c = 3 over 4 binary leaves are certified; with the
+        # certificates off, they check the rank path every other one takes.
+        monkeypatch.setattr(rank, "certified_rank", lambda c, cards: None)
         component = _component(card, leaves)
         assert lc_rank_trials(component, trials=2) == (expected, expected)
         assert built == eliminated == [bound, bound]
 
     def test_over_the_cell_limit_raises_before_any_draw(self, monkeypatch):
-        def no_draw(component, rng):
+        def no_draw(*args):
             raise AssertionError("a parameter point was drawn")
 
         real_draw = rank.sample_lc_point
         monkeypatch.setattr(rank, "sample_lc_point", no_draw)
-        # c = 2 over 20 binary leaves: b = n = 41, a Jacobian of 1,681 cells.
-        monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41 - 1)
-        component = _component(2, (2,) * 20)
+        # c = 5 over three ternary leaves, not certified: b = 26 by n = 34.
+        monkeypatch.setattr(rank, "CELL_LIMIT", 26 * 34 - 1)
+        component = _component(5, (3, 3, 3))
         message = (
-            r"^rank of latent cardinality 2 over 20 neighbors of cardinalities "
-            r"\{2\} needs 41 x 41 cells > 1680$"
+            r"^rank of latent cardinality 5 over 3 neighbors of cardinalities "
+            r"\{3\} needs 26 x 34 cells > 883$"
         )
         with pytest.raises(CellLimitError, match=message):
             lc_rank_trials(component, trials=1)
+        # c = 2 over 20 binary leaves, b = n = 41: certified, so neither
+        # the limit nor a draw is reached.
+        assert lc_rank_trials(_component(2, (2,) * 20), trials=2) == (41, 41)
         monkeypatch.setattr(rank, "sample_lc_point", real_draw)
-        monkeypatch.setattr(rank, "CELL_LIMIT", 41 * 41)
-        assert lc_rank_trials(component, trials=1) == (41,)
+        monkeypatch.setattr(rank, "CELL_LIMIT", 26 * 34)
+        assert lc_rank_trials(component, trials=1) == (26,)
         # Deficient components are bounded by the same b x n cells.
         monkeypatch.setattr(rank, "CELL_LIMIT", 14 * 14 - 1)
         with pytest.raises(CellLimitError, match=r"\{2\} needs 14 x 14 cells"):
@@ -733,8 +740,9 @@ class TestBothFields:
 
 
 class TestSmallFieldFirst:
-    """A component of at least 2**8 Jacobian cells ranks each trial in
-    GF(2**31 - 1) first and keeps that rank only when it reaches b."""
+    """A component of at least 2**8 Jacobian cells that no theorem settles
+    ranks each trial in GF(2**31 - 1) first and keeps that rank only when
+    it reaches b."""
 
     @staticmethod
     def _fields(monkeypatch):
@@ -761,10 +769,10 @@ class TestSmallFieldFirst:
         assert fields == [PRIME, PRIME]
 
     @pytest.mark.parametrize(
-        "card,leaves", [(4, (2,) * 4), (2, (2,) * 8), (3, (2,) * 11), (4, (3,) * 6)]
+        "card,leaves", [(4, (3, 3, 4)), (2, (20,)), (3, (12,)), (4, (2, 2, 5))]
     )
     def test_a_proven_small_field_rank_is_kept(self, monkeypatch, card, leaves):
-        # 285, 289, 1,225 and 2,601 cells, each of full rank b.
+        # 961, 741, 385 and 513 cells, none certified, each of full rank b.
         fields = self._fields(monkeypatch)
         component = _component(card, leaves)
         found = lc_rank_trials(component, trials=3, seed=3)
@@ -789,7 +797,7 @@ class TestSmallFieldFirst:
             return exact_rank(rows, p) - (p == SMALL_PRIME)
 
         monkeypatch.setattr(rank, "exact_rank", short)
-        for card, leaves in [(4, (2,) * 4), (3, (2,) * 11), (6, (3,) * 3)]:
+        for card, leaves in [(5, (3,) * 3), (2, (20,)), (6, (3,) * 3)]:
             component = _component(card, leaves)
             fields.clear()
             found = lc_rank_trials(component, trials=3, seed=7)
@@ -809,6 +817,95 @@ class TestSmallFieldFirst:
         assert seeds == [
             (5, "lc-small-trial", 0), (5, "lc-trial", 0), (5, "lc-trial", 1)
         ]
+
+
+class TestCertifiedRank:
+    """rank.certified_rank equals the rank path before it had certificates,
+    support.reference_trial_ranks, wherever it certifies; lc_rank_trials
+    uses it from 2**8 cells on, with no draw."""
+
+    @staticmethod
+    def _rank_path(card, cards):
+        return max(reference_trial_ranks(_component(card, cards), 2, 0))
+
+    def test_the_binary_leaf_table(self):
+        # c = 1 to 8 classes over 3 to 10 binary leaves: all but the
+        # defective c = 3 over 4 leaves are certified.
+        for leaves in range(3, 11):
+            for card in range(1, 9):
+                found = certified_rank(card, (2,) * leaves)
+                if (card, leaves) == (3, 4):
+                    assert found is None
+                elif card == 1:  # no trial: the rank is the parameter count
+                    assert found == leaves
+                else:
+                    assert found == self._rank_path(card, (2,) * leaves), leaves
+
+    def test_a_seeded_sweep(self):
+        # 2 to 8 leaves of 2 to 5 states, c = 2 to 10, under the cell limit:
+        # about 2 s, 61 of the 80 certified.
+        rng, certified = random.Random(11), 0
+        for _ in range(80):
+            cards = tuple(rng.randint(2, 5) for _ in range(rng.randint(2, 8)))
+            card = rng.randint(2, 10)
+            n = standard_dimension(_component(card, cards).star)
+            if min(n, math.prod(cards) - 1) * n > CELL_LIMIT:
+                continue
+            found = certified_rank(card, cards)
+            if found is not None:
+                certified += 1
+                assert found == self._rank_path(card, cards), (card, cards)
+        assert certified >= 61
+
+    def test_defective_components_are_not_certified(self):
+        # Ranks 13 of b = 14, 25 of 26 (Strassen) and at most 3 * 10**6 + 2
+        # of 3 * 10**6 + 5 (a 4 x 10**6 flattening of rank 3); one-state
+        # neighbors are not read.
+        for card, cards in [(3, (2, 2, 2, 2)), (4, (3, 3, 3)), (3, (2, 2, 10**6))]:
+            assert certified_rank(card, cards) is None
+            assert certified_rank(card, (1, *cards, 1)) is None
+
+    def test_only_components_of_2_8_cells_or_more_are_certified(self, monkeypatch):
+        drawn = []
+        real = rank.field_draws
+
+        def recorded(rng, count, p=PRIME):
+            drawn.append(count)
+            return real(rng, count, p)
+
+        monkeypatch.setattr(rank, "field_draws", recorded)
+        # c = 2 over 7 binary leaves, b = n = 15, 225 cells: ranked.
+        assert lc_rank_trials(_component(2, (2,) * 7), trials=2) == (15, 15)
+        assert drawn and certified_rank(2, (2,) * 7) == 15
+        drawn.clear()
+        # Over 8 leaves, 289 cells: certified, for every trial, with no draw.
+        assert lc_rank_trials(_component(2, (2,) * 8), trials=3) == (17,) * 3
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "card,leaves,expected",
+        [
+            # lc_wide's lc4x6 and lc3x11 (Kruskal) and lc4x4 (binary).
+            (4, (3,) * 6, 51),
+            (3, (2,) * 11, 35),
+            (4, (2,) * 4, 15),
+            # Past CELL_LIMIT: two neighbors, Kruskal, binary.
+            (2, (20_000, 20_000), 79_995),
+            (2, (2, 2, 10**40), 2 * 10**40 + 3),
+            (2, (2,) * 1100, 2201),
+            # Binary, where no split reaches 2c + 2 = 202.
+            (100, (2,) * 8, 255),
+        ],
+    )
+    def test_certified_components_take_no_draw(
+        self, monkeypatch, card, leaves, expected
+    ):
+        def no_draw(*args):
+            raise AssertionError("a parameter point was drawn")
+
+        monkeypatch.setattr(rank, "field_draws", no_draw)
+        component = _component(card, leaves)
+        assert lc_rank_trials(component, trials=MAX_TRIALS) == (expected,) * MAX_TRIALS
 
 
 class TestTrialsCap:

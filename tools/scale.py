@@ -50,7 +50,9 @@ def _chain(leaves) -> str:
 # name -> ((small size, large size), model text of a size, (ds, de) of a size).
 # Two-class and binary latent-class dimensions are min(c(L + 1), 2**L) - 1
 # over L binary leaves (Catalisano, Geramita & Gimigliano 2011; its one
-# exception, c = 3 and L = 4, is no shape here).
+# exception, c = 3 and L = 4, is no shape here).  At the large sizes,
+# treedim.rank.certified_rank settles every component of the first three
+# shapes without a draw; the last one times the rank path.
 SHAPES = {
     # c = 2 over L binary leaves: ds = de = 2L + 1, 511 at L = 255.
     "binary_leaves": (
@@ -71,6 +73,14 @@ SHAPES = {
         (3, 200),
         lambda a: _chain((a, a + 1)),
         lambda a: (4 * a + 5, 4 * a + 5),
+    ),
+    # c = 2k - 2 over three k-state leaves: no theorem in treedim settles it.
+    # Its rank reaches b = n = c(3k - 2) - 1 (below k**3 - 1), which proves
+    # it: ds = de = 59 at k = 4 and 307 at k = 8 (c = 14, 307 x 307 cells).
+    "three_leaves": (
+        (4, 8),
+        lambda k: _lc(2 * k - 2, (k,) * 3),
+        lambda k: ((2 * k - 2) * (3 * k - 2) - 1,) * 2,
     ),
 }
 
