@@ -49,7 +49,6 @@ class ModelParseError(ValueError):
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def parse_model(text: str) -> TreeModel:

@@ -51,7 +51,7 @@ class TreeModel:
     reused.  Construction builds the indexes by id, the adjacency and the
     observed and latent variables once, before validating.
     Construction raises :class:`InvalidModelError`, with every error
-    :func:`validate` finds, unless the model is a tree with an observed node.
+    :func:`require_valid` finds, unless the model is a tree with an observed node.
     """
 
     variables: tuple[Variable, ...]
@@ -113,11 +113,11 @@ class RegularityViolation:
     allowed_max: int
 
 
-def validate(model: TreeModel) -> list[str]:
-    """Return every violated structural invariant (empty when valid)."""
-    errors: list[str] = []
+def require_valid(model: TreeModel) -> None:
+    """Raise :class:`InvalidModelError` with every violated structural invariant."""
     if not model.variables:
-        return ["model has no variables"]
+        raise InvalidModelError(["model has no variables"])
+    errors: list[str] = []
 
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
@@ -161,11 +161,6 @@ def validate(model: TreeModel) -> list[str]:
 
     if not model.observed_variables:
         errors.append("no observed variable")
-    return errors
-
-
-def require_valid(model: TreeModel) -> None:
-    errors = validate(model)
     if errors:
         raise InvalidModelError(errors)
 

@@ -33,12 +33,13 @@ err low: the maximum over trials is reported, and a rank that reaches
 is kept.  The elimination adds no error: scaling a pivot by the inverse
 of its non-zero lead, or transposing, keeps the rank over GF(p) exactly.
 
-A latent-class rank is settled in one of three ways: a small-field trial
-that reaches its bound, the maximum of the GF(2**61 - 1) trials or, from
-2**8 Jacobian cells on, a theorem, with no draw (:func:`certified_rank`):
-a determinantal variety (Harris, Algebraic Geometry, Lecture 12), Kruskal's
-uniqueness (Kruskal 1977; Allman, Matias & Rhodes, Ann. Statist. 2009) or
-non-defective binary secants (Catalisano, Geramita & Gimigliano 2011).
+A latent-class rank is settled by the first of four ways that applies: a
+one-state latent or no rows, by a count; from 2**8 Jacobian cells on, a
+theorem, with no draw (:func:`certified_rank`): a determinantal variety
+(Harris, Algebraic Geometry, Lecture 12), Kruskal's uniqueness (Kruskal
+1977; Allman, Matias & Rhodes, Ann. Statist. 2009) or non-defective binary
+secants (Catalisano, Geramita & Gimigliano 2011), then one GF(2**31 - 1)
+rank that reaches its bound; else the maximum of the GF(2**61 - 1) trials.
 """
 
 from __future__ import annotations
@@ -417,9 +418,9 @@ def lc_rank_trials(
     callers take the maximum; disagreeing trials are logged.
 
     Each trial ranks in GF(PRIME) from the seed ``(seed, "lc-trial", trial)``.
-    From b * n = 2**8 cells on, it first ranks a point of GF(SMALL_PRIME),
-    from its own seed, and keeps that rank only if it reaches b, which proves
-    it; after a shortfall the component's trials run in GF(PRIME) alone.
+    From b * n = 2**8 cells on, one point of GF(SMALL_PRIME), from the seed
+    ``(seed, "lc-small-trial", 0)``, is ranked first: reaching b proves b,
+    returned for every trial; a shortfall leaves the GF(PRIME) trials as is.
     """
     check_trials(trials)
     c, cards = component.latent_cardinality, [card for _, card in component.neighbors]
@@ -435,19 +436,17 @@ def lc_rank_trials(
     distinct = ", ".join(map(_figure, sorted(set(cards))))
     what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
     check_cells(what, bound, n)
-    fields = (SMALL_PRIME, PRIME) if large else (PRIME,)
+    proof = [(SMALL_PRIME, "lc-small-trial", 0)] if large else []
     ranks = []
-    for trial in range(trials):
-        for p in fields:
-            label = "lc-trial" if p == PRIME else "lc-small-trial"
-            rng = random.Random(derive_seed(seed, label, trial))
-            point = sample_lc_point(component, rng, p)
-            weights = _functionals(rng, cards, bound, p)
-            found = exact_rank(lc_jacobian_at(component, point, weights, p), p)
-            if found == bound:
-                break  # proven, in either field
-            fields = (PRIME,)  # a shortfall: GF(PRIME) now and for later trials
-        ranks.append(found)
+    for p, label, trial in proof + [(PRIME, "lc-trial", t) for t in range(trials)]:
+        rng = random.Random(derive_seed(seed, label, trial))
+        point = sample_lc_point(component, rng, p)
+        weights = _functionals(rng, cards, bound, p)
+        found = exact_rank(lc_jacobian_at(component, point, weights, p), p)
+        if p == PRIME:
+            ranks.append(found)
+        elif found == bound:  # proven: no trial can exceed b
+            return (bound,) * trials
     if len(set(ranks)) > 1:
         log.warning(
             "rank trials disagreed for latent id %s: %s (keeping the max)",

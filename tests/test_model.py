@@ -33,8 +33,8 @@ from treedim.model import (
     check_regular,
     neighbor_bound,
     regularize,
+    require_valid,
     standard_dimension,
-    validate,
 )
 
 
@@ -83,10 +83,10 @@ class TestTreeModel:
 
 class TestValidate:
     """A model is valid by construction: ``TreeModel(...)`` raises
-    :class:`InvalidModelError` carrying every error :func:`validate` finds."""
+    :class:`InvalidModelError` carrying every error :func:`require_valid` finds."""
 
     def test_reference_hierarchy_is_valid(self):
-        assert validate(two_branch_hierarchy()) == []
+        assert require_valid(two_branch_hierarchy()) is None
 
     def test_two_nodes_no_edges_is_disconnected(self):
         with pytest.raises(InvalidModelError) as caught:

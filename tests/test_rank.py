@@ -521,10 +521,12 @@ class TestOneBuildPerTrial:
         monkeypatch.setattr(rank, "exact_rank", rank_of)
         # All but c = 3 over 4 binary leaves are certified; with the
         # certificates off, they check the rank path every other one takes.
+        # Those six reach b in one GF(2**31 - 1) rank, which proves it for
+        # both trials; c = 3 over 4 leaves, below 2**8 cells, takes both.
         monkeypatch.setattr(rank, "certified_rank", lambda c, cards: None)
         component = _component(card, leaves)
         assert lc_rank_trials(component, trials=2) == (expected, expected)
-        assert built == eliminated == [bound, bound]
+        assert built == eliminated == [bound] * (1 if bound == expected else 2)
 
     def test_over_the_cell_limit_raises_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -741,8 +743,9 @@ class TestBothFields:
 
 class TestSmallFieldFirst:
     """A component of at least 2**8 Jacobian cells that no theorem settles
-    ranks each trial in GF(2**31 - 1) first and keeps that rank only when
-    it reaches b."""
+    is ranked once in GF(2**31 - 1) before any trial.  A rank that reaches
+    b proves b for every trial; a shortfall leaves exactly the GF(2**61 - 1)
+    trials, so no trial tuple mixes the two fields."""
 
     @staticmethod
     def _fields(monkeypatch):
@@ -777,7 +780,7 @@ class TestSmallFieldFirst:
         component = _component(card, leaves)
         found = lc_rank_trials(component, trials=3, seed=3)
         assert found == reference_trial_ranks(component, 3, 3)
-        assert len(set(found)) == 1 and fields == [SMALL_PRIME] * 3
+        assert len(set(found)) == 1 and fields == [SMALL_PRIME]
 
     def test_a_deficient_component_pays_for_one_small_field_trial(self, monkeypatch):
         # c = 4 over three ternary leaves: b = 26 over 27 columns, rank 25
@@ -786,6 +789,22 @@ class TestSmallFieldFirst:
         component = _component(4, (3, 3, 3))
         assert lc_rank_trials(component, trials=3, seed=3) == (25, 25, 25)
         assert fields == [SMALL_PRIME, PRIME, PRIME, PRIME]
+
+    @pytest.mark.parametrize("trials", [1, 3, MAX_TRIALS])
+    def test_one_small_field_rank_settles_every_trial(self, monkeypatch, trials):
+        # c = 4 over (3, 3, 4): 31 x 31 cells, uncertified, of full rank b = 31.
+        fields = self._fields(monkeypatch)
+        found = lc_rank_trials(_component(4, (3, 3, 4)), trials=trials, seed=3)
+        assert found == (31,) * trials and fields == [SMALL_PRIME]
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_a_real_shortfall_leaves_the_wide_field_trials(self, monkeypatch, trials):
+        # c = 4 over three ternary leaves falls short of b = 26 in any field.
+        fields = self._fields(monkeypatch)
+        component = _component(4, (3, 3, 3))
+        found = lc_rank_trials(component, trials=trials, seed=3)
+        assert found == reference_trial_ranks(component, trials, 3)
+        assert fields == [SMALL_PRIME] + [PRIME] * trials
 
     def test_a_shortfall_falls_back_to_the_wide_field_trial(self, monkeypatch):
         # Every small-field rank is made to fall one short of b: the
@@ -843,19 +862,32 @@ class TestCertifiedRank:
 
     def test_a_seeded_sweep(self):
         # 2 to 8 leaves of 2 to 5 states, c = 2 to 10, under the cell limit:
-        # about 2 s, 61 of the 80 certified.
-        rng, certified = random.Random(11), 0
+        # about 2 s, 61 of the 80 certified.  Every certificate and every
+        # other component's best trial lies within the flattening bound,
+        # which shares no code with either.
+        rng, certified, deficient, proven = random.Random(11), 0, [], []
         for _ in range(80):
             cards = tuple(rng.randint(2, 5) for _ in range(rng.randint(2, 8)))
             card = rng.randint(2, 10)
-            n = standard_dimension(_component(card, cards).star)
-            if min(n, math.prod(cards) - 1) * n > CELL_LIMIT:
+            component = _component(card, cards)
+            n = standard_dimension(component.star)
+            b = min(n, math.prod(cards) - 1)
+            if b * n > CELL_LIMIT:
                 continue
             found = certified_rank(card, cards)
             if found is not None:
                 certified += 1
                 assert found == self._rank_path(card, cards), (card, cards)
+            else:
+                found = max(lc_rank_trials(component, trials=2))
+            bound = flattening_bound(card, cards)
+            assert found <= bound, (card, cards)
+            if found < b:
+                (proven if found == bound else deficient).append((card, cards))
         assert certified >= 61
+        # One deficient component, which the bound does not prove: c = 7 over
+        # (5, 5, 3) at 73 of b = 74, Strassen's 3 x n x n hypersurface (n = 5).
+        assert (deficient, proven) == ([(7, (5, 5, 3))], [])
 
     def test_defective_components_are_not_certified(self):
         # Ranks 13 of b = 14, 25 of 26 (Strassen) and at most 3 * 10**6 + 2

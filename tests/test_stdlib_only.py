@@ -179,11 +179,10 @@ def test_validity_is_checked_once_at_construction():
     check = {"require_valid", "validate"}
     uses = {p.name: sorted(_names(p) & check) for p in sources}
     assert {name: found for name, found in uses.items() if found} == {
-        "model.py": ["require_valid", "validate"]
+        "model.py": ["require_valid"]
     }
     tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
     assert _callers(tree, "require_valid") == ["TreeModel.__post_init__"]
-    assert _callers(tree, "validate") == ["require_valid"]
 
 
 def test_each_engine_ranks_in_one_function():

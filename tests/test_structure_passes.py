@@ -217,6 +217,72 @@ class TestLinearTime:
         assert pruned.edges == ((0, 1),)
 
 
+class TestLinearWork:
+    """Deterministic work counts at n and 2n, beside TestLinearTime's clocks:
+    a linear pass reads about twice as much at twice the size, whatever the
+    machine's load, and a quadratic one about four times."""
+
+    SIZES = (500, 1000, 2000)
+
+    @staticmethod
+    def _at_most_doubled(counts):
+        return all(b <= 2.2 * a for a, b in zip(counts, counts[1:]))
+
+    def test_regularize_reads_linearly_many_cardinalities(self, monkeypatch):
+        # Each re-check of the hub reads its neighbors through model._cards,
+        # which yields 5n - 2 cardinalities here and drops the stale ids it
+        # meets: 5n + 3 lookups.  One that walked stale ids would count them.
+        read = []
+
+        class Lookups:
+            def __init__(self, var):
+                self.var = var
+
+            def get(self, key):
+                read.append(key)
+                return self.var.get(key)
+
+        cards = model._cards
+        monkeypatch.setattr(model, "_cards", lambda ids, var: cards(ids, Lookups(var)))
+        counts = []
+        for n in self.SIZES:
+            tree = latent_hub([3] * n, ones=n)
+            read.clear()
+            regularize(tree)
+            counts.append(len(read))
+        assert counts[0] >= self.SIZES[0] and self._at_most_doubled(counts), counts
+
+    def test_prune_visits_linearly_many_nodes(self, monkeypatch):
+        # A visit is a lookup of a node's neighbors in any model the pass
+        # reads or builds; a pass that rebuilt the model per layer of the
+        # tail would visit quadratically many.
+        visits = []
+
+        class Counted(dict):
+            def __getitem__(self, key):
+                visits.append(key)
+                return dict.__getitem__(self, key)
+
+            def get(self, key, default=None):
+                visits.append(key)
+                return dict.get(self, key, default)
+
+        post_init = TreeModel.__post_init__
+
+        def counted(self):
+            post_init(self)
+            self.__dict__["_adjacency"] = Counted(self._adjacency)
+
+        monkeypatch.setattr(TreeModel, "__post_init__", counted)
+        counts = []
+        for n in self.SIZES:
+            tree = latent_tail([2] * n)
+            visits.clear()
+            prune_latent_leaves(tree)
+            counts.append(len(visits))
+        assert counts[0] >= self.SIZES[0] and self._at_most_doubled(counts), counts
+
+
 # The scans read model._by_id and model._adjacency: a per-node method call
 # costs more than the lookup it wraps.
 SCANS = {
