@@ -58,7 +58,7 @@ def parse_model(text: str) -> TreeModel:
     edges: list[tuple[int, int]] = []
 
     for line_number, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         kind = tokens[0]
@@ -91,10 +91,11 @@ def parse_model(text: str) -> TreeModel:
         elif kind == "edge":
             if len(tokens) != 3:
                 raise ModelParseError(line_number, "expected: edge <name1> <name2>")
-            for name in tokens[1:]:
-                if name not in ids:
-                    raise ModelParseError(line_number, f"unknown variable {name}")
-            edges.append((ids[tokens[1]], ids[tokens[2]]))
+            a, b = ids.get(tokens[1]), ids.get(tokens[2])
+            if a is None or b is None:
+                missing = tokens[1] if a is None else tokens[2]
+                raise ModelParseError(line_number, f"unknown variable {missing}")
+            edges.append((a, b))
         else:
             raise ModelParseError(line_number, f"unknown directive {kind!r}")
 

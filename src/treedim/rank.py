@@ -34,7 +34,7 @@ is kept.  The elimination adds no error: scaling a pivot by the inverse
 of its non-zero lead, or transposing, keeps the rank over GF(p) exactly.
 
 A latent-class rank is settled by the first of four ways that applies: a
-one-state latent or no rows, by a count; from 2**8 Jacobian cells on, a
+one-state latent or no rows, by a count; from 2**6 Jacobian cells on, a
 theorem, with no draw (:func:`certified_rank`): a determinantal variety
 (Harris, Algebraic Geometry, Lecture 12), Kruskal's uniqueness (Kruskal
 1977; Allman, Matias & Rhodes, Ann. Statist. 2009) or non-defective binary
@@ -63,7 +63,7 @@ DEFAULT_TRIALS = 3
 MAX_TRIALS = 100  # more add nothing: each trial errs with probability below deg * mu
 # Ranks are taken in GF(PRIME); from _SMALL_FIELD_CELLS latent-class Jacobian
 # cells on, a certificate or GF(SMALL_PRIME) comes first.  Both are Mersenne.
-PRIME, SMALL_PRIME, _SMALL_FIELD_CELLS = 2**61 - 1, 2**31 - 1, 2**8
+PRIME, SMALL_PRIME, _SMALL_FIELD_CELLS = 2**61 - 1, 2**31 - 1, 2**6
 # No latent-class Jacobian, nor the oracle's k rows over its point, has more cells.
 CELL_LIMIT = 2**18
 
@@ -379,9 +379,11 @@ def certified_rank(c: int, cards: Sequence[int]) -> int | None:
     where a theorem fixes it, else None; one-state neighbors are skipped.
     Two neighbors of r1 and r2 states: a joint of rank m = min(c, r1, r2),
     and rank-m matrices have dimension m(r1 + r2 - m), less one for the
-    unit sum.  Three or more, in three groups filled in descending order
-    until each product reaches c: Kruskal ranks min(c, product) summing to
-    2c + 2 or more identify the classes, so all parameters count.  L binary
+    unit sum.  Three or more, in three groups: Kruskal ranks min(c, product)
+    summing to 2c + 2 or more identify the classes, so all parameters
+    count.  Any split is sound; two are tried, groups filled in descending
+    order until each product reaches c, and the three largest each starting
+    a group that every other joins where the product is least.  L binary
     neighbors: min(c(L + 1), 2**L) - 1, but for c = 3, L = 4."""
     big = sorted((r for r in cards if r >= 2), reverse=True)
     if len(big) == 2:
@@ -393,7 +395,11 @@ def certified_rank(c: int, cards: Sequence[int]) -> int | None:
         while product < c and (r := next(rest, None)):
             product *= r
         kruskal += min(c, product)
-    if kruskal >= 2 * c + 2:
+    groups = [min(c, r) for r in big[:3]]  # balanced: each next joins the least
+    for r in big[3:]:
+        i = groups.index(min(groups))
+        groups[i] = min(c, groups[i] * r)
+    if max(kruskal, sum(groups)) >= 2 * c + 2:
         return c * (1 + sum(big) - len(big)) - 1
     if set(big) <= {2} and (c, len(big)) != (3, 4):
         return min(c * (len(big) + 1), 2 ** len(big)) - 1
@@ -410,7 +416,7 @@ def lc_rank_trials(
     the whole Jacobian but with probability at most deg * mu (see the
     module docstring).  A one-state latent makes its neighbors
     independent, each with a free marginal, so that rank is b = n; a
-    Jacobian with no rows, b = 0, has rank 0; from b * n = 2**8 cells on,
+    Jacobian with no rows, b = 0, has rank 0; from b * n = 2**6 cells on,
     :func:`certified_rank` may settle a rank.  These are returned for every
     trial without a draw, at any size.  Any other component of b * n cells
     over ``CELL_LIMIT`` raises :class:`CellLimitError` before any draw.  A
@@ -418,7 +424,7 @@ def lc_rank_trials(
     callers take the maximum; disagreeing trials are logged.
 
     Each trial ranks in GF(PRIME) from the seed ``(seed, "lc-trial", trial)``.
-    From b * n = 2**8 cells on, one point of GF(SMALL_PRIME), from the seed
+    From b * n = 2**6 cells on, one point of GF(SMALL_PRIME), from the seed
     ``(seed, "lc-small-trial", 0)``, is ranked first: reaching b proves b,
     returned for every trial; a shortfall leaves the GF(PRIME) trials as is.
     """

@@ -453,7 +453,7 @@ def test_criterion_3i_lc_ranks_within_the_flattening_bound(capsys):
 
 
 def test_criterion_3j_both_fields_agree_on_every_large_signature(capsys):
-    # Every keystone and lc_wide signature of at least 2**8 Jacobian cells is
+    # Every keystone and lc_wide signature of at least 2**6 Jacobian cells is
     # certified by a theorem or tries GF(2**31 - 1) first.  One trial in each
     # field finds the same rank, and the trial tuples, a certificate's
     # included, equal those of GF(2**61 - 1) alone.
@@ -484,7 +484,7 @@ def test_criterion_3j_both_fields_agree_on_every_large_signature(capsys):
         capsys,
         3,
         ok,
-        f"{large} signatures of >= 2**8 cells rank alike in both fields, "
+        f"{large} signatures of >= 2**6 cells rank alike in both fields, "
         f"{deficient} of them deficient, in {elapsed:.1f}s",
     )
     assert ok, differ

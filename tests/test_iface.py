@@ -433,17 +433,17 @@ class TestCli:
             )
 
     def test_component_beyond_the_cell_limit_fails_fast(self, capsys, tmp_path):
-        # c = 20,001 over three 20,000-state leaves, which no theorem here
-        # settles: 8 * 10**12 joint states; b = n = 1,200,019,997.
+        # c = 39,998 over three 20,000-state leaves, which no theorem here
+        # settles: 8 * 10**12 joint states; b = n = 2,399,800,003.
         model = tmp_path / "wide.model"
         model.write_text(
-            "var H 20001 latent\n"
+            "var H 39998 latent\n"
             + "".join(f"var {v} 20000 observed\nedge H {v}\n" for v in "ABC")
         )
         start = time.perf_counter()
         assert run(["dims", str(model)]) == 4
         assert time.perf_counter() - start < 1.0
-        assert "{20000} needs 1200019997 x 1200019997 cells > 262144" in (
+        assert "{20000} needs 2399800003 x 2399800003 cells > 262144" in (
             capsys.readouterr().err
         )
 
@@ -502,12 +502,12 @@ class TestCli:
         assert err == "error: ds has more than 4300 digits to print\n"
 
     def test_cell_limit_message_past_the_digit_limit(self, capsys, tmp_path):
-        # n = 3 * 10**8000 + ..., past the 4,300 digits str() of an int allows.
-        # One class more than a leaf's states is not certified.
+        # n = 6 * 10**8000 - ..., past the 4,300 digits str() of an int allows.
+        # 2k - 2 classes over three k-state leaves are not certified.
         card = 10**4000
         model = tmp_path / "huge.model"
         model.write_text(
-            f"var H {card + 1} latent\n"
+            f"var H {2 * card - 2} latent\n"
             + "".join(f"var Y{i} {card} observed\nedge H Y{i}\n" for i in range(3))
         )
         score = ["score", str(model), "--loglik", "-5", "--n", "9"]
@@ -516,24 +516,25 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (
-                "error: rank of latent cardinality 1.0e4000 over 3 neighbors of "
-                "cardinalities {1.0e4000} needs 3.0e8000 x 3.0e8000 cells > 262144\n"
+                "error: rank of latent cardinality 2.0e4000 over 3 neighbors of "
+                "cardinalities {1.0e4000} needs 6.0e8000 x 6.0e8000 cells > 262144\n"
             )
 
     def test_cell_limit_message_rounds_into_the_next_decade(self, capsys, tmp_path):
-        # b = n = 10**13 - 1: a mantissa of 9.99... is printed as 1.0e13.
+        # b = n = 10**13 - 2: a mantissa of 9.99... is printed as 1.0e13.
+        # Three classes over two binary leaves and a third are not certified.
         model = tmp_path / "wide.model"
         model.write_text(
-            "var H 4 latent\n"
+            "var H 3 latent\n"
             + "".join(
                 f"var {name} {card} observed\nedge H {name}\n"
-                for name, card in [("A", 3), ("B", 3), ("C", 2_499_999_999_996)]
+                for name, card in [("A", 2), ("B", 2), ("C", 3_333_333_333_331)]
             )
         )
         assert run(["dims", str(model)]) == 4
         assert capsys.readouterr().err == (
-            "error: rank of latent cardinality 4 over 3 neighbors of "
-            "cardinalities {3, 2.5e12} needs 1.0e13 x 1.0e13 cells > 262144\n"
+            "error: rank of latent cardinality 3 over 3 neighbors of "
+            "cardinalities {2, 3.3e12} needs 1.0e13 x 1.0e13 cells > 262144\n"
         )
 
     def test_hub_of_huge_leaves_is_settled_fast(self, capsys, tmp_path):

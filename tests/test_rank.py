@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -522,11 +523,11 @@ class TestOneBuildPerTrial:
         # All but c = 3 over 4 binary leaves are certified; with the
         # certificates off, they check the rank path every other one takes.
         # Those six reach b in one GF(2**31 - 1) rank, which proves it for
-        # both trials; c = 3 over 4 leaves, below 2**8 cells, takes both.
+        # both trials; c = 3 over 4 leaves falls short in it and takes both.
         monkeypatch.setattr(rank, "certified_rank", lambda c, cards: None)
         component = _component(card, leaves)
         assert lc_rank_trials(component, trials=2) == (expected, expected)
-        assert built == eliminated == [bound] * (1 if bound == expected else 2)
+        assert built == eliminated == [bound] * (1 if bound == expected else 3)
 
     def test_over_the_cell_limit_raises_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -569,14 +570,16 @@ class TestOneEngine:
 
         for module in (rank, oracle):
             monkeypatch.setattr(module, "jacobian", counted)
-        component = _component(2, (3, 3))
+        # The pinned c = 2 over (2, 2, 2): 49 cells, below every certificate.
+        component = _component(2, (2, 2, 2))
         point = sample_lc_point(component, random.Random(0))
-        assert len(full_lc_jacobian(component, point)) == 8
-        assert calls == [3]
+        assert len(full_lc_jacobian(component, point)) == 7
+        assert calls == [4]
         assert lc_rank_trials(component, trials=2) == (7, 7)
-        assert calls == [3, 3, 3]
-        assert oracle.oracle_effective_dimension(latent_class_model(2, (3, 3)), 2) == 7
-        assert calls == [3, 3, 3, 3, 3]
+        assert calls == [4, 4, 4]
+        model = latent_class_model(2, (2, 2, 2))
+        assert oracle.oracle_effective_dimension(model, 2) == 7
+        assert calls == [4] * 4  # its first trial reaches k = 7 and ends the loop
 
 
 class TestOnePointFormat:
@@ -742,7 +745,7 @@ class TestBothFields:
 
 
 class TestSmallFieldFirst:
-    """A component of at least 2**8 Jacobian cells that no theorem settles
+    """A component of at least 2**6 Jacobian cells that no theorem settles
     is ranked once in GF(2**31 - 1) before any trial.  A rank that reaches
     b proves b for every trial; a shortfall leaves exactly the GF(2**61 - 1)
     trials, so no trial tuple mixes the two fields."""
@@ -759,12 +762,12 @@ class TestSmallFieldFirst:
         return fields
 
     @pytest.mark.parametrize(
-        "card,leaves", [(2, (2, 2, 2)), (2, (3, 3)), (3, (2,) * 4), (2, (2,) * 7)]
+        "card,leaves", [(2, (2, 2, 2)), (2, (2, 3)), (3, (2, 2)), (2, (5,))]
     )
     def test_small_components_rank_in_the_wide_field_only(
         self, monkeypatch, card, leaves
     ):
-        # 49, 72, 196 and 225 cells: the pinned model and the canaries.
+        # 49, 35, 24 and 36 cells: the pinned model and the canaries.
         fields = self._fields(monkeypatch)
         component = _component(card, leaves)
         found = lc_rank_trials(component, trials=2, seed=3)
@@ -772,10 +775,10 @@ class TestSmallFieldFirst:
         assert fields == [PRIME, PRIME]
 
     @pytest.mark.parametrize(
-        "card,leaves", [(4, (3, 3, 4)), (2, (20,)), (3, (12,)), (4, (2, 2, 5))]
+        "card,leaves", [(4, (2, 3, 3)), (2, (20,)), (3, (12,)), (4, (2, 2, 5))]
     )
     def test_a_proven_small_field_rank_is_kept(self, monkeypatch, card, leaves):
-        # 961, 741, 385 and 513 cells, none certified, each of full rank b.
+        # 391, 741, 385 and 513 cells, none certified, each of full rank b.
         fields = self._fields(monkeypatch)
         component = _component(card, leaves)
         found = lc_rank_trials(component, trials=3, seed=3)
@@ -792,10 +795,10 @@ class TestSmallFieldFirst:
 
     @pytest.mark.parametrize("trials", [1, 3, MAX_TRIALS])
     def test_one_small_field_rank_settles_every_trial(self, monkeypatch, trials):
-        # c = 4 over (3, 3, 4): 31 x 31 cells, uncertified, of full rank b = 31.
+        # c = 6 over (3, 3, 3): 26 x 41 cells, uncertified, of full rank b = 26.
         fields = self._fields(monkeypatch)
-        found = lc_rank_trials(_component(4, (3, 3, 4)), trials=trials, seed=3)
-        assert found == (31,) * trials and fields == [SMALL_PRIME]
+        found = lc_rank_trials(_component(6, (3, 3, 3)), trials=trials, seed=3)
+        assert found == (26,) * trials and fields == [SMALL_PRIME]
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_a_real_shortfall_leaves_the_wide_field_trials(self, monkeypatch, trials):
@@ -841,7 +844,8 @@ class TestSmallFieldFirst:
 class TestCertifiedRank:
     """rank.certified_rank equals the rank path before it had certificates,
     support.reference_trial_ranks, wherever it certifies; lc_rank_trials
-    uses it from 2**8 cells on, with no draw."""
+    uses it from 2**6 cells on, with no draw.  Kruskal's condition is
+    tried on two splits of the neighbors, greedy and balanced."""
 
     @staticmethod
     def _rank_path(card, cards):
@@ -897,7 +901,7 @@ class TestCertifiedRank:
             assert certified_rank(card, cards) is None
             assert certified_rank(card, (1, *cards, 1)) is None
 
-    def test_only_components_of_2_8_cells_or_more_are_certified(self, monkeypatch):
+    def test_only_components_of_2_6_cells_or_more_are_certified(self, monkeypatch):
         drawn = []
         real = rank.field_draws
 
@@ -906,13 +910,46 @@ class TestCertifiedRank:
             return real(rng, count, p)
 
         monkeypatch.setattr(rank, "field_draws", recorded)
-        # c = 2 over 7 binary leaves, b = n = 15, 225 cells: ranked.
-        assert lc_rank_trials(_component(2, (2,) * 7), trials=2) == (15, 15)
-        assert drawn and certified_rank(2, (2,) * 7) == 15
+        # The pinned c = 2 over 3 binary leaves, b = n = 7, 49 cells: ranked.
+        assert lc_rank_trials(_component(2, (2,) * 3), trials=2) == (7, 7)
+        assert drawn and certified_rank(2, (2,) * 3) == 7
         drawn.clear()
-        # Over 8 leaves, 289 cells: certified, for every trial, with no draw.
-        assert lc_rank_trials(_component(2, (2,) * 8), trials=3) == (17,) * 3
+        # spine's 4 leaves, 81 cells: certified, for every trial, with no draw.
+        assert lc_rank_trials(_component(2, (2,) * 4), trials=3) == (9,) * 3
         assert drawn == []
+
+    def test_the_balanced_split_certifies_what_the_greedy_one_misses(self):
+        # Every component of 3 to 5 neighbors of 2 to 5 states, c <= 9, of
+        # at most 6,000 cells, certified where the greedy split (below) and
+        # the binary fact are not: each equals the rank path.
+        def greedy(card, cards):
+            rest, kruskal = iter(cards), 0
+            for _ in range(3):
+                product = 1
+                while product < card and (r := next(rest, None)):
+                    product *= r
+                kruskal += min(card, product)
+            return kruskal
+
+        found = []
+        for size in range(3, 6):
+            for cards in itertools.combinations_with_replacement((5, 4, 3, 2), size):
+                for card in range(2, 10):
+                    n = card * (1 + sum(cards) - size) - 1
+                    if min(n, math.prod(cards) - 1) * n > 6000 or set(cards) == {2}:
+                        continue
+                    certified = certified_rank(card, cards)
+                    if certified is not None and greedy(card, cards) < 2 * card + 2:
+                        found.append((card, cards))
+                        assert certified == self._rank_path(card, cards), found[-1]
+        assert len(found) == 46
+        assert (4, (3, 3, 3, 3)) in found and (4, (3, 3, 2, 2)) in found
+
+    def test_neither_split_certifies_c_4_or_6_over_three_ternary_leaves(self):
+        # Strassen's deficient c = 4 and lc_wide's c = 6, whose joint fills
+        # the simplex: min(c, 3) summed over three leaves stays below 2c + 2.
+        assert certified_rank(4, (3, 3, 3)) is None
+        assert certified_rank(6, (3, 3, 3)) is None
 
     @pytest.mark.parametrize(
         "card,leaves,expected",
@@ -927,6 +964,12 @@ class TestCertifiedRank:
             (2, (2,) * 1100, 2201),
             # Binary, where no split reaches 2c + 2 = 202.
             (100, (2,) * 8, 255),
+            # Only the balanced split: (3, 3) | 3 | 3, 3 | 3 | (2, 2),
+            # 5 | 5 | 5 and 16 | 16 | 16.
+            (4, (3,) * 4, 35),
+            (4, (2, 2, 3, 3), 27),
+            (6, (5,) * 3, 77),
+            (17, (16,) * 3, 781),
         ],
     )
     def test_certified_components_take_no_draw(

@@ -19,7 +19,8 @@ _SPEC.loader.exec_module(scale)
 
 def test_every_shape_gives_its_stated_dimensions_at_its_smallest_size():
     assert sorted(scale.SHAPES) == [
-        "binary_chain", "binary_leaves", "three_leaves", "wide_latent"
+        "balanced_split", "binary_chain", "binary_leaves", "three_leaves",
+        "wide_latent",
     ]
     for (small, *_), text, answers in scale.SHAPES.values():
         result = effective_dimension(parse_model(text(small)), RankPolicy(trials=3))

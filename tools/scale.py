@@ -51,8 +51,8 @@ def _chain(leaves) -> str:
 # Two-class and binary latent-class dimensions are min(c(L + 1), 2**L) - 1
 # over L binary leaves (Catalisano, Geramita & Gimigliano 2011; its one
 # exception, c = 3 and L = 4, is no shape here).  At the large sizes,
-# treedim.rank.certified_rank settles every component of the first three
-# shapes without a draw; the last one times the rank path.
+# treedim.rank.certified_rank settles every component of every shape but
+# three_leaves without a draw; that one times the rank path.
 SHAPES = {
     # c = 2 over L binary leaves: ds = de = 2L + 1, 511 at L = 255.
     "binary_leaves": (
@@ -81,6 +81,15 @@ SHAPES = {
         (4, 8),
         lambda k: _lc(2 * k - 2, (k,) * 3),
         lambda k: ((2 * k - 2) * (3 * k - 2) - 1,) * 2,
+    ),
+    # c = k + 1 over three k-state leaves: only the balanced split settles
+    # it, k | k | k with 3k >= 2c + 2 from k = 4, as the greedy one takes
+    # two leaves in its first group.  ds = de = (k + 1)(3k - 2) - 1: 49 at
+    # k = 4 and 197 at k = 8 (c = 9, 197 x 197 cells).
+    "balanced_split": (
+        (4, 8),
+        lambda k: _lc(k + 1, (k,) * 3),
+        lambda k: ((k + 1) * (3 * k - 2) - 1,) * 2,
     ),
 }
 
