@@ -44,7 +44,8 @@ class LcComponent:
     @cached_property
     def star(self) -> TreeModel:
         """The component as a tree model: the latent at id 0, the root, and
-        neighbor ``i`` observed at id ``i + 1``, a leaf."""
+        neighbor ``i`` observed at id ``i + 1``, a leaf.  Its points and Jacobian
+        columns hold the class weights, then each neighbor's block per class."""
         leaves = [
             Variable(i, f"Y{i}", card, True)
             for i, (_, card) in enumerate(self.neighbors, 1)

@@ -3,11 +3,11 @@
 Ground truth for the decomposition: the Jacobian rank of the observed
 joint in every free weight of the rooted model, without splitting the
 tree or enumerating joint states.  The parameter point and the
-gradients of random functionals of the joint come from
-:func:`treedim.rank.draw_point` and :func:`treedim.rank.jacobian`; the
-latent-class ranks of the decomposition call them on each component's
-star.  A parameter is *live* when its variable is observed or has a
-live child.  Each completed block sums to one mod p, so a subtree
+gradients of random functionals of the joint come from ``rank.draw_point``
+and ``rank.jacobian``, bound here as ``sample_full_point`` and
+``observed_joint_jacobian``; the latent-class ranks call them on each
+component's star.  A parameter is *live* when its variable is observed or
+has a live child.  Each completed block sums to one mod p, so a subtree
 without observed variables sums to exactly one at every parent state,
 and the other parameters' columns are exact zeros: rank J <= k =
 min(n_live, states - 1).  The oracle draws a point of the whole tree in
@@ -31,28 +31,10 @@ from .rank import (
     check_cells,
     check_trials,
     derive_seed,
-    draw_point,
+    draw_point as sample_full_point,
     exact_rank,
-    jacobian,
+    jacobian as observed_joint_jacobian,
 )
-
-
-def sample_full_point(model: TreeModel, rng: random.Random) -> list:
-    """:func:`treedim.rank.draw_point` of the oracle's whole model."""
-    return draw_point(model, rng)
-
-
-def observed_joint_jacobian(
-    model: TreeModel, point, weights
-) -> tuple[tuple[int, ...], ...]:
-    """:func:`treedim.rank.jacobian` of the oracle's live part.
-
-    Functional ``j`` stands for ``S = sum_x prod_v a_v(x_v) P(x)``, with
-    ``weights[i][x][j]`` its weight of observed variable ``i`` at ``x``,
-    and row ``j`` is its gradient in every free parameter.  Columns follow
-    the point: ascending ids, each with one block per parent state.
-    """
-    return jacobian(model, point, weights)
 
 
 def oracle_effective_dimension(

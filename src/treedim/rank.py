@@ -357,21 +357,8 @@ def jacobian(model, point, weights, p: int = PRIME) -> tuple[tuple[int, ...], ..
     return tuple(zip(*(column for v in variables for column in grad[v.id])))
 
 
-def sample_lc_point(
-    component: "LcComponent", rng: random.Random, p: int = PRIME
-) -> list:
-    """:func:`draw_point` of the component's star: ``point[0]`` holds the
-    class weights, ``point[1 + i][z]`` neighbor ``i``'s block given class ``z``."""
-    return draw_point(component.star, rng, p)
-
-
-def lc_jacobian_at(
-    component: "LcComponent", point, weights, p: int = PRIME
-) -> tuple[tuple[int, ...], ...]:
-    """:func:`jacobian` of the component's star; ``weights[i]`` is neighbor
-    ``i``'s table.  Columns are the free class weights, then the free
-    conditional weights by neighbor, class and state."""
-    return jacobian(component.star, point, weights, p)
+# The latent-class ranks' own names for both, which a tracer times apart.
+sample_lc_point, lc_jacobian_at = draw_point, jacobian
 
 
 def certified_rank(c: int, cards: Sequence[int]) -> int | None:
@@ -443,12 +430,12 @@ def lc_rank_trials(
     what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
     check_cells(what, bound, n)
     proof = [(SMALL_PRIME, "lc-small-trial", 0)] if large else []
-    ranks = []
+    ranks, star = [], component.star
     for p, label, trial in proof + [(PRIME, "lc-trial", t) for t in range(trials)]:
         rng = random.Random(derive_seed(seed, label, trial))
-        point = sample_lc_point(component, rng, p)
+        point = sample_lc_point(star, rng, p)
         weights = _functionals(rng, cards, bound, p)
-        found = exact_rank(lc_jacobian_at(component, point, weights, p), p)
+        found = exact_rank(lc_jacobian_at(star, point, weights, p), p)
         if p == PRIME:
             ranks.append(found)
         elif found == bound:  # proven: no trial can exceed b

@@ -503,7 +503,7 @@ def full_jacobian(model: TreeModel, point):
 def full_lc_jacobian(component, point):
     """``lc_jacobian_at`` over every joint neighbor state but the all-last one."""
     weights = jacobian_weights([card for _, card in component.neighbors])
-    return lc_jacobian_at(component, point, weights)
+    return lc_jacobian_at(component.star, point, weights)
 
 
 def joint_observed_distribution(model: TreeModel, point) -> tuple[int, ...]:
@@ -636,7 +636,7 @@ def reference_lc_rank(component, rng: random.Random) -> int:
     bound = min(n, m)
     if bound * n > CELL_LIMIT:
         raise CellLimitError(f"needs {bound} x {n} cells > {CELL_LIMIT}")
-    point = sample_lc_point(component, rng)
+    point = sample_lc_point(component.star, rng)
     step = (math.isqrt(20 * m * m) - 2 * m + 2) // 4
     while math.gcd(step, m) != 1:
         step += 1
@@ -667,9 +667,9 @@ def reference_trial_ranks(component, trials: int, seed: int) -> tuple[int, ...]:
     ranks = []
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, "lc-trial", trial))
-        point = sample_lc_point(component, rng)
+        point = sample_lc_point(component.star, rng)
         weights = _functionals(rng, cards, bound)
-        ranks.append(exact_rank(lc_jacobian_at(component, point, weights)))
+        ranks.append(exact_rank(lc_jacobian_at(component.star, point, weights)))
     return tuple(ranks)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 LONG = "x" * 5000
 DIGITS = "9" * 5001
 M1 = str(FIXTURES / "m1.model")
+TWO_VARS = "var A 2 observed\nvar B 2 observed\n"
 SCORE = ["score", M1, "--loglik", "-5", "--n", "9", "--de", "43"]
 # A one-state latent over three binary leaves: ds = de = 3, with no draw.
 ONE_STATE = "var Z 1 latent\n" + "".join(
@@ -67,9 +69,21 @@ class TestParseModel:
         with pytest.raises(ModelParseError, match="unknown directive"):
             parse_model("node A 2 observed\n")
 
-    def test_malformed_var_line(self):
-        with pytest.raises(ModelParseError, match="expected: var"):
-            parse_model("var A 2\n")
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "var A 2\n",
+                "line 1: expected: var <name> <cardinality> <observed|latent>",
+            ),
+            (f"{TWO_VARS}edge A\n", "line 3: expected: edge <name1> <name2>"),
+            (f"{TWO_VARS}edge A B C\n", "line 3: expected: edge <name1> <name2>"),
+        ],
+        ids=["var", "edge-short", "edge-long"],
+    )
+    def test_malformed_line(self, text, message):
+        with pytest.raises(ModelParseError, match=f"^{re.escape(message)}$"):
+            parse_model(text)
 
     def test_comments_and_blanks_ignored(self):
         text = "\n# a comment\nvar A 2 observed  # trailing\n\n"
@@ -88,14 +102,19 @@ class TestParseModel:
 CLOSED_STDOUT = "error: stdout closed before the output was written\n"
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this ``treedim``."""
+    src = str(Path(treedim.iface.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _main_into_a_closed_pipe(argv):
     """Run ``treedim.iface.main`` in a child whose stdout is a pipe with
     its read end closed before the spawn, so every write to stdout fails
     with EPIPE: no race with a reader."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(treedim.iface.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     main = "from treedim.iface import main; main()"
     try:
         return subprocess.run(
@@ -103,7 +122,7 @@ def _main_into_a_closed_pipe(argv):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
             timeout=60,
         )
     finally:
@@ -121,6 +140,24 @@ class TestCli:
             assert run(["regularize", str(path)]) == 0
             expected = path.with_suffix(".expected").read_text()
             assert capsys.readouterr().out == expected, path.name
+
+    def test_python_dash_m_treedim_runs_the_command_line(self):
+        def module(*argv):
+            argv = [sys.executable, "-m", "treedim", *argv]
+            root = FIXTURES.parents[1]
+            return subprocess.run(
+                argv, cwd=root, capture_output=True, env=_child_env(), timeout=60
+            )
+
+        m1 = "tests/fixtures/m1.model"
+        report = module("dims", m1, "--report", "--seed", "7", "--trials", "3")
+        regular = module("regularize", m1)
+        assert (report.returncode, regular.returncode) == (0, 0)
+        assert report.stdout + regular.stdout == (FIXTURES / "m1.expected").read_bytes()
+        missing = module("dims", "tests/fixtures/missing.model")
+        assert (missing.returncode, missing.stdout) == (1, b"")
+        (line,) = missing.stderr.decode().splitlines()
+        assert line.startswith("error: ")
 
     def test_dims_plain(self, capsys):
         code = run(["dims", str(FIXTURES / "m1.model")])

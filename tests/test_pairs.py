@@ -53,3 +53,32 @@ def test_higher_is_better_and_the_bound_is_a_fraction_of_the_parent():
     assert not pairs.judge(PARENT, [x * 1.2 for x in PARENT], "lower", 0.25)[
         "worse_than_bound"
     ]
+
+
+@pytest.mark.parametrize("cached", [(), ("parent",), ("change",), ("parent", "change")])
+def test_bytecode_in_only_one_checkout_is_refused_before_any_run(
+    tmp_path, monkeypatch, capsys, cached
+):
+    class Ran(Exception):
+        pass
+
+    def run(*args):
+        raise Ran
+
+    monkeypatch.setattr(pairs, "_run", run)
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "treedim").mkdir(parents=True)
+    for side in cached:
+        cache = tmp_path / side / "src" / "treedim" / "__pycache__"
+        cache.mkdir()
+        (cache / "rank.cpython-311.pyc").write_bytes(b"")
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    if len(cached) != 1:  # like with like: the first run starts
+        with pytest.raises(Ran):
+            pairs.main([*argv, "--workload", "keystone"])
+        return
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main([*argv, "--workload", "keystone"])
+    assert exit_info.value.code == 2
+    (*_, line) = capsys.readouterr().err.splitlines()
+    assert line.endswith("error: one checkout has *.pyc under src/ and the other not")

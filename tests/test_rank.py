@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from support import (
 )
 
 from treedim import oracle, rank
-from treedim.decompose import LcComponent
+from treedim.decompose import LcComponent, RankPolicy, effective_dimension
 from treedim.model import standard_dimension
 from treedim.oracle import observed_joint_jacobian, sample_full_point
 from treedim.rank import (
@@ -290,9 +291,9 @@ class TestLcJacobian:
 
     def test_shape(self):
         component = _component(2, (2, 2))
-        point = sample_lc_point(component, random.Random(0))
+        point = sample_lc_point(component.star, random.Random(0))
         weights = _random_weights(random.Random(1), (2, 2), 4)
-        rows = lc_jacobian_at(component, point, weights)
+        rows = lc_jacobian_at(component.star, point, weights)
         assert (len(rows), len(rows[0])) == (4, 5)
         assert all(type(x) is int and 0 <= x < PRIME for row in rows for x in row)
 
@@ -303,7 +304,7 @@ class TestLcJacobian:
         # Jacobian without the passes.
         for card, leaves in [(2, (2, 2)), (3, (2, 3)), (1, (3,)), (2, (1, 3))]:
             component = _component(card, leaves)
-            point = sample_lc_point(component, random.Random(card * 10))
+            point = sample_lc_point(component.star, random.Random(card * 10))
             jac = full_lc_jacobian(component, point)
             states = all_states(leaves)[:-1]
             base = [_mixture_prob(point, s) for s in states]
@@ -317,8 +318,8 @@ class TestLcJacobian:
         # Probabilities sum to one identically, so the gradients of the
         # indicators of all joint states, the last one included, add up to 0.
         component = _component(3, (2, 3))
-        point = sample_lc_point(component, random.Random(5))
-        rows = lc_jacobian_at(component, point, indicator_weights((2, 3)))
+        point = sample_lc_point(component.star, random.Random(5))
+        rows = lc_jacobian_at(component.star, point, indicator_weights((2, 3)))
         assert len(rows) == 6
         assert all(sum(col) % PRIME == 0 for col in zip(*rows))
 
@@ -328,7 +329,7 @@ class TestLcJacobian:
         component = _component(2, (2, 2, 2))
         best = max(lc_rank_trials(component))
         assert best == 7
-        point = sample_lc_point(component, random.Random(12))
+        point = sample_lc_point(component.star, random.Random(12))
         zero_free = [point[0], [[0, 1], point[1][1]], *point[2:]]
         # Class weights (1, 0): one class is dead.
         zero_last = [[[1, 0]], *point[1:]]
@@ -342,10 +343,10 @@ class TestLcJacobian:
         component = _component(2, (2,))
         weights = indicator_weights((2,))
         with pytest.raises(ValueError, match="does not match"):
-            lc_jacobian_at(component, [[[1, 0]], [[3, 5]]], weights)
-        point = sample_lc_point(component, random.Random(0))
+            lc_jacobian_at(component.star, [[[1, 0]], [[3, 5]]], weights)
+        point = sample_lc_point(component.star, random.Random(0))
         with pytest.raises(ValueError, match="weights need"):
-            lc_jacobian_at(component, point, indicator_weights((3,)))
+            lc_jacobian_at(component.star, point, indicator_weights((3,)))
 
 
 class TestLcJacobianMatchesReference:
@@ -356,7 +357,7 @@ class TestLcJacobianMatchesReference:
     def _check(component, point, states):
         cards = [c for _, c in component.neighbors]
         weights = indicator_weights(cards, states)
-        rows = lc_jacobian_at(component, point, weights)
+        rows = lc_jacobian_at(component.star, point, weights)
         assert rows == reference_lc_jacobian_at(component, point, states)
         assert rows == reference_packed_jacobian(component.star, point, weights)
         return rows
@@ -369,7 +370,7 @@ class TestLcJacobianMatchesReference:
             component = _component(rng.randint(1, 4), leaves)
             unit_leaves += 1 in leaves
             single_class += component.latent_cardinality == 1
-            point = sample_lc_point(component, rng)
+            point = sample_lc_point(component.star, rng)
             top = [[[PRIME - 1] * len(b) for b in t] for t in point]
             for p in (point, top):
                 rows = self._check(component, p, all_states(leaves))
@@ -382,7 +383,7 @@ class TestLcJacobianMatchesReference:
         rng = random.Random(card)
         leaves = (card, 2, 1)
         component = _component(2, leaves)
-        point = sample_lc_point(component, rng)
+        point = sample_lc_point(component.star, rng)
         states = [(card - 1, 1, 0), (card - 1, 0, 0), (0, 1, 0)]
         states += [(rng.randrange(card), rng.randrange(2), 0) for _ in range(20)]
         self._check(component, point, states)
@@ -489,6 +490,32 @@ class TestLcEffectiveDimension:
         assert a == b
 
 
+class TestTrialDisagreement:
+    def test_disagreeing_trials_are_logged_and_the_max_is_kept(
+        self, monkeypatch, caplog
+    ):
+        # c = 2 over (2, 2, 2): 49 cells, so no small-field proof comes first
+        # and the two GF(2**61 - 1) trials are the only ranks.
+        real, calls = rank.exact_rank, []
+
+        def second_one_short(rows, p):
+            calls.append(p)
+            return real(rows, p) - (len(calls) % 2 == 0)
+
+        monkeypatch.setattr(rank, "exact_rank", second_one_short)
+        component = LcComponent(9, 2, ((1, 2), (2, 2), (3, 2)))
+        with caplog.at_level(logging.WARNING, logger="treedim.rank"):
+            assert lc_rank_trials(component, trials=2) == (7, 6)
+        assert calls == [PRIME, PRIME]
+        (record,) = caplog.records
+        assert record.args == (9, (7, 6))
+        assert "latent id 9: (7, 6)" in record.getMessage()
+        calls.clear()
+        result = effective_dimension(latent_class_model(2, (2, 2, 2)), RankPolicy(2))
+        assert result.component_trial_ranks == ((7, 6),)
+        assert result.effective_dimension == 7
+
+
 class TestOneBuildPerTrial:
     @pytest.mark.parametrize(
         "card,leaves,bound,expected",
@@ -510,8 +537,8 @@ class TestOneBuildPerTrial:
     ):
         built, eliminated = [], []
 
-        def build(component, point, weights, p):
-            built.append(len(rows := lc_jacobian_at(component, point, weights, p)))
+        def build(star, point, weights, p):
+            built.append(len(rows := lc_jacobian_at(star, point, weights, p)))
             return rows
 
         def rank_of(rows, p):
@@ -557,22 +584,28 @@ class TestOneBuildPerTrial:
 
 
 class TestOneEngine:
+    def test_the_traced_names_bind_the_sampler_and_the_driver(self):
+        # The names the tracer times are the shared kernels, not wrappers.
+        assert rank.sample_lc_point is rank.draw_point
+        assert rank.lc_jacobian_at is rank.jacobian
+        assert oracle.sample_full_point is rank.draw_point
+        assert oracle.observed_joint_jacobian is rank.jacobian
+
     def test_lc_and_oracle_jacobians_run_through_the_shared_driver(
         self, monkeypatch
     ):
-        # Both ranks take their rows from the one driver in rank.
-        assert oracle.jacobian is rank.jacobian
-        real, calls = rank.jacobian, []
+        # Both ranks take their rows from the one driver in rank, whose
+        # inside pass runs once per Jacobian.
+        real, calls = rank._inside, []
 
-        def counted(model, point, weights, p=PRIME):
-            calls.append(len(model.variables))
-            return real(model, point, weights, p)
+        def counted(order, *args):
+            calls.append(len(order))
+            return real(order, *args)
 
-        for module in (rank, oracle):
-            monkeypatch.setattr(module, "jacobian", counted)
+        monkeypatch.setattr(rank, "_inside", counted)
         # The pinned c = 2 over (2, 2, 2): 49 cells, below every certificate.
         component = _component(2, (2, 2, 2))
-        point = sample_lc_point(component, random.Random(0))
+        point = sample_lc_point(component.star, random.Random(0))
         assert len(full_lc_jacobian(component, point)) == 7
         assert calls == [4]
         assert lc_rank_trials(component, trials=2) == (7, 7)
@@ -598,10 +631,10 @@ class TestOnePointFormat:
         ]
         assert shape[0] == shape[1]
         for s in range(3):
-            point = sample_lc_point(component, random.Random(s))
+            point = sample_lc_point(component.star, random.Random(s))
             assert point == sample_full_point(model, random.Random(s))
             weights = _random_weights(random.Random(s + 10), leaves, 4)
-            rows = lc_jacobian_at(component, point, weights)
+            rows = lc_jacobian_at(component.star, point, weights)
             assert rows == observed_joint_jacobian(model, point, weights)
             assert len(rows[0]) == standard_dimension(component.star)
 
@@ -638,7 +671,7 @@ class TestOneStateLatent:
             (found,) = lc_rank_trials(component, trials=1, seed=seed)
             trial_rng = random.Random(derive_seed(seed, "lc-trial", 0))
             assert found == reference_lc_rank(component, trial_rng)
-            point = sample_lc_point(component, rng)
+            point = sample_lc_point(component.star, rng)
             assert found == exact_rank(full_lc_jacobian(component, point))
 
 
@@ -705,11 +738,11 @@ class TestBothFields:
         rng = random.Random(4)
         draws = field_draws(rng, 500, p)
         assert all(0 <= x < p for x in draws) and max(draws) > p // 2
-        point = sample_lc_point(component, rng, p)
+        point = sample_lc_point(component.star, rng, p)
         assert all(0 <= x < p for t in point for b in t for x in b)
         assert all(sum(b) % p == 1 for t in point for b in t)
         weights = rank._functionals(rng, (2, 3, 4), 5, p)
-        rows = lc_jacobian_at(component, point, weights, p)
+        rows = lc_jacobian_at(component.star, point, weights, p)
         assert all(0 <= x < p for row in rows for x in row)
 
     def test_the_widest_small_field_slots_fold_below_2p(self, monkeypatch):

@@ -12,7 +12,8 @@ change wins (a tie counts for neither side), whether a gain claim holds
 interquartile range) and whether the change is worse than the parent by
 more than the metric's ``bound``, read as a fraction of the parent's
 median.  The last output line is one JSON object with all of it and
-every run's value.
+every run's value.  Both checkouts must have bytecode caches under
+``src/`` or neither may: compiling moves ``setup_s``.
 Standard library only; the checkouts are only read.
 """
 
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.seconds <= 0:
         parser.error("--pairs must be at least 2 and --seconds positive")
+    cached = {any((side / "src").rglob("*.pyc")) for side in (args.parent, args.change)}
+    if len(cached) > 1:
+        parser.error("one checkout has *.pyc under src/ and the other not")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
