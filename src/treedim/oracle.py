@@ -11,12 +11,13 @@ has a live child.  Each completed block sums to one mod p, so a subtree
 without observed variables sums to exactly one at every parent state,
 and the other parameters' columns are exact zeros: rank J <= k =
 min(n_live, states - 1).  The oracle draws a point of the whole tree in
-GF(p) and runs the passes on its live part alone, so it ranks the live
-columns of the gradients of ``k`` functionals with random entries in
-GF(p), the rows of a projection ``R J``; by the argument in
-:mod:`treedim.rank` the error stays one-sided.  A model is refused
-before any draw when ``max(k, 1)`` times its point's entry count, the
-cells the passes carry, exceeds :data:`treedim.rank.CELL_LIMIT`.
+GF(p), p = 2**31 - 1, and runs the passes on its live part alone, so it
+ranks the live columns of the gradients of ``k`` functionals with random
+entries in GF(p), the rows of a projection ``R J``; by the argument in
+:mod:`treedim.rank` the error stays one-sided, a trial falling short with
+probability at most about deg * 2**-31.  A model is refused before any
+draw when ``max(k, 1)`` times its point's entry count, the cells the
+passes carry, exceeds :data:`treedim.rank.CELL_LIMIT`.
 """
 
 from __future__ import annotations

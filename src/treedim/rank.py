@@ -1,6 +1,6 @@
 """Prime-field rank engine and the packed Jacobian passes of tree models.
 
-Ranks are exact, taken in GF(p), p = 2**61 - 1 or 2**31 - 1, of matrices
+Ranks are exact, taken in GF(p), p = PRIME = 2**31 - 1, of matrices
 given as rows of integers.  Elimination packs each row into one int, one
 fixed-width slot per column, wide enough that no carry crosses a slot,
 so a pivot is applied to a whole row by one big-int multiply-add;
@@ -17,29 +17,29 @@ completed table per variable, ascending ids, a block per parent state;
 free weights and functional entries are residues drawn by
 :func:`field_draws`, and each block's last weight is one minus the rest.
 
-The error is one-sided, in either field.  Jacobian entries are integer
-polynomials in the free weights, so a minor that is non-zero mod p at
-any field point is a non-zero polynomial over the rationals: the rank
-mod p there is at most the generic rank over the rationals, which the
-open simplex, being Zariski-dense, attains almost everywhere, so a point
-need be neither rational nor interior.  ``k`` functionals' gradients are
-the rows of a projection ``R J``, which can only lower the rank, and
-rank-one functionals span the dual of the joint space.  Each draw has
-point mass at most mu, 9/2**64 for p = 2**61 - 1 and about 2**-31 for
-2**31 - 1, so by Schwartz-Zippel a random point and ``R`` lose a rank
-up to ``k`` with probability at most deg * mu.  An unlucky draw can only
-err low: the maximum over trials is reported, and a rank that reaches
-``k`` is proven in either field, the one case in which a small-field rank
-is kept.  The elimination adds no error: scaling a pivot by the inverse
-of its non-zero lead, or transposing, keeps the rank over GF(p) exactly.
+The error is one-sided.  Jacobian entries are integer polynomials in the
+free weights, so a minor that is non-zero mod p at any field point is a
+non-zero polynomial over the rationals: the rank mod p there is at most
+the generic rank over the rationals, which the open simplex, being
+Zariski-dense, attains almost everywhere, so a point need be neither
+rational nor interior.  ``k`` functionals' gradients are the rows of a
+projection ``R J``, which can only lower the rank, and rank-one
+functionals span the dual of the joint space.  Each draw has point mass
+at most mu, about 2**-31, so by Schwartz-Zippel a random point and ``R``
+lose a rank up to ``k`` with probability at most deg * mu, and ``t``
+independent trials all do with at most its ``t``-th power.  An unlucky
+draw can only err low: the maximum over trials is reported, and a rank
+that reaches ``k`` is proven.  The elimination adds no error: scaling a
+pivot by the inverse of its non-zero lead, or transposing, keeps the
+rank over GF(p) exactly.
 
 A latent-class rank is settled by the first of four ways that applies: a
 one-state latent or no rows, by a count; from 2**6 Jacobian cells on, a
 theorem, with no draw (:func:`certified_rank`): a determinantal variety
 (Harris, Algebraic Geometry, Lecture 12), Kruskal's uniqueness (Kruskal
 1977; Allman, Matias & Rhodes, Ann. Statist. 2009) or non-defective binary
-secants (Catalisano, Geramita & Gimigliano 2011), then one GF(2**31 - 1)
-rank that reaches its bound; else the maximum of the GF(2**61 - 1) trials.
+secants (Catalisano, Geramita & Gimigliano 2011), then a first trial that
+reaches its bound; else the maximum of the trials.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ if TYPE_CHECKING:
 
 DEFAULT_TRIALS = 3
 MAX_TRIALS = 100  # more add nothing: each trial errs with probability below deg * mu
-# Ranks are taken in GF(PRIME); from _SMALL_FIELD_CELLS latent-class Jacobian
-# cells on, a certificate or GF(SMALL_PRIME) comes first.  Both are Mersenne.
-PRIME, SMALL_PRIME, _SMALL_FIELD_CELLS = 2**61 - 1, 2**31 - 1, 2**6
+# Ranks are taken in GF(PRIME), a Mersenne prime; from _PROOF_CELLS
+# latent-class Jacobian cells on, a certificate or a first trial may settle one.
+PRIME, _PROOF_CELLS = 2**31 - 1, 2**6
 # No latent-class Jacobian, nor the oracle's k rows over its point, has more cells.
 CELL_LIMIT = 2**18
 
@@ -110,23 +110,23 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def field_draws(rng: random.Random, count: int, p: int = PRIME) -> list[int]:
-    """``count`` random elements of GF(p), from one bulk draw.
+def field_draws(rng: random.Random, count: int) -> list[int]:
+    """``count`` random elements of GF(PRIME), from one bulk draw.
 
     Each is a uniform 64-bit word reduced mod p, so no value has point
     mass above ceil(2**64 / p) / 2**64: close enough to uniform for the
-    Schwartz-Zippel bound d * mu on a degree-d minor.  As 2**64 = 8p + 8
-    for PRIME, mu = 9/2**64; for SMALL_PRIME, mu = (2**33 + 5)/2**64.
+    Schwartz-Zippel bound d * mu on a degree-d minor.  As 2**64 = (2**33 +
+    4)p + 4, mu = (2**33 + 5)/2**64, about 2**-31.
     """
     words = struct.unpack(f"<{count}Q", rng.randbytes(8 * count))
-    return [w % p for w in words]
+    return [w % PRIME for w in words]
 
 
-def _residues(values: Sequence[int], p: int = PRIME) -> Sequence[int]:
+def _residues(values: Sequence[int]) -> Sequence[int]:
     """``values`` mod p; values all in [0, p) come back as they are."""
-    if values and 0 <= min(values) and max(values) < p:
+    if values and 0 <= min(values) and max(values) < PRIME:
         return values
-    return [x % p for x in values]
+    return [x % PRIME for x in values]
 
 
 class _Slots:
@@ -134,21 +134,20 @@ class _Slots:
 
     W is ``bits`` rounded up to whole bytes; a caller picks ``bits`` so that
     no slot of a sum it forms reaches ``2**bits``: no carry crosses a slot,
-    and one big-int multiply-add acts on every slot.  For the field prime
-    p = 2**e - 1, two rounds of the Mersenne fold ``(v & low) + ((v >> e)
-    & high)`` take every slot below ``2**e + 2**(W-e)``, then below
-    ``2**e + 2**(W-2e) < 2p``, which needs W <= 3e - 1: 182 bits for PRIME
-    and 92 for SMALL_PRIME.  These two are the only fields; any other p raises.
+    and one big-int multiply-add acts on every slot.  With PRIME = 2**e - 1,
+    two rounds of the Mersenne fold ``(v & low) + ((v >> e) & high)`` take
+    every slot below ``2**e + 2**(W-e)``, then below ``2**e + 2**(W-2e) <
+    2p``, which needs W <= 3e - 1 = 92 bits: a wider layout raises.
     """
 
-    def __init__(self, count: int, bits: int, p: int = PRIME):
-        if p not in (PRIME, SMALL_PRIME):  # the fold needs 2**e - 1, the layout W >= 64
-            raise ValueError(f"no packed field for p = {p}")
-        self.width, self.e = 8 * -(-bits // 8), p.bit_length()
+    def __init__(self, count: int, bits: int):
+        self.width, self.e = 8 * -(-bits // 8), PRIME.bit_length()
+        if self.width > 3 * self.e - 1:
+            raise ValueError(f"no {self.width}-bit slot folds below 2p")
         self.layout = struct.Struct("<" + f"Q{self.width // 8 - 8}x" * count)
         ones = self.ones = self.pack([1] * count)
-        self.low, self.high = ones * p, ones * ((1 << (self.width - self.e)) - 1)
-        self.twop, self.mask = ones * 2 * p, (1 << self.width) - 1
+        self.low, self.high = ones * PRIME, ones * ((1 << (self.width - self.e)) - 1)
+        self.twop, self.mask = ones * 2 * PRIME, (1 << self.width) - 1
 
     def pack(self, values: Sequence[int]) -> int:
         return int.from_bytes(self.layout.pack(*values), "little")
@@ -162,13 +161,12 @@ class _Slots:
 
 
 @functools.lru_cache(maxsize=64)  # each: four ints of count * W bits and a struct
-def _layout(count: int, bits: int, p: int = PRIME) -> _Slots:
-    return _Slots(count, bits, p)  # built once per shape, not per call
+def _layout(count: int, bits: int) -> _Slots:
+    return _Slots(count, bits)  # built once per shape, not per call
 
 
-def exact_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
-    """Rank over GF(p), p being PRIME or SMALL_PRIME, of a matrix given as
-    rows of integers.
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(p), p = PRIME, of a matrix given as rows of integers.
 
     Entries must be integers.  A matrix with more columns than rows is
     ranked as its transpose: ``n`` below is min(m, n).  Each row, reduced
@@ -194,11 +192,12 @@ def exact_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
         rows, n = list(zip(*rows)), len(rows)
     if n == 0:
         return 0
-    slots = _layout(n, 2 * p.bit_length() + 2 + n.bit_length(), p)
+    p = PRIME
+    slots = _layout(n, 2 * p.bit_length() + 2 + n.bit_length())
     width, twop, mask, fold = slots.width, slots.twop, slots.mask, slots.fold
     basis: list[int | None] = [None] * n  # by lead: 2p - pivot, its lead scaled to 1
     for row in rows:
-        vec = slots.pack(_residues(row, p))
+        vec = slots.pack(_residues(row))
         for lead in range(n):
             f = (vec & mask) % p
             if f:
@@ -214,7 +213,7 @@ def exact_rank(rows: Sequence[Sequence[int]], p: int = PRIME) -> int:
     return n - basis.count(None)
 
 
-def _functionals(rng: random.Random, cards: Sequence[int], k: int, p: int = PRIME):
+def _functionals(rng: random.Random, cards: Sequence[int], k: int):
     """Weights of ``k`` random functionals from one :func:`field_draws` call.
 
     Returns ``weights[i][x][j]``, functional ``j``'s weight of variable
@@ -223,19 +222,19 @@ def _functionals(rng: random.Random, cards: Sequence[int], k: int, p: int = PRIM
     ``j * sum(cards) + s`` is that weight for ``s = sum(cards[:i]) + x``.
     """
     width = sum(cards)
-    draws = field_draws(rng, k * width, p)
+    draws = field_draws(rng, k * width)
     starts = itertools.accumulate(cards, initial=0)
     return [
         [draws[s::width] for s in range(a, a + card)] for a, card in zip(starts, cards)
     ]
 
 
-def _times(a, b, p: int = PRIME):
+def _times(a, b):
     """Entrywise product mod p of two ``[state][functional]`` arrays."""
-    return [[x * y % p for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
+    return [[x * y % PRIME for x, y in zip(ax, bx)] for ax, bx in zip(a, b)]
 
 
-def _inside(order, children, tables, weights, k, p: int = PRIME):
+def _inside(order, children, tables, weights, k):
     """Inside vectors and upward messages of all functionals at once.
 
     ``order`` lists the variables root first, each before its children;
@@ -253,21 +252,21 @@ def _inside(order, children, tables, weights, k, p: int = PRIME):
     # A packed sum adds at most c products of a table entry, below p, and
     # a vector entry, below 2p, c the largest cardinality: below c * 2**(2e+1).
     card = max(len(blocks[0]) for blocks in tables.values())
-    slots = _layout(k, 2 * p.bit_length() + 1 + card.bit_length(), p)
+    slots = _layout(k, 2 * PRIME.bit_length() + 1 + card.bit_length())
     pack, unpack, fold = slots.pack, slots.unpack, slots.fold
-    times, partial, up = functools.partial(_times, p=p), {}, {}
+    partial, up = {}, {}
     for v in reversed(order):
         factors = [up[c] for c in children[v]]
         if v in weights or not factors:
             factors.append(weights.get(v) or [[1] * k] * len(tables[v][0]))
         if len(factors) > 1:
-            factors = list(itertools.accumulate(factors, times))
+            factors = list(itertools.accumulate(factors, _times))
         partial[v], beta = factors, [*map(pack, factors[-1])]
         up[v] = [unpack(fold(sum(map(mul, row, beta)))) for row in tables[v]]
     return partial, up, slots
 
 
-def _gradient(order, children, tables, weights, partial, up, slots, p: int = PRIME):
+def _gradient(order, children, tables, weights, partial, up, slots):
     """Gradient columns of the scalars ``S``, mod p, per variable.
 
     ``outer[v][u]`` is the weight outside ``v``'s subtree and table at
@@ -284,22 +283,22 @@ def _gradient(order, children, tables, weights, partial, up, slots, p: int = PRI
         b, kids = partial[v][-1], children[v]
         diffs = [list(map(sub, bx, b[-1])) for bx in b[:-1]]
         if v not in outer:  # the root: down[x] is its entry x in every slot
-            grad[v] = [[x % p for x in d] for d in diffs]
+            grad[v] = [[x % PRIME for x in d] for d in diffs]
             down = [[x] * len(b[0]) for x in tables[v][0]]
         else:
             out = outer[v]
             grad[v] = [
-                [x * y % p for x, y in zip(ox, d)] for ox in out for d in diffs
+                [x * y % PRIME for x, y in zip(ox, d)] for ox in out for d in diffs
             ]
             if not kids:
                 continue
             out = [*map(pack, out)]
             down = [unpack(fold(sum(map(mul, col, out)))) for col in zip(*tables[v])]
         if v in weights:
-            down = _times(down, weights[v], p)
+            down = _times(down, weights[v])
         for i in range(len(kids) - 1, 0, -1):
-            outer[kids[i]] = _times(down, partial[v][i - 1], p)
-            down = _times(down, up[kids[i]], p)
+            outer[kids[i]] = _times(down, partial[v][i - 1])
+            down = _times(down, up[kids[i]])
         if kids:
             outer[kids[0]] = down
     return grad
@@ -315,24 +314,24 @@ def _shapes(model) -> list[tuple[int, int]]:
     ]
 
 
-def draw_point(model, rng: random.Random, p: int = PRIME) -> list:
-    """Completed tables of a tree model, in GF(p): one per variable in
+def draw_point(model, rng: random.Random) -> list:
+    """Completed tables of a tree model, in GF(PRIME): one per variable in
     ascending id order, one block per parent state (the root has one).
     The free weights come from one :func:`field_draws` call in that order,
     a slice per block; each block's last weight is one minus the rest."""
     shapes = _shapes(model)
-    draws = field_draws(rng, sum(b * (card - 1) for b, card in shapes), p)
+    draws = field_draws(rng, sum(b * (card - 1) for b, card in shapes))
     point, end = [], 0
     for blocks, card in shapes:
         point.append(table := [])
         for _ in range(blocks):
             block, end = draws[end : end + card - 1], end + card - 1
-            block.append((1 - sum(block)) % p)
+            block.append((1 - sum(block)) % PRIME)
             table.append(block)
     return point
 
 
-def jacobian(model, point, weights, p: int = PRIME) -> tuple[tuple[int, ...], ...]:
+def jacobian(model, point, weights) -> tuple[tuple[int, ...], ...]:
     """Gradients of functionals of a tree model's observed joint, mod p.
 
     ``point`` holds completed tables (:func:`draw_point`) at any integer
@@ -350,11 +349,12 @@ def jacobian(model, point, weights, p: int = PRIME) -> tuple[tuple[int, ...], ..
     shape = [[k] * v.cardinality for v in observed]
     if [[len(row) for row in t] for t in weights] != shape:
         raise ValueError("weights need a cardinality x k table per observed variable")
-    tables = {v.id: [_residues(b, p) for b in t] for v, t in zip(variables, point)}
-    weights = {v.id: [_residues(r, p) for r in t] for v, t in zip(observed, weights)}
-    partial, up, slots = _inside(order, children, tables, weights, k, p)
-    grad = _gradient(order, children, tables, weights, partial, up, slots, p)
-    return tuple(zip(*(column for v in variables for column in grad[v.id])))
+    tables = {v.id: [_residues(b) for b in t] for v, t in zip(variables, point)}
+    weights = {v.id: [_residues(r) for r in t] for v, t in zip(observed, weights)}
+    partial, up, slots = _inside(order, children, tables, weights, k)
+    grad = _gradient(order, children, tables, weights, partial, up, slots)
+    columns = [column for v in variables for column in grad[v.id]]
+    return tuple(zip(*columns)) if columns else ((),) * k
 
 
 # The latent-class ranks' own names for both, which a tracer times apart.
@@ -411,9 +411,8 @@ def lc_rank_trials(
     callers take the maximum; disagreeing trials are logged.
 
     Each trial ranks in GF(PRIME) from the seed ``(seed, "lc-trial", trial)``.
-    From b * n = 2**6 cells on, one point of GF(SMALL_PRIME), from the seed
-    ``(seed, "lc-small-trial", 0)``, is ranked first: reaching b proves b,
-    returned for every trial; a shortfall leaves the GF(PRIME) trials as is.
+    From b * n = 2**6 cells on, a first trial that reaches b proves b,
+    returned for every trial; after a shortfall every trial runs.
     """
     check_trials(trials)
     c, cards = component.latent_cardinality, [card for _, card in component.neighbors]
@@ -421,7 +420,7 @@ def lc_rank_trials(
     bound = min(n, capped_product(cards, n + 1) - 1)
     if c == 1 or bound == 0:
         return (bound,) * trials
-    large = bound * n >= _SMALL_FIELD_CELLS
+    large = bound * n >= _PROOF_CELLS
     found = certified_rank(c, cards) if large else None
     if found is not None:
         return (found,) * trials
@@ -429,16 +428,13 @@ def lc_rank_trials(
     distinct = ", ".join(map(_figure, sorted(set(cards))))
     what += f" over {len(cards)} neighbors of cardinalities {{{distinct}}}"
     check_cells(what, bound, n)
-    proof = [(SMALL_PRIME, "lc-small-trial", 0)] if large else []
     ranks, star = [], component.star
-    for p, label, trial in proof + [(PRIME, "lc-trial", t) for t in range(trials)]:
-        rng = random.Random(derive_seed(seed, label, trial))
-        point = sample_lc_point(star, rng, p)
-        weights = _functionals(rng, cards, bound, p)
-        found = exact_rank(lc_jacobian_at(star, point, weights, p), p)
-        if p == PRIME:
-            ranks.append(found)
-        elif found == bound:  # proven: no trial can exceed b
+    for trial in range(trials):
+        rng = random.Random(derive_seed(seed, "lc-trial", trial))
+        point = sample_lc_point(star, rng)
+        weights = _functionals(rng, cards, bound)
+        ranks.append(exact_rank(lc_jacobian_at(star, point, weights)))
+        if large and ranks == [bound]:  # proven: no trial can exceed b
             return (bound,) * trials
     if len(set(ranks)) > 1:
         log.warning(

@@ -245,7 +245,7 @@ def reference_packed_rank(rows) -> int:
     cap = min(len(rows), n)
     if cap == 0:
         return 0
-    slots = _Slots(n, 124 + n.bit_length())
+    slots = _Slots(n, 2 * PRIME.bit_length() + 2 + n.bit_length())
     width, twop, mask = slots.width, slots.ones * 2 * PRIME, (1 << slots.width) - 1
     basis: dict[int, tuple[int, int]] = {}  # lead column -> (1 / lead, 2p - pivot)
     for row in rows:
@@ -273,7 +273,7 @@ def residues(values: Sequence[Fraction | int]) -> list[int]:
     """
     den = math.lcm(*[x.denominator for x in values])
     if den % PRIME == 0:
-        raise ValueError(f"denominator {den} is divisible by the field prime 2**61-1")
+        raise ValueError(f"denominator {den} is divisible by the field prime {PRIME}")
     inv = pow(den, -1, PRIME)
     return [x.numerator * (den // x.denominator) * inv % PRIME for x in values]
 
@@ -369,7 +369,7 @@ def reference_sums_inside(order, children, tables, weights, k):
     """``treedim.rank._inside`` before it inlined its packed sum: every node's
     factors go through ``itertools.accumulate``, even a single one."""
     card = max(len(blocks[0]) for blocks in tables.values())
-    slots = _layout(k, 123 + card.bit_length(), PRIME)  # the kernels' memo key
+    slots = _layout(k, 2 * PRIME.bit_length() + 1 + card.bit_length())  # the memo key
     partial, up = {}, {}
     for v in reversed(order):
         factors = [up[c] for c in children[v]]
@@ -529,7 +529,8 @@ def reference_observed_joint_jacobian(model: TreeModel, point, weights):
         return ()
     beta, up = reference_inside(order, children, tables, weights, k)
     grad = reference_gradient(order, children, tables, weights, beta, up, k)
-    return tuple(zip(*(column for vid in sorted(grad) for column in grad[vid])))
+    columns = [column for vid in sorted(grad) for column in grad[vid]]
+    return tuple(zip(*columns)) if columns else ((),) * k  # k rows, none free
 
 
 def reference_packed_jacobian(model: TreeModel, point, weights):
@@ -540,7 +541,8 @@ def reference_packed_jacobian(model: TreeModel, point, weights):
     weights, k = reference_weights(_observed(model), weights)
     passes = _inside(order, children, tables, weights, k)
     grad = reference_packed_gradient(order, children, tables, weights, *passes)
-    return tuple(zip(*(column for v in model.variables for column in grad[v.id])))
+    columns = [column for v in model.variables for column in grad[v.id]]
+    return tuple(zip(*columns)) if columns else ((),) * k
 
 
 def reference_joint_observed_distribution(model: TreeModel, point):
@@ -657,7 +659,7 @@ def reference_lc_rank(component, rng: random.Random) -> int:
 
 
 def reference_trial_ranks(component, trials: int, seed: int) -> tuple[int, ...]:
-    """``treedim.rank.lc_rank_trials`` before it tried GF(2**31 - 1) first:
+    """``treedim.rank.lc_rank_trials`` before certificates and proofs:
     every trial ranks ``b`` functionals at a point of GF(PRIME) drawn from
     ``derive_seed(seed, "lc-trial", trial)``.  For components of two or
     more classes and at least one row."""

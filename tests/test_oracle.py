@@ -207,6 +207,14 @@ class TestSketch:
                 assert row == expected
         assert latent_edges and observed_internal
 
+    def test_a_model_without_free_weights_gives_k_empty_rows(self):
+        # Row j is functional j's gradient, empty when no weight is free:
+        # a lone one-state observed variable; k = 0 gives no row at all.
+        model = build_model([("A", 1, True)], [])
+        point = sample_full_point(model, random.Random(0))
+        for k in (0, 1, 3):
+            assert observed_joint_jacobian(model, point, [[[7] * k]]) == ((),) * k
+
     def test_functional_shape_is_checked(self):
         model = latent_class_model(2, (2, 3))
         point = sample_full_point(model, random.Random(4))
@@ -254,9 +262,10 @@ def _lc_wide_stars() -> list[TreeModel]:
     return [LcComponent(0, c, tuple(enumerate(cards))).star for c, cards in signatures]
 
 
-# sha256 of the points and functionals drawn in the pin test below, as
-# draw_point and _functionals drew them before draw_point sliced its blocks.
-DRAWS_DIGEST = "2feceef452a27e3703c9b7eb449e8e93ce1dd233775e2f7d7c0dccda46f7888a"
+# sha256 of the points and functionals drawn in the pin test below, in
+# GF(2**31 - 1), as draw_point and _functionals drew them in that field when
+# it was the latent-class proof's, before it became the only one.
+DRAWS_DIGEST = "aaff25b77f93b866392c231fe22bef71d599a09ce20fc80b7c9ada3ff8dbb8e1"
 
 
 def _drawn_point(model, rng):
@@ -388,8 +397,8 @@ class TestPackedKernels:
 
     def test_a_wide_leaf_needs_wide_slots(self):
         # The wide leaf's message sums 8193 products of a table entry and
-        # p-1, about 2**134 at random table entries: a slot of 128 bits
-        # would carry into its neighbor.
+        # p-1, about 2**75 at random table entries: a slot of 72 bits would
+        # carry into its neighbor.
         model = latent_class_model(2, (2**13 + 1, 2))
         rng = random.Random(13)
         point = sample_full_point(model, rng)
@@ -562,9 +571,9 @@ class TestLiveParameters:
         draws, shapes = [], []
         real_draws, real_rank = rank.field_draws, oracle.exact_rank
 
-        def recording_draws(rng, count, p):
+        def recording_draws(rng, count):
             draws.append(count)
-            return real_draws(rng, count, p)
+            return real_draws(rng, count)
 
         def recording_rank(rows):
             shapes.append((len(rows), len(rows[0])))
@@ -706,7 +715,7 @@ class TestCellLimitBeforeAnyDraw:
 
     @pytest.fixture(autouse=True)
     def no_draw(self, monkeypatch):
-        def drawn(rng, count, p):
+        def drawn(rng, count):
             raise self.Drawn(count)
 
         monkeypatch.setattr(rank, "field_draws", drawn)

@@ -33,7 +33,6 @@ from treedim.rank import (
     CELL_LIMIT,
     MAX_TRIALS,
     PRIME,
-    SMALL_PRIME,
     CellLimitError,
     certified_rank,
     derive_seed,
@@ -176,7 +175,7 @@ class TestPackedEliminationMatchesReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 256])
     def test_column_counts_around_the_slot_width_steps(self, n):
-        # The slot width goes from 128 to 136 bits between n = 15 and 16.
+        # n columns over at most 5 rows: ranked as the transpose from n = 6 on.
         rng = random.Random(n)
         for m in (1, 2, 3, 5):
             self._check([[rng.randrange(-PRIME, 2 * PRIME) for _ in range(n)]
@@ -207,9 +206,9 @@ class TestNarrowSide:
         counts = []
         layout = rank._layout
 
-        def recorded(count, bits, p):
+        def recorded(count, bits):
             counts.append(count)
-            return layout(count, bits, p)
+            return layout(count, bits)
 
         monkeypatch.setattr(rank, "_layout", recorded)
         found = exact_rank(mat)
@@ -494,19 +493,19 @@ class TestTrialDisagreement:
     def test_disagreeing_trials_are_logged_and_the_max_is_kept(
         self, monkeypatch, caplog
     ):
-        # c = 2 over (2, 2, 2): 49 cells, so no small-field proof comes first
-        # and the two GF(2**61 - 1) trials are the only ranks.
+        # c = 2 over (2, 2, 2): 49 cells, below the first-trial proof, so
+        # both trials are ranked.
         real, calls = rank.exact_rank, []
 
-        def second_one_short(rows, p):
-            calls.append(p)
-            return real(rows, p) - (len(calls) % 2 == 0)
+        def second_one_short(rows):
+            calls.append(len(rows))
+            return real(rows) - (len(calls) % 2 == 0)
 
         monkeypatch.setattr(rank, "exact_rank", second_one_short)
         component = LcComponent(9, 2, ((1, 2), (2, 2), (3, 2)))
         with caplog.at_level(logging.WARNING, logger="treedim.rank"):
             assert lc_rank_trials(component, trials=2) == (7, 6)
-        assert calls == [PRIME, PRIME]
+        assert calls == [7, 7]
         (record,) = caplog.records
         assert record.args == (9, (7, 6))
         assert "latent id 9: (7, 6)" in record.getMessage()
@@ -537,24 +536,24 @@ class TestOneBuildPerTrial:
     ):
         built, eliminated = [], []
 
-        def build(star, point, weights, p):
-            built.append(len(rows := lc_jacobian_at(star, point, weights, p)))
+        def build(star, point, weights):
+            built.append(len(rows := lc_jacobian_at(star, point, weights)))
             return rows
 
-        def rank_of(rows, p):
+        def rank_of(rows):
             eliminated.append(len(rows))
-            return exact_rank(rows, p)
+            return exact_rank(rows)
 
         monkeypatch.setattr(rank, "lc_jacobian_at", build)
         monkeypatch.setattr(rank, "exact_rank", rank_of)
         # All but c = 3 over 4 binary leaves are certified; with the
         # certificates off, they check the rank path every other one takes.
-        # Those six reach b in one GF(2**31 - 1) rank, which proves it for
-        # both trials; c = 3 over 4 leaves falls short in it and takes both.
+        # Those six reach b in their first trial, which proves it for both;
+        # c = 3 over 4 leaves falls short in it and takes both.
         monkeypatch.setattr(rank, "certified_rank", lambda c, cards: None)
         component = _component(card, leaves)
         assert lc_rank_trials(component, trials=2) == (expected, expected)
-        assert built == eliminated == [bound] * (1 if bound == expected else 3)
+        assert built == eliminated == [bound] * (1 if bound == expected else 2)
 
     def test_over_the_cell_limit_raises_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -675,124 +674,137 @@ class TestOneStateLatent:
             assert found == exact_rank(full_lc_jacobian(component, point))
 
 
-BOTH_FIELDS = pytest.mark.parametrize(
-    "p", [PRIME, SMALL_PRIME], ids=["2^61-1", "2^31-1"]
-)
+# The engine's one field.  Until GF(2**61 - 1) was retired these cases ran
+# in both; the id keeps each case's field in its name.
+ONE_FIELD = pytest.mark.parametrize("p", [PRIME], ids=["2^31-1"])
 
 
 class TestBothFields:
     """The packed elimination's carry and fold edge cases in GF(2**31 - 1),
-    and in GF(2**61 - 1) where TestPackedEliminationMatchesReference does
-    not reach, against the list-based reference in the same field."""
+    where TestPackedEliminationMatchesReference does not reach, against
+    the list-based reference, and the slot width the fold admits.  The
+    class is named for the two fields it covered before GF(2**61 - 1), the
+    wide one, was retired; GF(2**31 - 1) is the small one."""
 
     @staticmethod
-    def _check(mat, p):
+    def _check(mat):
         transposed = [list(col) for col in zip(*mat)]
-        assert exact_rank(mat, p) == reference_rank(mat, p)
-        assert exact_rank(transposed, p) == reference_rank(transposed, p)
-        return exact_rank(mat, p)
+        assert exact_rank(mat) == reference_rank(mat)
+        assert exact_rank(transposed) == reference_rank(transposed)
+        return exact_rank(mat)
 
     def test_entries_negative_above_the_prime_or_multiples_of_it(self):
-        p, rng = SMALL_PRIME, random.Random(9)
-        pool = [0, 1, -1, p, -p, 2 * p, p - 1, p + 1,
-                1 - p, 3 * p + 5, 2**64, -(2**70), 7, -7]
+        # Entries past any slot: word and slot boundaries, the retired prime
+        # 2**61 - 1, and shifts by multiples of p as wide as the entries.
+        p, rng = PRIME, random.Random(19)
+        pool = [0, 1, -1, p, -p, 2 * p, p - 1, p + 1, 1 - p, 2**31, 2**32 + 3,
+                2**61 - 1, -(2**61 - 1), 2**62, -(2**63), 2**92 - 1, 2**96 * p, 5]
         for _ in range(60):
             m, n = rng.randint(1, 9), rng.randint(1, 9)
-            self._check([[rng.choice(pool) for _ in range(n)] for _ in range(m)], p)
+            self._check([[rng.choice(pool) for _ in range(n)] for _ in range(m)])
         for _ in range(20):
             mat = random_product_matrix(rng, 8, rng.randint(1, 8), 8)
-            shifted = [[x + rng.randint(-5, 5) * p for x in row] for row in mat]
-            assert exact_rank(shifted, p) == self._check(mat, p)
-        assert exact_rank([[p, -3 * p], [2 * p, 0]], p) == 0
+            shifted = [[x + rng.randint(-(2**70), 2**70) * p for x in row]
+                       for row in mat]
+            assert exact_rank(shifted) == self._check(mat)
+        assert exact_rank([[p * 2**64, -(3 * p)], [2 * p, 2**100 * p]]) == 0
 
-    def test_only_the_two_mersenne_fields_pack(self):
-        # 2**40 - 87 is prime but not 2**e - 1, so its fold would be wrong;
-        # 7 is 2**3 - 1, but its slots would be narrower than a 64-bit word;
-        # the residues of 2**89 - 1 do not fit the 64-bit word a slot packs.
-        for p in (2**40 - 87, 7, 2**89 - 1):
-            with pytest.raises(ValueError, match=f"^no packed field for p = {p}$"):
-                exact_rank([[1, 2], [3, 4]], p)
-
-    @BOTH_FIELDS
+    @ONE_FIELD
     @pytest.mark.parametrize("n", [15, 16, 255, 256])
     def test_square_matrices_around_the_slot_width_steps(self, p, n):
-        # Slots are 2e + 2 + n.bit_length() bits, rounded up to bytes: 128
-        # to 136 between n = 15 and 16 for e = 61, 72 to 80 between n = 255
-        # and 256 for e = 31; a wide matrix has min(m, n) slots, so only a
-        # square one reaches them.  -(J + 2I) mod p has determinant
-        # +-2**(n-1) * (n + 2) != 0, and row i meets all i earlier pivots.
+        # Slots are 2e + 2 + n.bit_length() bits, rounded up to bytes: 72 to
+        # 80 between n = 255 and 256 for e = 31; a wide matrix has min(m, n)
+        # slots, so only a square one reaches them.  -(J + 2I) mod p has
+        # determinant +-2**(n-1) * (n + 2) != 0, and row i meets all i
+        # earlier pivots.
         mat = [[p - 1 - 2 * (i == j) for j in range(n)] for i in range(n)]
-        assert exact_rank(mat, p) == n
+        assert exact_rank(mat) == n
         # n I - J mod p has the all-ones vector in its kernel: rank n - 1.
         mat = [[p - 1 + (n + p) * (i == j) for j in range(n)] for i in range(n)]
-        assert exact_rank(mat, p) == n - 1
+        assert exact_rank(mat) == n - 1
         if n < 20:
             rng = random.Random(n)
             odd = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
-            self._check(odd, p)
-            self._check(random_product_matrix(rng, n, n // 2, n, p - 1), p)
+            self._check(odd)
+            self._check(random_product_matrix(rng, n, n // 2, n, p - 1))
 
-    @BOTH_FIELDS
+    @ONE_FIELD
     def test_draws_and_jacobian_entries_lie_in_the_field(self, p):
         component = _component(3, (2, 3, 4))
         rng = random.Random(4)
-        draws = field_draws(rng, 500, p)
+        draws = field_draws(rng, 500)
         assert all(0 <= x < p for x in draws) and max(draws) > p // 2
-        point = sample_lc_point(component.star, rng, p)
+        point = sample_lc_point(component.star, rng)
         assert all(0 <= x < p for t in point for b in t for x in b)
         assert all(sum(b) % p == 1 for t in point for b in t)
-        weights = rank._functionals(rng, (2, 3, 4), 5, p)
-        rows = lc_jacobian_at(component.star, point, weights, p)
+        weights = rank._functionals(rng, (2, 3, 4), 5)
+        rows = lc_jacobian_at(component.star, point, weights)
         assert all(0 <= x < p for row in rows for x in row)
 
     def test_the_widest_small_field_slots_fold_below_2p(self, monkeypatch):
         # The fold needs W <= 3e - 1 bits, 92 for e = 31.  Under CELL_LIMIT
-        # the LC engine's widest layouts are exact_rank's narrow side of 512
-        # (b <= n and b * n <= 512**2), recorded below, and the passes' at a
-        # cardinality of 2**18: every star variable has at most n + 1 states.
-        e, requested = SMALL_PRIME.bit_length(), []
+        # the widest layouts are exact_rank's narrow side of 512 (b <= n and
+        # b * n <= 512**2), recorded below, and the passes' at a cardinality
+        # of 2**18: every variable of a point has at most CELL_LIMIT states.
+        e, requested = PRIME.bit_length(), []
         layout = rank._layout
 
-        def recorded(count, bits, p):
-            requested.append((count, bits, p))
-            return layout(count, bits, p)
+        def recorded(count, bits):
+            requested.append((count, bits))
+            return layout(count, bits)
 
         monkeypatch.setattr(rank, "_layout", recorded)
         assert 512**2 == CELL_LIMIT
-        assert exact_rank([[0] * 512] * 512, SMALL_PRIME) == 0
-        assert requested == [(512, 2 * e + 2 + (512).bit_length(), SMALL_PRIME)]
-        inside = 2 * e + 1 + (2**18).bit_length()
-        for bits in (requested[0][1], inside):
-            slots = layout(3, bits, SMALL_PRIME)
+        assert exact_rank([[0] * 512] * 512) == 0
+        assert requested == [(512, 2 * e + 2 + (512).bit_length())]
+        requested.clear()  # one variable of 2**18 states, one functional
+        rank._inside([0], {0: []}, {0: [[0] * CELL_LIMIT]}, {}, 1)
+        assert requested == [(1, 2 * e + 1 + (CELL_LIMIT).bit_length())]
+        for bits in (2 * e + 2 + (512).bit_length(), requested[0][1]):
+            slots = layout(3, bits)
             assert slots.width <= 3 * e - 1 == 92
             # Every slot value below 2**W folds below 2p, congruent mod p.
             top, rng = (1 << slots.width) - 1, random.Random(bits)
-            for values in ([top] * 3, [SMALL_PRIME, 2 * SMALL_PRIME - 1, 0],
+            for values in ([top] * 3, [PRIME, 2 * PRIME - 1, 0],
                            [rng.randrange(top) for _ in range(3)]):
                 vec = sum(v << i * slots.width for i, v in enumerate(values))
                 folded = slots.fold(vec)
                 out = [folded >> i * slots.width & top for i in range(3)]
                 assert folded >> 3 * slots.width == 0
-                assert all(o < 2 * SMALL_PRIME for o in out)
-                assert all((o - v) % SMALL_PRIME == 0 for o, v in zip(out, values))
+                assert all(o < 2 * PRIME for o in out)
+                assert all((o - v) % PRIME == 0 for o, v in zip(out, values))
+
+    def test_a_slot_past_the_fold_bound_is_refused(self):
+        # 89 to 96 bits round up to a 96-bit slot, past W <= 92; 88 is the
+        # widest slot the fold admits.
+        for bits in (89, 92, 96):
+            with pytest.raises(ValueError, match="^no 96-bit slot folds below 2p$"):
+                rank._Slots(2, bits)
+        assert rank._Slots(2, 88).width == 88
+        # exact_rank past 2**24 slots would need them: refused, not miscounted.
+        with pytest.raises(ValueError, match="^no 96-bit slot"):
+            rank._layout(2**24, 2 * PRIME.bit_length() + 2 + (2**24).bit_length())
 
 
 class TestSmallFieldFirst:
-    """A component of at least 2**6 Jacobian cells that no theorem settles
-    is ranked once in GF(2**31 - 1) before any trial.  A rank that reaches
-    b proves b for every trial; a shortfall leaves exactly the GF(2**61 - 1)
-    trials, so no trial tuple mixes the two fields."""
+    """From 2**6 Jacobian cells on, a component that no theorem settles is
+    proven by a first GF(2**31 - 1) trial that reaches b, returned for
+    every trial; after a shortfall every trial runs, each from its own
+    ``"lc-trial"`` seed, so a trial tuple is that of the plain trials.
+    The names keep the terms of the two-field ladder they were written
+    for: the small-field rank is that first trial, and the wide-field
+    trials are the plain trials, which every other component runs."""
 
     @staticmethod
-    def _fields(monkeypatch):
-        fields = []
+    def _calls(monkeypatch):
+        calls = []
 
-        def rank_of(rows, p):
-            fields.append(p)
-            return exact_rank(rows, p)
+        def rank_of(rows):
+            calls.append(len(rows))
+            return exact_rank(rows)
 
         monkeypatch.setattr(rank, "exact_rank", rank_of)
-        return fields
+        return calls
 
     @pytest.mark.parametrize(
         "card,leaves", [(2, (2, 2, 2)), (2, (2, 3)), (3, (2, 2)), (2, (5,))]
@@ -800,66 +812,69 @@ class TestSmallFieldFirst:
     def test_small_components_rank_in_the_wide_field_only(
         self, monkeypatch, card, leaves
     ):
-        # 49, 35, 24 and 36 cells: the pinned model and the canaries.
-        fields = self._fields(monkeypatch)
+        # 49, 35, 24 and 36 cells: the pinned model and the canaries, each
+        # of full rank b, take both trials.
+        calls = self._calls(monkeypatch)
         component = _component(card, leaves)
         found = lc_rank_trials(component, trials=2, seed=3)
         assert found == reference_trial_ranks(component, 2, 3)
-        assert fields == [PRIME, PRIME]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "card,leaves", [(4, (2, 3, 3)), (2, (20,)), (3, (12,)), (4, (2, 2, 5))]
     )
     def test_a_proven_small_field_rank_is_kept(self, monkeypatch, card, leaves):
         # 391, 741, 385 and 513 cells, none certified, each of full rank b.
-        fields = self._fields(monkeypatch)
+        calls = self._calls(monkeypatch)
         component = _component(card, leaves)
         found = lc_rank_trials(component, trials=3, seed=3)
         assert found == reference_trial_ranks(component, 3, 3)
-        assert len(set(found)) == 1 and fields == [SMALL_PRIME]
-
-    def test_a_deficient_component_pays_for_one_small_field_trial(self, monkeypatch):
-        # c = 4 over three ternary leaves: b = 26 over 27 columns, rank 25
-        # (Strassen): the first small-field trial falls short of b.
-        fields = self._fields(monkeypatch)
-        component = _component(4, (3, 3, 3))
-        assert lc_rank_trials(component, trials=3, seed=3) == (25, 25, 25)
-        assert fields == [SMALL_PRIME, PRIME, PRIME, PRIME]
+        assert len(set(found)) == 1 and len(calls) == 1
 
     @pytest.mark.parametrize("trials", [1, 3, MAX_TRIALS])
     def test_one_small_field_rank_settles_every_trial(self, monkeypatch, trials):
         # c = 6 over (3, 3, 3): 26 x 41 cells, uncertified, of full rank b = 26.
-        fields = self._fields(monkeypatch)
+        calls = self._calls(monkeypatch)
         found = lc_rank_trials(_component(6, (3, 3, 3)), trials=trials, seed=3)
-        assert found == (26,) * trials and fields == [SMALL_PRIME]
+        assert found == (26,) * trials and calls == [26]
+
+    def test_a_deficient_component_pays_for_one_small_field_trial(self, monkeypatch):
+        # c = 4 over three ternary leaves: b = 26 over 27 columns, rank 25
+        # (Strassen).  Its first trial falls short of b, so each trial costs
+        # one GF(2**31 - 1) rank: exactly ``trials`` calls, not one more.
+        calls = self._calls(monkeypatch)
+        component = _component(4, (3, 3, 3))
+        assert lc_rank_trials(component, trials=3, seed=3) == (25, 25, 25)
+        assert calls == [26, 26, 26]
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_a_real_shortfall_leaves_the_wide_field_trials(self, monkeypatch, trials):
-        # c = 4 over three ternary leaves falls short of b = 26 in any field.
-        fields = self._fields(monkeypatch)
+        # c = 4 over three ternary leaves falls short of b = 26 in any trial:
+        # the tuple is the plain trials', one rank each.
+        calls = self._calls(monkeypatch)
         component = _component(4, (3, 3, 3))
         found = lc_rank_trials(component, trials=trials, seed=3)
         assert found == reference_trial_ranks(component, trials, 3)
-        assert fields == [SMALL_PRIME] + [PRIME] * trials
+        assert found == (25,) * trials and calls == [26] * trials
 
     def test_a_shortfall_falls_back_to_the_wide_field_trial(self, monkeypatch):
-        # Every small-field rank is made to fall one short of b: the
-        # component returns the tuple of its GF(2**61 - 1) trials exactly.
-        fields = []
-
-        def short(rows, p):
-            fields.append(p)
-            return exact_rank(rows, p) - (p == SMALL_PRIME)
-
-        monkeypatch.setattr(rank, "exact_rank", short)
+        # The first trial is made to fall one short of b: the component
+        # returns the tuple of all its trials, the shortfall included.
         for card, leaves in [(5, (3,) * 3), (2, (20,)), (6, (3,) * 3)]:
+            calls = []
+
+            def short(rows):
+                calls.append(rows)
+                return exact_rank(rows) - (len(calls) == 1)
+
+            monkeypatch.setattr(rank, "exact_rank", short)
             component = _component(card, leaves)
-            fields.clear()
             found = lc_rank_trials(component, trials=3, seed=7)
-            assert found == reference_trial_ranks(component, 3, 7)
-            assert fields == [SMALL_PRIME, PRIME, PRIME, PRIME]
+            expected = reference_trial_ranks(component, 3, 7)
+            assert found == (expected[0] - 1, *expected[1:]) and len(calls) == 3
 
     def test_the_small_field_has_its_own_seeds(self, monkeypatch):
+        # One seed per trial, (seed, "lc-trial", trial), and no other.
         seeds = []
         real = rank.derive_seed
 
@@ -869,9 +884,7 @@ class TestSmallFieldFirst:
 
         monkeypatch.setattr(rank, "derive_seed", recorded)
         lc_rank_trials(_component(4, (3, 3, 3)), trials=2, seed=5)
-        assert seeds == [
-            (5, "lc-small-trial", 0), (5, "lc-trial", 0), (5, "lc-trial", 1)
-        ]
+        assert seeds == [(5, "lc-trial", 0), (5, "lc-trial", 1)]
 
 
 class TestCertifiedRank:
@@ -938,9 +951,9 @@ class TestCertifiedRank:
         drawn = []
         real = rank.field_draws
 
-        def recorded(rng, count, p=PRIME):
+        def recorded(rng, count):
             drawn.append(count)
-            return real(rng, count, p)
+            return real(rng, count)
 
         monkeypatch.setattr(rank, "field_draws", recorded)
         # The pinned c = 2 over 3 binary leaves, b = n = 7, 49 cells: ranked.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -227,6 +228,48 @@ class TestLinearWork:
     @staticmethod
     def _at_most_doubled(counts):
         return all(b <= 2.2 * a for a, b in zip(counts, counts[1:]))
+
+    @staticmethod
+    def _lines_run(call) -> int:
+        """Lines of ``treedim`` source that ``call()`` executes, each time a
+        line runs: loops and comprehensions count once per iteration."""
+        source, count = str(Path(model.__file__).parent), 0
+
+        def local(frame, event, arg):
+            nonlocal count
+            count += event == "line"
+            return local
+
+        def call_event(frame, event, arg):
+            return local if frame.f_code.co_filename.startswith(source) else None
+
+        outer = sys.gettrace()
+        sys.settrace(call_event)
+        try:
+            call()
+        finally:
+            sys.settrace(outer)
+        return count
+
+    def test_effective_dimension_of_a_long_latent_path_runs_linearly_many_lines(self):
+        # TestLinearTime's path at n, 2n and 4n: every pass, from prune to
+        # the ranks, about 64 lines per latent.
+        counts = []
+        for n in self.SIZES:
+            tree = latent_path([2] * n)
+            run = self._lines_run(lambda: effective_dimension(tree, RankPolicy(1)))
+            counts.append(run)
+        assert counts[0] >= self.SIZES[0] and self._at_most_doubled(counts), counts
+
+    def test_regularize_of_a_latent_hub_runs_linearly_many_lines(self):
+        # TestLinearTime's hub at n, 2n and 4n: about 120 lines per latent.
+        # A re-check of the hub that read every neighbor, removed ones
+        # included, would run quadratically many.
+        counts = []
+        for n in self.SIZES:
+            tree = latent_hub([3] * n)
+            counts.append(self._lines_run(lambda: regularize(tree)))
+        assert counts[0] >= self.SIZES[0] and self._at_most_doubled(counts), counts
 
     def test_regularize_reads_linearly_many_cardinalities(self, monkeypatch):
         # Each re-check of the hub reads its neighbors through model._cards,

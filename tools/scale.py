@@ -52,7 +52,7 @@ def _chain(leaves) -> str:
 # over L binary leaves (Catalisano, Geramita & Gimigliano 2011; its one
 # exception, c = 3 and L = 4, is no shape here).  At the large sizes,
 # treedim.rank.certified_rank settles every component of every shape but
-# three_leaves without a draw; that one times the rank path.
+# three_leaves and strassen without a draw; those two time the rank path.
 SHAPES = {
     # c = 2 over L binary leaves: ds = de = 2L + 1, 511 at L = 255.
     "binary_leaves": (
@@ -90,6 +90,15 @@ SHAPES = {
         (4, 8),
         lambda k: _lc(k + 1, (k,) * 3),
         lambda k: ((k + 1) * (3 * k - 2) - 1,) * 2,
+    ),
+    # c = (3n - 1)/2 over (n, n, 3), n odd: Strassen's hypersurface (Linear
+    # Algebra Appl. 1983), one below the joint's 3n**2 - 1, so every trial
+    # runs.  ds = c(2n + 1) - 1 and de = 3n**2 - 2: 27 and 25 at n = 3, 149
+    # and 145 at n = 7 (c = 10, 145 x 149 cells).
+    "strassen": (
+        (3, 7),
+        lambda n: _lc((3 * n - 1) // 2, (n, n, 3)),
+        lambda n: ((3 * n - 1) // 2 * (2 * n + 1) - 1, 3 * n * n - 2),
     ),
 }
 
